@@ -158,6 +158,17 @@ def _cmd_solve_three(args) -> int:
     return EXIT_OK
 
 
+def _load_allocation(path, inst: Instance):
+    """Read an allocation file and check its shape against the instance."""
+    data = load_json(path)
+    alloc = allocation_from_dict(data)
+    if alloc.n != inst.n or alloc.num_chores != inst.m:
+        raise InputError(
+            f"allocation has {alloc.n} bundles over {alloc.num_chores} chores, "
+            f"instance has {inst.n} agents and {inst.m} chores")
+    return alloc, data
+
+
 def _cmd_verify(args) -> int:
     inst = instance_from_dict(load_json(args.input))
     prop = args.property
@@ -171,8 +182,7 @@ def _cmd_verify(args) -> int:
     else:
         if args.alloc is None:
             raise InputError("--alloc is required for this property")
-        alloc_data = load_json(args.alloc)
-        alloc = allocation_from_dict(alloc_data)
+        alloc, alloc_data = _load_allocation(args.alloc, inst)
         if prop == "ef1":
             certificate = check_ef1(inst, alloc)
         elif prop == "efx":
@@ -187,7 +197,10 @@ def _cmd_verify(args) -> int:
             certificate = check_fpo(inst, alloc)
         else:  # pef1
             prices_data = load_json(args.prices) if args.prices else alloc_data
-            certificate = check_pef1(prices_from_dict(prices_data), alloc)
+            prices = prices_from_dict(prices_data)
+            if len(prices) != inst.m:
+                raise InputError(f"{len(prices)} prices for {inst.m} chores")
+            certificate = check_pef1(prices, alloc)
     payload = certificate.to_dict()
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
@@ -209,7 +222,7 @@ def _cmd_oracle(args) -> int:
     else:  # po-brute
         if args.alloc is None:
             raise InputError("--alloc is required for the po-brute oracle")
-        alloc = allocation_from_dict(load_json(args.alloc))
+        alloc, _ = _load_allocation(args.alloc, inst)
         certificate = check_po_brute(inst, alloc, VerifyLimits())
         dump_json(args.output, certificate.to_dict())
         return EXIT_OK if certificate.holds else EXIT_VIOLATED

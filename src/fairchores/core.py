@@ -219,6 +219,8 @@ class SurplusAllocation:
                 seen.add(unit)
                 if not 0 <= unit.chore < self.num_chores:
                     raise InputError(f"chore id {unit.chore} out of range")
+                if unit.copy < 0:
+                    raise InputError(f"chore copy {unit} has a negative copy index")
                 covered.add(unit.chore)
         if len(covered) != self.num_chores:
             missing = sorted(set(range(self.num_chores)) - covered)
@@ -260,12 +262,6 @@ class PaymentGraph:
 
     def weight(self, agent: int, chore: int) -> Fraction:
         return self.edge_dict().get((agent, chore), ZERO)
-
-    def agent_neighbors(self, agent: int) -> list[int]:
-        return sorted(c for (i, c), _ in self.weights if i == agent)
-
-    def chore_neighbors(self, chore: int) -> list[int]:
-        return sorted(i for (i, c), _ in self.weights if c == chore)
 
     def chore_payment(self, chore: int) -> Fraction:
         return sum((w for (_, c), w in self.weights if c == chore), ZERO)

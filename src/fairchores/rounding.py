@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import networkx as nx
-
 from .core import (
     ZERO,
     ChoreCopy,
     Instance,
     MarketOutcome,
+    PaymentGraph,
     PriceVector,
     SurplusAllocation,
     bundle_payment,
@@ -48,7 +47,6 @@ from .errors import (
 from .verifiers import (
     Certificate,
     FPO,
-    VerifyLimits,
     check_ef1,
     check_fisher_integral,
     check_fpo,
@@ -89,9 +87,6 @@ class RoundingState:
 
     def income(self, agent: int) -> Fraction:
         return sum((self.weights[(agent, c)] for c in self.agent_adj[agent]), ZERO)
-
-    def bundle_price(self, agent: int) -> Fraction:
-        return sum((self.prices[c] for c in self.bundles[agent]), ZERO)
 
     def checkpoint(self) -> None:
         """Income window every rounding proof leans on; violations are bugs."""
@@ -170,19 +165,11 @@ def phase2(state: RoundingState) -> SurplusAllocation:
     copies: list[list[ChoreCopy]] = [[] for _ in range(inst.n)]
     copy_counter = [0] * inst.m
 
-    graph = nx.Graph()
-    graph.add_nodes_from(("a", i) for i in range(inst.n))
-    graph.add_nodes_from(("c", c) for c in range(inst.m))
-    graph.add_edges_from((("a", i), ("c", c)) for i, c in state.weights)
-    components = sorted(
-        (sorted(idx for kind, idx in nodes if kind == "a"),
-         sorted(idx for kind, idx in nodes if kind == "c"))
-        for nodes in nx.connected_components(graph))
-
-    for agents, _ in components:
+    graph = PaymentGraph.from_edges(inst.n, inst.m, state.weights)
+    for agents, _ in graph.components():
         if not agents:
             raise LoopInvariantError("a chore component lost all its agents")
-        root = agents[0]
+        root = min(agents)
         # BFS over agents; each non-root agent remembers the chore above it.
         parent_chore: dict[int, Optional[int]] = {root: None}
         seen_chores: set[int] = set()
@@ -244,8 +231,6 @@ def phase2(state: RoundingState) -> SurplusAllocation:
 class SolveOptions:
     exact: bool = False
     epsilon: Optional[Fraction] = None
-    search_limits: SearchLimits = SearchLimits()
-    verify_limits: VerifyLimits = VerifyLimits()
 
 
 @dataclass(frozen=True)
@@ -274,21 +259,21 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
             check_fisher_integral(inst, alloc, PriceVector(())),
             check_pef1(PriceVector(()), alloc),
             check_ef1(inst, alloc),
-            check_fpo(inst, alloc, opts.verify_limits),
+            check_fpo(inst, alloc),
         )
         return SurplusResult(alloc, PriceVector(()), ZERO, certificates, (), 0)
 
-    wants_exact = opts.exact and opts.search_limits.admits(inst)
-    if wants_exact:
-        outcome = exact_ceei(inst, opts.search_limits)
+    limits = SearchLimits()
+    if opts.exact and limits.admits(inst):
+        outcome = exact_ceei(inst, limits)
     else:
         eps = opts.epsilon if opts.epsilon is not None else default_epsilon(inst.n, inst.m)
         try:
             outcome = approx_ceei(inst, eps)
         except BudgetExhaustedError:
-            if not opts.search_limits.admits(inst):
+            if not limits.admits(inst):
                 raise
-            outcome = exact_ceei(inst, opts.search_limits)
+            outcome = exact_ceei(inst, limits)
 
     outcome = make_acyclic(inst, outcome)
     state = RoundingState.from_outcome(inst, outcome)
@@ -312,10 +297,10 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     pef1 = check_pef1(outcome.prices, alloc)
     ef1 = check_ef1(inst, alloc)
     try:
-        fpo = check_fpo(inst, alloc, opts.verify_limits)
+        fpo = check_fpo(inst, alloc)
     except InstanceTooLargeError:
         # Equilibrium outcomes are fractionally Pareto optimal, so the
-        # equilibrium certificate substitutes when the linear programs would
+        # equilibrium certificate substitutes when the linear program would
         # be too large.
         fpo = Certificate(FPO, fisher.holds, {"via": "fisher-equilibrium"})
     certificates = (fisher, pef1, ef1, fpo)

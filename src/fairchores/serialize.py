@@ -116,7 +116,10 @@ def prices_from_dict(data: dict) -> PriceVector:
 
 def dump_json(path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def load_json(path) -> dict:

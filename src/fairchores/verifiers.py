@@ -246,34 +246,37 @@ def _fpo_certificate(inst: Instance, items: list[ChoreCopy], caps: list[Fraction
         for t in range(k):
             row[i * k + t] = inst.d(i, items[t].chore)
         a_ub.append(row)
-    b_ub = caps
-
-    for j in range(n):
-        cost = [Fraction(0)] * (n * k)
-        for t in range(k):
-            cost[j * k + t] = inst.d(j, items[t].chore)
-        result = solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-        assert result.status == OPTIMAL  # the allocation itself is feasible
-        if result.objective < caps[j]:
-            matrix = [[_fmt(result.solution[i * k + t]) for t in range(k)]
-                      for i in range(n)]
-            return Certificate(FPO, False, {
-                "improving_agent": j,
-                "objective": _fmt(result.objective),
-                "current": _fmt(caps[j]),
-                "items": [{"chore": u.chore, "copy": u.copy} for u in items],
-                "dominating": matrix})
-    return Certificate(FPO, True)
+    # Total disutility: each variable sits in exactly one cap row, so the
+    # column sums of ``a_ub`` are the objective.
+    cost = [sum(column) for column in zip(*a_ub)]
+    result = solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=caps)
+    assert result.status == OPTIMAL  # the allocation itself is feasible
+    if result.objective == sum(caps, ZERO):
+        return Certificate(FPO, True)
+    # Nobody is above their cap, so a smaller total leaves someone strictly below.
+    y = result.solution
+    loads = [sum((a_ub[i][v] * y[v] for v in range(i * k, (i + 1) * k)), ZERO)
+             for i in range(n)]
+    j = next(i for i in range(n) if loads[i] < caps[i])
+    return Certificate(FPO, False, {
+        "improving_agent": j,
+        "objective": _fmt(loads[j]),
+        "current": _fmt(caps[j]),
+        "items": [{"chore": u.chore, "copy": u.copy} for u in items],
+        "dominating": [[_fmt(y[i * k + t]) for t in range(k)] for i in range(n)]})
 
 
 def check_fpo(inst: Instance, alloc: SurplusAllocation,
               limits: VerifyLimits = VerifyLimits()) -> Certificate:
     """Fractional Pareto optimality over the allocation's own item multiset.
 
-    One exact linear program per agent: minimize that agent's disutility
-    subject to clearing and to nobody getting worse off. The allocation is
-    fractionally dominated exactly when some optimum lands strictly below the
-    agent's current disutility.
+    One exact linear program: minimize the total disutility subject to
+    clearing every allocated unit and to nobody getting worse off. The
+    allocation itself is feasible at its current total, so it is fractionally
+    dominated exactly when the optimum lands strictly below that total. The
+    witness names the lowest-index agent strictly better off under the
+    optimal ``dominating`` matrix; ``objective`` is that agent's disutility
+    there.
     """
     items = alloc.items()
     caps = [bundle_disutility(inst, i, alloc.bundles[i]) for i in range(alloc.n)]

@@ -48,6 +48,11 @@ class TestGen:
         assert run("gen", "--agents", 0, "--chores", 2,
                    "-o", tmp_path / "x.json") == 2
 
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "x.json"
+        assert run("gen", "--agents", 2, "--chores", 2, "-o", target) == 2
+        assert "cannot write" in capsys.readouterr().err
+
 
 class TestSolveSurplus:
     def test_solve_then_verify_each_property(self, instance_file, tmp_path):
@@ -90,6 +95,12 @@ class TestSolveSurplus:
         missing = tmp_path / "missing.json"
         assert run("solve-surplus", "-i", missing, "-o", tmp_path / "o.json") == 2
 
+    def test_unwritable_output_is_input_error(self, tmp_path):
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
+        target = tmp_path / "no-such-dir" / "o.json"
+        assert run("solve-surplus", "-i", inst, "-o", target) == 2
+
 
 class TestSolveThree:
     def test_solve_and_verify(self, instance_file, tmp_path):
@@ -122,6 +133,35 @@ class TestVerify:
         }))
         assert run("verify", "-i", inst, "--alloc", alloc, "--property", "ef1") == 1
 
+    @pytest.mark.parametrize("bundles, chores", [
+        ([[0], [1], []], 2),   # more bundles than agents
+        ([[0, 1]], 2),         # fewer bundles than agents
+        ([[0], [1, 2]], 3),    # more chores than the instance has
+    ])
+    def test_allocation_shape_mismatch_exits_two(self, tmp_path, bundles, chores):
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
+        alloc = tmp_path / "a.json"
+        alloc.write_text(json.dumps({
+            "chores": chores,
+            "bundles": [[{"chore": c, "copy": 0} for c in b] for b in bundles],
+        }))
+        for prop in ("ef1", "prop", "po", "fpo"):
+            assert run("verify", "-i", inst, "--alloc", alloc, "--property", prop) == 2
+        assert run("oracle", "-i", inst, "--which", "po-brute", "--alloc", alloc,
+                   "-o", tmp_path / "cert.json") == 2
+
+    def test_negative_copy_index_exits_two(self, tmp_path):
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
+        alloc = tmp_path / "a.json"
+        alloc.write_text(json.dumps({
+            "chores": 2,
+            "bundles": [[{"chore": 0, "copy": 0}],
+                        [{"chore": 1, "copy": 0}, {"chore": 1, "copy": -1}]],
+        }))
+        assert run("verify", "-i", inst, "--alloc", alloc, "--property", "ef1") == 2
+
     def test_nondeg_needs_no_alloc(self, tmp_path):
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[1, 2, 4]]}))
@@ -142,6 +182,9 @@ class TestVerify:
         prices.write_text(json.dumps({"prices": [1, 1]}))
         assert run("verify", "-i", inst, "--alloc", alloc, "--property", "pef1",
                    "--prices", prices) == 0
+        prices.write_text(json.dumps({"prices": [1]}))
+        assert run("verify", "-i", inst, "--alloc", alloc, "--property", "pef1",
+                   "--prices", prices) == 2
 
     def test_certificate_written_to_file(self, tmp_path):
         inst = tmp_path / "i.json"

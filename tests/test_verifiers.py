@@ -3,9 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from fairchores.core import ChoreCopy, Instance, PriceVector, SurplusAllocation, originals
+from fairchores.core import (
+    ChoreCopy,
+    Instance,
+    PriceVector,
+    SurplusAllocation,
+    bundle_disutility,
+    originals,
+)
 from fairchores.equilibrium import exact_ceei
 from fairchores.errors import InstanceTooLargeError
+from fairchores.simplex import solve_lp
 from fairchores.three_agent import perturb_nondegenerate
 from fairchores.verifiers import (
     VerifyLimits,
@@ -144,17 +152,58 @@ class TestParetoChecks:
 
     def test_fpo_witness_revalidates(self):
         inst = Instance.from_rows([[1, 3], [3, 1]])
-        certificate = check_fpo(inst, alloc_of(2, {1}, {0}))
+        alloc = alloc_of(2, {1}, {0})
+        certificate = check_fpo(inst, alloc)
         assert not certificate.holds
         w = certificate.witness
         items = [ChoreCopy(e["chore"], e["copy"]) for e in w["items"]]
         y = [[F(v) for v in row] for row in w["dominating"]]
-        # clears every item and strictly improves the named agent
+        # clears every item, worsens nobody and strictly improves the named agent
         for t in range(len(items)):
             assert sum(y[i][t] for i in range(inst.n)) == 1
+        loads = [sum(y[i][t] * inst.d(i, items[t].chore) for t in range(len(items)))
+                 for i in range(inst.n)]
+        for i in range(inst.n):
+            assert loads[i] <= bundle_disutility(inst, i, alloc.bundles[i])
         j = w["improving_agent"]
-        improved = sum(y[j][t] * inst.d(j, items[t].chore) for t in range(len(items)))
-        assert improved == F(w["objective"]) < F(w["current"])
+        assert loads[j] == F(w["objective"]) < F(w["current"])
+
+    @staticmethod
+    def improvable_agents(inst, alloc):
+        """Per-agent definition: min d_j(y_j) s.t. clearing and caps, for each j."""
+        items = alloc.items()
+        n, k = inst.n, len(items)
+        caps = [bundle_disutility(inst, i, alloc.bundles[i]) for i in range(n)]
+        a_eq = [[F(int(v % k == t)) for v in range(n * k)] for t in range(k)]
+        a_ub = [[inst.d(i, items[v % k].chore) if v // k == i else F(0)
+                 for v in range(n * k)] for i in range(n)]
+        return [j for j in range(n)
+                if solve_lp(a_ub[j], a_eq=a_eq, b_eq=[1] * k, a_ub=a_ub,
+                            b_ub=caps).objective < caps[j]]
+
+    def test_fpo_agrees_with_per_agent_programs(self):
+        rng = random.Random(29)
+        cases = []
+        for _ in range(60):
+            n, m = rng.randint(2, 3), rng.randint(2, 5)
+            inst = Instance.from_rows(
+                [[rng.randint(1, 9) for _ in range(m)] for _ in range(n)])
+            cases.append((inst, random_partition(rng, n, m)))
+        # Agent 0 holds nothing and cannot improve; agents 1 and 2 gain by swapping.
+        cases.append((Instance.from_rows([[5, 5], [1, 2], [2, 1]]),
+                      alloc_of(2, set(), {1}, {0})))
+        dominated = 0
+        for inst, alloc in cases:
+            improvable = self.improvable_agents(inst, alloc)
+            certificate = check_fpo(inst, alloc)
+            assert certificate.holds == (not improvable)
+            if improvable:
+                dominated += 1
+                assert certificate.witness["improving_agent"] in improvable
+        assert 0 < dominated < len(cases)
+        # The last case: the witness skips agent 0, which cannot improve.
+        assert improvable == [1, 2]
+        assert certificate.witness["improving_agent"] == 1
 
 
 class TestNonDegenerate:
