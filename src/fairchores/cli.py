@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     surplus.add_argument("--exact", action="store_true",
                          help="use the exhaustive equilibrium oracle (small instances)")
     surplus.add_argument("--epsilon", default=None,
-                         help="override the income slack (rational like 1/100)")
+                         help="override the income slack, a rational in (0, 1/(5nm)] "
+                              "(default 1/(5nm))")
     surplus.add_argument("--trace", default=None, help="write the event trace here")
 
     three = sub.add_parser("solve-three", help="tEFX or proportional split for 3 agents")

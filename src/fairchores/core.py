@@ -7,6 +7,7 @@ across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -21,6 +22,12 @@ Rat = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# Longest numerator or denominator a rational given as text may expand to, in
+# decimal digits: the digits written plus the exponent's magnitude. It keeps
+# an entry like "1e99999999" from building a hundred-million-digit integer.
+MAX_TEXT_DIGITS = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
 
 def rat(value) -> Fraction:
     """Coerce ints / strings like '2/3' / decimal strings to an exact Fraction."""
@@ -34,6 +41,12 @@ def rat(value) -> Fraction:
         # Exact value of the printed decimal form, not of the binary float.
         return Fraction(repr(value))
     if isinstance(value, str):
+        digits = sum(ch.isdigit() for ch in value)
+        exponent = _EXPONENT.search(value)
+        if digits > MAX_TEXT_DIGITS or (
+                exponent and digits + abs(int(exponent.group(1))) > MAX_TEXT_DIGITS):
+            raise InputError(
+                f"not a rational of at most {MAX_TEXT_DIGITS} digits: {value[:40]!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import networkx as nx
 
-from ._flow import INF, FlowNetwork
+from ._flow import FlowNetwork
 from .core import (
     ZERO,
     FractionalAllocation,
@@ -132,6 +132,16 @@ def verify_fisher_equilibrium(inst: Instance, out: MarketOutcome) -> Equilibrium
 
     return EquilibriumReport(clearing, incomes_ok, mpb_ok,
                              clearing_witness, income_witness, mpb_witness)
+
+
+def _integer_matrix(inst: Instance) -> list[list[int]]:
+    """Disutilities times the lcm of their denominators.
+
+    A common rescale changes neither best-ratio sets nor incomes, so the
+    solvers can compare and route in integers.
+    """
+    scale = lcm(*(value.denominator for row in inst.disutility for value in row))
+    return [[int(value * scale) for value in row] for row in inst.disutility]
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +348,7 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
             f"({limits.max_agents} x {limits.max_chores})")
 
     n, m = inst.n, inst.m
-    # A common rescale of all disutilities changes neither ratios nor incomes,
-    # so the search can run on an all-integer matrix.
-    scale = lcm(*(value.denominator for row in inst.disutility for value in row))
-    D = [[int(value * scale) for value in row] for row in inst.disutility]
+    D = _integer_matrix(inst)
 
     missing = object()
     comp_cache: dict[int, Optional[_Component]] = {}
@@ -406,57 +413,86 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
 # Approximate equilibrium by earning-balancing price adjustment
 # ---------------------------------------------------------------------------
 
-def _mpb_structure(inst: Instance, prices: list[Fraction]):
-    values: list[Fraction] = []
+def _mpb_structure(D, P):
+    """Each agent's best ratio as an integer pair (D[i][b], P[b]), and her MPB set.
+
+    ``d_i(c)/p_c <= d_i(b)/p_b`` is decided as ``D[i][c]*P[b] <= D[i][b]*P[c]``:
+    the rational comparison multiplied through by positive integers.
+    """
+    m = len(P)
+    values: list[tuple[int, int]] = []
     sets: list[frozenset[int]] = []
-    for i in range(inst.n):
-        ratios = [inst.d(i, c) / prices[c] for c in range(inst.m)]
-        best = min(ratios)
-        values.append(best)
-        sets.append(frozenset(c for c, r in enumerate(ratios) if r == best))
+    for row in D:
+        b = 0
+        for c in range(1, m):
+            if row[c] * P[b] < row[b] * P[c]:
+                b = c
+        num, den = row[b], P[b]
+        values.append((num, den))
+        sets.append(frozenset(c for c in range(m) if row[c] * den == num * P[c]))
     return values, sets
 
 
-def _route_within_bounds(n, m, prices, mpb_sets, lo, hi):
+def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
     """Earnings routing with every chore saturated and incomes in [lo, hi].
 
-    Standard lower-bound reduction on the circulation s -> chores -> agents ->
-    t -> s. Returns the earning of each MPB edge, or None when infeasible.
+    ``P[c]`` is price ``c`` times ``L``, an integer, and ``lo * L`` and
+    ``hi * L`` are integers too. Standard lower-bound reduction on the
+    circulation s -> chores -> agents -> t -> s, with chore ``c`` at node
+    ``c`` and agent ``i`` at node ``m + i``. Returns the earning of each MPB
+    edge as ``Fraction(flow, L)``, or None when infeasible.
     """
-    net = FlowNetwork()
-    total = sum(prices, ZERO)
+    low, high = int(lo * L), int(hi * L)
+    SS, TT, s, t = range(n + m, n + m + 4)
+    net = FlowNetwork(n + m + 4)
+    total = sum(P)
     edge_index: dict[tuple[int, int], int] = {}
     for c in range(m):
-        net.add_edge("SS", ("c", c), prices[c])
-    net.add_edge("s", "TT", total)
+        net.add_edge(SS, c, P[c])
+    net.add_edge(s, TT, total)
     for i in range(n):
         for c in sorted(mpb_sets[i]):
-            edge_index[(i, c)] = net.add_edge(("c", c), ("a", i), INF)
-        net.add_edge(("a", i), "t", hi - lo)
-        net.add_edge(("a", i), "TT", lo)
-    net.add_edge("SS", "t", lo * n)
-    net.add_edge("t", "s", INF)
-    value = net.max_flow("SS", "TT")
-    if value != total + lo * n:
+            edge_index[(i, c)] = net.add_edge(c, m + i, None)
+        net.add_edge(m + i, t, high - low)
+        net.add_edge(m + i, TT, low)
+    net.add_edge(SS, t, low * n)
+    net.add_edge(t, s, None)
+    value = net.max_flow(SS, TT)
+    if value != total + low * n:
         return None
-    return {edge: net.flow_value(idx) for edge, idx in edge_index.items()}
+    return _earnings(net, edge_index, L)
 
 
-def _route_plain(n, m, prices, mpb_sets, hi):
-    """Cap-only routing; used for diagnosing which side is stuck."""
-    net = FlowNetwork()
+def _route_plain(n, m, P, L, mpb_sets, hi):
+    """Cap-only routing; used for diagnosing which side is stuck.
+
+    Takes integer prices ``P`` scaled by ``L`` as ``_route_within_bounds``
+    does, and numbers the nodes the same way, with the source at ``n + m``.
+    Returns the network, the chores whose payment is not fully routed, each
+    agent's income as ``Fraction(flow, L)``, and the index of each MPB edge
+    for ``_earnings``.
+    """
+    s, t = n + m, n + m + 1
+    net = FlowNetwork(n + m + 2)
     supply_idx = []
     income_idx = []
     for c in range(m):
-        supply_idx.append(net.add_edge("s", ("c", c), prices[c]))
+        supply_idx.append(net.add_edge(s, c, P[c]))
     edge_index: dict[tuple[int, int], int] = {}
     for i in range(n):
         for c in sorted(mpb_sets[i]):
-            edge_index[(i, c)] = net.add_edge(("c", c), ("a", i), INF)
+            edge_index[(i, c)] = net.add_edge(c, m + i, None)
+    high = int(hi * L)
     for i in range(n):
-        income_idx.append(net.add_edge(("a", i), "t", hi))
-    net.max_flow("s", "t")
-    return net, supply_idx, income_idx, edge_index
+        income_idx.append(net.add_edge(m + i, t, high))
+    net.max_flow(s, t)
+    unrouted = [c for c in range(m) if net.flow_value(supply_idx[c]) < P[c]]
+    incomes = [Fraction(net.flow_value(idx), L) for idx in income_idx]
+    return net, unrouted, incomes, edge_index
+
+
+def _earnings(net, edge_index, L) -> dict[tuple[int, int], Fraction]:
+    return {edge: Fraction(net.flow_value(idx), L) for edge, idx in edge_index.items()}
 
 
 def _outcome_from_earnings(inst, prices, earnings, epsilon) -> MarketOutcome:
@@ -470,12 +506,20 @@ def _outcome_from_earnings(inst, prices, earnings, epsilon) -> MarketOutcome:
 def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> MarketOutcome:
     """Equilibrium with incomes within [1-eps, 1+eps], by price adjustment.
 
-    Every round routes chore payments to agents along current best-ratio edges
+    The price loop follows the combinatorial algorithm for chore competitive
+    equilibria of Chaudhury, Garg, McGlaughlin and Mehta (EC 2022). Every
+    round routes chore payments to agents along current best-ratio edges
     with a capacitated flow. When routing fails, the blocked side of the
     market identifies a set of chores whose prices rise multiplicatively, by
     exactly the factor that lets the next agent-chore pair join the best-ratio
     graph. The returned outcome is re-verified before being accepted, so the
     adjustment policy affects speed, never soundness.
+
+    Prices stay exact rationals between rounds. Within a round they are
+    scaled by ``L``, the lcm of their denominators and those of the income
+    bounds, so the best-ratio sets, both flows and the factor are computed
+    in integers; each integer comparison is the rational one multiplied
+    through by a positive integer.
     """
     if inst.m == 0:
         raise InputError("no chores: equal unit incomes are unattainable")
@@ -487,6 +531,7 @@ def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> Ma
 
     n, m = inst.n, inst.m
     lo, hi = 1 - eps, 1 + eps
+    D = _integer_matrix(inst)
     mean = [sum((inst.d(i, c) for i in range(n)), ZERO) / n for c in range(m)]
     mean_total = sum(mean, ZERO)
     prices = [n * mean[c] / mean_total for c in range(m)]
@@ -500,31 +545,29 @@ def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> Ma
                 scale = rounded
             prices = [value * scale for value in prices]
 
-        mpb_values, mpb_sets = _mpb_structure(inst, prices)
-        earnings = _route_within_bounds(n, m, prices, mpb_sets, lo, hi)
+        # lo and hi share the denominator of eps.
+        L = lcm(eps.denominator, *(value.denominator for value in prices))
+        P = [value.numerator * (L // value.denominator) for value in prices]
+        mpb_values, mpb_sets = _mpb_structure(D, P)
+        earnings = _route_within_bounds(n, m, P, L, mpb_sets, lo, hi)
         if earnings is not None:
             outcome = _outcome_from_earnings(inst, prices, earnings, eps)
             if verify_fisher_equilibrium(inst, outcome).passed:
                 return outcome
             raise BudgetExhaustedError("routed outcome failed verification; this is a bug")
 
-        net, supply_idx, income_idx, edge_index = _route_plain(n, m, prices, mpb_sets, hi)
-        unrouted = [c for c in range(m) if net.flow_value(supply_idx[c]) < prices[c]]
+        net, unrouted, incomes, edge_index = _route_plain(n, m, P, L, mpb_sets, hi)
         if unrouted:
             # Overpriced side: its neighborhood is income-saturated, so raise
             # the blocked chores until a fresh agent's ratio ties.
-            reach = net.reachable("s")
-            blocked = [c for c in range(m) if ("c", c) in reach]
-            inside = {i for i in range(n) if ("a", i) in reach}
-            factors = [inst.d(i, c) / prices[c] / mpb_values[i]
-                       for i in range(n) if i not in inside
-                       for c in blocked]
+            reach = net.reachable(n + m)
+            blocked = [c for c in range(m) if c in reach]
+            candidates = [i for i in range(n) if m + i not in reach]
         else:
-            incomes = [net.flow_value(income_idx[i]) for i in range(n)]
             poor = [i for i in range(n) if incomes[i] < lo]
             if not poor:
-                earnings = {edge: net.flow_value(idx) for edge, idx in edge_index.items()}
-                outcome = _outcome_from_earnings(inst, prices, earnings, eps)
+                outcome = _outcome_from_earnings(
+                    inst, prices, _earnings(net, edge_index, L), eps)
                 if verify_fisher_equilibrium(inst, outcome).passed:
                     return outcome
                 raise BudgetExhaustedError("routing disagreed with itself; this is a bug")
@@ -534,18 +577,27 @@ def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> Ma
             cheap = set()
             for i in poor:
                 cheap |= mpb_sets[i]
-            stuck = [i for i in range(n) if mpb_sets[i] <= cheap]
+            candidates = [i for i in range(n) if mpb_sets[i] <= cheap]
             blocked = [c for c in range(m) if c not in cheap]
-            factors = [inst.d(i, c) / prices[c] / mpb_values[i]
-                       for i in stuck for c in blocked]
 
-        if not factors:
+        # The factor that brings chore c into agent i's MPB set is
+        # (D[i][c]/P[c]) / (num/den) with (num, den) = mpb_values[i]; take the
+        # least by cross-multiplication and build one Fraction from it.
+        lam = None
+        for i in candidates:
+            num, den = mpb_values[i]
+            row = D[i]
+            for c in blocked:
+                top, bottom = row[c] * den, P[c] * num
+                if lam is None or top * lam[1] < lam[0] * bottom:
+                    lam = (top, bottom)
+        if lam is None:
             scale = Fraction(n) / sum(prices, ZERO)
             prices = [value * scale for value in prices]
             continue
-        lam = min(factors)
+        factor = Fraction(*lam)
         for c in blocked:
-            prices[c] *= lam
+            prices[c] *= factor
 
     raise BudgetExhaustedError(
         f"no verified outcome within {max_rounds} price-adjustment rounds")

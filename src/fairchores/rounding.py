@@ -24,6 +24,7 @@ from .core import (
     SurplusAllocation,
     bundle_payment,
     payment_graph,
+    rat,
 )
 from .equilibrium import (
     SearchLimits,
@@ -36,6 +37,7 @@ from .equilibrium import (
 from .errors import (
     BudgetExhaustedError,
     CertificateFailureError,
+    InputError,
     InstanceTooLargeError,
     InvalidEquilibriumError,
     IsolatedChoreError,
@@ -249,7 +251,8 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     The output allocation covers every chore with at most n-1 duplicated
     units, pays every agent at least 1-eps with some chore whose removal dips
     below that, and is certified envy-free up to one chore and Pareto optimal
-    before being returned.
+    before being returned. ``opts.epsilon`` defaults to 1/(5nm) and may be set
+    anywhere in (0, 1/(5nm)]; anything else raises ``InputError``.
     """
     if inst.has_zero_entry():
         raise ZeroDisutilityError("the surplus pipeline needs strictly positive disutilities")
@@ -263,11 +266,20 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
         )
         return SurplusResult(alloc, PriceVector(()), ZERO, certificates, (), 0)
 
+    # Phase 1 is proved only for incomes within 1/(5nm) of 1, so a wider
+    # slack is an input error, never a rounding failure.
+    eps = default_epsilon(inst.n, inst.m)
+    if opts.epsilon is not None:
+        requested = rat(opts.epsilon)
+        if not 0 < requested <= eps:
+            raise InputError(f"epsilon must lie in (0, {eps}] for {inst.n} agents "
+                             f"and {inst.m} chores, got {requested}")
+        eps = requested
+
     limits = SearchLimits()
     if opts.exact and limits.admits(inst):
         outcome = exact_ceei(inst, limits)
     else:
-        eps = opts.epsilon if opts.epsilon is not None else default_epsilon(inst.n, inst.m)
         try:
             outcome = approx_ceei(inst, eps)
         except BudgetExhaustedError:

@@ -129,3 +129,7 @@ def load_json(path) -> dict:
         raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except ValueError as exc:
+        # Undecodable bytes, or an integer literal past the interpreter's
+        # digit limit.
+        raise InputError(f"{path}: {exc}") from exc

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -82,8 +85,20 @@ class TestSolveSurplus:
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
         out = tmp_path / "o.json"
-        assert run("solve-surplus", "-i", inst, "-o", out, "--epsilon", "1/7") == 0
-        assert load_json(out)["epsilon"] == "1/7"
+        assert run("solve-surplus", "-i", inst, "-o", out, "--epsilon", "1/40") == 0
+        assert load_json(out)["epsilon"] == "1/40"
+
+    @pytest.mark.parametrize("epsilon, code", [
+        ("1/2", 2), ("9/10", 2), ("1/89", 2), ("0", 2), ("1/90", 0)])
+    def test_epsilon_limited_to_proved_range(self, tmp_path, capsys, epsilon, code):
+        # 1/2 used to reach rounding and exit 3 on this instance; the proved
+        # range for 3 agents and 6 chores is (0, 1/90].
+        inst = tmp_path / "i.json"
+        assert run("gen", "--agents", 3, "--chores", 6, "--seed", 3, "-o", inst) == 0
+        assert run("solve-surplus", "-i", inst, "-o", tmp_path / "o.json",
+                   "--epsilon", epsilon) == code
+        if code == 2:
+            assert "epsilon must lie in (0, 1/90]" in capsys.readouterr().err
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -100,6 +115,22 @@ class TestSolveSurplus:
         inst.write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
         target = tmp_path / "no-such-dir" / "o.json"
         assert run("solve-surplus", "-i", inst, "-o", target) == 2
+
+    @pytest.mark.parametrize("entry", ['"1e99999999"', '"1e-99999999"', '"0.' + '0' * 2000 + '1"',
+                                       "1" * 5000])
+    def test_huge_numbers_exit_two_quickly(self, tmp_path, entry):
+        # The exponents used to hang building a giant integer and the long
+        # integer literal ended in a traceback. A child process under a
+        # timeout turns a hang into a failure.
+        inst = tmp_path / "i.json"
+        inst.write_text('{"disutility": [[%s, 1], [1, 1]]}' % entry)
+        done = subprocess.run(
+            [sys.executable, "-m", "fairchores.cli", "solve-surplus", "-i", str(inst),
+             "-o", str(tmp_path / "o.json")],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 2, done.stderr
+        assert "input error" in done.stderr
 
 
 class TestSolveThree:

@@ -29,6 +29,11 @@ def test_rat_parsing():
         rat("nonsense")
     with pytest.raises(InputError):
         rat("1/0")
+    assert rat("1.5e3") == F(1500)
+    assert rat("1e-990") == F(1, 10**990)
+    for text in ("1e99999999", "1e-99999999", "1e999", "9" * 1001, "1/" + "7" * 1001, "1e_10"):
+        with pytest.raises(InputError):
+            rat(text)
 
 
 def test_instance_validation():

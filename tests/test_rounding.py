@@ -13,7 +13,7 @@ from fairchores.core import (
     bundle_payment,
 )
 from fairchores.equilibrium import default_epsilon
-from fairchores.errors import InvalidEquilibriumError, ZeroDisutilityError
+from fairchores.errors import InputError, InvalidEquilibriumError, ZeroDisutilityError
 from fairchores.rounding import (
     RoundingState,
     SolveOptions,
@@ -133,6 +133,14 @@ class TestPipeline:
         assert tuple(result.prices) == (F(1), F(1))
         assert result.alloc.bundles == (frozenset({ChoreCopy(0, 0)}),
                                         frozenset({ChoreCopy(1, 0)}))
+
+    def test_epsilon_limited_to_proved_range(self):
+        inst = Instance.from_rows([[1, 2], [2, 1]])
+        assert fair_and_efficient(inst, SolveOptions(epsilon=F(1, 20))).epsilon == F(1, 20)
+        assert fair_and_efficient(inst, SolveOptions(epsilon="1/40")).epsilon == F(1, 40)
+        for bad in (F(1, 19), F(1, 2), F(0), F(-1, 40)):
+            with pytest.raises(InputError):
+                fair_and_efficient(inst, SolveOptions(epsilon=bad))
 
     def test_zero_disutility_rejected(self):
         with pytest.raises(ZeroDisutilityError):
