@@ -7,6 +7,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,9 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        # JSON's NaN and Infinity literals parse to floats with no rational value.
+        if not math.isfinite(value):
+            raise InputError(f"not a rational: {value!r}")
         # Exact value of the printed decimal form, not of the binary float.
         return Fraction(repr(value))
     if isinstance(value, str):

@@ -22,7 +22,6 @@ from .core import (
     Instance,
     MarketOutcome,
     PriceVector,
-    mpb,
     payment_graph,
     rat,
 )
@@ -36,10 +35,13 @@ from .errors import (
 )
 
 DEFAULT_ROUNDS = 100_000
+_NO_CHORES = "no chores: equal unit incomes are unattainable"
 
 
 def default_epsilon(n: int, m: int) -> Fraction:
-    """Income slack used by the surplus pipeline: 1/(5nm)."""
+    """Income slack used by the surplus pipeline: 1/(5nm), which needs a chore."""
+    if m == 0:
+        raise InputError(_NO_CHORES)
     return Fraction(1, 5 * n * m)
 
 
@@ -101,16 +103,18 @@ def verify_fisher_equilibrium(inst: Instance, out: MarketOutcome) -> Equilibrium
     if inst.n != out.n or inst.m != out.m:
         raise InputError("instance and outcome dimensions disagree")
 
+    # Allocation entries are non-negative, so the sums skip the zero ones.
+    rows, prices = out.x.x, out.prices
     clearing, clearing_witness = True, None
     for c in range(inst.m):
-        total = sum((out.x.x[i][c] for i in range(inst.n)), ZERO)
+        total = sum((row[c] for row in rows if row[c]), ZERO)
         if total != 1:
             clearing, clearing_witness = False, (c, total)
             break
 
     incomes_ok, income_witness = True, None
-    for i in range(inst.n):
-        income = out.income(i)
+    for i, row in enumerate(rows):
+        income = sum((value * prices[c] for c, value in enumerate(row) if value), ZERO)
         if out.epsilon == 0:
             good = income == out.budgets[i]
         else:
@@ -121,13 +125,11 @@ def verify_fisher_equilibrium(inst: Instance, out: MarketOutcome) -> Equilibrium
 
     mpb_ok, mpb_witness = True, None
     if inst.m > 0:
-        for i in range(inst.n):
-            best, _ = mpb(inst, out.prices, i)
-            for c in range(inst.m):
-                if out.x.x[i][c] > 0 and inst.d(i, c) / out.prices[c] != best:
-                    mpb_ok, mpb_witness = False, (i, c)
-                    break
-            if not mpb_ok:
+        sets = _best_ratio_sets(inst, prices)
+        for i, row in enumerate(rows):
+            c = next((c for c, value in enumerate(row) if value and c not in sets[i]), None)
+            if c is not None:
+                mpb_ok, mpb_witness = False, (i, c)
                 break
 
     return EquilibriumReport(clearing, incomes_ok, mpb_ok,
@@ -141,7 +143,23 @@ def _integer_matrix(inst: Instance) -> list[list[int]]:
     solvers can compare and route in integers.
     """
     scale = lcm(*(value.denominator for row in inst.disutility for value in row))
-    return [[int(value * scale) for value in row] for row in inst.disutility]
+    return [_scaled(row, scale) for row in inst.disutility]
+
+
+def _scaled(values, scale: int) -> list[int]:
+    """Each rational times ``scale``, a common multiple of their denominators."""
+    return [value.numerator * (scale // value.denominator) for value in values]
+
+
+def _best_ratio_sets(inst: Instance, prices: PriceVector) -> list[frozenset[int]]:
+    """Every agent's min-pain-per-buck chore set at ``prices``, decided in integers.
+
+    Needs at least one chore. The sets are ``core.mpb``'s, which divides in
+    ``Fraction``s and stays as the test oracle.
+    """
+    values = [prices[c] for c in range(inst.m)]
+    P = _scaled(values, lcm(*(value.denominator for value in values)))
+    return _mpb_structure(_integer_matrix(inst), P)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +357,7 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
     ``verify_fisher_equilibrium`` at epsilon 0 with every budget equal to 1.
     """
     if inst.m == 0:
-        raise InputError("no chores: equal unit incomes are unattainable")
+        raise InputError(_NO_CHORES)
     if inst.has_zero_entry():
         raise ZeroDisutilityError("exact search requires strictly positive disutilities")
     if not limits.admits(inst):
@@ -464,13 +482,14 @@ def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
 
 
 def _route_plain(n, m, P, L, mpb_sets, hi):
-    """Cap-only routing; used for diagnosing which side is stuck.
+    """Cap-only routing, the first flow of every price round.
 
     Takes integer prices ``P`` scaled by ``L`` as ``_route_within_bounds``
     does, and numbers the nodes the same way, with the source at ``n + m``.
     Returns the network, the chores whose payment is not fully routed, each
-    agent's income as ``Fraction(flow, L)``, and the index of each MPB edge
-    for ``_earnings``.
+    agent's income as ``Fraction(flow, L)`` (None when some chore is
+    unrouted, since only the routed case reads it), and the index of each MPB
+    edge for ``_earnings``.
     """
     s, t = n + m, n + m + 1
     net = FlowNetwork(n + m + 2)
@@ -487,7 +506,9 @@ def _route_plain(n, m, P, L, mpb_sets, hi):
         income_idx.append(net.add_edge(m + i, t, high))
     net.max_flow(s, t)
     unrouted = [c for c in range(m) if net.flow_value(supply_idx[c]) < P[c]]
-    incomes = [Fraction(net.flow_value(idx), L) for idx in income_idx]
+    incomes = None
+    if not unrouted:
+        incomes = [Fraction(net.flow_value(idx), L) for idx in income_idx]
     return net, unrouted, incomes, edge_index
 
 
@@ -508,12 +529,16 @@ def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> Ma
 
     The price loop follows the combinatorial algorithm for chore competitive
     equilibria of Chaudhury, Garg, McGlaughlin and Mehta (EC 2022). Every
-    round routes chore payments to agents along current best-ratio edges
-    with a capacitated flow. When routing fails, the blocked side of the
-    market identifies a set of chores whose prices rise multiplicatively, by
-    exactly the factor that lets the next agent-chore pair join the best-ratio
-    graph. The returned outcome is re-verified before being accepted, so the
-    adjustment policy affects speed, never soundness.
+    round first routes chore payments to agents along current best-ratio
+    edges with only the income caps (``_route_plain``). A chore left
+    unrouted there marks the chores overpriced and settles the round with
+    one max-flow; only when every chore routes does the bounded routing
+    (``_route_within_bounds``) decide acceptance. When routing fails, the
+    blocked side of the market identifies a set of chores whose prices rise
+    multiplicatively, by exactly the factor that lets the next agent-chore
+    pair join the best-ratio graph. The returned outcome is re-verified
+    before being accepted, so the adjustment policy affects speed, never
+    soundness.
 
     Prices stay exact rationals between rounds. Within a round they are
     scaled by ``L``, the lcm of their denominators and those of the income
@@ -522,7 +547,7 @@ def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> Ma
     through by a positive integer.
     """
     if inst.m == 0:
-        raise InputError("no chores: equal unit incomes are unattainable")
+        raise InputError(_NO_CHORES)
     if inst.has_zero_entry():
         raise ZeroDisutilityError("price adjustment requires strictly positive disutilities")
     eps = rat(epsilon)
@@ -547,15 +572,11 @@ def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> Ma
 
         # lo and hi share the denominator of eps.
         L = lcm(eps.denominator, *(value.denominator for value in prices))
-        P = [value.numerator * (L // value.denominator) for value in prices]
+        P = _scaled(prices, L)
         mpb_values, mpb_sets = _mpb_structure(D, P)
-        earnings = _route_within_bounds(n, m, P, L, mpb_sets, lo, hi)
-        if earnings is not None:
-            outcome = _outcome_from_earnings(inst, prices, earnings, eps)
-            if verify_fisher_equilibrium(inst, outcome).passed:
-                return outcome
-            raise BudgetExhaustedError("routed outcome failed verification; this is a bug")
-
+        # A routing that pays every chore in full with incomes in [lo, hi]
+        # is also a routing of the cap-only network, so a chore left unrouted
+        # there proves the bounded routing infeasible without solving it.
         net, unrouted, incomes, edge_index = _route_plain(n, m, P, L, mpb_sets, hi)
         if unrouted:
             # Overpriced side: its neighborhood is income-saturated, so raise
@@ -564,6 +585,12 @@ def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> Ma
             blocked = [c for c in range(m) if c in reach]
             candidates = [i for i in range(n) if m + i not in reach]
         else:
+            earnings = _route_within_bounds(n, m, P, L, mpb_sets, lo, hi)
+            if earnings is not None:
+                outcome = _outcome_from_earnings(inst, prices, earnings, eps)
+                if verify_fisher_equilibrium(inst, outcome).passed:
+                    return outcome
+                raise BudgetExhaustedError("routed outcome failed verification; this is a bug")
             poor = [i for i in range(n) if incomes[i] < lo]
             if not poor:
                 outcome = _outcome_from_earnings(

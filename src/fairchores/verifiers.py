@@ -20,9 +20,8 @@ from .core import (
     SurplusAllocation,
     bundle_disutility,
     bundle_payment,
-    mpb,
 )
-from .equilibrium import EquilibriumReport, verify_fisher_equilibrium
+from .equilibrium import EquilibriumReport, _best_ratio_sets, verify_fisher_equilibrium
 from .errors import InstanceTooLargeError
 from .simplex import OPTIMAL, solve_lp
 
@@ -168,12 +167,12 @@ def check_fisher_integral(inst: Instance, alloc: SurplusAllocation,
     construction; the substance is that every allocated unit is a best-ratio
     chore for its holder.
     """
-    for i in range(alloc.n):
-        if not alloc.bundles[i]:
-            continue
-        best, _ = mpb(inst, prices, i)
-        for unit in sorted(alloc.bundles[i]):
-            if inst.d(i, unit.chore) / prices[unit.chore] != best:
+    if not any(alloc.bundles):
+        return Certificate(FISHER_EQ, True)
+    sets = _best_ratio_sets(inst, prices)
+    for i, bundle in enumerate(alloc.bundles):
+        for unit in sorted(bundle):
+            if unit.chore not in sets[i]:
                 return Certificate(FISHER_EQ, False, {
                     "condition": "min-pain-per-buck", "agent": i,
                     "chore": unit.chore, "copy": unit.copy})

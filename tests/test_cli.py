@@ -110,6 +110,15 @@ class TestSolveSurplus:
         missing = tmp_path / "missing.json"
         assert run("solve-surplus", "-i", missing, "-o", tmp_path / "o.json") == 2
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_numbers_exit_two(self, tmp_path, capsys, entry):
+        # json reads these literals as floats; they used to end in a
+        # ValueError traceback with exit 1.
+        inst = tmp_path / "i.json"
+        inst.write_text('{"disutility": [[%s, 1], [1, 1]]}' % entry)
+        assert run("solve-surplus", "-i", inst, "-o", tmp_path / "o.json") == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_unwritable_output_is_input_error(self, tmp_path):
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
@@ -239,6 +248,15 @@ class TestOracle:
                    "-o", eq) == 0
         assert run("verify", "-i", instance_file, "--alloc", eq,
                    "--property", "fisher") == 0
+
+    @pytest.mark.parametrize("extra", [(), ("--epsilon", "1/10")])
+    def test_approx_without_chores_exits_two(self, tmp_path, capsys, extra):
+        # Without --epsilon the default 1/(5nm) used to divide by zero.
+        inst = tmp_path / "i.json"
+        assert run("gen", "--agents", 2, "--chores", 0, "-o", inst) == 0
+        assert run("oracle", "-i", inst, "--which", "ceei-approx",
+                   "-o", tmp_path / "o.json", *extra) == 2
+        assert "no chores" in capsys.readouterr().err
 
     def test_po_brute_oracle(self, tmp_path):
         inst = tmp_path / "i.json"

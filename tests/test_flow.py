@@ -7,14 +7,22 @@ from math import lcm
 
 import pytest
 
+from fairchores import equilibrium
 from fairchores._flow import FlowNetwork
-from fairchores.core import Instance, PriceVector, mpb
+from fairchores.core import ZERO, Instance, PriceVector, mpb
 from fairchores.equilibrium import (
+    _earnings,
     _integer_matrix,
     _mpb_structure,
+    _outcome_from_earnings,
+    _route_plain,
     _route_within_bounds,
+    approx_ceei,
+    default_epsilon,
     exact_ceei,
+    verify_fisher_equilibrium,
 )
+from fairchores.errors import BudgetExhaustedError
 
 F = Fraction
 
@@ -164,3 +172,115 @@ def test_route_within_bounds_saturates_chores_and_bounds_incomes():
         for i in range(n):
             assert 1 - eps <= sum(earnings.get((i, c), 0) for c in range(m)) <= 1 + eps
     assert routed >= 40
+
+
+def test_unrouted_chore_means_bounded_routing_is_infeasible(monkeypatch):
+    # A routing with incomes in [lo, hi] that pays every chore is a routing of
+    # the cap-only network too, so approx_ceei skips the bounded network
+    # whenever the cap-only one leaves a chore unpaid. Checked on random
+    # prices and on every price vector approx_ceei visits.
+    rng = random.Random(10)
+    cases = []
+    for _ in range(150):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        inst = random_instance(rng, n, m)
+        eps = F(1, rng.randint(2, 40))
+        raw = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(m)]
+        P, L = scaled([p * n / sum(raw) for p in raw], eps)
+        _, sets = _mpb_structure(_integer_matrix(inst), P)
+        cases.append((n, m, P, L, sets, eps))
+
+    visited = []
+
+    def recording(n, m, P, L, mpb_sets, hi):
+        visited.append((n, m, P, L, mpb_sets, hi - 1))
+        return _route_plain(n, m, P, L, mpb_sets, hi)
+
+    monkeypatch.setattr(equilibrium, "_route_plain", recording)
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        m = rng.randint(n, 12)
+        approx_ceei(random_instance(rng, n, m), default_epsilon(n, m))
+    monkeypatch.undo()
+    cases += visited
+
+    blocked = 0
+    for n, m, P, L, sets, eps in cases:
+        _, unrouted, incomes, _ = _route_plain(n, m, P, L, sets, 1 + eps)
+        if unrouted:
+            blocked += 1
+            assert incomes is None
+            assert _route_within_bounds(n, m, P, L, sets, 1 - eps, 1 + eps) is None
+    assert len(visited) >= 100 and blocked >= 100
+
+
+def two_flow_approx_ceei(inst, eps, max_rounds=100_000):
+    """The price loop as it was with two max-flows per round: the bounded
+    routing first, then the cap-only one to find the blocked side."""
+    n, m = inst.n, inst.m
+    lo, hi = 1 - eps, 1 + eps
+    D = _integer_matrix(inst)
+    mean = [sum((inst.d(i, c) for i in range(n)), ZERO) / n for c in range(m)]
+    mean_total = sum(mean, ZERO)
+    prices = [n * mean[c] / mean_total for c in range(m)]
+    for _ in range(max_rounds):
+        total = sum(prices, ZERO)
+        if total > 2 * n or total < F(n, 2):
+            scale = F(n) / total
+            rounded = scale.limit_denominator(10**9)
+            if rounded > 0:
+                scale = rounded
+            prices = [value * scale for value in prices]
+        L = lcm(eps.denominator, *(value.denominator for value in prices))
+        P = [value.numerator * (L // value.denominator) for value in prices]
+        mpb_values, mpb_sets = _mpb_structure(D, P)
+        earnings = _route_within_bounds(n, m, P, L, mpb_sets, lo, hi)
+        if earnings is not None:
+            outcome = _outcome_from_earnings(inst, prices, earnings, eps)
+            assert verify_fisher_equilibrium(inst, outcome).passed
+            return outcome
+        net, unrouted, incomes, edge_index = _route_plain(n, m, P, L, mpb_sets, hi)
+        if unrouted:
+            reach = net.reachable(n + m)
+            blocked = [c for c in range(m) if c in reach]
+            candidates = [i for i in range(n) if m + i not in reach]
+        else:
+            poor = [i for i in range(n) if incomes[i] < lo]
+            if not poor:
+                outcome = _outcome_from_earnings(
+                    inst, prices, _earnings(net, edge_index, L), eps)
+                assert verify_fisher_equilibrium(inst, outcome).passed
+                return outcome
+            cheap = set()
+            for i in poor:
+                cheap |= mpb_sets[i]
+            candidates = [i for i in range(n) if mpb_sets[i] <= cheap]
+            blocked = [c for c in range(m) if c not in cheap]
+        lam = None
+        for i in candidates:
+            num, den = mpb_values[i]
+            row = D[i]
+            for c in blocked:
+                top, bottom = row[c] * den, P[c] * num
+                if lam is None or top * lam[1] < lam[0] * bottom:
+                    lam = (top, bottom)
+        if lam is None:
+            scale = F(n) / sum(prices, ZERO)
+            prices = [value * scale for value in prices]
+            continue
+        factor = F(*lam)
+        for c in blocked:
+            prices[c] *= factor
+    raise BudgetExhaustedError("round cap")
+
+
+def test_approx_ceei_matches_the_two_flow_loop():
+    rng = random.Random(11)
+    for trial in range(40):
+        n = rng.randint(1, 7)
+        m = rng.randint(max(n, 1), 14)
+        inst = Instance.from_rows(
+            [[F(rng.randint(1, 20), rng.choice((1, 1, 2, 3))) for _ in range(m)]
+             for _ in range(n)])
+        eps = default_epsilon(n, m) if trial % 4 else F(1, rng.randint(2, 30))
+        assert approx_ceei(inst, eps) == two_flow_approx_ceei(inst, eps)

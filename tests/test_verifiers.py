@@ -4,14 +4,23 @@ from fractions import Fraction
 import pytest
 
 from fairchores.core import (
+    ZERO,
     ChoreCopy,
+    FractionalAllocation,
     Instance,
+    MarketOutcome,
     PriceVector,
     SurplusAllocation,
     bundle_disutility,
+    mpb,
     originals,
 )
-from fairchores.equilibrium import exact_ceei
+from fairchores.equilibrium import (
+    EquilibriumReport,
+    approx_ceei,
+    exact_ceei,
+    verify_fisher_equilibrium,
+)
 from fairchores.errors import InstanceTooLargeError
 from fairchores.simplex import solve_lp
 from fairchores.three_agent import perturb_nondegenerate
@@ -29,6 +38,7 @@ from fairchores.verifiers import (
     check_tefx,
     implication_suite,
 )
+from fairchores.verifiers import FISHER_EQ, Certificate
 
 F = Fraction
 
@@ -247,6 +257,127 @@ class TestFisherIntegral:
         assert check_fisher_integral(inst, alloc_of(2, {0}, {1}), p).holds
         bad = check_fisher_integral(inst, alloc_of(2, {1}, {0}), p)
         assert not bad.holds and bad.witness["agent"] == 0
+
+
+def fraction_fisher_report(inst, out):
+    """The equilibrium check with every ratio divided out in Fractions."""
+    clearing, clearing_witness = True, None
+    for c in range(inst.m):
+        total = sum((out.x.x[i][c] for i in range(inst.n)), ZERO)
+        if total != 1:
+            clearing, clearing_witness = False, (c, total)
+            break
+    incomes_ok, income_witness = True, None
+    for i in range(inst.n):
+        income = out.income(i)
+        if out.epsilon == 0:
+            good = income == out.budgets[i]
+        else:
+            good = 1 - out.epsilon <= income <= 1 + out.epsilon
+        if not good:
+            incomes_ok, income_witness = False, (i, income)
+            break
+    mpb_ok, mpb_witness = True, None
+    for i in range(inst.n):
+        best, _ = mpb(inst, out.prices, i)
+        for c in range(inst.m):
+            if out.x.x[i][c] > 0 and inst.d(i, c) / out.prices[c] != best:
+                mpb_ok, mpb_witness = False, (i, c)
+                break
+        if not mpb_ok:
+            break
+    return EquilibriumReport(clearing, incomes_ok, mpb_ok,
+                             clearing_witness, income_witness, mpb_witness)
+
+
+def fraction_fisher_integral(inst, alloc, prices):
+    """``check_fisher_integral`` with every ratio divided out in Fractions."""
+    for i in range(alloc.n):
+        if not alloc.bundles[i]:
+            continue
+        best, _ = mpb(inst, prices, i)
+        for unit in sorted(alloc.bundles[i]):
+            if inst.d(i, unit.chore) / prices[unit.chore] != best:
+                return Certificate(FISHER_EQ, False, {
+                    "condition": "min-pain-per-buck", "agent": i,
+                    "chore": unit.chore, "copy": unit.copy})
+    return Certificate(FISHER_EQ, True)
+
+
+def unchecked_allocation(rows):
+    """A matrix past FractionalAllocation's column check, to reach the
+    verifier's clearing witness."""
+    x = object.__new__(FractionalAllocation)
+    object.__setattr__(x, "x", tuple(tuple(row) for row in rows))
+    return x
+
+
+def random_outcomes(rng):
+    """Outcomes that pass, and ones that fail each condition, on instances
+    with and without zero disutilities."""
+    for trial in range(400):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        zeros = trial % 2
+        rows = [[F(rng.randint(0 if zeros else 1, 9), rng.randint(1, 3)) for _ in range(m)]
+                for _ in range(n)]
+        inst = Instance.from_rows(rows)
+        if trial % 4 == 1 and not inst.has_zero_entry():
+            eq = approx_ceei(inst, F(1, rng.randint(2, 30)))
+            x, prices, eps = [list(r) for r in eq.x.x], list(eq.prices), eq.epsilon
+        else:
+            prices = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(m)]
+            eps = rng.choice((ZERO, F(1, rng.randint(2, 10))))
+            # Each chore split among a few agents, at best ratio half the time.
+            x = [[ZERO] * m for _ in range(n)]
+            for c in range(m):
+                holders = rng.sample(range(n), rng.randint(1, n))
+                if rng.random() < 0.5:
+                    holders = [i for i in range(n)
+                               if c in mpb(inst, PriceVector(tuple(prices)), i)[1]] or holders
+                weights = [rng.randint(1, 3) for _ in holders]
+                for i, w in zip(holders, weights):
+                    x[i][c] = F(w, sum(weights))
+        kind = rng.randrange(4)
+        if kind == 1:
+            c = rng.randrange(m)
+            prices[c] *= F(rng.randint(1, 5), rng.randint(1, 5))
+        elif kind == 2 and n > 1:
+            c = rng.randrange(m)
+            i, j = rng.sample(range(n), 2)
+            x[i][c], x[j][c] = x[j][c], x[i][c]
+        price_vector = PriceVector(tuple(prices))
+        incomes = tuple(sum((x[i][c] * prices[c] for c in range(m)), ZERO) for i in range(n))
+        budgets = incomes if eps == 0 and rng.random() < 0.5 else (F(1),) * n
+        if kind == 3:
+            x[rng.randrange(n)][rng.randrange(m)] += F(1, 7)
+            allocation = unchecked_allocation(x)
+        else:
+            allocation = FractionalAllocation(tuple(tuple(r) for r in x))
+        yield inst, MarketOutcome(allocation, price_vector, budgets, eps)
+
+
+def test_best_ratio_checks_agree_with_fraction_oracle():
+    rng = random.Random(43)
+    seen = {"passed": 0, "clearing": 0, "incomes": 0, "mpb": 0, "integral": 0}
+    for inst, out in random_outcomes(rng):
+        report = verify_fisher_equilibrium(inst, out)
+        assert report == fraction_fisher_report(inst, out)
+        seen["passed"] += report.passed
+        seen["clearing"] += not report.clearing
+        seen["incomes"] += not report.incomes
+        seen["mpb"] += not report.min_pain_per_buck
+        # The integral check on bundles drawn from the outcome's support,
+        # with copies of shared chores.
+        bundles = [set() for _ in range(inst.n)]
+        for c in range(inst.m):
+            holders = [i for i in range(inst.n) if out.x.x[i][c] > 0] or [0]
+            for k, i in enumerate(holders):
+                bundles[i].add(ChoreCopy(c, k))
+        alloc = SurplusAllocation(tuple(frozenset(b) for b in bundles), inst.m)
+        certificate = check_fisher_integral(inst, alloc, out.prices)
+        assert certificate == fraction_fisher_integral(inst, alloc, out.prices)
+        seen["integral"] += certificate.holds
+    assert min(seen.values()) >= 20, seen
 
 
 class TestImplicationSuite:
