@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-import networkx as nx
-
 from .errors import InputError
 
 # Exact rational scalar used everywhere in the pipeline.
@@ -195,11 +193,6 @@ class MarketOutcome:
         if self.epsilon < 0:
             raise InputError("epsilon must be non-negative")
 
-    @classmethod
-    def ceei_candidate(cls, x: FractionalAllocation, prices: PriceVector,
-                       epsilon: Fraction = ZERO) -> "MarketOutcome":
-        return cls(x, prices, (ONE,) * x.n, epsilon)
-
     @property
     def n(self) -> int:
         return self.x.n
@@ -286,7 +279,10 @@ class PaymentGraph:
     def agent_income(self, agent: int) -> Fraction:
         return sum((w for (i, _), w in self.weights if i == agent), ZERO)
 
-    def to_networkx(self) -> nx.Graph:
+    def to_networkx(self):
+        """The graph on ("a", i) and ("c", c) nodes; no solver needs ``networkx``."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(("a", i) for i in range(self.n))
         graph.add_nodes_from(("c", c) for c in range(self.m))
@@ -294,19 +290,35 @@ class PaymentGraph:
             graph.add_edge(("a", i), ("c", c), weight=w)
         return graph
 
+    def _union_find(self) -> tuple[bool, list[int]]:
+        """Whether the edges form a forest (no edge joins two nodes that already
+        share a root), and the root of every node: agents [0, n), chores [n, n+m)."""
+        parent = list(range(self.n + self.m))
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            return a
+
+        acyclic = True
+        for (i, c), _ in self.weights:
+            ra, rc = find(i), find(self.n + c)
+            acyclic = acyclic and ra != rc
+            parent[ra] = rc
+        return acyclic, [find(v) for v in range(self.n + self.m)]
+
     def is_acyclic(self) -> bool:
-        return nx.is_forest(self.to_networkx()) if self.weights else True
+        return self._union_find()[0]
 
     def components(self) -> list[tuple[frozenset[int], frozenset[int]]]:
-        """Connected components as (agents, chores) pairs, including isolated nodes."""
-        graph = self.to_networkx()
-        result = []
-        for nodes in nx.connected_components(graph):
-            agents = frozenset(idx for kind, idx in nodes if kind == "a")
-            chores = frozenset(idx for kind, idx in nodes if kind == "c")
-            result.append((agents, chores))
-        result.sort(key=lambda pair: (min(pair[0], default=self.n), min(pair[1], default=self.m)))
-        return result
+        """Connected components as (agents, chores) pairs, including isolated nodes,
+        by least agent, then agentless ones by least chore (first-seen order)."""
+        groups: dict[int, list[int]] = {}
+        for v, root in enumerate(self._union_find()[1]):
+            groups.setdefault(root, []).append(v)
+        return [(frozenset(v for v in nodes if v < self.n),
+                 frozenset(v - self.n for v in nodes if v >= self.n))
+                for nodes in groups.values()]
 
 
 def bundle_disutility(inst: Instance, agent: int, units: Iterable[ChoreCopy]) -> Fraction:

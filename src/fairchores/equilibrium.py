@@ -13,10 +13,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-import networkx as nx
-
 from ._flow import FlowNetwork
 from .core import (
+    ONE,
     ZERO,
     FractionalAllocation,
     Instance,
@@ -26,6 +25,7 @@ from .core import (
     rat,
 )
 from .errors import (
+    AlgorithmBugError,
     BudgetExhaustedError,
     EquilibriumNotFoundError,
     InputError,
@@ -411,14 +411,13 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
             continue
 
         prices: list[Fraction] = [ZERO] * m
-        rows = [[ZERO] * m for _ in range(n)]
+        earnings: dict[tuple[int, int], Fraction] = {}
         for comp in solved:
             for c in comp.chores:
                 prices[c] = Fraction(comp.count * comp.F[c], comp.T)
-            for (i, c), amount in comp.earn.items():
-                rows[i][c] = Fraction(amount, comp.count * comp.F[c])
-        x = FractionalAllocation(tuple(tuple(row) for row in rows))
-        outcome = MarketOutcome.ceei_candidate(x, PriceVector(tuple(prices)), ZERO)
+            for edge, amount in comp.earn.items():
+                earnings[edge] = Fraction(amount, comp.T)
+        outcome = _outcome_from_earnings(inst, prices, earnings, ZERO)
         if verify_fisher_equilibrium(inst, outcome).passed:
             return outcome
         raise EquilibriumNotFoundError(
@@ -516,12 +515,14 @@ def _earnings(net, edge_index, L) -> dict[tuple[int, int], Fraction]:
     return {edge: Fraction(net.flow_value(idx), L) for edge, idx in edge_index.items()}
 
 
-def _outcome_from_earnings(inst, prices, earnings, epsilon) -> MarketOutcome:
+def _outcome_from_earnings(inst, prices, earnings, epsilon, budgets=None) -> MarketOutcome:
+    """Outcome from per-edge earnings; ``budgets`` default to equal incomes of 1."""
     rows = [[ZERO] * inst.m for _ in range(inst.n)]
     for (i, c), amount in earnings.items():
         rows[i][c] = amount / prices[c]
     x = FractionalAllocation(tuple(tuple(row) for row in rows))
-    return MarketOutcome.ceei_candidate(x, PriceVector(tuple(prices)), epsilon)
+    budgets = (ONE,) * inst.n if budgets is None else budgets
+    return MarketOutcome(x, PriceVector(tuple(prices)), budgets, epsilon)
 
 
 def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> MarketOutcome:
@@ -590,14 +591,14 @@ def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> Ma
                 outcome = _outcome_from_earnings(inst, prices, earnings, eps)
                 if verify_fisher_equilibrium(inst, outcome).passed:
                     return outcome
-                raise BudgetExhaustedError("routed outcome failed verification; this is a bug")
+                raise AlgorithmBugError("routed outcome failed verification; this is a bug")
             poor = [i for i in range(n) if incomes[i] < lo]
             if not poor:
                 outcome = _outcome_from_earnings(
                     inst, prices, _earnings(net, edge_index, L), eps)
                 if verify_fisher_equilibrium(inst, outcome).passed:
                     return outcome
-                raise BudgetExhaustedError("routing disagreed with itself; this is a bug")
+                raise AlgorithmBugError("routing disagreed with itself; this is a bug")
             # Underpaid side: everything reachable by the poor agents is too
             # cheap relative to the rest, so raise the rest until one of the
             # agents stuck on the cheap chores gains an edge out.
@@ -634,59 +635,57 @@ def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> Ma
 # Cycle cancellation
 # ---------------------------------------------------------------------------
 
+def _forest_path(adj, start: int, goal: int) -> Optional[list[int]]:
+    """Nodes of the forest path from ``start`` to ``goal``, or None when apart."""
+    parent = {start: None}
+    stack = [start]
+    while stack and goal not in parent:
+        u = stack.pop()
+        for v in adj[u] - parent.keys():
+            parent[v] = u
+            stack.append(v)
+    if goal not in parent:
+        return None
+    path = [goal]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
 def make_acyclic(inst: Instance, out: MarketOutcome) -> MarketOutcome:
     """Equivalent equilibrium whose payment graph is a forest.
 
-    Earnings shift alternately around each cycle by the cycle's minimum edge
-    weight, which cancels that edge while preserving prices, incomes and the
-    support inclusion. Each step removes at least one edge.
+    Payment edges join a forest one at a time in (agent, chore) order. An
+    edge whose ends are already joined closes a cycle with the forest path
+    from its agent to its chore; earnings shift alternately around it by the
+    least weight (first in path order, the new edge last), which cancels that
+    edge and keeps prices, incomes and the support inclusion. Edges at zero
+    leave the forest; the new edge joins it if it survived.
     """
     if not verify_fisher_equilibrium(inst, out).passed:
         raise InvalidEquilibriumError("make_acyclic requires a verified equilibrium")
 
+    n = out.n
     weights = payment_graph(out.x, out.prices).edge_dict()
+    adj: list[set[int]] = [set() for _ in range(n + out.m)]  # chore c is node n + c
+    for i, c in list(weights):
+        path = _forest_path(adj, i, n + c)
+        if path is not None:
+            cycle = [(u, v - n) if u < n else (v, u - n) for u, v in zip(path, path[1:])]
+            cycle.append((i, c))
+            k = min(range(len(cycle)), key=lambda j: weights[cycle[j]])
+            shift = weights[cycle[k]]
+            for j, (a, h) in enumerate(cycle):
+                weights[(a, h)] += shift if (j - k) % 2 else -shift
+                if not weights[(a, h)]:
+                    del weights[(a, h)]
+                    adj[a].discard(n + h)
+                    adj[n + h].discard(a)
+        if (i, c) in weights:
+            adj[i].add(n + c)
+            adj[n + c].add(i)
 
-    def build_graph() -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(("a", i) for i in range(out.n))
-        graph.add_nodes_from(("c", c) for c in range(out.m))
-        graph.add_edges_from((("a", i), ("c", c)) for i, c in weights)
-        return graph
-
-    def weight_of(u, v) -> Fraction:
-        pair = (u[1], v[1]) if u[0] == "a" else (v[1], u[1])
-        return weights[pair]
-
-    while True:
-        graph = build_graph()
-        try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
-            break
-        seq = [u for u, _ in cycle]
-        length = len(seq)
-        k = min(range(length), key=lambda j: weight_of(seq[j], seq[(j + 1) % length]))
-        if seq[k][0] == "a":
-            order = [seq[(k + j) % length] for j in range(length)]
-        else:
-            order = [seq[(k + 1 - j) % length] for j in range(length)]
-        agents = [node[1] for node in order[0::2]]
-        chores = [node[1] for node in order[1::2]]
-        shift = weights[(agents[0], chores[0])]
-        half = len(agents)
-        for j in range(half):
-            forward = (agents[j], chores[j])
-            backward = (agents[(j + 1) % half], chores[j])
-            weights[forward] -= shift
-            if weights[forward] == 0:
-                del weights[forward]
-            weights[backward] = weights.get(backward, ZERO) + shift
-
-    rows = [[ZERO] * out.m for _ in range(out.n)]
-    for (i, c), earned in weights.items():
-        rows[i][c] = earned / out.prices[c]
-    x = FractionalAllocation(tuple(tuple(row) for row in rows))
-    result = MarketOutcome(x, out.prices, out.budgets, out.epsilon)
+    result = _outcome_from_earnings(inst, out.prices, weights, out.epsilon, out.budgets)
     if not verify_fisher_equilibrium(inst, result).passed:
-        raise InvalidEquilibriumError("cycle cancellation broke the equilibrium; this is a bug")
+        raise AlgorithmBugError("cycle cancellation broke the equilibrium; this is a bug")
     return result

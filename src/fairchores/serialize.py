@@ -81,15 +81,6 @@ def bundles_to_list(alloc: SurplusAllocation) -> list:
             for bundle in alloc.bundles]
 
 
-def allocation_to_dict(alloc: SurplusAllocation) -> dict:
-    return {
-        "agents": alloc.n,
-        "chores": alloc.num_chores,
-        "surplus": alloc.surplus_count,
-        "bundles": bundles_to_list(alloc),
-    }
-
-
 def allocation_from_dict(data: dict) -> SurplusAllocation:
     try:
         raw = data["bundles"]

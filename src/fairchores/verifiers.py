@@ -135,20 +135,16 @@ def check_proportional(inst: Instance, alloc: SurplusAllocation) -> Certificate:
 
 def check_pef1(prices: PriceVector, alloc: SurplusAllocation) -> Certificate:
     """Payment envy-freeness up to one chore."""
-    for i in range(alloc.n):
-        mine = alloc.bundles[i]
+    paid = [bundle_payment(prices, bundle) for bundle in alloc.bundles]
+    for i, mine in enumerate(alloc.bundles):
         if not mine:
             continue
-        total = bundle_payment(prices, mine)
-        drop = max(prices[u.chore] for u in mine)
-        for j in range(alloc.n):
-            if i == j:
-                continue
-            other = bundle_payment(prices, alloc.bundles[j])
-            if total - drop > other:
+        kept = paid[i] - max(prices[u.chore] for u in mine)
+        for j, other in enumerate(paid):
+            if i != j and kept > other:
                 return Certificate(PEF1, False, {
                     "agent": i, "envied": j,
-                    "own_after_removal": _fmt(total - drop), "other": _fmt(other)})
+                    "own_after_removal": _fmt(kept), "other": _fmt(other)})
     return Certificate(PEF1, True)
 
 

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from fairchores import equilibrium, rounding
 from fairchores.cli import main
+from fairchores.core import PaymentGraph
 from fairchores.serialize import instance_from_dict, load_json
 
 
@@ -276,3 +278,74 @@ class TestOracle:
         inst.write_text(json.dumps({"disutility": [[1] * 9] * 2}))
         assert run("oracle", "-i", inst, "--which", "ceei-exact",
                    "-o", tmp_path / "o.json") == 2
+
+
+def _one_agent_takes_all(earnings):
+    """Every chore's whole payment moved to agent 0: clears, but incomes fail."""
+    merged = {}
+    for (_, c), amount in earnings.items():
+        merged[(0, c)] = merged.get((0, c), 0) + amount
+    return merged
+
+
+class TestInternalBugsExitThree:
+    """A corrupted outcome is a bug: exit 3, and no fallback hides it."""
+
+    @pytest.fixture
+    def small(self, tmp_path):
+        # 2 x 3 is inside the exhaustive search limits, where a
+        # BudgetExhaustedError falls back to exact_ceei.
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[1, 2, 3], [3, 1, 2]]}))
+        return inst
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rounding, "exact_ceei", lambda *args: calls.append(args))
+        return calls
+
+    @staticmethod
+    def corrupt_outcomes(monkeypatch):
+        real = equilibrium._outcome_from_earnings
+
+        def corrupted(inst, prices, earnings, *rest):
+            return real(inst, prices, _one_agent_takes_all(earnings), *rest)
+
+        monkeypatch.setattr(equilibrium, "_outcome_from_earnings", corrupted)
+
+    @staticmethod
+    def solve(inst, tmp_path, capsys):
+        assert run("solve-surplus", "-i", inst, "-o", tmp_path / "o.json") == 3
+        err = capsys.readouterr().err
+        assert "internal failure" in err
+        return err
+
+    def test_routed_outcome_failing_verification(self, small, fallbacks, tmp_path, capsys,
+                                                 monkeypatch):
+        self.corrupt_outcomes(monkeypatch)
+        assert "routed outcome failed verification" in self.solve(small, tmp_path, capsys)
+        assert fallbacks == []
+
+    def test_routing_disagreeing_with_itself(self, small, fallbacks, tmp_path, capsys,
+                                             monkeypatch):
+        # With the bounded routing failing, two agents whose cap-only routing
+        # pays every chore are never underpaid, so the cap-only flow is used.
+        self.corrupt_outcomes(monkeypatch)
+        monkeypatch.setattr(equilibrium, "_route_within_bounds", lambda *args: None)
+        assert "routing disagreed with itself" in self.solve(small, tmp_path, capsys)
+        assert fallbacks == []
+
+    def test_cycle_cancellation_breaking_the_equilibrium(self, small, fallbacks, tmp_path,
+                                                         capsys, monkeypatch):
+        real = equilibrium.payment_graph
+
+        def corrupted(x, prices):
+            graph = real(x, prices)
+            return PaymentGraph.from_edges(
+                graph.n, graph.m, _one_agent_takes_all(graph.edge_dict()))
+
+        monkeypatch.setattr(equilibrium, "payment_graph", corrupted)
+        err = self.solve(small, tmp_path, capsys)
+        assert "cycle cancellation broke the equilibrium" in err
+        assert fallbacks == []

@@ -7,6 +7,7 @@ from fairchores.core import (
     ChoreCopy,
     FractionalAllocation,
     Instance,
+    PaymentGraph,
     PriceVector,
     bundle_disutility,
     bundle_payment,
@@ -130,6 +131,57 @@ def test_payment_graph_column_sums():
         g = payment_graph(x, p)
         for c in range(m):
             assert g.chore_payment(c) == p[c]
+
+
+def _random_bipartite(rng, kind):
+    """Edge weights of a random agent-chore graph of the given kind."""
+    n, m = rng.randint(1, 5), rng.randint(0, 6)
+    pairs = [(i, c) for i in range(n) for c in range(m)]
+    rng.shuffle(pairs)
+    if kind == "empty":
+        pairs = []
+    elif kind == "sparse":  # mostly isolated nodes
+        pairs = pairs[:rng.randint(0, 2)]
+    elif kind == "forest":
+        root = list(range(n + m))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        kept = []
+        for i, c in pairs:
+            if find(i) != find(n + c) and rng.random() < 0.8:
+                root[find(i)] = find(n + c)
+                kept.append((i, c))
+        pairs = kept
+    else:  # dense: cyclic whenever some two agents share two chores
+        pairs = [pair for pair in pairs if rng.random() < 0.7]
+    return n, m, {pair: F(rng.randint(1, 9), rng.randint(1, 4)) for pair in pairs}
+
+
+def test_forest_and_components_agree_with_networkx():
+    import networkx as nx  # test oracle only; the package itself never imports it
+
+    rng = random.Random(6)
+    cyclic = 0
+    for index in range(300):
+        kind = ("empty", "sparse", "forest", "dense")[index % 4]
+        n, m, weights = _random_bipartite(rng, kind)
+        g = PaymentGraph.from_edges(n, m, weights)
+        oracle = g.to_networkx()
+        assert g.is_acyclic() == nx.is_forest(oracle)
+        expected = []
+        for nodes in nx.connected_components(oracle):
+            expected.append((frozenset(idx for side, idx in nodes if side == "a"),
+                             frozenset(idx for side, idx in nodes if side == "c")))
+        expected.sort(key=lambda pair: (min(pair[0], default=n), min(pair[1], default=m)))
+        assert g.components() == expected
+        if kind == "forest":
+            assert g.is_acyclic()
+        cyclic += not g.is_acyclic()
+    assert cyclic >= 30
 
 
 def test_additivity_over_disjoint_unions():

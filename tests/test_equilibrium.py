@@ -213,6 +213,10 @@ class TestMakeAcyclic:
         assert graph.is_acyclic()
         assert verify_fisher_equilibrium(inst, acyclic).passed
         assert acyclic.prices == out.prices
+        # Pins the cancellation order: edge (1, 1) closes the cycle with the
+        # forest path a1-c0-a0-c1; all four weights tie, so the first path
+        # edge (1, 0) is cancelled, and (0, 1) with it.
+        assert acyclic.x == FractionalAllocation.from_rows([[1, 0], [0, 1]])
 
     def test_edge_count_bound_and_support_shrinks(self):
         inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
@@ -225,6 +229,29 @@ class TestMakeAcyclic:
         assert after.is_acyclic()
         assert set(after.edge_dict()) < before
         assert len(after.edge_dict()) <= 2 + 3 - 1
+
+    def test_random_tie_heavy_outcomes_become_forests(self):
+        rng = random.Random(2026)
+        cyclic = 0
+        for _ in range(150):
+            n, m = rng.randint(2, 5), rng.randint(2, 8)
+            inst = Instance.from_rows(
+                [[rng.randint(1, 3) for _ in range(m)] for _ in range(n)])
+            out = approx_ceei(inst, default_epsilon(n, m))
+            before = payment_graph(out.x, out.prices)
+            acyclic = make_acyclic(inst, out)
+            after = payment_graph(acyclic.x, acyclic.prices)
+            assert verify_fisher_equilibrium(inst, acyclic).passed
+            assert after.is_acyclic()
+            assert acyclic.prices == out.prices and acyclic.epsilon == out.epsilon
+            assert set(after.edge_dict()) <= set(before.edge_dict())
+            assert [after.agent_income(i) for i in range(n)] == [
+                before.agent_income(i) for i in range(n)]
+            if before.is_acyclic():
+                assert acyclic.x == out.x
+            else:
+                cyclic += 1
+        assert cyclic >= 50
 
     def test_rejects_non_equilibrium(self):
         inst = Instance.from_rows([[1, 2], [2, 1]])

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -189,3 +192,15 @@ class TestPipeline:
         result = fair_and_efficient(inst)
         text = json.dumps(list(result.trace))
         assert json.loads(text) == list(result.trace)
+
+
+def test_solving_never_imports_networkx():
+    # networkx is a test oracle only; a child process starts with clean modules.
+    code = ("import sys, fairchores\n"
+            "inst = fairchores.Instance.from_rows([[1, 1, 2], [1, 1, 2], [2, 1, 1]])\n"
+            "fairchores.fair_and_efficient(inst)\n"
+            "print(sorted(name for name in sys.modules if name.startswith('networkx')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
