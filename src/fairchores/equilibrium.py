@@ -166,7 +166,7 @@ def _best_ratio_sets(inst: Instance, prices: PriceVector) -> list[frozenset[int]
 # Exact equilibrium by support enumeration
 # ---------------------------------------------------------------------------
 
-def _enumerate_supports(n: int, m: int):
+def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]]):
     """Yield candidate supports in canonical order, with component bitmasks.
 
     A support is a set of agent-chore edges forming a forest in which every
@@ -175,10 +175,21 @@ def _enumerate_supports(n: int, m: int):
     by (agent, chore) with edge id ``i*m + c``. Each yield carries the live
     ``chosen`` edge-id list plus one edge bitmask per connected component, so
     the caller can memoize per-component work across supports.
+
+    Given the integer disutilities ``D``, a branch is skipped when its last
+    edge joins two trees into one that some member agent cannot accept: the
+    tree edges fix the relative prices of the tree's chores, and one of them
+    pays the agent a strictly better ratio than the agent's own edges
+    (``_join``). Every support below it fails ``_solve_component`` there.
+    ``D=None`` enumerates every support.
     """
     total = n * m
     parent = list(range(n + m))  # union-find over agents [0,n) and chores [n,n+m)
-    mask = [0] * (n + m)  # edge bitmask per union-find root
+    # Per union-find root: (edge mask, agents, chores, integer price per
+    # chore, 0 outside the tree).
+    tree = [(0, (i,), (), [0] * m) for i in range(n)]
+    tree += [(0, (), (c,), [int(c == h) for h in range(m)]) for c in range(m)]
+    anchor = [0] * n  # for each agent with an edge, a chore it has an edge to
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -193,7 +204,7 @@ def _enumerate_supports(n: int, m: int):
         if remaining == 0:
             if 0 not in agent_deg and 0 not in chore_deg:
                 roots = {find(e // m) for e in chosen}
-                yield chosen, [mask[r] for r in roots]
+                yield chosen, [tree[r][0] for r in roots]
             return
         if total - start < remaining:
             return
@@ -203,18 +214,23 @@ def _enumerate_supports(n: int, m: int):
             i, c = divmod(idx, m)
             ra, rc = find(i), find(n + c)
             if ra != rc:
-                saved = mask[rc]
-                parent[ra] = rc
-                mask[rc] = mask[ra] | saved | (1 << idx)
-                agent_deg[i] += 1
-                chore_deg[c] += 1
-                chosen.append(idx)
-                yield from rec(idx + 1, remaining - 1)
-                chosen.pop()
-                agent_deg[i] -= 1
-                chore_deg[c] -= 1
-                parent[ra] = ra
-                mask[rc] = saved
+                one, saved = tree[ra], tree[rc]
+                if D is None:  # unpruned: only the masks are read
+                    joined = (one[0] | saved[0] | (1 << idx), (), (), None)
+                else:
+                    joined = _join(D, anchor, idx, m, one, saved)
+                if joined is not None:
+                    tree[rc] = joined
+                    parent[ra] = rc
+                    agent_deg[i] += 1
+                    chore_deg[c] += 1
+                    chosen.append(idx)
+                    yield from rec(idx + 1, remaining - 1)
+                    chosen.pop()
+                    agent_deg[i] -= 1
+                    chore_deg[c] -= 1
+                    parent[ra] = ra
+                    tree[rc] = saved
             # Skipping past a node's final candidate edge dooms the branch.
             if agent_deg[i] == 0 and idx == i * m + m - 1:
                 return
@@ -225,9 +241,53 @@ def _enumerate_supports(n: int, m: int):
         yield from rec(0, k)
 
 
+def _join(D, anchor, idx, m, one, other):
+    """Record of the tree edge ``idx`` = (i, c) makes, or None to prune.
+
+    ``one`` is the tree of agent ``i`` and ``other`` that of chore ``c``. The
+    new edge ties ``i``'s ratio on ``c`` to the one on ``i``'s anchor ``a``,
+    so ``one``'s prices scale by ``D[i][a]*P_other[c]`` and ``other``'s by
+    ``P_one[a]*D[i][c]``. Each tree passed this check when it was made, so
+    only the new cross pairs are compared: None means some agent has a
+    strictly better ratio on a chore of the other tree than on its anchor.
+    """
+    i, c = divmod(idx, m)
+    mask_a, agents_a, chores_a, prices_a = one
+    mask_b, agents_b, chores_b, prices_b = other
+    mask = mask_a | mask_b | (1 << idx)
+    if not chores_a:  # the first edge of agent i, which anchors it at c
+        anchor[i] = c
+        row = D[i]
+        num, den = row[c], prices_b[c]
+        for y in chores_b:
+            if row[y] * den < num * prices_b[y]:
+                return None
+        return mask, agents_a + agents_b, chores_b, prices_b
+    a = anchor[i]
+    fa, fb = D[i][a] * prices_b[c], prices_a[a] * D[i][c]
+    g = gcd(fa, fb)
+    fa, fb = fa // g, fb // g
+    # Agent j against a chore y of the other tree, on the joint scale:
+    # d_j(y) * P_own[base] * f_own < d_j(base) * P_other[y] * f_other.
+    for j in agents_a:
+        row, base = D[j], anchor[j]
+        left, right = prices_a[base] * fa, row[base] * fb
+        for y in chores_b:
+            if row[y] * left < right * prices_b[y]:
+                return None
+    for j in agents_b:
+        row, base = D[j], anchor[j]
+        left, right = prices_b[base] * fb, row[base] * fa
+        for y in chores_a:
+            if row[y] * left < right * prices_a[y]:
+                return None
+    prices = [x * fa + y * fb for x, y in zip(prices_a, prices_b)]
+    return mask, agents_a + agents_b, chores_a + chores_b, prices
+
+
 def _forest_supports(n: int, m: int):
-    """Candidate supports as (agent, chore) tuples, in canonical order."""
-    for chosen, _ in _enumerate_supports(n, m):
+    """Every candidate support as (agent, chore) tuples, in canonical order."""
+    for chosen, _ in _enumerate_supports(n, m, None):
         yield tuple(divmod(e, m) for e in chosen)
 
 
@@ -355,6 +415,16 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
     supports, which leaves the canonical order untouched while skipping the
     bulk of repeated work. The returned outcome passes
     ``verify_fisher_equilibrium`` at epsilon 0 with every budget equal to 1.
+
+    The enumeration prunes as it builds each forest: when an edge joins two
+    trees into one in which some agent finds a strictly better
+    pain-per-buck ratio on one of the tree's chores than on its own edges,
+    no support containing that tree is tried. The tree's edges fix the
+    relative prices of its chores in every support that contains it, so
+    ``_solve_component`` rejects each of those supports anyway. Only failing
+    supports are skipped, so the first feasible support in canonical order,
+    and the outcome returned, are those of the unpruned search. It never
+    consults ``approx_ceei``, and so stays an independent oracle for it.
     """
     if inst.m == 0:
         raise InputError(_NO_CHORES)
@@ -372,7 +442,11 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
     comp_cache: dict[int, Optional[_Component]] = {}
     pair_cache: dict[tuple[int, int], bool] = {}
 
-    for _, masks in _enumerate_supports(n, m):
+    # When every row is a multiple of the first, every ratio ties in every
+    # tree and nothing can be pruned; the checks would only add time.
+    first = D[0]
+    ties = all(row[c] * first[0] == first[c] * row[0] for row in D for c in range(m))
+    for _, masks in _enumerate_supports(n, m, None if ties else D):
         solved: list[_Component] = []
         feasible = True
         for key in masks:

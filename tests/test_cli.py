@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -242,6 +243,37 @@ class TestOracle:
         inst.write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
         eq = tmp_path / "eq.json"
         assert run("oracle", "-i", inst, "--which", "ceei-exact", "-o", eq) == 0
+        assert run("verify", "-i", inst, "--alloc", eq, "--property", "fisher") == 0
+
+    def test_exact_oracle_never_calls_approx_ceei(self, tmp_path):
+        # The exact oracle must stay independent of the price-adjustment
+        # solver it checks, so a child process replaces approx_ceei in every
+        # module that holds it with a function that raises, then runs the
+        # oracle and exact_ceei.
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]]}))
+        eq = tmp_path / "eq.json"
+        script = textwrap.dedent("""
+            import sys
+            from fairchores import cli, equilibrium
+            from fairchores.core import Instance
+
+            def refuse(*args, **kwargs):
+                raise RuntimeError("approx_ceei was called")
+
+            real = equilibrium.approx_ceei
+            for module in list(sys.modules.values()):
+                if getattr(module, "approx_ceei", None) is real:
+                    module.approx_ceei = refuse
+            equilibrium.exact_ceei(Instance.from_rows([[1, 2, 3], [3, 1, 2], [2, 3, 1]]))
+            sys.exit(cli.main(sys.argv[1:]))
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", script, "oracle", "-i", str(inst),
+             "--which", "ceei-exact", "-o", str(eq)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
         assert run("verify", "-i", inst, "--alloc", eq, "--property", "fisher") == 0
 
     def test_approx_equilibrium_file_verifies(self, instance_file, tmp_path):

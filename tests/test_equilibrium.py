@@ -12,7 +12,12 @@ from fairchores.core import (
 )
 from fairchores.equilibrium import (
     SearchLimits,
+    _components_compatible,
+    _enumerate_supports,
     _forest_supports,
+    _integer_matrix,
+    _outcome_from_earnings,
+    _solve_component,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -20,6 +25,7 @@ from fairchores.equilibrium import (
     verify_fisher_equilibrium,
 )
 from fairchores.errors import (
+    EquilibriumNotFoundError,
     InputError,
     InstanceTooLargeError,
     InvalidEquilibriumError,
@@ -150,6 +156,107 @@ def brute_supports(n, m):
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_support_enumeration_matches_brute_force(n, m):
     assert list(_forest_supports(n, m)) == brute_supports(n, m)
+
+
+def support_trees(support):
+    """Edge lists of the trees of a support, by a plain union-find."""
+    parent = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    for i, c in support:
+        parent[find(("a", i))] = find(("c", c))
+    trees = {}
+    for i, c in support:
+        trees.setdefault(find(("a", i)), []).append((i, c))
+    return list(trees.values())
+
+
+def pruned_supports(D, n, m):
+    return [tuple(divmod(e, m) for e in chosen)
+            for chosen, _ in _enumerate_supports(n, m, D)]
+
+
+@pytest.mark.parametrize(
+    "n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3, 4)] + [(2, 5), (4, 3)])
+def test_pruned_supports_fail_a_component(n, m):
+    # The pruned enumeration keeps the canonical order and drops only
+    # supports with a tree that _solve_component rejects.
+    rng = random.Random(100 * n + m)
+    unpruned = list(_forest_supports(n, m))
+    skipped = 0
+    for high in (20, 20, 20, 3, 3, 3):
+        D = [[rng.randint(1, high) for _ in range(m)] for _ in range(n)]
+        kept = pruned_supports(D, n, m)
+        rest = iter(unpruned)
+        assert all(support in rest for support in kept)
+        for support in set(unpruned) - set(kept):
+            assert any(_solve_component(D, edges) is None for edges in support_trees(support))
+            skipped += 1
+    if n > 1 and m > 1:
+        assert skipped > 0
+
+
+def unpruned_exact_ceei(inst):
+    """exact_ceei's loop as it was before the prune: every forest support in
+    canonical order, with the same memoized component and pair checks."""
+    n, m = inst.n, inst.m
+    D = _integer_matrix(inst)
+    missing = object()
+    comp_cache, pair_cache = {}, {}
+    for _, masks in _enumerate_supports(n, m, None):
+        solved = []
+        feasible = True
+        for key in masks:
+            comp = comp_cache.get(key, missing)
+            if comp is missing:
+                edges = [divmod(e, m) for e in range(n * m) if key >> e & 1]
+                comp = comp_cache[key] = _solve_component(D, edges)
+            if comp is None:
+                feasible = False
+                break
+            solved.append(comp)
+        if not feasible:
+            continue
+        for a in range(len(solved)):
+            for b in range(len(solved)):
+                if a != b:
+                    pair = (masks[a], masks[b])
+                    if pair not in pair_cache:
+                        pair_cache[pair] = _components_compatible(D, solved[a], solved[b])
+                    feasible = feasible and pair_cache[pair]
+        if not feasible:
+            continue
+        prices = [F(0)] * m
+        earnings = {}
+        for comp in solved:
+            for c in comp.chores:
+                prices[c] = F(comp.count * comp.F[c], comp.T)
+            for edge, amount in comp.earn.items():
+                earnings[edge] = F(amount, comp.T)
+        outcome = _outcome_from_earnings(inst, prices, earnings, F(0))
+        assert verify_fisher_equilibrium(inst, outcome).passed
+        return outcome
+    raise EquilibriumNotFoundError("unpruned enumeration exhausted")
+
+
+def test_exact_ceei_matches_the_unpruned_loop():
+    # Nothing is pruned when rows are identical, and the unpruned loop is
+    # slow there and on 4x6, so those shapes stay small.
+    rng = random.Random(77)
+    for trial in range(60):
+        identical = trial % 3 == 0
+        n = rng.randint(1, 3 if identical else 4)
+        m = rng.randint(max(n, 2), 5 if identical or n == 4 else 6)
+        high = 3 if trial % 2 else 20
+        rows = [[rng.randint(1, high) for _ in range(m)] for _ in range(n)]
+        if identical:
+            rows = [rows[0]] * n
+        inst = Instance.from_rows(rows)
+        assert exact_ceei(inst) == unpruned_exact_ceei(inst)
 
 
 class TestApproxCeei:
