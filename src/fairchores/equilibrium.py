@@ -181,7 +181,8 @@ def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]]):
     tree edges fix the relative prices of the tree's chores, and one of them
     pays the agent a strictly better ratio than the agent's own edges
     (``_join``). Every support below it fails ``_solve_component`` there.
-    ``D=None`` enumerates every support.
+    ``D=None`` enumerates every support: the reference order that
+    ``_forest_supports`` and the tests pin.
     """
     total = n * m
     parent = list(range(n + m))  # union-find over agents [0,n) and chores [n,n+m)
@@ -442,11 +443,7 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
     comp_cache: dict[int, Optional[_Component]] = {}
     pair_cache: dict[tuple[int, int], bool] = {}
 
-    # When every row is a multiple of the first, every ratio ties in every
-    # tree and nothing can be pruned; the checks would only add time.
-    first = D[0]
-    ties = all(row[c] * first[0] == first[c] * row[0] for row in D for c in range(m))
-    for _, masks in _enumerate_supports(n, m, None if ties else D):
+    for _, masks in _enumerate_supports(n, m, D):
         solved: list[_Component] = []
         feasible = True
         for key in masks:

@@ -198,6 +198,9 @@ def test_pruned_supports_fail_a_component(n, m):
             skipped += 1
     if n > 1 and m > 1:
         assert skipped > 0
+    # Identical rows tie every ratio, so no merge is pruned.
+    row = [rng.randint(1, 20) for _ in range(m)]
+    assert pruned_supports([row] * n, n, m) == unpruned
 
 
 def unpruned_exact_ceei(inst):
@@ -244,8 +247,8 @@ def unpruned_exact_ceei(inst):
 
 
 def test_exact_ceei_matches_the_unpruned_loop():
-    # Nothing is pruned when rows are identical, and the unpruned loop is
-    # slow there and on 4x6, so those shapes stay small.
+    # On identical rows every merge passes _join and nothing is pruned; the
+    # unpruned loop is slow there and on 4x6, so those shapes stay small.
     rng = random.Random(77)
     for trial in range(60):
         identical = trial % 3 == 0
