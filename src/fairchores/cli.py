@@ -11,12 +11,11 @@ import json
 import random
 import sys
 
-from .core import Instance
+from .core import Instance, rat
 from .equilibrium import SearchLimits, approx_ceei, default_epsilon, exact_ceei
 from .errors import (
     AlgorithmBugError,
     CertificateFailureError,
-    EquilibriumNotFoundError,
     FairChoresError,
     InputError,
 )
@@ -31,7 +30,6 @@ from .serialize import (
     load_json,
     outcome_from_dict,
     outcome_to_dict,
-    parse_rat,
     prices_from_dict,
 )
 from .three_agent import solve_three
@@ -122,7 +120,7 @@ def _cmd_solve_surplus(args) -> int:
     inst = instance_from_dict(load_json(args.input))
     opts = SolveOptions(
         exact=args.exact,
-        epsilon=parse_rat(args.epsilon) if args.epsilon is not None else None)
+        epsilon=rat(args.epsilon) if args.epsilon is not None else None)
     result = fair_and_efficient(inst, opts)
     payload = {
         "kind": "surplus",
@@ -216,7 +214,7 @@ def _cmd_oracle(args) -> int:
         outcome = exact_ceei(inst, SearchLimits())
         dump_json(args.output, outcome_to_dict(outcome))
     elif args.which == "ceei-approx":
-        eps = (parse_rat(args.epsilon) if args.epsilon is not None
+        eps = (rat(args.epsilon) if args.epsilon is not None
                else default_epsilon(inst.n, inst.m))
         outcome = approx_ceei(inst, eps)
         dump_json(args.output, outcome_to_dict(outcome))
@@ -244,7 +242,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (CertificateFailureError, AlgorithmBugError, EquilibriumNotFoundError) as exc:
+    except (CertificateFailureError, AlgorithmBugError) as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except FairChoresError as exc:

@@ -167,28 +167,29 @@ def _best_ratio_sets(inst: Instance, prices: PriceVector) -> list[frozenset[int]
 # ---------------------------------------------------------------------------
 
 def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]]):
-    """Yield candidate supports in canonical order, with component bitmasks.
+    """Yield candidate supports in canonical order, with their trees' records.
 
     A support is a set of agent-chore edges forming a forest in which every
     agent and every chore has degree >= 1. Supports come out by edge count
     ascending, then lexicographically on the sorted edge tuple, edges ordered
     by (agent, chore) with edge id ``i*m + c``. Each yield carries the live
-    ``chosen`` edge-id list plus one edge bitmask per connected component, so
-    the caller can memoize per-component work across supports.
+    ``chosen`` edge-id list plus one record per tree of the forest:
+    ``(edge mask, agents, chores, P)``, where ``P`` holds the tree's integer
+    relative prices (0 outside the tree). The mask is unique to the tree, so
+    the caller can memoize per-tree work across supports.
 
     Given the integer disutilities ``D``, a branch is skipped when its last
     edge joins two trees into one that some member agent cannot accept: the
     tree edges fix the relative prices of the tree's chores, and one of them
     pays the agent a strictly better ratio than the agent's own edges
-    (``_join``). Every support below it fails ``_solve_component`` there.
-    ``D=None`` enumerates every support: the reference order that
-    ``_forest_supports`` and the tests pin.
+    (``_join``). So in every record each agent's edges are best-ratio within
+    the tree, and no equilibrium has a support containing a skipped tree.
+    ``D=None`` enumerates every support, filling in only the masks: the
+    reference order that ``_forest_supports`` and the tests pin.
     """
     total = n * m
     parent = list(range(n + m))  # union-find over agents [0,n) and chores [n,n+m)
-    # Per union-find root: (edge mask, agents, chores, integer price per
-    # chore, 0 outside the tree).
-    tree = [(0, (i,), (), [0] * m) for i in range(n)]
+    tree = [(0, (i,), (), [0] * m) for i in range(n)]  # record per union-find root
     tree += [(0, (), (c,), [int(c == h) for h in range(m)]) for c in range(m)]
     anchor = [0] * n  # for each agent with an edge, a chore it has an edge to
 
@@ -205,7 +206,7 @@ def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]]):
         if remaining == 0:
             if 0 not in agent_deg and 0 not in chore_deg:
                 roots = {find(e // m) for e in chosen}
-                yield chosen, [tree[r][0] for r in roots]
+                yield chosen, [tree[r] for r in roots]
             return
         if total - start < remaining:
             return
@@ -292,118 +293,70 @@ def _forest_supports(n: int, m: int):
         yield tuple(divmod(e, m) for e in chosen)
 
 
-class _Component:
-    """One tree of a support, solved in scaled integer arithmetic.
+def _solve_component(record, m: int) -> Optional[dict[tuple[int, int], int]]:
+    """Earnings on a tree's edges that pay each of its agents an income of 1.
 
-    Prices inside the component are ``agents_count * F[c] / T``; earnings are
-    stored scaled by ``T`` so the whole leaf-stripping pass stays in integers.
+    ``record`` is a tree of ``_enumerate_supports``: with ``count`` agents
+    and ``T`` the sum of its prices ``P``, chore ``c`` costs
+    ``count * P[c] / T``. Earnings are scaled by ``T`` so the leaf stripping
+    stays in integers. Returns None when some earning is negative. On a tree
+    the stripping reaches every edge and leaves no demand behind, and when
+    no earning is negative none exceeds its chore's price.
     """
-
-    __slots__ = ("agents", "chores", "count", "T", "F", "ratio", "earn")
-
-    def __init__(self, agents, chores, count, T, F, ratio, earn):
-        self.agents = agents
-        self.chores = chores
-        self.count = count
-        self.T = T
-        self.F = F
-        self.ratio = ratio
-        self.earn = earn
-
-
-def _solve_component(D, edges) -> Optional[_Component]:
-    agents = sorted({i for i, _ in edges})
-    chores = sorted({c for _, c in edges})
-    adj_a: dict[int, list[int]] = {i: [] for i in agents}
-    adj_c: dict[int, list[int]] = {c: [] for c in chores}
-    for i, c in edges:
-        adj_a[i].append(c)
-        adj_c[c].append(i)
-
-    base = chores[0]
-    fnum = {base: 1}
-    fden = {base: 1}
-    frontier = [(1, base)]
-    seen_a: set[int] = set()
-    while frontier:
-        kind, node = frontier.pop()
-        if kind == 1:
-            for i in adj_c[node]:
-                if i not in seen_a:
-                    seen_a.add(i)
-                    frontier.append((0, i))
-        else:
-            row = D[node]
-            anchor = next(c for c in adj_a[node] if c in fnum)
-            for c in adj_a[node]:
-                if c not in fnum:
-                    frontier.append((1, c))
-                    num = fnum[anchor] * row[c]
-                    den = fden[anchor] * row[anchor]
-                    g = gcd(num, den)
-                    fnum[c] = num // g
-                    fden[c] = den // g
-
-    common = lcm(*(fden[c] for c in chores))
-    F = {c: fnum[c] * (common // fden[c]) for c in chores}
-    T = sum(F.values())
-    count = len(agents)
-
-    # Leaf stripping with everything scaled by T: chores demand count*F[c],
-    # agents demand T (their unit income).
-    need = {(1, c): count * F[c] for c in chores}
+    mask, agents, chores, P = record
+    count, T = len(agents), sum(P)
+    # Nodes are (0, agent) and (1, chore); chores demand count*P[c], agents T.
+    need = {(1, c): count * P[c] for c in chores}
     need.update(((0, i), T) for i in agents)
-    left = {(1, c): set(adj_c[c]) for c in chores}
-    left.update(((0, i), set(adj_a[i])) for i in agents)
+    left: dict[tuple[int, int], set[int]] = {v: set() for v in need}
+    bits = mask
+    while bits:
+        low = bits & -bits
+        i, c = divmod(low.bit_length() - 1, m)
+        left[(0, i)].add(c)
+        left[(1, c)].add(i)
+        bits ^= low
     queue = [v for v, nbrs in left.items() if len(nbrs) == 1]
     earn: dict[tuple[int, int], int] = {}
-    stripped = 0
     while queue:
         v = queue.pop()
         if len(left[v]) != 1:
             continue
-        other = next(iter(left[v]))
+        other = left[v].pop()
         if v[0] == 1:
             edge, u = (other, v[1]), (0, other)
         else:
             edge, u = (v[1], other), (1, other)
         amount = need[v]
-        if amount < 0 or amount > count * F[edge[1]]:
+        if amount < 0:
             return None
         earn[edge] = amount
         need[u] -= amount
-        need[v] = 0
         left[u].discard(v[1])
-        left[v].clear()
-        stripped += 1
         if len(left[u]) == 1:
             queue.append(u)
-    if stripped != len(agents) + len(chores) - 1:
-        return None
-    if any(need[(0, i)] != 0 for i in agents) or any(need[(1, c)] != 0 for c in chores):
-        return None
+    return earn
 
-    # Ratio each agent attains on her support edges, as an integer pair; used
-    # to reject supports where some other chore pays strictly better.
-    ratio: dict[int, tuple[int, int]] = {}
+
+def _components_compatible(D, m: int, one, other) -> bool:
+    """No agent of ``one`` finds a strictly better ratio among ``other``'s chores.
+
+    Both are records of ``_enumerate_supports``. An agent's ratio is read on
+    its first edge, since all its edges tie within its tree.
+    """
+    mask, agents, _, P = one
+    _, other_agents, chores, Q = other
+    # d_i(c) / q_c < d_i(a) / p_a, with p = |agents| * P / sum(P) and
+    # q = |other_agents| * Q / sum(Q) multiplied through.
+    own_scale, other_scale = len(agents) * sum(Q), len(other_agents) * sum(P)
+    full = (1 << m) - 1
     for i in agents:
-        anchor = adj_a[i][0]
-        num, den = D[i][anchor] * T, count * F[anchor]
-        ratio[i] = (num, den)
-        for c in chores:
-            # d_i(c)/p_c >= d_i(anchor)/p_anchor within the component.
-            if D[i][c] * F[anchor] < D[i][anchor] * F[c]:
-                return None
-    return _Component(tuple(agents), tuple(chores), count, T, F, ratio, earn)
-
-
-def _components_compatible(D, one: _Component, other: _Component) -> bool:
-    """No agent of ``one`` finds a strictly better ratio among ``other``'s chores."""
-    for i in one.agents:
-        num, den = one.ratio[i]
+        bits = mask >> (i * m) & full
+        a = (bits & -bits).bit_length() - 1
         row = D[i]
-        for c in other.chores:
-            if row[c] * other.T * den < num * other.count * other.F[c]:
+        left, right = P[a] * own_scale, row[a] * other_scale
+        for c in chores:
+            if row[c] * left < right * Q[c]:
                 return False
     return True
 
@@ -412,20 +365,24 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
     """First equal-income equilibrium in canonical support order, exactly.
 
     Exhaustive over forest supports, so only permitted on small instances.
-    Component solutions and pairwise compatibility checks are memoized across
-    supports, which leaves the canonical order untouched while skipping the
-    bulk of repeated work. The returned outcome passes
-    ``verify_fisher_equilibrium`` at epsilon 0 with every budget equal to 1.
+    The returned outcome passes ``verify_fisher_equilibrium`` at epsilon 0
+    with every budget equal to 1.
 
-    The enumeration prunes as it builds each forest: when an edge joins two
-    trees into one in which some agent finds a strictly better
-    pain-per-buck ratio on one of the tree's chores than on its own edges,
-    no support containing that tree is tried. The tree's edges fix the
-    relative prices of its chores in every support that contains it, so
-    ``_solve_component`` rejects each of those supports anyway. Only failing
-    supports are skipped, so the first feasible support in canonical order,
-    and the outcome returned, are those of the unpruned search. It never
-    consults ``approx_ceei``, and so stays an independent oracle for it.
+    Each tree of a support is described once, by its record from
+    ``_enumerate_supports``: edges, agents, chores and integer relative
+    prices, built and checked as the tree's edges join. A tree in which
+    some agent finds a strictly better pain-per-buck ratio on one of the
+    tree's chores than on its own edges is never extended. Its edges fix
+    the relative prices of its chores in every support that contains it, so
+    none of those supports has an equilibrium. Only failing supports are
+    skipped, so the first feasible support in canonical order, and the
+    outcome returned, are those of the unpruned search.
+
+    What is left per support is to solve each tree's earnings
+    (``_solve_component``) and to check that no agent prefers a chore of
+    another tree (``_components_compatible``). Both are memoized by edge mask
+    across supports, which leaves the canonical order untouched. The search
+    never consults ``approx_ceei``, and so stays an independent oracle for it.
     """
     if inst.m == 0:
         raise InputError(_NO_CHORES)
@@ -439,55 +396,36 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
     n, m = inst.n, inst.m
     D = _integer_matrix(inst)
 
-    missing = object()
-    comp_cache: dict[int, Optional[_Component]] = {}
+    earn_cache: dict[int, Optional[dict[tuple[int, int], int]]] = {}
     pair_cache: dict[tuple[int, int], bool] = {}
 
-    for _, masks in _enumerate_supports(n, m, D):
-        solved: list[_Component] = []
-        feasible = True
-        for key in masks:
-            comp = comp_cache.get(key, missing)
-            if comp is missing:
-                edges = []
-                bits = key
-                while bits:
-                    low = bits & -bits
-                    edges.append(divmod(low.bit_length() - 1, m))
-                    bits ^= low
-                comp = _solve_component(D, edges)
-                comp_cache[key] = comp
-            if comp is None:
-                feasible = False
-                break
-            solved.append(comp)
-        if not feasible:
-            continue
+    def earnings_of(record):
+        key = record[0]
+        if key not in earn_cache:
+            earn_cache[key] = _solve_component(record, m)
+        return earn_cache[key]
 
-        for a in range(len(solved)):
-            for b in range(len(solved)):
-                if a == b:
-                    continue
-                pair = (masks[a], masks[b])
-                good = pair_cache.get(pair)
-                if good is None:
-                    good = _components_compatible(D, solved[a], solved[b])
-                    pair_cache[pair] = good
-                if not good:
-                    feasible = False
-                    break
-            if not feasible:
-                break
-        if not feasible:
+    def compatible(one, other):
+        key = (one[0], other[0])
+        if key not in pair_cache:
+            pair_cache[key] = _components_compatible(D, m, one, other)
+        return pair_cache[key]
+
+    for _, trees in _enumerate_supports(n, m, D):
+        if any(earnings_of(record) is None for record in trees):
+            continue
+        if not all(compatible(one, other)
+                   for one in trees for other in trees if one[0] != other[0]):
             continue
 
         prices: list[Fraction] = [ZERO] * m
         earnings: dict[tuple[int, int], Fraction] = {}
-        for comp in solved:
-            for c in comp.chores:
-                prices[c] = Fraction(comp.count * comp.F[c], comp.T)
-            for edge, amount in comp.earn.items():
-                earnings[edge] = Fraction(amount, comp.T)
+        for mask, agents, chores, P in trees:
+            T = sum(P)
+            for c in chores:
+                prices[c] = Fraction(len(agents) * P[c], T)
+            for edge, amount in earn_cache[mask].items():
+                earnings[edge] = Fraction(amount, T)
         outcome = _outcome_from_earnings(inst, prices, earnings, ZERO)
         if verify_fisher_equilibrium(inst, outcome).passed:
             return outcome
@@ -596,7 +534,7 @@ def _outcome_from_earnings(inst, prices, earnings, epsilon, budgets=None) -> Mar
     return MarketOutcome(x, PriceVector(tuple(prices)), budgets, epsilon)
 
 
-def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> MarketOutcome:
+def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     """Equilibrium with incomes within [1-eps, 1+eps], by price adjustment.
 
     The price loop follows the combinatorial algorithm for chore competitive
@@ -633,7 +571,7 @@ def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> Ma
     mean_total = sum(mean, ZERO)
     prices = [n * mean[c] / mean_total for c in range(m)]
 
-    for _ in range(max_rounds):
+    for _ in range(DEFAULT_ROUNDS):
         total = sum(prices, ZERO)
         if total > 2 * n or total < Fraction(n, 2):
             scale = Fraction(n) / total
@@ -699,7 +637,7 @@ def approx_ceei(inst: Instance, epsilon, max_rounds: int = DEFAULT_ROUNDS) -> Ma
             prices[c] *= factor
 
     raise BudgetExhaustedError(
-        f"no verified outcome within {max_rounds} price-adjustment rounds")
+        f"no verified outcome within {DEFAULT_ROUNDS} price-adjustment rounds")
 
 
 # ---------------------------------------------------------------------------

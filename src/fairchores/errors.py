@@ -17,14 +17,6 @@ class InstanceTooLargeError(FairChoresError):
     """The instance exceeds the configured limits of an exhaustive procedure."""
 
 
-class EquilibriumNotFoundError(FairChoresError):
-    """Support enumeration exhausted without a feasible equilibrium.
-
-    Equal-income equilibria always exist for strictly positive disutilities,
-    so this indicates a bug rather than a property of the instance.
-    """
-
-
 class BudgetExhaustedError(FairChoresError):
     """The iterative price-adjustment solver hit its round cap unverified."""
 
@@ -43,6 +35,14 @@ class CertificateFailureError(FairChoresError):
 
 class AlgorithmBugError(FairChoresError):
     """An internal state the correctness analysis rules out was reached."""
+
+
+class EquilibriumNotFoundError(AlgorithmBugError):
+    """The exact support search found no verified equilibrium.
+
+    Equal-income equilibria always exist for strictly positive disutilities,
+    so this indicates a bug rather than a property of the instance.
+    """
 
 
 class IsolatedChoreError(AlgorithmBugError):

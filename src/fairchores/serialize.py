@@ -29,10 +29,6 @@ def fmt_rat(value: Fraction):
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_rat(value) -> Fraction:
-    return rat(value)
-
-
 def instance_to_dict(inst: Instance) -> dict:
     return {
         "agents": inst.n,
@@ -71,8 +67,8 @@ def outcome_from_dict(data: dict) -> MarketOutcome:
         prices = PriceVector.from_values(data["prices"])
     except (KeyError, TypeError) as exc:
         raise InputError("market outcome file needs 'x' and 'prices'") from exc
-    budgets = tuple(parse_rat(b) for b in data.get("budgets", [1] * x.n))
-    epsilon = parse_rat(data.get("epsilon", 0))
+    budgets = tuple(rat(b) for b in data.get("budgets", [1] * x.n))
+    epsilon = rat(data.get("epsilon", 0))
     return MarketOutcome(x, prices, budgets, epsilon)
 
 

@@ -368,6 +368,17 @@ class TestInternalBugsExitThree:
         assert "routing disagreed with itself" in self.solve(small, tmp_path, capsys)
         assert fallbacks == []
 
+    def test_exact_route_accepting_a_rejected_outcome(self, small, tmp_path, capsys,
+                                                       monkeypatch):
+        self.corrupt_outcomes(monkeypatch)
+        out = tmp_path / "o.json"
+        for argv in (("solve-surplus", "--exact", "-i", small, "-o", out),
+                     ("oracle", "--which", "ceei-exact", "-i", small, "-o", out)):
+            assert run(*argv) == 3
+            err = capsys.readouterr().err
+            assert "internal failure" in err
+            assert "support solver accepted an outcome the verifier rejects" in err
+
     def test_cycle_cancellation_breaking_the_equilibrium(self, small, fallbacks, tmp_path,
                                                          capsys, monkeypatch):
         real = equilibrium.payment_graph

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,12 +14,10 @@ from fairchores.core import (
 )
 from fairchores.equilibrium import (
     SearchLimits,
-    _components_compatible,
     _enumerate_supports,
     _forest_supports,
     _integer_matrix,
     _outcome_from_earnings,
-    _solve_component,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -175,16 +175,38 @@ def support_trees(support):
     return list(trees.values())
 
 
+def tree_prices(D, edges):
+    """Relative prices a tree's edges fix, walked in ``Fraction`` arithmetic:
+    an agent's ratio d_i(c)/p_c is the same on each of its edges."""
+    price = {edges[0][1]: F(1)}
+    while len(price) < len({c for _, c in edges}):
+        for i, c in edges:
+            known = next((h for j, h in edges if j == i and h in price), None)
+            if known is not None and c not in price:
+                price[c] = price[known] * F(D[i][c], D[i][known])
+    return price
+
+
+def tree_rejected(D, edges):
+    """Some agent of the tree pays a strictly better ratio on one of the
+    tree's chores than on its own edges, at the prices the edges fix."""
+    price = tree_prices(D, edges)
+    return any(F(D[i][y]) / price[y] < F(D[i][c]) / price[c]
+               for i, c in edges for y in price)
+
+
 def pruned_supports(D, n, m):
     return [tuple(divmod(e, m) for e in chosen)
             for chosen, _ in _enumerate_supports(n, m, D)]
 
 
-@pytest.mark.parametrize(
-    "n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3, 4)] + [(2, 5), (4, 3)])
+SHAPES = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3, 4)] + [(2, 5), (4, 3)]
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
 def test_pruned_supports_fail_a_component(n, m):
     # The pruned enumeration keeps the canonical order and drops only
-    # supports with a tree that _solve_component rejects.
+    # supports with a tree no equilibrium can use.
     rng = random.Random(100 * n + m)
     unpruned = list(_forest_supports(n, m))
     skipped = 0
@@ -194,7 +216,7 @@ def test_pruned_supports_fail_a_component(n, m):
         rest = iter(unpruned)
         assert all(support in rest for support in kept)
         for support in set(unpruned) - set(kept):
-            assert any(_solve_component(D, edges) is None for edges in support_trees(support))
+            assert any(tree_rejected(D, edges) for edges in support_trees(support))
             skipped += 1
     if n > 1 and m > 1:
         assert skipped > 0
@@ -203,21 +225,147 @@ def test_pruned_supports_fail_a_component(n, m):
     assert pruned_supports([row] * n, n, m) == unpruned
 
 
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_tree_records_describe_their_trees(n, m):
+    # Every record the pruned enumeration yields holds exactly its tree's
+    # nodes, prices proportional to the ones its edges fix, and only
+    # best-ratio edges; the supports kept are exactly those whose trees all
+    # pass that test.
+    rng = random.Random(200 * n + m)
+    unpruned = list(_forest_supports(n, m))
+    instances = [[[rng.randint(1, high) for _ in range(m)] for _ in range(n)]
+                 for high in (20, 20, 3, 3)]
+    instances.append([[rng.randint(1, 20) for _ in range(m)]] * n)
+    for D in instances:
+        kept, records = [], {}
+        for chosen, trees in _enumerate_supports(n, m, D):
+            kept.append(tuple(divmod(e, m) for e in chosen))
+            records.update((record[0], record) for record in trees)
+        for mask, agents, chores, P in records.values():
+            edges = [divmod(e, m) for e in range(n * m) if mask >> e & 1]
+            assert sorted(agents) == sorted({i for i, _ in edges})
+            assert sorted(chores) == sorted({c for _, c in edges})
+            price = tree_prices(D, edges)
+            base = chores[0]
+            assert all(P[c] == 0 for c in range(m) if c not in price)
+            assert all(F(P[c], P[base]) == price[c] / price[base] for c in price)
+            assert not tree_rejected(D, edges)
+        assert kept == [
+            support for support in unpruned
+            if not any(tree_rejected(D, edges) for edges in support_trees(support))]
+
+
+def frozen_solve_component(D, edges):
+    """The edge-based tree solver ``exact_ceei`` used before it read its trees
+    from the enumeration's records: a gcd walk for the prices ``F``, leaf
+    stripping for the earnings scaled by ``T``, then every agent against
+    every chore of the tree. A chore costs ``count * F[c] / T``."""
+    agents = sorted({i for i, _ in edges})
+    chores = sorted({c for _, c in edges})
+    adj_a = {i: [] for i in agents}
+    adj_c = {c: [] for c in chores}
+    for i, c in edges:
+        adj_a[i].append(c)
+        adj_c[c].append(i)
+
+    base = chores[0]
+    fnum, fden = {base: 1}, {base: 1}
+    frontier = [(1, base)]
+    seen_a = set()
+    while frontier:
+        kind, node = frontier.pop()
+        if kind == 1:
+            for i in adj_c[node]:
+                if i not in seen_a:
+                    seen_a.add(i)
+                    frontier.append((0, i))
+        else:
+            row = D[node]
+            anchor = next(c for c in adj_a[node] if c in fnum)
+            for c in adj_a[node]:
+                if c not in fnum:
+                    frontier.append((1, c))
+                    num = fnum[anchor] * row[c]
+                    den = fden[anchor] * row[anchor]
+                    g = gcd(num, den)
+                    fnum[c], fden[c] = num // g, den // g
+
+    common = lcm(*(fden[c] for c in chores))
+    prices = {c: fnum[c] * (common // fden[c]) for c in chores}
+    T = sum(prices.values())
+    count = len(agents)
+
+    need = {(1, c): count * prices[c] for c in chores}
+    need.update(((0, i), T) for i in agents)
+    left = {(1, c): set(adj_c[c]) for c in chores}
+    left.update(((0, i), set(adj_a[i])) for i in agents)
+    queue = [v for v, nbrs in left.items() if len(nbrs) == 1]
+    earn = {}
+    stripped = 0
+    while queue:
+        v = queue.pop()
+        if len(left[v]) != 1:
+            continue
+        other = next(iter(left[v]))
+        if v[0] == 1:
+            edge, u = (other, v[1]), (0, other)
+        else:
+            edge, u = (v[1], other), (1, other)
+        amount = need[v]
+        if amount < 0 or amount > count * prices[edge[1]]:
+            return None
+        earn[edge] = amount
+        need[u] -= amount
+        need[v] = 0
+        left[u].discard(v[1])
+        left[v].clear()
+        stripped += 1
+        if len(left[u]) == 1:
+            queue.append(u)
+    if stripped != len(agents) + len(chores) - 1:
+        return None
+    if any(need[(0, i)] != 0 for i in agents) or any(need[(1, c)] != 0 for c in chores):
+        return None
+
+    ratio = {}
+    for i in agents:
+        anchor = adj_a[i][0]
+        ratio[i] = (D[i][anchor] * T, count * prices[anchor])
+        for c in chores:
+            if D[i][c] * prices[anchor] < D[i][anchor] * prices[c]:
+                return None
+    return SimpleNamespace(agents=agents, chores=chores, count=count, T=T, F=prices,
+                           ratio=ratio, earn=earn)
+
+
+def frozen_components_compatible(D, one, other):
+    """No agent of ``one`` finds a strictly better ratio among ``other``'s chores."""
+    for i in one.agents:
+        num, den = one.ratio[i]
+        row = D[i]
+        for c in other.chores:
+            if row[c] * other.T * den < num * other.count * other.F[c]:
+                return False
+    return True
+
+
 def unpruned_exact_ceei(inst):
     """exact_ceei's loop as it was before the prune: every forest support in
-    canonical order, with the same memoized component and pair checks."""
+    canonical order, each tree solved from its edges, with the same memoized
+    component and pair checks."""
     n, m = inst.n, inst.m
     D = _integer_matrix(inst)
     missing = object()
     comp_cache, pair_cache = {}, {}
-    for _, masks in _enumerate_supports(n, m, None):
+    for _, records in _enumerate_supports(n, m, None):
+        masks = [record[0] for record in records]
         solved = []
         feasible = True
         for key in masks:
             comp = comp_cache.get(key, missing)
             if comp is missing:
                 edges = [divmod(e, m) for e in range(n * m) if key >> e & 1]
-                comp = comp_cache[key] = _solve_component(D, edges)
+                comp = comp_cache[key] = frozen_solve_component(D, edges)
             if comp is None:
                 feasible = False
                 break
@@ -229,7 +377,8 @@ def unpruned_exact_ceei(inst):
                 if a != b:
                     pair = (masks[a], masks[b])
                     if pair not in pair_cache:
-                        pair_cache[pair] = _components_compatible(D, solved[a], solved[b])
+                        pair_cache[pair] = frozen_components_compatible(
+                            D, solved[a], solved[b])
                     feasible = feasible and pair_cache[pair]
         if not feasible:
             continue
