@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+from typing import Optional
 
 from .core import Instance, rat
 from .equilibrium import SearchLimits, approx_ceei, default_epsilon, exact_ceei
@@ -105,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[int, Optional[str]]:
     if args.agents < 1 or args.chores < 0 or args.maxd < 1:
         raise InputError("need agents >= 1, chores >= 0, maxd >= 1")
     rng = random.Random(args.seed)
@@ -113,10 +115,10 @@ def _cmd_gen(args) -> int:
             for _ in range(args.agents)]
     inst = Instance.from_rows(rows)
     dump_json(args.output, instance_to_dict(inst))
-    return EXIT_OK
+    return EXIT_OK, None
 
 
-def _cmd_solve_surplus(args) -> int:
+def _cmd_solve_surplus(args) -> tuple[int, Optional[str]]:
     inst = instance_from_dict(load_json(args.input))
     opts = SolveOptions(
         exact=args.exact,
@@ -136,10 +138,10 @@ def _cmd_solve_surplus(args) -> int:
     if args.trace:
         dump_json(args.trace, {"events": list(result.trace),
                                "checkpoints": result.checkpoints})
-    return EXIT_OK
+    return EXIT_OK, None
 
 
-def _cmd_solve_three(args) -> int:
+def _cmd_solve_three(args) -> tuple[int, Optional[str]]:
     inst = instance_from_dict(load_json(args.input))
     result = solve_three(inst)
     payload = {
@@ -154,7 +156,7 @@ def _cmd_solve_three(args) -> int:
     dump_json(args.output, payload)
     if args.trace:
         dump_json(args.trace, {"iterations": list(result.trace)})
-    return EXIT_OK
+    return EXIT_OK, None
 
 
 def _load_allocation(path, inst: Instance):
@@ -168,7 +170,7 @@ def _load_allocation(path, inst: Instance):
     return alloc, data
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, Optional[str]]:
     inst = instance_from_dict(load_json(args.input))
     prop = args.property
     if prop == "nondeg":
@@ -204,11 +206,10 @@ def _cmd_verify(args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
         dump_json(args.output, payload)
-    print(text)
-    return EXIT_OK if certificate.holds else EXIT_VIOLATED
+    return (EXIT_OK if certificate.holds else EXIT_VIOLATED), text
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[int, Optional[str]]:
     inst = instance_from_dict(load_json(args.input))
     if args.which == "ceei-exact":
         outcome = exact_ceei(inst, SearchLimits())
@@ -224,8 +225,8 @@ def _cmd_oracle(args) -> int:
         alloc, _ = _load_allocation(args.alloc, inst)
         certificate = check_po_brute(inst, alloc, VerifyLimits())
         dump_json(args.output, certificate.to_dict())
-        return EXIT_OK if certificate.holds else EXIT_VIOLATED
-    return EXIT_OK
+        return (EXIT_OK if certificate.holds else EXIT_VIOLATED), None
+    return EXIT_OK, None
 
 
 def main(argv=None) -> int:
@@ -237,8 +238,9 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "oracle": _cmd_oracle,
     }
+    # Each handler returns its exit code and its text for stdout, if any.
     try:
-        return handlers[args.command](args)
+        code, text = handlers[args.command](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -248,6 +250,16 @@ def main(argv=None) -> int:
     except FairChoresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if text is not None:
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader left early (``verify ... | head``). The verdict
+            # stands; later writes, the flush at exit included, go nowhere.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -176,6 +176,33 @@ class TestVerify:
         }))
         assert run("verify", "-i", inst, "--alloc", alloc, "--property", "ef1") == 1
 
+    @pytest.mark.parametrize("prop, code", [("fpo", 0), ("ef1", 1)])
+    def test_closed_stdout_keeps_the_verdict(self, tmp_path, prop, code):
+        # A reader that leaves early (``verify ... | head -c 1``) used to end
+        # the run in a BrokenPipeError traceback and exit code 1, even when
+        # the property held. The child writes to a pipe whose read end is
+        # already closed.
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[1, 1, 1], [1, 1, 1]]}))
+        alloc = tmp_path / "a.json"
+        alloc.write_text(json.dumps({
+            "chores": 3,
+            "bundles": [[{"chore": 0, "copy": 0}, {"chore": 1, "copy": 0},
+                         {"chore": 2, "copy": 0}], []],
+        }))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "fairchores.cli", "verify", "-i", str(inst),
+                 "--alloc", str(alloc), "--property", prop],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        finally:
+            os.close(write_end)
+        assert done.returncode == code
+        assert done.stderr == ""
+
     @pytest.mark.parametrize("bundles, chores", [
         ([[0], [1], []], 2),   # more bundles than agents
         ([[0, 1]], 2),         # fewer bundles than agents

@@ -178,6 +178,21 @@ class TestParetoChecks:
         j = w["improving_agent"]
         assert loads[j] == F(w["objective"]) < F(w["current"])
 
+    def test_fpo_certificate_is_pinned(self):
+        # The whole certificate, witness included, as the Fraction tableau
+        # gave it: a change of pivot path shows up as a different matrix.
+        inst = Instance.from_rows([[2, 4, 5], [3, F(7, 2), 1], [1, F(1, 2), F(2, 3)]])
+        alloc = SurplusAllocation((frozenset({ChoreCopy(1, 0), ChoreCopy(2, 1)}),
+                                   frozenset({ChoreCopy(2, 0)}),
+                                   frozenset({ChoreCopy(0, 0)})), 3)
+        assert check_fpo(inst, alloc).to_dict() == {
+            "property": "fPO", "holds": False, "witness": {
+                "improving_agent": 0, "objective": "13/4", "current": "9",
+                "items": [{"chore": 0, "copy": 0}, {"chore": 1, "copy": 0},
+                          {"chore": 2, "copy": 0}, {"chore": 2, "copy": 1}],
+                "dominating": [["1", "0", "0", "1/4"], ["0", "0", "1/4", "3/4"],
+                               ["0", "1", "3/4", "0"]]}}
+
     @staticmethod
     def improvable_agents(inst, alloc):
         """Per-agent definition: min d_j(y_j) s.t. clearing and caps, for each j."""
