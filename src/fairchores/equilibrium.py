@@ -166,7 +166,8 @@ def _best_ratio_sets(inst: Instance, prices: PriceVector) -> list[frozenset[int]
 # Exact equilibrium by support enumeration
 # ---------------------------------------------------------------------------
 
-def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]]):
+def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]],
+                        allowed: Optional[int] = None):
     """Yield candidate supports in canonical order, with their trees' records.
 
     A support is a set of agent-chore edges forming a forest in which every
@@ -186,8 +187,13 @@ def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]]):
     the tree, and no equilibrium has a support containing a skipped tree.
     ``D=None`` enumerates every support, filling in only the masks: the
     reference order that ``_forest_supports`` and the tests pin.
+
+    ``allowed``, a mask over edge ids, restricts the supports to its edges;
+    the order among those yielded is unchanged. None allows every edge.
     """
     total = n * m
+    if allowed is None:
+        allowed = (1 << total) - 1
     parent = list(range(n + m))  # union-find over agents [0,n) and chores [n,n+m)
     tree = [(0, (i,), (), [0] * m) for i in range(n)]  # record per union-find root
     tree += [(0, (), (c,), [int(c == h) for h in range(m)]) for c in range(m)]
@@ -215,7 +221,7 @@ def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]]):
         for idx in range(start, total):
             i, c = divmod(idx, m)
             ra, rc = find(i), find(n + c)
-            if ra != rc:
+            if ra != rc and allowed >> idx & 1:
                 one, saved = tree[ra], tree[rc]
                 if D is None:  # unpruned: only the masks are read
                     joined = (one[0] | saved[0] | (1 << idx), (), (), None)
@@ -233,7 +239,8 @@ def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]]):
                     chore_deg[c] -= 1
                     parent[ra] = ra
                     tree[rc] = saved
-            # Skipping past a node's final candidate edge dooms the branch.
+            # Skipping past a node's final candidate edge dooms the branch; a
+            # disallowed edge counts as skipped.
             if agent_deg[i] == 0 and idx == i * m + m - 1:
                 return
             if chore_deg[c] == 0 and idx == (n - 1) * m + c:
@@ -384,6 +391,15 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
     across supports, which leaves the canonical order untouched. The search
     never consults ``approx_ceei``, and so stays an independent oracle for it.
     """
+    _check_searchable(inst, limits)
+    outcome = _first_equilibrium(inst, None)
+    if outcome is None:
+        raise EquilibriumNotFoundError(
+            "support enumeration exhausted without an equilibrium; this is a bug")
+    return outcome
+
+
+def _check_searchable(inst: Instance, limits: SearchLimits) -> None:
     if inst.m == 0:
         raise InputError(_NO_CHORES)
     if inst.has_zero_entry():
@@ -393,6 +409,13 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
             f"{inst.n} agents x {inst.m} chores exceeds search limits "
             f"({limits.max_agents} x {limits.max_chores})")
 
+
+def _first_equilibrium(inst: Instance, allowed: Optional[int]) -> Optional[MarketOutcome]:
+    """``exact_ceei``'s search over the supports inside ``allowed``.
+
+    Returns None when those supports hold no equilibrium. A support the
+    solver accepts but the verifier rejects is a bug, never a miss.
+    """
     n, m = inst.n, inst.m
     D = _integer_matrix(inst)
 
@@ -411,7 +434,7 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
             pair_cache[key] = _components_compatible(D, m, one, other)
         return pair_cache[key]
 
-    for _, trees in _enumerate_supports(n, m, D):
+    for _, trees in _enumerate_supports(n, m, D, allowed):
         if any(earnings_of(record) is None for record in trees):
             continue
         if not all(compatible(one, other)
@@ -431,8 +454,36 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
             return outcome
         raise EquilibriumNotFoundError(
             "support solver accepted an outcome the verifier rejects; this is a bug")
-    raise EquilibriumNotFoundError(
-        "support enumeration exhausted without an equilibrium; this is a bug")
+    return None
+
+
+def _warm_exact_ceei(inst: Instance, epsilon,
+                     limits: SearchLimits = SearchLimits()) -> tuple[MarketOutcome, str]:
+    """An exact equal-income equilibrium, searched for near an approximate one.
+
+    Runs ``approx_ceei(inst, epsilon)``, then ``exact_ceei``'s search over
+    only the edges of the min-pain-per-buck graph at its prices. On a miss,
+    or when the price loop runs out of rounds, ``exact_ceei`` itself answers.
+    Returns the outcome and which search found it: "mpb" or "canonical".
+
+    The restricted search keeps canonical order, so whenever the support of
+    ``exact_ceei``'s outcome lies in that graph the two outcomes are equal;
+    otherwise the outcome may be another equilibrium of the instance.
+    """
+    _check_searchable(inst, limits)
+    try:
+        approx = approx_ceei(inst, epsilon)
+    except BudgetExhaustedError:
+        return exact_ceei(inst, limits), "canonical"
+    m = inst.m
+    allowed = 0
+    for i, chores in enumerate(_best_ratio_sets(inst, approx.prices)):
+        for c in chores:
+            allowed |= 1 << (i * m + c)
+    outcome = _first_equilibrium(inst, allowed)
+    if outcome is None:
+        return exact_ceei(inst, limits), "canonical"
+    return outcome, "mpb"
 
 
 # ---------------------------------------------------------------------------

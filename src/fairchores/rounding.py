@@ -28,6 +28,7 @@ from .core import (
 )
 from .equilibrium import (
     SearchLimits,
+    _warm_exact_ceei,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -253,6 +254,10 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     below that, and is certified envy-free up to one chore and Pareto optimal
     before being returned. ``opts.epsilon`` defaults to 1/(5nm) and may be set
     anywhere in (0, 1/(5nm)]; anything else raises ``InputError``.
+
+    ``opts.exact`` on an instance within ``SearchLimits`` rounds an exact
+    equilibrium (epsilon 0) from ``_warm_exact_ceei``, and the trace then
+    opens with an ``exact-search`` event naming the search that found it.
     """
     if inst.has_zero_entry():
         raise ZeroDisutilityError("the surplus pipeline needs strictly positive disutilities")
@@ -277,8 +282,9 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
         eps = requested
 
     limits = SearchLimits()
+    search = None
     if opts.exact and limits.admits(inst):
-        outcome = exact_ceei(inst, limits)
+        outcome, search = _warm_exact_ceei(inst, eps, limits)
     else:
         try:
             outcome = approx_ceei(inst, eps)
@@ -289,6 +295,8 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
 
     outcome = make_acyclic(inst, outcome)
     state = RoundingState.from_outcome(inst, outcome)
+    if search is not None:
+        state.trace.append({"event": "exact-search", "search": search})
     phase1(state)
     alloc = phase2(state)
     eps = outcome.epsilon

@@ -37,7 +37,7 @@ class LpResult:
     solution: Optional[tuple[Fraction, ...]]
 
 
-def _integers(values: list[Fraction], scale: int) -> list[int]:
+def _integers(values, scale: int) -> list[int]:
     """``scale * values`` for a ``scale`` that is a multiple of every denominator."""
     return [v.numerator * (scale // v.denominator) for v in values]
 
@@ -45,45 +45,44 @@ def _integers(values: list[Fraction], scale: int) -> list[int]:
 def solve_lp(cost, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LpResult:
     """Minimize ``cost @ x`` subject to ``a_eq @ x == b_eq``, ``a_ub @ x <= b_ub``, ``x >= 0``.
 
-    All data must be Fractions (or ints); the optimum and solution come back
-    exact.
+    All data must be ints or Fractions, read through their ``numerator`` and
+    ``denominator``; the optimum and solution come back exact.
     """
-    cost = [Fraction(v) for v in cost]
+    cost = list(cost)
     n = len(cost)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list] = []
+    rhs: list = []
     slack_count = 0
     if a_ub:
         slack_count = len(a_ub)
     for idx, row in enumerate(a_ub or []):
         if len(row) != n:
             raise InputError("inequality row width mismatch")
-        slack = [Fraction(0)] * slack_count
-        slack[idx] = Fraction(1)
-        rows.append([Fraction(v) for v in row] + slack)
-        rhs.append(Fraction(b_ub[idx]))
+        slack = [0] * slack_count
+        slack[idx] = 1
+        rows.append(list(row) + slack)
+        rhs.append(b_ub[idx])
     for idx, row in enumerate(a_eq or []):
         if len(row) != n:
             raise InputError("equality row width mismatch")
-        rows.append([Fraction(v) for v in row] + [Fraction(0)] * slack_count)
-        rhs.append(Fraction(b_eq[idx]))
+        rows.append(list(row) + [0] * slack_count)
+        rhs.append(b_eq[idx])
 
     total_vars = n + slack_count
     m_rows = len(rows)
-    for r in range(m_rows):
-        if rhs[r] < 0:
-            rows[r] = [-v for v in rows[r]]
-            rhs[r] = -rhs[r]
-
     # One scale for every row: a factor per row would reweight the phase-1
     # artificials and could change the pivot path.
     scale = lcm(*(v.denominator for row in rows for v in row),
                 *(v.denominator for v in rhs))
     # Tableau layout: columns are [structural + slack | artificial | rhs].
-    tableau = [_integers(rows[r] + [Fraction(0)] * m_rows + [rhs[r]], scale)
-               for r in range(m_rows)]
+    # A row with a negative right-hand side is negated, in integers.
+    tableau = []
     for r in range(m_rows):
-        tableau[r][total_vars + r] = 1
+        line = _integers(rows[r] + [0] * m_rows + [rhs[r]], scale)
+        if rhs[r] < 0:
+            line = [-v for v in line]
+        line[total_vars + r] = 1
+        tableau.append(line)
     basis = [total_vars + r for r in range(m_rows)]
     width = total_vars + m_rows + 1
     denominator = 1  # the rational tableau is tableau / denominator

@@ -15,10 +15,12 @@ from fairchores.core import (
     PriceVector,
     SurplusAllocation,
     bundle_payment,
+    mpb,
     payment_graph,
 )
 from fairchores.core import FractionalAllocation, MarketOutcome
 from fairchores.equilibrium import (
+    _warm_exact_ceei,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -134,8 +136,12 @@ def test_criterion_4_phase1_instrumentation():
 
 
 def test_criterion_5_oracle_agreement():
+    # The pipeline's exact route searches the min-pain-per-buck graph at the
+    # approximate prices in canonical order, so it returns the canonical
+    # outcome whenever that outcome's support lies in the graph.
     rng = random.Random(1005)
     start = time.time()
+    inside = misses = 0
     for _ in range(100):
         n = rng.randint(2, 4)
         m = rng.randint(n, 7)
@@ -146,8 +152,20 @@ def test_criterion_5_oracle_agreement():
         assert exact.epsilon == 0
         approx = approx_ceei(inst, eps)
         assert verify_fisher_equilibrium(inst, approx).passed
+        warm, search = _warm_exact_ceei(inst, eps)
+        assert verify_fisher_equilibrium(inst, warm).passed
+        assert warm.epsilon == 0
+        misses += search == "canonical"
+        graph = [mpb(inst, approx.prices, i)[1] for i in range(n)]
+        if all(c in graph[i] for i, row in enumerate(exact.x.x)
+               for c, value in enumerate(row) if value):
+            inside += 1
+            assert warm == exact
+    assert inside > 50 and misses < 10
     report("criterion 5 (exact and approximate oracles agree with verifier)",
-           True, f"100/100 instances, both oracles verified ({time.time()-start:.1f}s)")
+           True, f"100/100 instances, both oracles and the warm exact route verified, "
+                 f"{inside} canonical supports in the MPB graph, {misses} misses "
+                 f"({time.time()-start:.1f}s)")
 
 
 def test_criterion_6_make_acyclic():

@@ -276,13 +276,14 @@ class TestOracle:
         # The exact oracle must stay independent of the price-adjustment
         # solver it checks, so a child process replaces approx_ceei in every
         # module that holds it with a function that raises, then runs the
-        # oracle and exact_ceei.
+        # oracle and exact_ceei. The pipeline's exact route, which does start
+        # from approx_ceei, shows that the replacement is reached.
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]]}))
         eq = tmp_path / "eq.json"
         script = textwrap.dedent("""
             import sys
-            from fairchores import cli, equilibrium
+            from fairchores import SolveOptions, cli, equilibrium, fair_and_efficient
             from fairchores.core import Instance
 
             def refuse(*args, **kwargs):
@@ -292,7 +293,14 @@ class TestOracle:
             for module in list(sys.modules.values()):
                 if getattr(module, "approx_ceei", None) is real:
                     module.approx_ceei = refuse
-            equilibrium.exact_ceei(Instance.from_rows([[1, 2, 3], [3, 1, 2], [2, 3, 1]]))
+            inst = Instance.from_rows([[1, 2, 3], [3, 1, 2], [2, 3, 1]])
+            equilibrium.exact_ceei(inst)
+            try:
+                fair_and_efficient(inst, SolveOptions(exact=True))
+            except RuntimeError as error:
+                assert str(error) == "approx_ceei was called"
+            else:
+                sys.exit("the exact route did not reach approx_ceei")
             sys.exit(cli.main(sys.argv[1:]))
         """)
         done = subprocess.run(
@@ -365,11 +373,13 @@ class TestInternalBugsExitThree:
         return calls
 
     @staticmethod
-    def corrupt_outcomes(monkeypatch):
+    def corrupt_outcomes(monkeypatch, only_exact=False):
         real = equilibrium._outcome_from_earnings
 
-        def corrupted(inst, prices, earnings, *rest):
-            return real(inst, prices, _one_agent_takes_all(earnings), *rest)
+        def corrupted(inst, prices, earnings, epsilon, *rest):
+            if only_exact and epsilon != 0:
+                return real(inst, prices, earnings, epsilon, *rest)
+            return real(inst, prices, _one_agent_takes_all(earnings), epsilon, *rest)
 
         monkeypatch.setattr(equilibrium, "_outcome_from_earnings", corrupted)
 
@@ -397,7 +407,9 @@ class TestInternalBugsExitThree:
 
     def test_exact_route_accepting_a_rejected_outcome(self, small, tmp_path, capsys,
                                                        monkeypatch):
-        self.corrupt_outcomes(monkeypatch)
+        # The exact route runs approx_ceei first; its outcomes stay intact so
+        # that both commands reach the support solver.
+        self.corrupt_outcomes(monkeypatch, only_exact=True)
         out = tmp_path / "o.json"
         for argv in (("solve-surplus", "--exact", "-i", small, "-o", out),
                      ("oracle", "--which", "ceei-exact", "-i", small, "-o", out)):

@@ -15,7 +15,7 @@ from fairchores.core import (
     PriceVector,
     bundle_payment,
 )
-from fairchores.equilibrium import default_epsilon
+from fairchores.equilibrium import _warm_exact_ceei, default_epsilon, exact_ceei
 from fairchores.errors import InputError, InvalidEquilibriumError, ZeroDisutilityError
 from fairchores.rounding import (
     RoundingState,
@@ -136,6 +136,25 @@ class TestPipeline:
         assert tuple(result.prices) == (F(1), F(1))
         assert result.alloc.bundles == (frozenset({ChoreCopy(0, 0)}),
                                         frozenset({ChoreCopy(1, 0)}))
+
+    def test_exact_route_names_its_search(self):
+        inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])
+        result = fair_and_efficient(inst, SolveOptions(exact=True))
+        assert result.trace[0] == {"event": "exact-search", "search": "mpb"}
+        assert all(event["event"] != "exact-search"
+                   for event in result.trace[1:] + fair_and_efficient(inst).trace)
+
+    def test_exact_route_falls_back_to_the_canonical_search(self):
+        # Criterion-5 draw 22 (seed 1005): the min-pain-per-buck graph at
+        # approx_ceei's prices for eps = 1/75 holds no equilibrium.
+        inst = Instance.from_rows(
+            [[9, 16, 16, 13, 20], [13, 1, 3, 14, 5], [8, 3, 7, 14, 18]])
+        assert default_epsilon(3, 5) == F(1, 75)
+        canonical = exact_ceei(inst)
+        assert _warm_exact_ceei(inst, F(1, 75)) == (canonical, "canonical")
+        result = fair_and_efficient(inst, SolveOptions(exact=True))
+        assert result.trace[0] == {"event": "exact-search", "search": "canonical"}
+        assert result.prices == canonical.prices
 
     def test_epsilon_limited_to_proved_range(self):
         inst = Instance.from_rows([[1, 2], [2, 1]])
