@@ -73,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     surplus.add_argument("-i", "--input", required=True)
     surplus.add_argument("-o", "--output", required=True)
     surplus.add_argument("--exact", action="store_true",
-                         help="use the exhaustive equilibrium oracle (small instances)")
+                         help="exact equilibrium, searched from the approximate one's "
+                              "prices, canonical search as fallback; above 4 agents x 7 "
+                              "chores the approximate route runs (epsilon > 0)")
     surplus.add_argument("--epsilon", default=None,
                          help="override the income slack, a rational in (0, 1/(5nm)] "
                               "(default 1/(5nm))")
@@ -184,18 +186,10 @@ def _cmd_verify(args) -> tuple[int, Optional[str]]:
         if args.alloc is None:
             raise InputError("--alloc is required for this property")
         alloc, alloc_data = _load_allocation(args.alloc, inst)
-        if prop == "ef1":
-            certificate = check_ef1(inst, alloc)
-        elif prop == "efx":
-            certificate = check_efx(inst, alloc)
-        elif prop == "tefx":
-            certificate = check_tefx(inst, alloc)
-        elif prop == "prop":
-            certificate = check_proportional(inst, alloc)
-        elif prop == "po":
-            certificate = check_po_brute(inst, alloc)
-        elif prop == "fpo":
-            certificate = check_fpo(inst, alloc)
+        checks = {"ef1": check_ef1, "efx": check_efx, "tefx": check_tefx,
+                  "prop": check_proportional, "po": check_po_brute, "fpo": check_fpo}
+        if prop in checks:
+            certificate = checks[prop](inst, alloc)
         else:  # pef1
             prices_data = load_json(args.prices) if args.prices else alloc_data
             prices = prices_from_dict(prices_data)
@@ -211,21 +205,19 @@ def _cmd_verify(args) -> tuple[int, Optional[str]]:
 
 def _cmd_oracle(args) -> tuple[int, Optional[str]]:
     inst = instance_from_dict(load_json(args.input))
-    if args.which == "ceei-exact":
-        outcome = exact_ceei(inst, SearchLimits())
-        dump_json(args.output, outcome_to_dict(outcome))
-    elif args.which == "ceei-approx":
-        eps = (rat(args.epsilon) if args.epsilon is not None
-               else default_epsilon(inst.n, inst.m))
-        outcome = approx_ceei(inst, eps)
-        dump_json(args.output, outcome_to_dict(outcome))
-    else:  # po-brute
+    if args.which == "po-brute":
         if args.alloc is None:
             raise InputError("--alloc is required for the po-brute oracle")
         alloc, _ = _load_allocation(args.alloc, inst)
         certificate = check_po_brute(inst, alloc, VerifyLimits())
         dump_json(args.output, certificate.to_dict())
         return (EXIT_OK if certificate.holds else EXIT_VIOLATED), None
+    if args.which == "ceei-exact":
+        outcome = exact_ceei(inst, SearchLimits())
+    else:
+        outcome = approx_ceei(inst, rat(args.epsilon) if args.epsilon is not None
+                              else default_epsilon(inst.n, inst.m))
+    dump_json(args.output, outcome_to_dict(outcome))
     return EXIT_OK, None
 
 

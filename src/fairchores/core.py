@@ -121,6 +121,8 @@ class FractionalAllocation:
     x: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        if len({len(row) for row in self.x}) > 1:
+            raise InputError("allocation rows have inconsistent lengths")
         for row in self.x:
             for value in row:
                 if value < 0 or value > 1:
@@ -233,8 +235,8 @@ class SurplusAllocation:
                     raise InputError(f"chore copy {unit} has a negative copy index")
                 covered.add(unit.chore)
         if len(covered) != self.num_chores:
-            missing = sorted(set(range(self.num_chores)) - covered)
-            raise InputError(f"chores never allocated: {missing}")
+            first = min(set(range(len(covered) + 1)) - covered)  # one of these is missing
+            raise InputError(f"chores never allocated, the first is chore {first}")
 
     @property
     def n(self) -> int:

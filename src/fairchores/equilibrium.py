@@ -712,22 +712,13 @@ def _forest_path(adj, start: int, goal: int) -> Optional[list[int]]:
     return path[::-1]
 
 
-def make_acyclic(inst: Instance, out: MarketOutcome) -> MarketOutcome:
-    """Equivalent equilibrium whose payment graph is a forest.
-
-    Payment edges join a forest one at a time in (agent, chore) order. An
-    edge whose ends are already joined closes a cycle with the forest path
-    from its agent to its chore; earnings shift alternately around it by the
-    least weight (first in path order, the new edge last), which cancels that
-    edge and keeps prices, incomes and the support inclusion. Edges at zero
-    leave the forest; the new edge joins it if it survived.
-    """
-    if not verify_fisher_equilibrium(inst, out).passed:
-        raise InvalidEquilibriumError("make_acyclic requires a verified equilibrium")
-
-    n = out.n
-    weights = payment_graph(out.x, out.prices).edge_dict()
-    adj: list[set[int]] = [set() for _ in range(n + out.m)]  # chore c is node n + c
+def _cancel_cycles(n: int, m: int, weights: dict) -> list[set[int]]:
+    """Cancel the cycles of the earnings ``weights`` in place, in the dict's
+    edge order: an edge closing a cycle with the forest path between its ends
+    shifts earnings alternately around it by the least weight (first in path
+    order, the new edge last), keeping incomes and payments; edges at zero
+    leave. Returns the forest's adjacency, chore ``c`` at node ``n + c``."""
+    adj: list[set[int]] = [set() for _ in range(n + m)]  # chore c is node n + c
     for i, c in list(weights):
         path = _forest_path(adj, i, n + c)
         if path is not None:
@@ -744,7 +735,18 @@ def make_acyclic(inst: Instance, out: MarketOutcome) -> MarketOutcome:
         if (i, c) in weights:
             adj[i].add(n + c)
             adj[n + c].add(i)
+    return adj
 
+
+def make_acyclic(inst: Instance, out: MarketOutcome) -> MarketOutcome:
+    """Verified equilibrium with a forest payment graph, from a verified one:
+    ``_cancel_cycles`` in (agent, chore) edge order keeps prices, incomes and
+    the support inclusion. A standalone tool; the rounding cancels cycles itself."""
+    if not verify_fisher_equilibrium(inst, out).passed:
+        raise InvalidEquilibriumError("make_acyclic requires a verified equilibrium")
+
+    weights = payment_graph(out.x, out.prices).edge_dict()
+    _cancel_cycles(out.n, out.m, weights)
     result = _outcome_from_earnings(inst, out.prices, weights, out.epsilon, out.budgets)
     if not verify_fisher_equilibrium(inst, result).passed:
         raise AlgorithmBugError("cycle cancellation broke the equilibrium; this is a bug")

@@ -1,10 +1,11 @@
 """Round a verified near-equilibrium into integral bundles with few copies.
 
-Phase 1 hands out fully-earned chores and prunes payment edges whose removal
-keeps every single-removal payment above the income floor. Phase 2 walks each
-remaining tree top-down, topping bundles up with child chores and duplicating
-the parent chore as a last resort. The pipeline re-verifies every claimed
-property before returning and hard-fails otherwise.
+The rounding accepts any verified equilibrium and first cancels the cycles of
+its payment graph. Phase 1 hands out fully-earned chores and prunes payment
+edges whose removal keeps every single-removal payment above the income
+floor. Phase 2 walks each remaining tree top-down, topping bundles up with
+child chores and duplicating the parent chore as a last resort. The pipeline
+re-verifies every claimed property before returning and hard-fails otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .core import (
     ChoreCopy,
     Instance,
     MarketOutcome,
-    PaymentGraph,
     PriceVector,
     SurplusAllocation,
     bundle_payment,
@@ -28,11 +28,11 @@ from .core import (
 )
 from .equilibrium import (
     SearchLimits,
+    _cancel_cycles,
     _warm_exact_ceei,
     approx_ceei,
     default_epsilon,
     exact_ceei,
-    make_acyclic,
     verify_fisher_equilibrium,
 )
 from .errors import (
@@ -74,18 +74,14 @@ class RoundingState:
 
     @classmethod
     def from_outcome(cls, inst: Instance, out: MarketOutcome) -> "RoundingState":
+        """State for any verified equilibrium, its payment graph's cycles
+        cancelled as ``make_acyclic`` would: a forest, same prices and incomes."""
         if not verify_fisher_equilibrium(inst, out).passed:
             raise InvalidEquilibriumError("rounding requires a verified equilibrium")
-        graph = payment_graph(out.x, out.prices)
-        if not graph.is_acyclic():
-            raise InvalidEquilibriumError("rounding requires an acyclic payment graph")
-        weights = graph.edge_dict()
-        agent_adj = [set() for _ in range(inst.n)]
-        chore_adj = [set() for _ in range(inst.m)]
-        for i, c in weights:
-            agent_adj[i].add(c)
-            chore_adj[c].add(i)
-        return cls(inst, out.prices, out.epsilon, weights, agent_adj, chore_adj,
+        weights = payment_graph(out.x, out.prices).edge_dict()
+        adj = _cancel_cycles(inst.n, inst.m, weights)
+        agent_adj = [{v - inst.n for v in chores} for chores in adj[:inst.n]]
+        return cls(inst, out.prices, out.epsilon, weights, agent_adj, adj[inst.n:],
                    [set() for _ in range(inst.n)], set())
 
     def income(self, agent: int) -> Fraction:
@@ -168,21 +164,22 @@ def phase2(state: RoundingState) -> SurplusAllocation:
     copies: list[list[ChoreCopy]] = [[] for _ in range(inst.n)]
     copy_counter = [0] * inst.m
 
-    graph = PaymentGraph.from_edges(inst.n, inst.m, state.weights)
-    for agents, _ in graph.components():
-        if not agents:
-            raise LoopInvariantError("a chore component lost all its agents")
-        root = min(agents)
-        # BFS over agents; each non-root agent remembers the chore above it.
-        parent_chore: dict[int, Optional[int]] = {root: None}
-        seen_chores: set[int] = set()
+    if not all(state.chore_adj):
+        raise LoopInvariantError("a chore lost all its payment edges")
+    # BFS over agents, one tree per least unvisited agent; each non-root
+    # agent remembers the chore above it and runs when it leaves the queue.
+    parent_chore: dict[int, Optional[int]] = {}
+    seen_chores: set[int] = set()
+    for root in range(inst.n):
+        if root in parent_chore:
+            continue
+        parent_chore[root] = None
         queue = deque([root])
-        order: list[int] = []
         while queue:
             i = queue.popleft()
-            order.append(i)
+            above = parent_chore[i]
             for c in sorted(state.agent_adj[i]):
-                if c == parent_chore[i] or c in seen_chores:
+                if c == above or c in seen_chores:
                     continue
                 seen_chores.add(c)
                 for j in sorted(state.chore_adj[c]):
@@ -192,9 +189,6 @@ def phase2(state: RoundingState) -> SurplusAllocation:
                         raise LoopInvariantError("payment graph is not a forest")
                     parent_chore[j] = c
                     queue.append(j)
-
-        for i in order:
-            above = parent_chore[i]
             if above is not None and above not in state.allocated:
                 state.bundles[i].add(above)
                 state.allocated.add(above)
@@ -247,7 +241,7 @@ class SurplusResult:
 
 
 def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> SurplusResult:
-    """Full pipeline: equilibrium, cycle cancellation, two rounding phases.
+    """Full pipeline: an equilibrium, then the rounding, which cancels its cycles.
 
     The output allocation covers every chore with at most n-1 duplicated
     units, pays every agent at least 1-eps with some chore whose removal dips
@@ -293,7 +287,6 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
                 raise
             outcome = exact_ceei(inst, limits)
 
-    outcome = make_acyclic(inst, outcome)
     state = RoundingState.from_outcome(inst, outcome)
     if search is not None:
         state.trace.append({"event": "exact-search", "search": search})

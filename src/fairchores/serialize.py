@@ -23,6 +23,18 @@ from .core import (
 from .errors import InputError
 
 
+def _list(value, what: str, of_rows: bool = False) -> list:
+    if not isinstance(value, list) or of_rows and not all(isinstance(r, list) for r in value):
+        raise InputError(f"{what} must be a list" + " of rows" * of_rows)
+    return value
+
+
+def _count(value, what: str) -> int:
+    if type(value) is not int or value < 0:  # bool is a subclass of int
+        raise InputError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def fmt_rat(value: Fraction):
     if value.denominator == 1:
         return int(value)
@@ -42,9 +54,7 @@ def instance_from_dict(data: dict) -> Instance:
         rows = data["disutility"]
     except (KeyError, TypeError) as exc:
         raise InputError("instance file needs a 'disutility' matrix") from exc
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise InputError("'disutility' must be a list of rows")
-    inst = Instance.from_rows(rows)
+    inst = Instance.from_rows(_list(rows, "'disutility'", of_rows=True))
     if "agents" in data and data["agents"] != inst.n:
         raise InputError(f"'agents' says {data['agents']} but matrix has {inst.n} rows")
     if "chores" in data and data["chores"] != inst.m:
@@ -63,11 +73,12 @@ def outcome_to_dict(out: MarketOutcome) -> dict:
 
 def outcome_from_dict(data: dict) -> MarketOutcome:
     try:
-        x = FractionalAllocation.from_rows(data["x"])
-        prices = PriceVector.from_values(data["prices"])
+        rows, values = data["x"], data["prices"]
     except (KeyError, TypeError) as exc:
         raise InputError("market outcome file needs 'x' and 'prices'") from exc
-    budgets = tuple(rat(b) for b in data.get("budgets", [1] * x.n))
+    x = FractionalAllocation.from_rows(_list(rows, "'x'", of_rows=True))
+    prices = PriceVector.from_values(_list(values, "'prices'"))
+    budgets = tuple(rat(b) for b in _list(data.get("budgets", [1] * x.n), "'budgets'"))
     epsilon = rat(data.get("epsilon", 0))
     return MarketOutcome(x, prices, budgets, epsilon)
 
@@ -84,21 +95,21 @@ def allocation_from_dict(data: dict) -> SurplusAllocation:
     except (KeyError, TypeError) as exc:
         raise InputError("allocation file needs 'bundles' and 'chores'") from exc
     bundles = []
-    for entry in raw:
+    for entry in _list(raw, "'bundles'", of_rows=True):
         units = set()
         for item in entry:
-            try:
-                units.add(ChoreCopy(int(item["chore"]), int(item.get("copy", 0))))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"bad bundle item {item!r}") from exc
+            if not isinstance(item, dict) or "chore" not in item:
+                raise InputError(f"bad bundle item {item!r}")
+            units.add(ChoreCopy(_count(item["chore"], "a chore id"),
+                                _count(item.get("copy", 0), "a copy index")))
         bundles.append(frozenset(units))
-    return SurplusAllocation(tuple(bundles), int(chores))
+    return SurplusAllocation(tuple(bundles), _count(chores, "'chores'"))
 
 
 def prices_from_dict(data: dict) -> PriceVector:
-    if "prices" not in data:
+    if not isinstance(data, dict) or "prices" not in data:
         raise InputError("no 'prices' found; pass a prices file")
-    return PriceVector.from_values(data["prices"])
+    return PriceVector.from_values(_list(data["prices"], "'prices'"))
 
 
 def dump_json(path, payload: dict) -> None:

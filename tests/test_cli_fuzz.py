@@ -1,10 +1,11 @@
 """Property-based checks of the CLI exit-code contract.
 
-Malformed instance files exit 2, and valid instances never exit 3 (an
-internal failure). Either way ``main`` returns a code: an exception escaping
+Malformed instance, allocation, market-outcome and prices files exit 2, and
+valid instances never exit 3 (an internal failure). Either way ``main`` returns a code: an exception escaping
 it would be a traceback. Examples are derandomized so the suite repeats.
 """
 
+import copy
 import json
 import math
 import tempfile
@@ -110,3 +111,124 @@ def test_valid_instances_never_exit_three(rows):
     text = json.dumps({"disutility": rows})
     for command in COMMANDS:
         assert run_on(text, command) in (0, 1, 2), command
+
+
+# A valid instance with a valid allocation (prices embedded) and outcome for
+# it; the fuzzed files below break one part of these.
+INSTANCE = {"disutility": [[1, 2], [2, 1]]}
+ALLOCATION = {"bundles": [[{"chore": 0}], [{"chore": 1, "copy": 0}]], "chores": 2,
+              "prices": [1, 1]}
+OUTCOME = {"x": [[1, 0], [0, 1]], "prices": [1, 1], "budgets": [1, 1], "epsilon": 0}
+
+not_a_list = st.one_of(
+    st.integers(), st.floats(), st.text(max_size=5), st.none(), st.booleans(),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=1),
+)
+not_a_count = st.one_of(
+    st.integers(max_value=-1), st.floats(), st.text(max_size=4), st.none(), st.booleans(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+not_a_rational = st.one_of(
+    st.none(), st.booleans(), st.text(alphabet="abcxyz/", max_size=4),
+    st.lists(st.integers(0, 9), max_size=2), st.sampled_from([math.nan, math.inf]),
+)
+bad_price = st.one_of(bad_entry, st.just(0))
+wrong_length = st.lists(st.integers(1, 9), max_size=4).filter(lambda v: len(v) != 2)
+
+# What each file must hold, and where one bad value can go.
+FILES = {
+    "allocation": (ALLOCATION, ["bundles", "chores"], {
+        ("bundles",): not_a_list,
+        ("bundles", 1): not_a_list,
+        ("bundles", 1, 0): st.one_of(
+            st.integers(), st.text(max_size=3), st.none(), st.lists(st.integers(0, 3)),
+            st.dictionaries(st.sampled_from(["copy", "chores"]), st.integers(0, 3))),
+        ("bundles", 1, 0, "chore"): st.one_of(not_a_count, st.integers(2, 10**30)),
+        ("bundles", 1, 0, "copy"): not_a_count,
+        ("chores",): st.one_of(not_a_count, st.integers(0, 10**30).filter(lambda v: v != 2)),
+    }),
+    "prices": (ALLOCATION, ["prices"], {
+        ("prices",): st.one_of(not_a_list, wrong_length),
+        ("prices", 1): bad_price,
+    }),
+    "outcome": (OUTCOME, ["x", "prices"], {
+        ("x",): st.one_of(not_a_list, st.lists(st.integers(0, 1), min_size=1, max_size=2)),
+        ("x", 1): st.one_of(not_a_list, st.lists(st.integers(0, 1), max_size=3).filter(
+            lambda row: row != [0, 1])),
+        ("x", 1, 1): bad_entry,
+        ("prices",): st.one_of(not_a_list, wrong_length),
+        ("prices", 0): bad_price,
+        ("budgets",): st.one_of(not_a_list, wrong_length),
+        ("budgets", 0): not_a_rational,
+        ("epsilon",): st.one_of(st.integers(max_value=-1), not_a_rational),
+    }),
+}
+
+# FILE is the fuzzed file; ALLOC a valid allocation beside it.
+FILE_COMMANDS = {
+    "allocation": [
+        ["verify", "--property", "ef1", "--alloc", "FILE"],
+        ["verify", "--property", "pef1", "--alloc", "FILE"],
+        ["oracle", "--which", "po-brute", "--alloc", "FILE"],
+    ],
+    "prices": [
+        ["verify", "--property", "pef1", "--alloc", "FILE"],
+        ["verify", "--property", "pef1", "--alloc", "ALLOC", "--prices", "FILE"],
+    ],
+    "outcome": [["verify", "--property", "fisher", "--alloc", "FILE"]],
+}
+
+
+@st.composite
+def malformed_file(draw) -> tuple[str, str]:
+    """A file kind and a malformed file of that kind: not JSON, not an object,
+    missing a required key, or the valid file with one value of the wrong shape."""
+    kind = draw(st.sampled_from(sorted(FILES)))
+    base, required, edits = FILES[kind]
+    how = draw(st.sampled_from(["not-json", "not-an-object", "missing", "edit"]))
+    if how == "not-json":
+        return kind, "{" + draw(st.text(max_size=20))
+    if how == "not-an-object":
+        return kind, json.dumps(draw(st.one_of(
+            st.lists(st.integers(0, 9), max_size=2), st.integers(), st.text(max_size=5),
+            st.none())))
+    data = copy.deepcopy(base)
+    if how == "missing":
+        del data[draw(st.sampled_from(required))]
+        return kind, json.dumps(data)
+    *path, last = draw(st.sampled_from(sorted(edits, key=str)))
+    target = data
+    for key in path:
+        target = target[key]
+    target[last] = draw(edits[(*path, last)])
+    return kind, json.dumps(data)
+
+
+def run_file_command(command: list[str], text: str):
+    """One FILE_COMMANDS entry on INSTANCE, with ``text`` as the FILE."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {"FILE": tmp / "file.json", "ALLOC": tmp / "alloc.json"}
+        files["FILE"].write_text(text)
+        files["ALLOC"].write_text(json.dumps(ALLOCATION))
+        (tmp / "inst.json").write_text(json.dumps(INSTANCE))
+        argv = [command[0], "-i", str(tmp / "inst.json"),
+                *(str(files.get(arg, arg)) for arg in command[1:])]
+        if command[0] == "oracle":
+            argv += ["-o", str(tmp / "out.json")]
+        return main(argv)
+
+
+@FUZZ
+@given(malformed_file())
+def test_malformed_allocation_outcome_and_prices_files_exit_two(case):
+    kind, text = case
+    for command in FILE_COMMANDS[kind]:
+        assert run_file_command(command, text) == 2, (command, text)
+
+
+def test_unbroken_files_pass():
+    for kind, commands in FILE_COMMANDS.items():
+        text = json.dumps(OUTCOME if kind == "outcome" else ALLOCATION)
+        for command in commands:
+            assert run_file_command(command, text) == 0, command

@@ -5,10 +5,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from fairchores import equilibrium
 from fairchores.core import (
     FractionalAllocation,
     Instance,
     MarketOutcome,
+    PaymentGraph,
     PriceVector,
     payment_graph,
 )
@@ -25,6 +27,7 @@ from fairchores.equilibrium import (
     verify_fisher_equilibrium,
 )
 from fairchores.errors import (
+    AlgorithmBugError,
     EquilibriumNotFoundError,
     InputError,
     InstanceTooLargeError,
@@ -531,3 +534,19 @@ class TestMakeAcyclic:
         inst = Instance.from_rows([[1, 2], [2, 1]])
         with pytest.raises(InvalidEquilibriumError):
             make_acyclic(inst, outcome([[0, 1], [1, 0]], [1, 1], budgets=[1, 1]))
+
+    def test_result_failing_verification_is_a_bug(self, monkeypatch):
+        # Every chore's payment moved to agent 0 still clears, but agent 1
+        # earns nothing, so the re-verification of the result fails.
+        real = equilibrium.payment_graph
+
+        def corrupted(x, prices):
+            merged = {}
+            for (_, c), amount in real(x, prices).edge_dict().items():
+                merged[(0, c)] = merged.get((0, c), 0) + amount
+            return PaymentGraph.from_edges(x.n, x.m, merged)
+
+        monkeypatch.setattr(equilibrium, "payment_graph", corrupted)
+        inst = Instance.from_rows([[1, 1], [1, 1]])
+        with pytest.raises(AlgorithmBugError, match="cycle cancellation broke the equilibrium"):
+            make_acyclic(inst, outcome([[F(1, 2)] * 2] * 2, [1, 1]))

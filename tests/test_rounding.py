@@ -15,7 +15,13 @@ from fairchores.core import (
     PriceVector,
     bundle_payment,
 )
-from fairchores.equilibrium import _warm_exact_ceei, default_epsilon, exact_ceei
+from fairchores.equilibrium import (
+    _warm_exact_ceei,
+    default_epsilon,
+    exact_ceei,
+    make_acyclic,
+    verify_fisher_equilibrium,
+)
 from fairchores.errors import InputError, InvalidEquilibriumError, ZeroDisutilityError
 from fairchores.rounding import (
     RoundingState,
@@ -74,12 +80,25 @@ class TestPhase1:
             assert 1 - eps <= state.income(i) <= 1 + (2 * inst.n - 1) * eps
         assert state.checkpoints >= 2
 
-    def test_requires_verified_acyclic_outcome(self):
+    def test_cancels_cycles_of_any_verified_outcome(self):
+        # Criterion-6 shape: identical rows, prices proportional to them and
+        # every agent holding 1/n of every chore, so the payment graph is the
+        # complete bipartite graph, cyclic whenever n, m >= 2.
+        rng = random.Random(1106)
+        for _ in range(20):
+            n, m = rng.randint(2, 4), rng.randint(2, 6)
+            row = [rng.randint(1, 20) for _ in range(m)]
+            inst = Instance.from_rows([row] * n)
+            prices = PriceVector.from_values([F(n * v, sum(row)) for v in row])
+            x = FractionalAllocation.from_rows([[F(1, n)] * m] * n)
+            out = MarketOutcome(x, prices, (F(1),) * n, F(0))
+            direct = RoundingState.from_outcome(inst, out)
+            forest = RoundingState.from_outcome(inst, make_acyclic(inst, out))
+            assert direct.weights == forest.weights
+            assert direct.agent_adj == forest.agent_adj
+            assert direct.chore_adj == forest.chore_adj
+            assert len(direct.weights) <= n + m - 1
         inst = Instance.from_rows([[1, 1], [1, 1]])
-        square = FractionalAllocation.from_rows([[F(1, 2)] * 2] * 2)
-        out = MarketOutcome(square, PriceVector.from_values([1, 1]), (F(1), F(1)), F(0))
-        with pytest.raises(InvalidEquilibriumError):
-            RoundingState.from_outcome(inst, out)  # cyclic payment graph
         bad = MarketOutcome(FractionalAllocation.from_rows([[1, 0], [0, 1]]),
                             PriceVector.from_values([1, 3]), (F(1), F(1)), F(0))
         with pytest.raises(InvalidEquilibriumError):
@@ -205,6 +224,28 @@ class TestPipeline:
             per_agent_copies = [sum(1 for u in b if u.copy > 0)
                                 for b in result.alloc.bundles]
             assert all(k <= 1 for k in per_agent_copies)
+
+    def test_each_route_verifies_the_equilibrium_once_per_step(self, monkeypatch):
+        # The price loop and the rounding verify once each; the exact route
+        # adds the support search's own check.
+        real = verify_fisher_equilibrium
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "fairchores" or name.startswith("fairchores."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
+        for rows in ([[1, 2, 3], [3, 1, 2]], [[1, 1], [1, 1]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]):
+            inst = Instance.from_rows(rows)
+            for opts, expected in ((SolveOptions(), 2), (SolveOptions(exact=True), 3)):
+                calls.clear()
+                fair_and_efficient(inst, opts)
+                assert len(calls) == expected, (rows, opts)
 
     def test_trace_serializes(self):
         inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])
