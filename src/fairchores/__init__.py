@@ -23,7 +23,6 @@ from .core import (
 )
 from .equilibrium import (
     EquilibriumReport,
-    SearchLimits,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -49,7 +48,6 @@ from .three_agent import (
 from .verifiers import (
     Certificate,
     ImplicationReport,
-    VerifyLimits,
     check_ef1,
     check_efx,
     check_fisher_eq,

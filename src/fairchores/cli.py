@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from .core import Instance, rat
-from .equilibrium import SearchLimits, approx_ceei, default_epsilon, exact_ceei
+from .equilibrium import approx_ceei, default_epsilon, exact_ceei
 from .errors import (
     AlgorithmBugError,
     CertificateFailureError,
@@ -36,7 +36,6 @@ from .serialize import (
 )
 from .three_agent import solve_three
 from .verifiers import (
-    VerifyLimits,
     check_ef1,
     check_efx,
     check_fisher_eq,
@@ -209,11 +208,11 @@ def _cmd_oracle(args) -> tuple[int, Optional[str]]:
         if args.alloc is None:
             raise InputError("--alloc is required for the po-brute oracle")
         alloc, _ = _load_allocation(args.alloc, inst)
-        certificate = check_po_brute(inst, alloc, VerifyLimits())
+        certificate = check_po_brute(inst, alloc)
         dump_json(args.output, certificate.to_dict())
         return (EXIT_OK if certificate.holds else EXIT_VIOLATED), None
     if args.which == "ceei-exact":
-        outcome = exact_ceei(inst, SearchLimits())
+        outcome = exact_ceei(inst)
     else:
         outcome = approx_ceei(inst, rat(args.epsilon) if args.epsilon is not None
                               else default_epsilon(inst.n, inst.m))

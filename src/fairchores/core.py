@@ -179,7 +179,8 @@ class MarketOutcome:
 
     ``budgets[i]`` is the amount agent ``i`` is supposed to earn (all 1 for an
     equal-incomes equilibrium); ``epsilon`` is the allowed relative income
-    slack, 0 for an exact equilibrium.
+    slack, 0 for an exact equilibrium. Budgets are positive, epsilon lies in
+    [0, 1), and an outcome with slack has every budget 1.
     """
 
     x: FractionalAllocation
@@ -192,8 +193,13 @@ class MarketOutcome:
             raise InputError("allocation and price vector disagree on chore count")
         if self.x.n != len(self.budgets):
             raise InputError("allocation and budgets disagree on agent count")
-        if self.epsilon < 0:
-            raise InputError("epsilon must be non-negative")
+        if not 0 <= self.epsilon < 1:
+            raise InputError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        if any(b <= 0 for b in self.budgets):
+            raise InputError("budgets must be positive")
+        # With slack the verifier measures incomes against 1, not the budgets.
+        if self.epsilon and any(b != 1 for b in self.budgets):
+            raise InputError("budgets other than 1 need epsilon 0")
 
     @property
     def n(self) -> int:

@@ -45,15 +45,13 @@ def default_epsilon(n: int, m: int) -> Fraction:
     return Fraction(1, 5 * n * m)
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    """Size caps for the exhaustive equilibrium search."""
+# Size caps of the exhaustive equilibrium search.
+MAX_SEARCH_AGENTS = 4
+MAX_SEARCH_CHORES = 7
 
-    max_agents: int = 4
-    max_chores: int = 7
 
-    def admits(self, inst: Instance) -> bool:
-        return inst.n <= self.max_agents and inst.m <= self.max_chores
+def _searchable(inst: Instance) -> bool:
+    return inst.n <= MAX_SEARCH_AGENTS and inst.m <= MAX_SEARCH_CHORES
 
 
 @dataclass(frozen=True)
@@ -368,10 +366,11 @@ def _components_compatible(D, m: int, one, other) -> bool:
     return True
 
 
-def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketOutcome:
+def exact_ceei(inst: Instance) -> MarketOutcome:
     """First equal-income equilibrium in canonical support order, exactly.
 
-    Exhaustive over forest supports, so only permitted on small instances.
+    Exhaustive over forest supports, so only permitted up to
+    ``MAX_SEARCH_AGENTS`` x ``MAX_SEARCH_CHORES``.
     The returned outcome passes ``verify_fisher_equilibrium`` at epsilon 0
     with every budget equal to 1.
 
@@ -391,7 +390,7 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
     across supports, which leaves the canonical order untouched. The search
     never consults ``approx_ceei``, and so stays an independent oracle for it.
     """
-    _check_searchable(inst, limits)
+    _check_searchable(inst)
     outcome = _first_equilibrium(inst, None)
     if outcome is None:
         raise EquilibriumNotFoundError(
@@ -399,15 +398,15 @@ def exact_ceei(inst: Instance, limits: SearchLimits = SearchLimits()) -> MarketO
     return outcome
 
 
-def _check_searchable(inst: Instance, limits: SearchLimits) -> None:
+def _check_searchable(inst: Instance) -> None:
     if inst.m == 0:
         raise InputError(_NO_CHORES)
     if inst.has_zero_entry():
         raise ZeroDisutilityError("exact search requires strictly positive disutilities")
-    if not limits.admits(inst):
+    if not _searchable(inst):
         raise InstanceTooLargeError(
             f"{inst.n} agents x {inst.m} chores exceeds search limits "
-            f"({limits.max_agents} x {limits.max_chores})")
+            f"({MAX_SEARCH_AGENTS} x {MAX_SEARCH_CHORES})")
 
 
 def _first_equilibrium(inst: Instance, allowed: Optional[int]) -> Optional[MarketOutcome]:
@@ -457,32 +456,28 @@ def _first_equilibrium(inst: Instance, allowed: Optional[int]) -> Optional[Marke
     return None
 
 
-def _warm_exact_ceei(inst: Instance, epsilon,
-                     limits: SearchLimits = SearchLimits()) -> tuple[MarketOutcome, str]:
-    """An exact equal-income equilibrium, searched for near an approximate one.
+def _warm_exact_ceei(inst: Instance, prices: PriceVector) -> tuple[MarketOutcome, str]:
+    """An exact equal-income equilibrium, searched for near approximate prices.
 
-    Runs ``approx_ceei(inst, epsilon)``, then ``exact_ceei``'s search over
-    only the edges of the min-pain-per-buck graph at its prices. On a miss,
-    or when the price loop runs out of rounds, ``exact_ceei`` itself answers.
-    Returns the outcome and which search found it: "mpb" or "canonical".
+    Runs ``exact_ceei``'s search over only the edges of the min-pain-per-buck
+    graph at ``prices``, those of a verified ``approx_ceei`` outcome; on a
+    miss, ``exact_ceei`` itself answers. Returns the outcome and which search
+    found it: "mpb" or "canonical". Raises ``InstanceTooLargeError`` outside
+    the search caps, as ``exact_ceei`` does.
 
     The restricted search keeps canonical order, so whenever the support of
     ``exact_ceei``'s outcome lies in that graph the two outcomes are equal;
     otherwise the outcome may be another equilibrium of the instance.
     """
-    _check_searchable(inst, limits)
-    try:
-        approx = approx_ceei(inst, epsilon)
-    except BudgetExhaustedError:
-        return exact_ceei(inst, limits), "canonical"
+    _check_searchable(inst)
     m = inst.m
     allowed = 0
-    for i, chores in enumerate(_best_ratio_sets(inst, approx.prices)):
+    for i, chores in enumerate(_best_ratio_sets(inst, prices)):
         for c in chores:
             allowed |= 1 << (i * m + c)
     outcome = _first_equilibrium(inst, allowed)
     if outcome is None:
-        return exact_ceei(inst, limits), "canonical"
+        return exact_ceei(inst), "canonical"
     return outcome, "mpb"
 
 

@@ -14,7 +14,7 @@ class ZeroDisutilityError(FairChoresError):
 
 
 class InstanceTooLargeError(FairChoresError):
-    """The instance exceeds the configured limits of an exhaustive procedure."""
+    """The instance exceeds the fixed size cap (a module constant) of an exhaustive procedure."""
 
 
 class BudgetExhaustedError(FairChoresError):

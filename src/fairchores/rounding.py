@@ -27,8 +27,8 @@ from .core import (
     rat,
 )
 from .equilibrium import (
-    SearchLimits,
     _cancel_cycles,
+    _searchable,
     _warm_exact_ceei,
     approx_ceei,
     default_epsilon,
@@ -249,9 +249,12 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     before being returned. ``opts.epsilon`` defaults to 1/(5nm) and may be set
     anywhere in (0, 1/(5nm)]; anything else raises ``InputError``.
 
-    ``opts.exact`` on an instance within ``SearchLimits`` rounds an exact
-    equilibrium (epsilon 0) from ``_warm_exact_ceei``, and the trace then
-    opens with an ``exact-search`` event naming the search that found it.
+    Both routes start from one ``approx_ceei`` call. If its price loop runs
+    out of rounds, ``exact_ceei`` answers within the search caps
+    (``MAX_SEARCH_AGENTS`` x ``MAX_SEARCH_CHORES``); above them the error
+    propagates. Within the caps ``opts.exact`` rounds an exact equilibrium
+    (epsilon 0), searched near the approximate prices, and the trace opens
+    with an ``exact-search`` event naming the search that found it.
     """
     if inst.has_zero_entry():
         raise ZeroDisutilityError("the surplus pipeline needs strictly positive disutilities")
@@ -275,20 +278,20 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
                              f"and {inst.m} chores, got {requested}")
         eps = requested
 
-    limits = SearchLimits()
-    search = None
-    if opts.exact and limits.admits(inst):
-        outcome, search = _warm_exact_ceei(inst, eps, limits)
+    searchable = _searchable(inst)
+    search = "canonical"  # exact_ceei's, unless the restricted search answers
+    try:
+        outcome = approx_ceei(inst, eps)
+    except BudgetExhaustedError:
+        if not searchable:
+            raise
+        outcome = exact_ceei(inst)
     else:
-        try:
-            outcome = approx_ceei(inst, eps)
-        except BudgetExhaustedError:
-            if not limits.admits(inst):
-                raise
-            outcome = exact_ceei(inst, limits)
+        if opts.exact and searchable:
+            outcome, search = _warm_exact_ceei(inst, outcome.prices)
 
     state = RoundingState.from_outcome(inst, outcome)
-    if search is not None:
+    if opts.exact and searchable:
         state.trace.append({"event": "exact-search", "search": search})
     phase1(state)
     alloc = phase2(state)

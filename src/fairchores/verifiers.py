@@ -46,13 +46,11 @@ class Certificate:
         return {"property": self.property, "holds": self.holds, "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class VerifyLimits:
-    """Caps for the exhaustive verifications."""
-
-    max_po_candidates: int = 10**6
-    max_lp_variables: int = 600
-    max_subset_chores: int = 12
+# Size caps of the exhaustive verifications, read at call time; each check
+# raises InstanceTooLargeError beyond its cap.
+MAX_PO_CANDIDATES = 10**6  # n^k reassignments tried by check_po_brute
+MAX_LP_VARIABLES = 600  # n*k variables of the fPO linear program
+MAX_SUBSET_CHORES = 12  # chores whose 2^m subset sums check_nondegenerate compares
 
 
 def _fmt(value: Fraction) -> str:
@@ -175,8 +173,7 @@ def check_fisher_integral(inst: Instance, alloc: SurplusAllocation,
     return Certificate(FISHER_EQ, True)
 
 
-def check_po_brute(inst: Instance, alloc: SurplusAllocation,
-                   limits: VerifyLimits = VerifyLimits()) -> Certificate:
+def check_po_brute(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """Pareto optimality by exhaustive reassignment of the allocated units.
 
     The item multiset is fixed to what the allocation actually handed out
@@ -185,9 +182,9 @@ def check_po_brute(inst: Instance, alloc: SurplusAllocation,
     """
     items = alloc.items()
     n = len(alloc.bundles)
-    if n ** len(items) > limits.max_po_candidates:
+    if n ** len(items) > MAX_PO_CANDIDATES:
         raise InstanceTooLargeError(
-            f"{n}^{len(items)} candidate allocations exceed the brute-force cap")
+            f"{n}^{len(items)} candidate allocations exceed the cap of {MAX_PO_CANDIDATES}")
     caps = [bundle_disutility(inst, i, alloc.bundles[i]) for i in range(n)]
     loads = [ZERO] * n
     assignment: list[int] = []
@@ -219,11 +216,10 @@ def check_po_brute(inst: Instance, alloc: SurplusAllocation,
     return Certificate(PO, False, {"dominating": bundles})
 
 
-def _fpo_certificate(inst: Instance, items: list[ChoreCopy], caps: list[Fraction],
-                     limits: VerifyLimits) -> Certificate:
+def _fpo_certificate(inst: Instance, items: list[ChoreCopy], caps: list[Fraction]) -> Certificate:
     n, k = inst.n, len(items)
-    if n * k > limits.max_lp_variables:
-        raise InstanceTooLargeError(f"{n * k} LP variables exceed the configured cap")
+    if n * k > MAX_LP_VARIABLES:
+        raise InstanceTooLargeError(f"{n * k} LP variables exceed the cap of {MAX_LP_VARIABLES}")
     if k == 0:
         return Certificate(FPO, True)
     # Variables y[i][t] laid out row-major; one clearing equality per item and
@@ -261,8 +257,7 @@ def _fpo_certificate(inst: Instance, items: list[ChoreCopy], caps: list[Fraction
         "dominating": [[_fmt(y[i * k + t]) for t in range(k)] for i in range(n)]})
 
 
-def check_fpo(inst: Instance, alloc: SurplusAllocation,
-              limits: VerifyLimits = VerifyLimits()) -> Certificate:
+def check_fpo(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """Fractional Pareto optimality over the allocation's own item multiset.
 
     One exact linear program: minimize the total disutility subject to
@@ -275,25 +270,23 @@ def check_fpo(inst: Instance, alloc: SurplusAllocation,
     """
     items = alloc.items()
     caps = [bundle_disutility(inst, i, alloc.bundles[i]) for i in range(alloc.n)]
-    return _fpo_certificate(inst, items, caps, limits)
+    return _fpo_certificate(inst, items, caps)
 
 
-def check_fpo_outcome(inst: Instance, out: MarketOutcome,
-                      limits: VerifyLimits = VerifyLimits()) -> Certificate:
+def check_fpo_outcome(inst: Instance, out: MarketOutcome) -> Certificate:
     """Fractional Pareto optimality of a fractional market outcome."""
     items = [ChoreCopy(c, 0) for c in range(inst.m)]
     caps = []
     for i in range(inst.n):
         caps.append(sum((out.x.x[i][c] * inst.d(i, c) for c in range(inst.m)), ZERO))
-    return _fpo_certificate(inst, items, caps, limits)
+    return _fpo_certificate(inst, items, caps)
 
 
-def check_nondegenerate(inst: Instance,
-                        limits: VerifyLimits = VerifyLimits()) -> Certificate:
+def check_nondegenerate(inst: Instance) -> Certificate:
     """No agent values two distinct chore subsets equally (2^m subset sums)."""
-    if inst.m > limits.max_subset_chores:
+    if inst.m > MAX_SUBSET_CHORES:
         raise InstanceTooLargeError(
-            f"2^{inst.m} subset sums exceed the configured cap")
+            f"2^{inst.m} subset sums exceed the cap of 2^{MAX_SUBSET_CHORES}")
     for i in range(inst.n):
         sums: dict[Fraction, int] = {ZERO: 0}
         for c in range(inst.m):
@@ -343,8 +336,8 @@ class ImplicationReport:
         }
 
 
-def implication_suite(inst: Instance, alloc: SurplusAllocation, prices: PriceVector,
-                      limits: VerifyLimits = VerifyLimits()) -> ImplicationReport:
+def implication_suite(inst: Instance, alloc: SurplusAllocation,
+                      prices: PriceVector) -> ImplicationReport:
     """Assert the property implications on one concrete allocation.
 
     Checks, each skipped gracefully when its antecedent fails: payment-EF1
@@ -363,10 +356,10 @@ def implication_suite(inst: Instance, alloc: SurplusAllocation, prices: PriceVec
         ("EFX=>tEFX", efx.holds, tefx.holds),
     ]
     try:
-        fpo = check_fpo(inst, alloc, limits)
+        fpo = check_fpo(inst, alloc)
         results.append(("FisherEq=>fPO", fisher.holds, fpo.holds))
         try:
-            po = check_po_brute(inst, alloc, limits)
+            po = check_po_brute(inst, alloc)
             results.append(("fPO=>PO", fpo.holds, po.holds))
         except InstanceTooLargeError:
             pass

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from fairchores import verifiers
 from fairchores.core import (
     ChoreCopy,
     Instance,
@@ -35,7 +36,6 @@ from fairchores.three_agent import (
     solve_three,
 )
 from fairchores.verifiers import (
-    VerifyLimits,
     check_ef1,
     check_efx,
     check_fisher_integral,
@@ -152,7 +152,7 @@ def test_criterion_5_oracle_agreement():
         assert exact.epsilon == 0
         approx = approx_ceei(inst, eps)
         assert verify_fisher_equilibrium(inst, approx).passed
-        warm, search = _warm_exact_ceei(inst, eps)
+        warm, search = _warm_exact_ceei(inst, approx.prices)
         assert verify_fisher_equilibrium(inst, warm).passed
         assert warm.epsilon == 0
         misses += search == "canonical"
@@ -276,15 +276,15 @@ def test_criterion_9_perturbation():
                  f"{pair_checks} strict comparisons preserved")
 
 
-def test_criterion_10_implication_lattice():
+def test_criterion_10_implication_lattice(monkeypatch):
     assert _SUITE1 and _PRODUCED, "earlier suites must have run"
-    limits = VerifyLimits(max_po_candidates=10**5)
+    monkeypatch.setattr(verifiers, "MAX_PO_CANDIDATES", 10**5)
     violations = []
     checked = 0
     for inst, alloc, prices in _PRODUCED:
         if prices is None:
             prices = PriceVector.from_values([1] * inst.m)
-        rep = implication_suite(inst, alloc, prices, limits)
+        rep = implication_suite(inst, alloc, prices)
         checked += len(rep.results)
         violations.extend(rep.violations)
     report("criterion 10 (implication lattice)", not violations,

@@ -12,6 +12,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -159,8 +160,9 @@ FILES = {
         ("prices",): st.one_of(not_a_list, wrong_length),
         ("prices", 0): bad_price,
         ("budgets",): st.one_of(not_a_list, wrong_length),
-        ("budgets", 0): not_a_rational,
-        ("epsilon",): st.one_of(st.integers(max_value=-1), not_a_rational),
+        ("budgets", 0): st.one_of(st.integers(max_value=0), not_a_rational),
+        ("epsilon",): st.one_of(st.integers(max_value=-1), st.integers(min_value=1),
+                                not_a_rational),
     }),
 }
 
@@ -225,6 +227,19 @@ def test_malformed_allocation_outcome_and_prices_files_exit_two(case):
     kind, text = case
     for command in FILE_COMMANDS[kind]:
         assert run_file_command(command, text) == 2, (command, text)
+
+
+@pytest.mark.parametrize("change", [
+    {"epsilon": 5},
+    {"budgets": [-1, 1]},
+    # With slack the verifier reads incomes against 1, so other budgets
+    # would be ignored rather than checked.
+    {"epsilon": "1/2", "budgets": [7, 9]},
+])
+def test_impossible_slack_or_budgets_exit_two(change, capsys):
+    text = json.dumps({**OUTCOME, **change})
+    assert run_file_command(FILE_COMMANDS["outcome"][0], text) == 2
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_unbroken_files_pass():

@@ -15,7 +15,6 @@ from fairchores.core import (
     payment_graph,
 )
 from fairchores.equilibrium import (
-    SearchLimits,
     _enumerate_supports,
     _forest_supports,
     _integer_matrix,
@@ -112,11 +111,16 @@ class TestExactCeei:
         inst = Instance.from_rows([[3, 1, 4], [1, 5, 9]])
         assert exact_ceei(inst) == exact_ceei(inst)
 
-    def test_limits_and_zero_rejection(self):
+    def test_limits_and_zero_rejection(self, monkeypatch):
         big = Instance.from_rows([[1] * 8] * 2)
-        with pytest.raises(InstanceTooLargeError):
-            exact_ceei(big)
-        assert exact_ceei(big, SearchLimits(max_chores=8)) is not None
+        for inst in (big, Instance.from_rows([[1] * 8] * 4), Instance.from_rows([[1] * 5] * 5)):
+            with pytest.raises(InstanceTooLargeError):
+                exact_ceei(inst)
+        at_cap = Instance.from_rows(
+            [[1 + (i * 7 + c * 3) % 10 for c in range(7)] for i in range(4)])
+        assert verify_fisher_equilibrium(at_cap, exact_ceei(at_cap)).passed
+        monkeypatch.setattr(equilibrium, "MAX_SEARCH_CHORES", 8)
+        assert exact_ceei(big) is not None
         with pytest.raises(ZeroDisutilityError):
             exact_ceei(Instance.from_rows([[1, 0]]))
         with pytest.raises(InputError):

@@ -17,12 +17,18 @@ from fairchores.core import (
 )
 from fairchores.equilibrium import (
     _warm_exact_ceei,
+    approx_ceei,
     default_epsilon,
     exact_ceei,
     make_acyclic,
     verify_fisher_equilibrium,
 )
-from fairchores.errors import InputError, InvalidEquilibriumError, ZeroDisutilityError
+from fairchores.errors import (
+    BudgetExhaustedError,
+    InputError,
+    InvalidEquilibriumError,
+    ZeroDisutilityError,
+)
 from fairchores.rounding import (
     RoundingState,
     SolveOptions,
@@ -30,9 +36,29 @@ from fairchores.rounding import (
     phase1,
     phase2,
 )
-from fairchores.verifiers import check_ef1, check_fisher_integral, check_pef1
+from fairchores.verifiers import (
+    FPO,
+    Certificate,
+    check_ef1,
+    check_fisher_integral,
+    check_pef1,
+)
 
 F = Fraction
+
+
+def patch_every_binding(monkeypatch, real, calls, body=None):
+    """Count calls to ``real`` through every fairchores module that binds it,
+    running ``body`` in its place when given."""
+    def counted(*args):
+        calls.append(args)
+        return (body or real)(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "fairchores" or name.startswith("fairchores."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
 
 
 def shared_path_state(eps=F(1, 30)):
@@ -170,7 +196,8 @@ class TestPipeline:
             [[9, 16, 16, 13, 20], [13, 1, 3, 14, 5], [8, 3, 7, 14, 18]])
         assert default_epsilon(3, 5) == F(1, 75)
         canonical = exact_ceei(inst)
-        assert _warm_exact_ceei(inst, F(1, 75)) == (canonical, "canonical")
+        prices = approx_ceei(inst, F(1, 75)).prices
+        assert _warm_exact_ceei(inst, prices) == (canonical, "canonical")
         result = fair_and_efficient(inst, SolveOptions(exact=True))
         assert result.trace[0] == {"event": "exact-search", "search": "canonical"}
         assert result.prices == canonical.prices
@@ -227,25 +254,49 @@ class TestPipeline:
 
     def test_each_route_verifies_the_equilibrium_once_per_step(self, monkeypatch):
         # The price loop and the rounding verify once each; the exact route
-        # adds the support search's own check.
-        real = verify_fisher_equilibrium
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        for name, module in list(sys.modules.items()):
-            if name == "fairchores" or name.startswith("fairchores."):
-                for attr, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, attr, counted)
+        # adds the support search's own check. Both routes start from the one
+        # approx_ceei call.
+        verified, approximated = [], []
+        patch_every_binding(monkeypatch, verify_fisher_equilibrium, verified)
+        patch_every_binding(monkeypatch, approx_ceei, approximated)
         for rows in ([[1, 2, 3], [3, 1, 2]], [[1, 1], [1, 1]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]):
             inst = Instance.from_rows(rows)
             for opts, expected in ((SolveOptions(), 2), (SolveOptions(exact=True), 3)):
-                calls.clear()
+                verified.clear()
+                approximated.clear()
                 fair_and_efficient(inst, opts)
-                assert len(calls) == expected, (rows, opts)
+                assert len(verified) == expected, (rows, opts)
+                assert len(approximated) == 1, (rows, opts)
+
+    def test_exhausted_price_loop_falls_back_within_the_search_caps(self, monkeypatch):
+        def exhausted(*args):
+            raise BudgetExhaustedError("out of rounds")
+
+        calls = []
+        patch_every_binding(monkeypatch, approx_ceei, calls, exhausted)
+        inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])
+        canonical = exact_ceei(inst)
+        plain = fair_and_efficient(inst)
+        exact = fair_and_efficient(inst, SolveOptions(exact=True))
+        assert len(calls) == 2
+        for result in (plain, exact):
+            assert result.prices == canonical.prices
+            assert result.epsilon == 0
+        assert exact.trace[0] == {"event": "exact-search", "search": "canonical"}
+        assert all(event["event"] != "exact-search" for event in plain.trace)
+        above = Instance.from_rows([[1, 2, 3, 4, 5]] * 5)
+        for opts in (SolveOptions(), SolveOptions(exact=True)):
+            with pytest.raises(BudgetExhaustedError):
+                fair_and_efficient(above, opts)
+
+    def test_fpo_certified_by_the_equilibrium_above_the_lp_cap(self):
+        small = fair_and_efficient(Instance.from_rows([[1, 3, 2], [2, 1, 3]]))
+        assert small.certificates[-1] == Certificate(FPO, True)
+        inst = Instance.from_rows(
+            [[1 + (i * 7 + c * 3) % 10 for c in range(201)] for i in range(3)])
+        result = fair_and_efficient(inst)
+        assert 600 < 3 * len(result.alloc.items()) <= 610
+        assert result.certificates[-1] == Certificate(FPO, True, {"via": "fisher-equilibrium"})
 
     def test_trace_serializes(self):
         inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])

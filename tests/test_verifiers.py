@@ -25,7 +25,6 @@ from fairchores.errors import InstanceTooLargeError
 from fairchores.simplex import solve_lp
 from fairchores.three_agent import perturb_nondegenerate
 from fairchores.verifiers import (
-    VerifyLimits,
     check_ef1,
     check_efx,
     check_fisher_integral,
@@ -122,8 +121,13 @@ class TestParetoChecks:
     def test_po_limit(self):
         inst = Instance.from_rows([[1] * 10] * 4)
         with pytest.raises(InstanceTooLargeError):
-            check_po_brute(inst, alloc_of(10, set(range(10)), set(), set(), set()),
-                           VerifyLimits(max_po_candidates=1000))
+            check_po_brute(inst, alloc_of(10, set(range(10)), set(), set(), set()))
+
+    def test_fpo_lp_variable_cap(self):
+        # One agent, so the linear program has one variable per chore.
+        assert check_fpo(Instance.from_rows([[1] * 600]), alloc_of(600, set(range(600)))).holds
+        with pytest.raises(InstanceTooLargeError):
+            check_fpo(Instance.from_rows([[1] * 601]), alloc_of(601, set(range(601))))
 
     def test_fpo_detects_domination(self):
         inst = Instance.from_rows([[1, 2], [2, 1]])
@@ -362,7 +366,8 @@ def random_outcomes(rng):
             x[i][c], x[j][c] = x[j][c], x[i][c]
         price_vector = PriceVector(tuple(prices))
         incomes = tuple(sum((x[i][c] * prices[c] for c in range(m)), ZERO) for i in range(n))
-        budgets = incomes if eps == 0 and rng.random() < 0.5 else (F(1),) * n
+        # Budgets must be positive, so an agent earning nothing keeps unit ones.
+        budgets = incomes if eps == 0 and rng.random() < 0.5 and all(incomes) else (F(1),) * n
         if kind == 3:
             x[rng.randrange(n)][rng.randrange(m)] += F(1, 7)
             allocation = unchecked_allocation(x)
