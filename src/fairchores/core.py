@@ -261,9 +261,8 @@ class SurplusAllocation:
 class PaymentGraph:
     """Bipartite agent-chore graph weighted by earnings x[i][c] * p[c].
 
-    An edge is present exactly where the earning is positive. The graph is the
-    object the rounding algorithm manipulates: its acyclicity and connected
-    components drive the second phase.
+    An edge is present exactly where the earning is positive. The exact
+    route's rounding groups the min-pain-per-buck graph by its components.
     """
 
     n: int

@@ -3,7 +3,8 @@
 Three entry points matter to callers: ``verify_fisher_equilibrium`` certifies a
 candidate outcome, ``exact_ceei`` / ``approx_ceei`` produce verified outcomes,
 and ``make_acyclic`` turns any verified outcome into one whose payment graph is
-a forest without touching prices.
+a forest without touching prices. ``_round_to_exact`` rounds an approximate
+outcome to an exact one; ``exact_ceei``, exhaustive, is the oracle for both.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core import (
     FractionalAllocation,
     Instance,
     MarketOutcome,
+    PaymentGraph,
     PriceVector,
     payment_graph,
     rat,
@@ -164,8 +166,7 @@ def _best_ratio_sets(inst: Instance, prices: PriceVector) -> list[frozenset[int]
 # Exact equilibrium by support enumeration
 # ---------------------------------------------------------------------------
 
-def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]],
-                        allowed: Optional[int] = None):
+def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]]):
     """Yield candidate supports in canonical order, with their trees' records.
 
     A support is a set of agent-chore edges forming a forest in which every
@@ -185,13 +186,8 @@ def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]],
     the tree, and no equilibrium has a support containing a skipped tree.
     ``D=None`` enumerates every support, filling in only the masks: the
     reference order that ``_forest_supports`` and the tests pin.
-
-    ``allowed``, a mask over edge ids, restricts the supports to its edges;
-    the order among those yielded is unchanged. None allows every edge.
     """
     total = n * m
-    if allowed is None:
-        allowed = (1 << total) - 1
     parent = list(range(n + m))  # union-find over agents [0,n) and chores [n,n+m)
     tree = [(0, (i,), (), [0] * m) for i in range(n)]  # record per union-find root
     tree += [(0, (), (c,), [int(c == h) for h in range(m)]) for c in range(m)]
@@ -219,7 +215,7 @@ def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]],
         for idx in range(start, total):
             i, c = divmod(idx, m)
             ra, rc = find(i), find(n + c)
-            if ra != rc and allowed >> idx & 1:
+            if ra != rc:
                 one, saved = tree[ra], tree[rc]
                 if D is None:  # unpruned: only the masks are read
                     joined = (one[0] | saved[0] | (1 << idx), (), (), None)
@@ -237,8 +233,7 @@ def _enumerate_supports(n: int, m: int, D: Optional[list[list[int]]],
                     chore_deg[c] -= 1
                     parent[ra] = ra
                     tree[rc] = saved
-            # Skipping past a node's final candidate edge dooms the branch; a
-            # disallowed edge counts as skipped.
+            # Skipping past a node's final candidate edge dooms the branch.
             if agent_deg[i] == 0 and idx == i * m + m - 1:
                 return
             if chore_deg[c] == 0 and idx == (n - 1) * m + c:
@@ -390,15 +385,6 @@ def exact_ceei(inst: Instance) -> MarketOutcome:
     across supports, which leaves the canonical order untouched. The search
     never consults ``approx_ceei``, and so stays an independent oracle for it.
     """
-    _check_searchable(inst)
-    outcome = _first_equilibrium(inst, None)
-    if outcome is None:
-        raise EquilibriumNotFoundError(
-            "support enumeration exhausted without an equilibrium; this is a bug")
-    return outcome
-
-
-def _check_searchable(inst: Instance) -> None:
     if inst.m == 0:
         raise InputError(_NO_CHORES)
     if inst.has_zero_entry():
@@ -407,14 +393,6 @@ def _check_searchable(inst: Instance) -> None:
         raise InstanceTooLargeError(
             f"{inst.n} agents x {inst.m} chores exceeds search limits "
             f"({MAX_SEARCH_AGENTS} x {MAX_SEARCH_CHORES})")
-
-
-def _first_equilibrium(inst: Instance, allowed: Optional[int]) -> Optional[MarketOutcome]:
-    """``exact_ceei``'s search over the supports inside ``allowed``.
-
-    Returns None when those supports hold no equilibrium. A support the
-    solver accepts but the verifier rejects is a bug, never a miss.
-    """
     n, m = inst.n, inst.m
     D = _integer_matrix(inst)
 
@@ -433,7 +411,7 @@ def _first_equilibrium(inst: Instance, allowed: Optional[int]) -> Optional[Marke
             pair_cache[key] = _components_compatible(D, m, one, other)
         return pair_cache[key]
 
-    for _, trees in _enumerate_supports(n, m, D, allowed):
+    for _, trees in _enumerate_supports(n, m, D):
         if any(earnings_of(record) is None for record in trees):
             continue
         if not all(compatible(one, other)
@@ -453,36 +431,13 @@ def _first_equilibrium(inst: Instance, allowed: Optional[int]) -> Optional[Marke
             return outcome
         raise EquilibriumNotFoundError(
             "support solver accepted an outcome the verifier rejects; this is a bug")
-    return None
-
-
-def _warm_exact_ceei(inst: Instance, prices: PriceVector) -> tuple[MarketOutcome, str]:
-    """An exact equal-income equilibrium, searched for near approximate prices.
-
-    Runs ``exact_ceei``'s search over only the edges of the min-pain-per-buck
-    graph at ``prices``, those of a verified ``approx_ceei`` outcome; on a
-    miss, ``exact_ceei`` itself answers. Returns the outcome and which search
-    found it: "mpb" or "canonical". Raises ``InstanceTooLargeError`` outside
-    the search caps, as ``exact_ceei`` does.
-
-    The restricted search keeps canonical order, so whenever the support of
-    ``exact_ceei``'s outcome lies in that graph the two outcomes are equal;
-    otherwise the outcome may be another equilibrium of the instance.
-    """
-    _check_searchable(inst)
-    m = inst.m
-    allowed = 0
-    for i, chores in enumerate(_best_ratio_sets(inst, prices)):
-        for c in chores:
-            allowed |= 1 << (i * m + c)
-    outcome = _first_equilibrium(inst, allowed)
-    if outcome is None:
-        return exact_ceei(inst), "canonical"
-    return outcome, "mpb"
+    raise EquilibriumNotFoundError(
+        "support enumeration exhausted without an equilibrium; this is a bug")
 
 
 # ---------------------------------------------------------------------------
-# Approximate equilibrium by earning-balancing price adjustment
+# Approximate equilibrium by earning-balancing price adjustment, and its
+# rounding to an exact one
 # ---------------------------------------------------------------------------
 
 def _mpb_structure(D, P):
@@ -686,6 +641,30 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
         f"no verified outcome within {DEFAULT_ROUNDS} price-adjustment rounds")
 
 
+def _round_to_exact(inst: Instance, prices: PriceVector) -> Optional[MarketOutcome]:
+    """An exact equal-income equilibrium near verified approximate ``prices``,
+    or None: each component of their MPB graph is rescaled to sum to its
+    agent count, then routed at incomes of exactly 1. The rounding step of
+    Chaudhury, Garg, McGlaughlin and Mehta (EC 2022); not proved complete."""
+    n, m = inst.n, inst.m
+    edges = {(i, c): ONE for i, chores in enumerate(_best_ratio_sets(inst, prices))
+             for c in chores}
+    rounded: list[Fraction] = [ZERO] * m
+    for agents, chores in PaymentGraph.from_edges(n, m, edges).components():
+        total = sum((prices[c] for c in chores), ZERO)
+        for c in chores:
+            rounded[c] = len(agents) * prices[c] / total
+    L = lcm(*(value.denominator for value in rounded))
+    sets = _best_ratio_sets(inst, rounded)
+    earnings = _route_within_bounds(n, m, _scaled(rounded, L), L, sets, ONE, ONE)
+    if earnings is None:
+        return None
+    outcome = _outcome_from_earnings(inst, rounded, earnings, ZERO)
+    if verify_fisher_equilibrium(inst, outcome).passed:
+        return outcome
+    raise AlgorithmBugError("rounded outcome failed verification; this is a bug")
+
+
 # ---------------------------------------------------------------------------
 # Cycle cancellation
 # ---------------------------------------------------------------------------
@@ -715,7 +694,8 @@ def _cancel_cycles(n: int, m: int, weights: dict) -> list[set[int]]:
     leave. Returns the forest's adjacency, chore ``c`` at node ``n + c``."""
     adj: list[set[int]] = [set() for _ in range(n + m)]  # chore c is node n + c
     for i, c in list(weights):
-        path = _forest_path(adj, i, n + c)
+        # A chore without forest edges yet cannot close a cycle.
+        path = _forest_path(adj, i, n + c) if adj[n + c] else None
         if path is not None:
             cycle = [(u, v - n) if u < n else (v, u - n) for u, v in zip(path, path[1:])]
             cycle.append((i, c))

@@ -18,7 +18,7 @@ class InstanceTooLargeError(FairChoresError):
 
 
 class BudgetExhaustedError(FairChoresError):
-    """The iterative price-adjustment solver hit its round cap unverified."""
+    """An iterative solver ran out of its fixed budget (rounds or rungs)."""
 
 
 class InvalidEquilibriumError(FairChoresError):

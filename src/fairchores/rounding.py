@@ -28,8 +28,8 @@ from .core import (
 )
 from .equilibrium import (
     _cancel_cycles,
+    _round_to_exact,
     _searchable,
-    _warm_exact_ceei,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -109,6 +109,9 @@ def phase1(state: RoundingState) -> RoundingState:
     """
     inst, prices, eps = state.inst, state.prices, state.epsilon
     floor = 1 - eps
+    # Bundles only grow here, so each one's total and priciest chore run along.
+    held = [sum((prices[c] for c in bundle), ZERO) for bundle in state.bundles]
+    top = [max((prices[c] for c in bundle), default=ZERO) for bundle in state.bundles]
     state.checkpoint()
     while True:
         singles = sorted(
@@ -120,16 +123,18 @@ def phase1(state: RoundingState) -> RoundingState:
             owner = next(iter(state.chore_adj[c]))
             state.bundles[owner].add(c)
             state.allocated.add(c)
+            held[owner] += prices[c]
+            top[owner] = max(top[owner], prices[c])
             state.trace.append({"event": "assign", "phase": 1, "agent": owner, "chore": c})
         state.checkpoint()
 
         for i, c in sorted(state.weights):
             if (i, c) not in state.weights:
                 continue  # removed earlier in this pass
-            combined = state.bundles[i] | {c}
-            total = sum((prices[cc] for cc in combined), ZERO)
-            priciest = max(prices[cc] for cc in combined)
-            if total - priciest <= floor:
+            # Payment of bundles[i] | {c} less its priciest chore.
+            price = prices[c]
+            total = held[i] if c in state.bundles[i] else held[i] + price
+            if total - max(top[i], price) <= floor:
                 continue
             degree = len(state.chore_adj[c])
             if degree == 1:
@@ -224,6 +229,19 @@ def phase2(state: RoundingState) -> SurplusAllocation:
     return SurplusAllocation(bundles, inst.m)
 
 
+def _exact_by_rounding(inst: Instance, outcome: MarketOutcome) -> MarketOutcome:
+    """Round the verified approximate ``outcome`` to an exact equilibrium, on a
+    miss re-solving at a tenth, then a hundredth of its slack: a fixed ladder."""
+    eps = outcome.epsilon
+    for slack in (None, eps / 10, eps / 100):
+        if slack is not None:
+            outcome = approx_ceei(inst, slack)
+        rounded = _round_to_exact(inst, outcome.prices)
+        if rounded is not None:
+            return rounded
+    raise BudgetExhaustedError(f"no exact equilibrium rounded at epsilon {eps}, /10 or /100")
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     exact: bool = False
@@ -249,12 +267,12 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     before being returned. ``opts.epsilon`` defaults to 1/(5nm) and may be set
     anywhere in (0, 1/(5nm)]; anything else raises ``InputError``.
 
-    Both routes start from one ``approx_ceei`` call. If its price loop runs
-    out of rounds, ``exact_ceei`` answers within the search caps
-    (``MAX_SEARCH_AGENTS`` x ``MAX_SEARCH_CHORES``); above them the error
-    propagates. Within the caps ``opts.exact`` rounds an exact equilibrium
-    (epsilon 0), searched near the approximate prices, and the trace opens
-    with an ``exact-search`` event naming the search that found it.
+    Both routes start from one ``approx_ceei`` call, which ``opts.exact``
+    rounds to an exact equilibrium (epsilon 0, ``_exact_by_rounding``). A
+    ``BudgetExhaustedError`` of either is answered by ``exact_ceei`` within
+    the search caps (``MAX_SEARCH_AGENTS`` x ``MAX_SEARCH_CHORES``) and
+    propagates above them. With ``opts.exact`` the trace opens with an
+    ``exact-search`` event naming the search: "rounded" or "canonical".
     """
     if inst.has_zero_entry():
         raise ZeroDisutilityError("the surplus pipeline needs strictly positive disutilities")
@@ -278,20 +296,18 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
                              f"and {inst.m} chores, got {requested}")
         eps = requested
 
-    searchable = _searchable(inst)
-    search = "canonical"  # exact_ceei's, unless the restricted search answers
+    search = "rounded"
     try:
         outcome = approx_ceei(inst, eps)
+        if opts.exact:
+            outcome = _exact_by_rounding(inst, outcome)
     except BudgetExhaustedError:
-        if not searchable:
+        if not _searchable(inst):
             raise
-        outcome = exact_ceei(inst)
-    else:
-        if opts.exact and searchable:
-            outcome, search = _warm_exact_ceei(inst, outcome.prices)
+        outcome, search = exact_ceei(inst), "canonical"
 
     state = RoundingState.from_outcome(inst, outcome)
-    if opts.exact and searchable:
+    if opts.exact:
         state.trace.append({"event": "exact-search", "search": search})
     phase1(state)
     alloc = phase2(state)

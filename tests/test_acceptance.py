@@ -21,15 +21,14 @@ from fairchores.core import (
 )
 from fairchores.core import FractionalAllocation, MarketOutcome
 from fairchores.equilibrium import (
-    _warm_exact_ceei,
     approx_ceei,
     default_epsilon,
     exact_ceei,
     make_acyclic,
     verify_fisher_equilibrium,
 )
-from fairchores.errors import InstanceTooLargeError
-from fairchores.rounding import fair_and_efficient
+from fairchores.errors import BudgetExhaustedError, InstanceTooLargeError
+from fairchores.rounding import _exact_by_rounding, fair_and_efficient
 from fairchores.three_agent import (
     efx_identical,
     perturb_nondegenerate,
@@ -136,12 +135,11 @@ def test_criterion_4_phase1_instrumentation():
 
 
 def test_criterion_5_oracle_agreement():
-    # The pipeline's exact route searches the min-pain-per-buck graph at the
-    # approximate prices in canonical order, so it returns the canonical
-    # outcome whenever that outcome's support lies in the graph.
+    # The pipeline's exact route rounds the approximate equilibrium (retrying
+    # at eps/10 and eps/100) and falls back to exact_ceei only on a miss.
     rng = random.Random(1005)
     start = time.time()
-    inside = misses = 0
+    same = fallbacks = 0
     for _ in range(100):
         n = rng.randint(2, 4)
         m = rng.randint(n, 7)
@@ -152,20 +150,19 @@ def test_criterion_5_oracle_agreement():
         assert exact.epsilon == 0
         approx = approx_ceei(inst, eps)
         assert verify_fisher_equilibrium(inst, approx).passed
-        warm, search = _warm_exact_ceei(inst, approx.prices)
-        assert verify_fisher_equilibrium(inst, warm).passed
-        assert warm.epsilon == 0
-        misses += search == "canonical"
-        graph = [mpb(inst, approx.prices, i)[1] for i in range(n)]
-        if all(c in graph[i] for i, row in enumerate(exact.x.x)
-               for c, value in enumerate(row) if value):
-            inside += 1
-            assert warm == exact
-    assert inside > 50 and misses < 10
+        try:
+            rounded = _exact_by_rounding(inst, approx)
+        except BudgetExhaustedError:
+            fallbacks += 1
+            continue
+        assert verify_fisher_equilibrium(inst, rounded).passed
+        assert rounded.epsilon == 0
+        same += rounded == exact
+    assert fallbacks <= 5
     report("criterion 5 (exact and approximate oracles agree with verifier)",
-           True, f"100/100 instances, both oracles and the warm exact route verified, "
-                 f"{inside} canonical supports in the MPB graph, {misses} misses "
-                 f"({time.time()-start:.1f}s)")
+           True, f"100/100 instances, both oracles and the rounded exact route verified, "
+                 f"{100 - fallbacks} rounded ({same} equal to exact_ceei's), "
+                 f"{fallbacks} canonical fallbacks ({time.time()-start:.1f}s)")
 
 
 def test_criterion_6_make_acyclic():

@@ -430,15 +430,19 @@ class TestInternalBugsExitThree:
     def test_exact_route_accepting_a_rejected_outcome(self, small, tmp_path, capsys,
                                                        monkeypatch):
         # The exact route runs approx_ceei first; its outcomes stay intact so
-        # that both commands reach the support solver.
+        # that the pipeline reaches the rounding and the oracle the support
+        # solver.
         self.corrupt_outcomes(monkeypatch, only_exact=True)
         out = tmp_path / "o.json"
-        for argv in (("solve-surplus", "--exact", "-i", small, "-o", out),
-                     ("oracle", "--which", "ceei-exact", "-i", small, "-o", out)):
+        for argv, message in (
+                (("solve-surplus", "--exact", "-i", small, "-o", out),
+                 "rounded outcome failed verification"),
+                (("oracle", "--which", "ceei-exact", "-i", small, "-o", out),
+                 "support solver accepted an outcome the verifier rejects")):
             assert run(*argv) == 3
             err = capsys.readouterr().err
             assert "internal failure" in err
-            assert "support solver accepted an outcome the verifier rejects" in err
+            assert message in err
 
     def test_cycle_cancellation_breaking_the_equilibrium(self, small, fallbacks, tmp_path,
                                                          capsys, monkeypatch):

@@ -233,21 +233,6 @@ def test_pruned_supports_fail_a_component(n, m):
 
 
 @pytest.mark.parametrize("n,m", SHAPES)
-def test_allowed_edges_filter_without_reordering(n, m):
-    # A mask over edge ids yields exactly the supports inside it, in the
-    # order of the unrestricted enumeration, pruned or not.
-    rng = random.Random(300 * n + m)
-    for D in (None, [[rng.randint(1, 20) for _ in range(m)] for _ in range(n)]):
-        full = pruned_supports(D, n, m)
-        for _ in range(6):
-            allowed = rng.getrandbits(n * m) | rng.getrandbits(n * m)
-            inside = [support for support in full
-                      if all(allowed >> (i * m + c) & 1 for i, c in support)]
-            assert [tuple(divmod(e, m) for e in chosen)
-                    for chosen, _ in _enumerate_supports(n, m, D, allowed)] == inside
-
-
-@pytest.mark.parametrize("n,m", SHAPES)
 def test_tree_records_describe_their_trees(n, m):
     # Every record the pruned enumeration yields holds exactly its tree's
     # nodes, prices proportional to the ones its edges fix, and only
@@ -533,6 +518,18 @@ class TestMakeAcyclic:
             else:
                 cyclic += 1
         assert cyclic >= 50
+
+    def test_chores_without_forest_edges_need_no_path_search(self, monkeypatch):
+        # One agent pays for 601 chores; none has a forest edge when its own
+        # edge comes up, so none can close a cycle.
+        calls = []
+        real = equilibrium._forest_path
+        monkeypatch.setattr(equilibrium, "_forest_path",
+                            lambda *args: calls.append(args) or real(*args))
+        weights = {(0, c): F(1 + c % 7) for c in range(601)}
+        adj = equilibrium._cancel_cycles(1, 601, dict(weights))
+        assert calls == []
+        assert adj[0] == set(range(1, 602))
 
     def test_rejects_non_equilibrium(self):
         inst = Instance.from_rows([[1, 2], [2, 1]])

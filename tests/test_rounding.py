@@ -16,7 +16,7 @@ from fairchores.core import (
     bundle_payment,
 )
 from fairchores.equilibrium import (
-    _warm_exact_ceei,
+    _round_to_exact,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -97,6 +97,23 @@ class TestPhase1:
         # no edge was deleted: allocated chores keep theirs, c1 stays shared
         assert sorted(state.weights) == [(0, 0), (0, 1), (1, 1), (1, 2)]
         assert state.weights[(0, 1)] == state.weights[(1, 1)] == F(1, 3)
+
+    def test_price_reads_linear_in_edges(self, monkeypatch):
+        # Bundles only grow, so each payment edge costs a few price reads
+        # however large its agent's bundle: one agent, 601 chores.
+        m = 601
+        row = [1 + c % 7 for c in range(m)]
+        inst = Instance.from_rows([row])
+        x = FractionalAllocation.from_rows([[1] * m])
+        prices = PriceVector.from_values([F(d, sum(row)) for d in row])
+        state = RoundingState.from_outcome(inst, MarketOutcome(x, prices, (F(1),), F(0)))
+        reads = []
+        real = PriceVector.__getitem__
+        monkeypatch.setattr(PriceVector, "__getitem__",
+                            lambda self, chore: reads.append(chore) or real(self, chore))
+        phase1(state)
+        assert state.bundles == [set(range(m))]
+        assert len(reads) <= 4 * m
 
     def test_income_window_checkpoints(self):
         inst, state = shared_path_state()
@@ -185,22 +202,58 @@ class TestPipeline:
     def test_exact_route_names_its_search(self):
         inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])
         result = fair_and_efficient(inst, SolveOptions(exact=True))
-        assert result.trace[0] == {"event": "exact-search", "search": "mpb"}
+        assert result.trace[0] == {"event": "exact-search", "search": "rounded"}
         assert all(event["event"] != "exact-search"
                    for event in result.trace[1:] + fair_and_efficient(inst).trace)
 
-    def test_exact_route_falls_back_to_the_canonical_search(self):
-        # Criterion-5 draw 22 (seed 1005): the min-pain-per-buck graph at
-        # approx_ceei's prices for eps = 1/75 holds no equilibrium.
+    def test_exact_route_retries_with_a_smaller_epsilon(self, monkeypatch):
+        # Criterion-5 draw 22 (seed 1005): the approximate prices at
+        # eps = 1/75 round to no equilibrium, those at 1/750 do.
         inst = Instance.from_rows(
             [[9, 16, 16, 13, 20], [13, 1, 3, 14, 5], [8, 3, 7, 14, 18]])
         assert default_epsilon(3, 5) == F(1, 75)
-        canonical = exact_ceei(inst)
-        prices = approx_ceei(inst, F(1, 75)).prices
-        assert _warm_exact_ceei(inst, prices) == (canonical, "canonical")
+        assert _round_to_exact(inst, approx_ceei(inst, F(1, 75)).prices) is None
+        rounded = _round_to_exact(inst, approx_ceei(inst, F(1, 750)).prices)
+        assert verify_fisher_equilibrium(inst, rounded).passed
+        assert rounded.epsilon == 0
+        calls = []
+        patch_every_binding(monkeypatch, approx_ceei, calls)
         result = fair_and_efficient(inst, SolveOptions(exact=True))
+        assert [args[1] for args in calls] == [F(1, 75), F(1, 750)]
+        assert result.trace[0] == {"event": "exact-search", "search": "rounded"}
+        assert result.prices == rounded.prices
+        assert result.epsilon == 0
+
+    def test_exact_route_falls_back_to_the_canonical_search(self, monkeypatch):
+        # A rounding that misses on every rung of the ladder is answered by
+        # exact_ceei inside the search caps and raises above them.
+        calls = []
+        patch_every_binding(monkeypatch, approx_ceei, calls)
+        patch_every_binding(monkeypatch, _round_to_exact, [], lambda *args: None)
+        inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])
+        result = fair_and_efficient(inst, SolveOptions(exact=True))
+        eps = default_epsilon(2, 3)
+        assert [args[1] for args in calls] == [eps, eps / 10, eps / 100]
         assert result.trace[0] == {"event": "exact-search", "search": "canonical"}
-        assert result.prices == canonical.prices
+        assert result.prices == exact_ceei(inst).prices
+        assert result.epsilon == 0
+        above = Instance.from_rows([[1, 2, 3, 4, 5]] * 5)
+        with pytest.raises(BudgetExhaustedError, match="no exact equilibrium rounded"):
+            fair_and_efficient(above, SolveOptions(exact=True))
+        assert fair_and_efficient(above).epsilon == default_epsilon(5, 5)
+
+    def test_exact_route_never_searches_supports_when_rounding_answers(self, monkeypatch):
+        # Identical rows tie every ratio, the exhaustive search's worst case
+        # at 4 x 7; 6 x 15 is above its caps.
+        calls = []
+        patch_every_binding(monkeypatch, exact_ceei, calls)
+        rng = random.Random(14)
+        row = [rng.randint(1, 20) for _ in range(7)]
+        for rows in ([row] * 4, [[rng.randint(1, 20) for _ in range(15)] for _ in range(6)]):
+            result = fair_and_efficient(Instance.from_rows(rows), SolveOptions(exact=True))
+            assert result.trace[0] == {"event": "exact-search", "search": "rounded"}
+            assert result.epsilon == 0
+        assert calls == []
 
     def test_epsilon_limited_to_proved_range(self):
         inst = Instance.from_rows([[1, 2], [2, 1]])
@@ -254,8 +307,8 @@ class TestPipeline:
 
     def test_each_route_verifies_the_equilibrium_once_per_step(self, monkeypatch):
         # The price loop and the rounding verify once each; the exact route
-        # adds the support search's own check. Both routes start from the one
-        # approx_ceei call.
+        # adds the check of the rounded equilibrium. Both routes start from
+        # the one approx_ceei call.
         verified, approximated = [], []
         patch_every_binding(monkeypatch, verify_fisher_equilibrium, verified)
         patch_every_binding(monkeypatch, approx_ceei, approximated)
