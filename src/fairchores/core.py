@@ -30,6 +30,8 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 def rat(value) -> Fraction:
     """Coerce ints / strings like '2/3' / decimal strings to an exact Fraction."""
+    if type(value) is int:  # the common case, ahead of the slower ABC checks
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -86,9 +88,9 @@ class Instance:
             raise InputError("disutility rows have inconsistent lengths")
         for row in self.disutility:
             for value in row:
-                if not isinstance(value, Fraction):
+                if type(value) is not Fraction and not isinstance(value, Fraction):
                     raise InputError("disutility entries must be Fractions")
-                if value < 0:
+                if value.numerator < 0:
                     raise InputError("disutility entries must be non-negative")
 
     @classmethod

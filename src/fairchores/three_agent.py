@@ -1,11 +1,18 @@
 """Three-agent chore division: a transfer-EFX or proportional allocation.
 
-The solver perturbs the instance so no two distinct sets tie, seeds the
-partition with a greedy split that is EFX under the first agent's costs, and
-then walks through partitions maintaining three loop invariants until either a
-consistent assignment exists (transfer-EFX) or the walk exits through the
-proportional branch. The final certificate is always re-verified against the
-original, unperturbed instance.
+The solver breaks every tie between distinct chore sets, seeds the partition
+with a greedy split that is EFX under the first agent's costs, and then walks
+through partitions maintaining three loop invariants until either a consistent
+assignment exists (transfer-EFX) or the walk exits through the proportional
+branch. The final certificate is always re-verified against the original,
+unscaled instance.
+
+Ties are broken in integers, the simplest form of Edelsbrunner & Mücke's
+"Simulation of Simplicity" (ACM TOG 1990): every comparison in the walk is
+between two chore sets under one agent's costs, so each row is scaled to
+integers on its own and chore ``j``'s tie-break weight ``2^(j+1)`` sits in
+the low bits (``_ScaledRows``). ``perturb_nondegenerate`` applies the same
+order as an explicit rational epsilon and stays as the test oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +42,11 @@ def perturb_nondegenerate(inst: Instance) -> tuple[Instance, Fraction]:
     entries, two distinct subset sums of the original instance differ by at
     least ``1/D``, so ``eps = 1 / (2 D 2^(m+1))`` keeps every strict original
     comparison strict after perturbation.
+
+    ``solve_three`` does not call this: it orders sets by ``_ScaledRows``,
+    which is this order in integers. This explicit form is the test oracle
+    for that order, and the way to check non-degeneracy with
+    ``check_nondegenerate``.
     """
     m = inst.m
     common = lcm(*(value.denominator for row in inst.disutility for value in row))
@@ -45,6 +57,33 @@ def perturb_nondegenerate(inst: Instance) -> tuple[Instance, Fraction]:
     return Instance(rows), eps
 
 
+class _ScaledRows:
+    """Integer rows that order one agent's chore sets as the perturbation does.
+
+    Entry ``(i, j)`` is ``K_i d_ij 2^(m+1) + 2^(j+1)``, with ``K_i`` the lcm of
+    row ``i``'s denominators. Two sets whose original costs differ then
+    differ by at least ``2^(m+1)``, more than any two fingerprints
+    ``sum 2^(j+1)`` can, so every strict comparison keeps its direction and
+    ties break as under ``perturb_nondegenerate``. Rows are scaled apart, so
+    only sets under the same agent's costs may be compared.
+    """
+
+    __slots__ = ("disutility",)
+
+    def __init__(self, inst: Instance):
+        unit = 2 ** (inst.m + 1)
+        rows = []
+        for row in inst.disutility:
+            scale = lcm(*(value.denominator for value in row))
+            rows.append(tuple(
+                value.numerator * (scale // value.denominator) * unit + 2 ** (j + 1)
+                for j, value in enumerate(row)))
+        self.disutility = tuple(rows)
+
+    def d(self, agent: int, chore: int) -> int:
+        return self.disutility[agent][chore]
+
+
 def efx_identical(costs: Sequence, n: int) -> tuple[frozenset[int], ...]:
     """Greedy split that is EFX when every agent shares the given costs.
 
@@ -52,9 +91,9 @@ def efx_identical(costs: Sequence, n: int) -> tuple[frozenset[int], ...]:
     each going to the currently cheapest bundle (ties by ascending bundle
     index).
     """
-    costs = [rat(v) for v in costs]
+    costs = [v if type(v) is int else rat(v) for v in costs]
     bundles: list[set[int]] = [set() for _ in range(n)]
-    totals = [Fraction(0)] * n
+    totals = [0] * n
     for c in sorted(range(len(costs)), key=lambda c: (-costs[c], c)):
         target = min(range(n), key=lambda k: (totals[k], k))
         bundles[target].add(c)
@@ -62,14 +101,16 @@ def efx_identical(costs: Sequence, n: int) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(b) for b in bundles)
 
 
-def _cost(inst: Instance, agent: int, chores) -> Fraction:
-    return sum((inst.d(agent, c) for c in chores), Fraction(0))
+def _cost(inst: Instance, agent: int, chores):
+    row = inst.disutility[agent]
+    return sum(row[c] for c in chores)
 
 
 def tefx_feasible(inst: Instance, agent: int, k: int, partition) -> bool:
     """Whether bundle ``k`` stays unenvied by ``agent`` after any single transfer.
 
     Additivity means only the cheapest chore of the bundle needs checking.
+    ``inst`` may be an ``Instance`` or the solver's integer rows.
     """
     bundle = partition[k]
     if not bundle:
@@ -117,7 +158,7 @@ class ThreeResult:
     iterations: int
 
 
-def _check_invariants(pert: Instance, bundles: list[frozenset[int]]) -> None:
+def _check_invariants(pert, bundles: list[frozenset[int]]) -> None:
     for k in (0, 1):
         if not tefx_feasible(pert, 0, k, bundles):
             raise LoopInvariantError(f"bundle {k} lost feasibility for agent 0")
@@ -150,7 +191,7 @@ def solve_three(inst: Instance) -> ThreeResult:
     if inst.n != 3:
         raise WrongAgentCountError(f"expected 3 agents, got {inst.n}")
     m = inst.m
-    pert, _ = perturb_nondegenerate(inst)
+    pert = _ScaledRows(inst)
 
     greedy = efx_identical(pert.disutility[0], 3)
     # Labels sorted so agent 2 ranks them: bundle2 <= bundle0 <= bundle1.

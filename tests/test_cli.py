@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -162,6 +163,30 @@ class TestSolveThree:
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[1], [1]]}))
         assert run("solve-three", "-i", inst, "-o", tmp_path / "o.json") == 2
+
+    def test_high_precision_input_finishes(self, tmp_path):
+        # Distinct denominators of about 990 digits, just under MAX_TEXT_DIGITS,
+        # used to make every comparison a sum over their common multiple
+        # (minutes per solve). A child process under a timeout turns a slow
+        # solve into a failure.
+        rng = random.Random(3)
+        rows = [[f"{rng.randint(0, 20)}/{10 ** 989 + 60 * i + j}" for j in range(60)]
+                for i in range(3)]
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": rows}))
+        out = tmp_path / "three.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        solve = subprocess.run(
+            [sys.executable, "-m", "fairchores.cli", "solve-three", "-i", str(inst),
+             "-o", str(out)],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert solve.returncode == 0, solve.stderr
+        prop = "tefx" if load_json(out)["kind"] == "tEFX" else "prop"
+        verify = subprocess.run(
+            [sys.executable, "-m", "fairchores.cli", "verify", "-i", str(inst),
+             "--alloc", str(out), "--property", prop],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert verify.returncode == 0, verify.stderr
 
 
 class TestVerify:

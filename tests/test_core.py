@@ -42,6 +42,12 @@ def test_instance_validation():
         Instance.from_rows([[1, 2], [3]])
     with pytest.raises(InputError):
         Instance.from_rows([[1, -2]])
+    with pytest.raises(InputError):
+        Instance.from_rows([[1, True]])
+    with pytest.raises(InputError):
+        Instance(((F(1), 2),))
+    with pytest.raises(InputError):
+        Instance(((F(-1, 3),),))
     inst = Instance.from_rows([[1, 2], [3, 4]])
     assert (inst.n, inst.m) == (2, 2)
     assert inst.total(1) == 7

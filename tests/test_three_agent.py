@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from fairchores import three_agent
 from fairchores.core import Instance
 from fairchores.errors import WrongAgentCountError
 from fairchores.three_agent import (
+    _ScaledRows,
     efx_identical,
     perturb_nondegenerate,
     solve_three,
@@ -69,6 +71,77 @@ class TestPerturbation:
                     after_s = sum(pert.d(agent, c) for c in s)
                     after_t = sum(pert.d(agent, c) for c in t)
                     assert after_s > after_t
+
+
+def mixed_instance(rng, m):
+    """Three rows with zeros and different denominators, some rows identical."""
+    rows = [[F(rng.choice([0, 0, rng.randint(1, 12)]), rng.randint(1, 9)) for _ in range(m)]
+            for _ in range(3)]
+    shape = rng.randrange(3)
+    if shape == 1:
+        rows[2] = rows[0]
+    elif shape == 2:
+        rows = [[F(rng.randint(0, 3)) for _ in range(m)]] * 3
+    return Instance.from_rows(rows)
+
+
+def random_partition(rng, m):
+    bundles = [set(), set(), set()]
+    for c in range(m):
+        bundles[rng.randrange(3)].add(c)
+    return tuple(frozenset(b) for b in bundles)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+class TestScaledRows:
+    """The integer rows ``solve_three`` uses order sets as the perturbation does."""
+
+    def test_formula_per_row(self):
+        scaled = _ScaledRows(Instance.from_rows([["1/3", "1/6"], [1, 2], [0, 0]]))
+        assert scaled.disutility == ((2 * 8 + 2, 1 * 8 + 4), (8 + 2, 16 + 4), (2, 4))
+        assert _ScaledRows(Instance.from_rows([[], [], []])).disutility == ((), (), ())
+
+    def test_sign_agrees_with_perturbation(self):
+        rng = random.Random(15)
+        for _ in range(80):
+            m = rng.randint(0, 12)
+            inst = mixed_instance(rng, m)
+            pert, _ = perturb_nondegenerate(inst)
+            scaled = _ScaledRows(inst)
+            for _ in range(25):
+                s = [c for c in range(m) if rng.random() < 0.5]
+                t = [c for c in range(m) if rng.random() < 0.5]
+                agent = rng.randrange(3)
+                exact = sum(pert.d(agent, c) for c in s) - sum(pert.d(agent, c) for c in t)
+                fast = sum(scaled.d(agent, c) for c in s) - sum(scaled.d(agent, c) for c in t)
+                assert sign(fast) == sign(exact)
+
+    def test_helpers_agree_with_perturbation(self):
+        rng = random.Random(16)
+        for _ in range(150):
+            m = rng.randint(0, 9)
+            inst = mixed_instance(rng, m)
+            pert, _ = perturb_nondegenerate(inst)
+            scaled = _ScaledRows(inst)
+            partition = random_partition(rng, m)
+            for agent in range(3):
+                for k in range(3):
+                    assert (tefx_feasible(scaled, agent, k, partition)
+                            == tefx_feasible(pert, agent, k, partition))
+            assert terminal_assignment(scaled, partition) == terminal_assignment(pert, partition)
+
+    def test_solve_agrees_with_perturbation(self, monkeypatch):
+        rng = random.Random(17)
+        instances = [mixed_instance(rng, rng.randint(0, 30)) for _ in range(120)]
+        fast = [solve_three(inst) for inst in instances]
+        branches = {event["branch"] for result in fast for event in result.trace}
+        assert branches == {"terminal", "move", "transfer", "proportional"}
+        monkeypatch.setattr(three_agent, "_ScaledRows",
+                            lambda inst: perturb_nondegenerate(inst)[0])
+        assert [solve_three(inst) for inst in instances] == fast
 
 
 class TestGreedyIdentical:
