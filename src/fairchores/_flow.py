@@ -1,13 +1,21 @@
 """Exact max-flow with integer capacities.
 
-Plain BFS augmentation (Edmonds-Karp) over Python ints, so capacities and
-flows stay exact at any magnitude and the result is deterministic: adjacency
-lists keep insertion order, and the search visits them in that order. Callers
-with rational capacities scale them to a common denominator first.
+Two algorithms over Python ints, so capacities and flows stay exact at any
+magnitude and both are deterministic: adjacency lists keep insertion order,
+and every search visits them in that order. Callers with rational capacities
+scale them to a common denominator first.
+
+- ``max_flow`` runs blocking flows (Dinic 1970): breadth-first levels, then
+  a depth-first search with current-arc pointers. Use it when only the value
+  or the cut is read: ``reachable(source)`` afterwards is the source side of
+  the minimal minimum cut, the same set for every maximum flow.
+- ``edmonds_karp`` pushes along one shortest path at a time (Edmonds-Karp).
+  Maximum flows differ edge by edge, so callers that read per-edge flows use
+  this one, from zero flow; ``reset`` returns a used network there.
 
 An edge added with capacity ``None`` is uncapped; its residual never runs out.
 There is no large-number stand-in for infinity. A path made only of uncapped
-edges would carry unbounded flow, and ``max_flow`` raises ``ValueError`` on
+edges would carry unbounded flow, and both algorithms raise ``ValueError`` on
 one rather than loop.
 """
 
@@ -44,6 +52,16 @@ class FlowNetwork:
         """Flow on an edge, given the index ``add_edge`` returned."""
         return self.residual[index ^ 1]
 
+    def reset(self) -> None:
+        """Return every edge to zero flow."""
+        residual = self.residual
+        for index in range(0, len(residual), 2):
+            # A reverse edge starts at 0, so a finite capacity is the sum of
+            # the pair's residuals; an uncapped one stays None.
+            if residual[index] is not None:
+                residual[index] += residual[index + 1]
+            residual[index + 1] = 0
+
     def _augment(self, source: int, sink: int) -> int:
         """Push flow along the shortest residual path; returns the amount."""
         adj, head, residual = self.adj, self.head, self.residual
@@ -67,6 +85,11 @@ class FlowNetwork:
             index = parent[node]
             path.append(index)
             node = head[index ^ 1]
+        return self._push(path)
+
+    def _push(self, path: list[int]) -> int:
+        """Push the bottleneck of ``path``, a list of edge indices; returns it."""
+        residual = self.residual
         finite = [residual[index] for index in path if residual[index] is not None]
         if not finite:
             raise ValueError("unbounded flow: an augmenting path has only uncapped edges")
@@ -78,13 +101,62 @@ class FlowNetwork:
                 residual[index ^ 1] += bottleneck
         return bottleneck
 
-    def max_flow(self, source: int, sink: int) -> int:
+    def edmonds_karp(self, source: int, sink: int) -> int:
+        """Augment along shortest paths until none is left; returns the amount."""
         total = 0
         while True:
             pushed = self._augment(source, sink)
             if pushed == 0:
                 return total
             total += pushed
+
+    def max_flow(self, source: int, sink: int) -> int:
+        """Augment by blocking flows until the sink is cut off; returns the amount."""
+        adj, head, residual = self.adj, self.head, self.residual
+        total = 0
+        while True:
+            level = [-1] * len(adj)
+            level[source] = 0
+            queue = deque([source])
+            while queue and level[sink] < 0:
+                node = queue.popleft()
+                for index in adj[node]:
+                    v = head[index]
+                    if level[v] < 0 and residual[index] != 0:
+                        level[v] = level[node] + 1
+                        queue.append(v)
+            if level[sink] < 0:
+                return total
+            # Depth-first search of the level graph. ``arc[u]`` is the first
+            # edge of ``u`` not yet known to lead nowhere; ``path`` holds the
+            # edges from the source to ``node``.
+            arc = [0] * len(adj)
+            path: list[int] = []
+            node = source
+            while True:
+                if node == sink:
+                    total += self._push(path)
+                    # Resume from the tail of the first saturated edge.
+                    cut = next(k for k, index in enumerate(path) if residual[index] == 0)
+                    node = head[path[cut] ^ 1]
+                    del path[cut:]
+                    continue
+                edges, k, want = adj[node], arc[node], level[node] + 1
+                while k < len(edges):
+                    index = edges[k]
+                    if residual[index] != 0 and level[head[index]] == want:
+                        break
+                    k += 1
+                arc[node] = k
+                if k < len(edges):
+                    path.append(edges[k])
+                    node = head[edges[k]]
+                elif path:
+                    # Dead end: retreat and skip the edge that led here.
+                    node = head[path.pop() ^ 1]
+                    arc[node] += 1
+                else:
+                    break
 
     def reachable(self, source: int) -> set[int]:
         """Nodes reachable from ``source`` in the residual graph."""

@@ -151,14 +151,19 @@ def _scaled(values, scale: int) -> list[int]:
     return [value.numerator * (scale // value.denominator) for value in values]
 
 
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integers ``P`` over their least common denominator ``L``."""
+    L = lcm(*(value.denominator for value in values))
+    return _scaled(values, L), L
+
+
 def _best_ratio_sets(inst: Instance, prices: PriceVector) -> list[frozenset[int]]:
     """Every agent's min-pain-per-buck chore set at ``prices``, decided in integers.
 
     Needs at least one chore. The sets are ``core.mpb``'s, which divides in
     ``Fraction``s and stays as the test oracle.
     """
-    values = [prices[c] for c in range(inst.m)]
-    P = _scaled(values, lcm(*(value.denominator for value in values)))
+    P, _ = _over_common_denominator([prices[c] for c in range(inst.m)])
     return _mpb_structure(_integer_matrix(inst), P)[1]
 
 
@@ -468,6 +473,10 @@ def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
     circulation s -> chores -> agents -> t -> s, with chore ``c`` at node
     ``c`` and agent ``i`` at node ``m + i``. Returns the earning of each MPB
     edge as ``Fraction(flow, L)``, or None when infeasible.
+
+    The earnings are read off the Edmonds-Karp flow, which fixes which of the
+    many feasible routings is returned. Nearly every call is feasible, so no
+    cheaper flow decides feasibility first.
     """
     low, high = int(lo * L), int(hi * L)
     SS, TT, s, t = range(n + m, n + m + 4)
@@ -484,8 +493,7 @@ def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
         net.add_edge(m + i, TT, low)
     net.add_edge(SS, t, low * n)
     net.add_edge(t, s, None)
-    value = net.max_flow(SS, TT)
-    if value != total + low * n:
+    if net.edmonds_karp(SS, TT) != total + low * n:
         return None
     return _earnings(net, edge_index, L)
 
@@ -499,6 +507,11 @@ def _route_plain(n, m, P, L, mpb_sets, hi):
     agent's income as ``Fraction(flow, L)`` (None when some chore is
     unrouted, since only the routed case reads it), and the index of each MPB
     edge for ``_earnings``.
+
+    When a chore is unrouted the caller reads only ``reachable``, the same
+    set after every maximum flow, so the network keeps the ``max_flow`` flow.
+    When every chore routes the incomes and earnings are read off the
+    Edmonds-Karp flow from zero instead.
     """
     s, t = n + m, n + m + 1
     net = FlowNetwork(n + m + 2)
@@ -513,12 +526,21 @@ def _route_plain(n, m, P, L, mpb_sets, hi):
     high = int(hi * L)
     for i in range(n):
         income_idx.append(net.add_edge(m + i, t, high))
-    net.max_flow(s, t)
-    unrouted = [c for c in range(m) if net.flow_value(supply_idx[c]) < P[c]]
-    incomes = None
-    if not unrouted:
-        incomes = [Fraction(net.flow_value(idx), L) for idx in income_idx]
-    return net, unrouted, incomes, edge_index
+    if net.max_flow(s, t) < sum(P):
+        unrouted = [c for c in range(m) if net.flow_value(supply_idx[c]) < P[c]]
+        return net, unrouted, None, edge_index
+    net.reset()
+    net.edmonds_karp(s, t)
+    incomes = [Fraction(net.flow_value(idx), L) for idx in income_idx]
+    return net, [], incomes, edge_index
+
+
+def _reduced(Q: list[int], R: int) -> tuple[list[int], int]:
+    """The price vector Q / R with the common factor of ``R`` and ``Q`` removed."""
+    g = gcd(R, *Q)
+    if g == 1:
+        return Q, R
+    return [value // g for value in Q], R // g
 
 
 def _earnings(net, edge_index, L) -> dict[tuple[int, int], Fraction]:
@@ -543,7 +565,8 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     round first routes chore payments to agents along current best-ratio
     edges with only the income caps (``_route_plain``). A chore left
     unrouted there marks the chores overpriced and settles the round with
-    one max-flow; only when every chore routes does the bounded routing
+    one blocking flow, whose residual cut is the same for every maximum
+    flow; only when every chore routes does the bounded routing
     (``_route_within_bounds``) decide acceptance. When routing fails, the
     blocked side of the market identifies a set of chores whose prices rise
     multiplicatively, by exactly the factor that lets the next agent-chore
@@ -551,11 +574,13 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     before being accepted, so the adjustment policy affects speed, never
     soundness.
 
-    Prices stay exact rationals between rounds. Within a round they are
-    scaled by ``L``, the lcm of their denominators and those of the income
-    bounds, so the best-ratio sets, both flows and the factor are computed
-    in integers; each integer comparison is the rational one multiplied
-    through by a positive integer.
+    Prices are one integer vector ``Q`` over a shared denominator ``R``,
+    reduced so that ``gcd(R, *Q) == 1``; ``R`` is then the lcm of the price
+    denominators. Within a round they are scaled by ``L``, the lcm of ``R``
+    and the denominator of the income bounds, so the best-ratio sets, both
+    flows and the factor are computed in integers; each integer comparison
+    is the rational one multiplied through by a positive integer. Only the
+    returned outcome holds ``Fraction`` prices.
     """
     if inst.m == 0:
         raise InputError(_NO_CHORES)
@@ -568,22 +593,22 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     n, m = inst.n, inst.m
     lo, hi = 1 - eps, 1 + eps
     D = _integer_matrix(inst)
-    mean = [sum((inst.d(i, c) for i in range(n)), ZERO) / n for c in range(m)]
-    mean_total = sum(mean, ZERO)
-    prices = [n * mean[c] / mean_total for c in range(m)]
+    # Each chore starts at n times its share of the total disutility.
+    Q, R = _reduced([n * sum(row[c] for row in D) for c in range(m)], sum(map(sum, D)))
 
     for _ in range(DEFAULT_ROUNDS):
-        total = sum(prices, ZERO)
-        if total > 2 * n or total < Fraction(n, 2):
-            scale = Fraction(n) / total
+        total = sum(Q)
+        if total > 2 * n * R or 2 * total < n * R:
+            scale = Fraction(n * R, total)
             rounded = scale.limit_denominator(10**9)
             if rounded > 0:
                 scale = rounded
-            prices = [value * scale for value in prices]
+            Q, R = _reduced([value * scale.numerator for value in Q], R * scale.denominator)
 
         # lo and hi share the denominator of eps.
-        L = lcm(eps.denominator, *(value.denominator for value in prices))
-        P = _scaled(prices, L)
+        step = eps.denominator // gcd(eps.denominator, R)
+        L = R * step
+        P = [value * step for value in Q]
         mpb_values, mpb_sets = _mpb_structure(D, P)
         # A routing that pays every chore in full with incomes in [lo, hi]
         # is also a routing of the cap-only network, so a chore left unrouted
@@ -598,14 +623,15 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
         else:
             earnings = _route_within_bounds(n, m, P, L, mpb_sets, lo, hi)
             if earnings is not None:
-                outcome = _outcome_from_earnings(inst, prices, earnings, eps)
+                outcome = _outcome_from_earnings(
+                    inst, [Fraction(value, R) for value in Q], earnings, eps)
                 if verify_fisher_equilibrium(inst, outcome).passed:
                     return outcome
                 raise AlgorithmBugError("routed outcome failed verification; this is a bug")
             poor = [i for i in range(n) if incomes[i] < lo]
             if not poor:
                 outcome = _outcome_from_earnings(
-                    inst, prices, _earnings(net, edge_index, L), eps)
+                    inst, [Fraction(value, R) for value in Q], _earnings(net, edge_index, L), eps)
                 if verify_fisher_equilibrium(inst, outcome).passed:
                     return outcome
                 raise AlgorithmBugError("routing disagreed with itself; this is a bug")
@@ -620,7 +646,7 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
 
         # The factor that brings chore c into agent i's MPB set is
         # (D[i][c]/P[c]) / (num/den) with (num, den) = mpb_values[i]; take the
-        # least by cross-multiplication and build one Fraction from it.
+        # least by cross-multiplication.
         lam = None
         for i in candidates:
             num, den = mpb_values[i]
@@ -630,12 +656,13 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
                 if lam is None or top * lam[1] < lam[0] * bottom:
                     lam = (top, bottom)
         if lam is None:
-            scale = Fraction(n) / sum(prices, ZERO)
-            prices = [value * scale for value in prices]
+            Q, R = _reduced([n * value for value in Q], sum(Q))
             continue
-        factor = Fraction(*lam)
-        for c in blocked:
-            prices[c] *= factor
+        # Blocked prices times top/bottom, over the denominator R * bottom.
+        top, bottom = lam
+        rise = set(blocked)
+        Q, R = _reduced([value * (top if c in rise else bottom) for c, value in enumerate(Q)],
+                        R * bottom)
 
     raise BudgetExhaustedError(
         f"no verified outcome within {DEFAULT_ROUNDS} price-adjustment rounds")
@@ -647,16 +674,16 @@ def _round_to_exact(inst: Instance, prices: PriceVector) -> Optional[MarketOutco
     agent count, then routed at incomes of exactly 1. The rounding step of
     Chaudhury, Garg, McGlaughlin and Mehta (EC 2022); not proved complete."""
     n, m = inst.n, inst.m
-    edges = {(i, c): ONE for i, chores in enumerate(_best_ratio_sets(inst, prices))
-             for c in chores}
+    D = _integer_matrix(inst)
+    P, _ = _over_common_denominator([prices[c] for c in range(m)])
+    edges = {(i, c): ONE for i, chores in enumerate(_mpb_structure(D, P)[1]) for c in chores}
     rounded: list[Fraction] = [ZERO] * m
     for agents, chores in PaymentGraph.from_edges(n, m, edges).components():
         total = sum((prices[c] for c in chores), ZERO)
         for c in chores:
             rounded[c] = len(agents) * prices[c] / total
-    L = lcm(*(value.denominator for value in rounded))
-    sets = _best_ratio_sets(inst, rounded)
-    earnings = _route_within_bounds(n, m, _scaled(rounded, L), L, sets, ONE, ONE)
+    P, L = _over_common_denominator(rounded)
+    earnings = _route_within_bounds(n, m, P, L, _mpb_structure(D, P)[1], ONE, ONE)
     if earnings is None:
         return None
     outcome = _outcome_from_earnings(inst, rounded, earnings, ZERO)

@@ -1,6 +1,7 @@
 """The integer max-flow kernel and the integer routing built on it."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -27,13 +28,13 @@ from fairchores.errors import BudgetExhaustedError
 F = Fraction
 
 
-def random_network(rng):
+def random_network(rng, top=9):
     """A small random network: (node count, [(u, v, capacity or None)])."""
     nodes = rng.randint(2, 6)
     edges = []
     for _ in range(rng.randint(1, 12)):
         u, v = rng.sample(range(nodes), 2)
-        capacity = None if rng.random() < 0.25 else rng.randint(0, 9)
+        capacity = None if rng.random() < 0.25 else rng.randint(0, top)
         edges.append((u, v, capacity))
     return nodes, edges
 
@@ -108,6 +109,35 @@ def test_reachable_after_max_flow_is_a_minimum_cut():
         checked += 1
 
 
+@pytest.mark.parametrize("top", [9, 10**40], ids=["top9", "top1e40"])
+def test_blocking_flow_agrees_with_edmonds_karp(top):
+    rng = random.Random(12)
+    bounded = 0
+    for _ in range(300):
+        nodes, edges = random_network(rng, top)
+        source, sink = 0, nodes - 1
+        blocking, index = build(nodes, edges)
+        shortest, _ = build(nodes, edges)
+        best = brute_min_cut(nodes, edges)
+        if best is None:
+            with pytest.raises(ValueError):
+                blocking.max_flow(source, sink)
+            with pytest.raises(ValueError):
+                shortest.edmonds_karp(source, sink)
+            continue
+        bounded += 1
+        value = blocking.max_flow(source, sink)
+        assert value == best == shortest.edmonds_karp(source, sink)
+        # The source side of the minimal minimum cut, whichever flow found it.
+        assert blocking.reachable(source) == shortest.reachable(source)
+        # From zero flow again, Edmonds-Karp finds the same flow edge by edge.
+        blocking.reset()
+        assert blocking.edmonds_karp(source, sink) == value
+        assert ([blocking.flow_value(k) for k in index]
+                == [shortest.flow_value(k) for k in index])
+    assert bounded >= 200
+
+
 def test_uncapped_edges_carry_any_amount():
     net = FlowNetwork(4)
     first = net.add_edge(0, 1, 10**40)
@@ -174,11 +204,9 @@ def test_route_within_bounds_saturates_chores_and_bounds_incomes():
     assert routed >= 40
 
 
-def test_unrouted_chore_means_bounded_routing_is_infeasible(monkeypatch):
-    # A routing with incomes in [lo, hi] that pays every chore is a routing of
-    # the cap-only network too, so approx_ceei skips the bounded network
-    # whenever the cap-only one leaves a chore unpaid. Checked on random
-    # prices and on every price vector approx_ceei visits.
+def plain_routing_cases(monkeypatch):
+    """Cap-only routing inputs ``(n, m, P, L, sets, eps)`` as two lists: 150
+    on random prices, and every round of 12 ``approx_ceei`` runs."""
     rng = random.Random(10)
     cases = []
     for _ in range(150):
@@ -202,10 +230,17 @@ def test_unrouted_chore_means_bounded_routing_is_infeasible(monkeypatch):
         m = rng.randint(n, 12)
         approx_ceei(random_instance(rng, n, m), default_epsilon(n, m))
     monkeypatch.undo()
-    cases += visited
+    return cases, visited
 
+
+def test_unrouted_chore_means_bounded_routing_is_infeasible(monkeypatch):
+    # A routing with incomes in [lo, hi] that pays every chore is a routing of
+    # the cap-only network too, so approx_ceei skips the bounded network
+    # whenever the cap-only one leaves a chore unpaid. Checked on random
+    # prices and on every price vector approx_ceei visits.
+    cases, visited = plain_routing_cases(monkeypatch)
     blocked = 0
-    for n, m, P, L, sets, eps in cases:
+    for n, m, P, L, sets, eps in cases + visited:
         _, unrouted, incomes, _ = _route_plain(n, m, P, L, sets, 1 + eps)
         if unrouted:
             blocked += 1
@@ -214,9 +249,47 @@ def test_unrouted_chore_means_bounded_routing_is_infeasible(monkeypatch):
     assert len(visited) >= 100 and blocked >= 100
 
 
-def two_flow_approx_ceei(inst, eps, max_rounds=100_000):
-    """The price loop as it was with two max-flows per round: the bounded
-    routing first, then the cap-only one to find the blocked side."""
+def test_route_plain_reads_the_edmonds_karp_flow_or_the_cut(monkeypatch):
+    # A blocked round reads only the cut, the same after every maximum flow;
+    # a routed round reads incomes and earnings, which must be those of the
+    # Edmonds-Karp flow from zero, whatever flow found the round routed.
+    cases, visited = plain_routing_cases(monkeypatch)
+    routed = 0
+    for n, m, P, L, sets, eps in cases + visited:
+        net, unrouted, incomes, edge_index = _route_plain(n, m, P, L, sets, 1 + eps)
+        oracle, oracle_unrouted, oracle_incomes, _ = edmonds_karp_plain(
+            n, m, P, L, sets, 1 + eps)
+        assert bool(unrouted) == bool(oracle_unrouted)
+        if unrouted:
+            assert net.reachable(n + m) == oracle.reachable(n + m)
+        else:
+            routed += 1
+            assert incomes == oracle_incomes
+            assert _earnings(net, edge_index, L) == _earnings(oracle, edge_index, L)
+    assert routed >= 30
+
+
+def edmonds_karp_plain(n, m, P, L, mpb_sets, hi):
+    """``_route_plain`` with one Edmonds-Karp flow from zero, read in every
+    round, whether or not a chore is left unrouted."""
+    s, t = n + m, n + m + 1
+    net = FlowNetwork(n + m + 2)
+    supply = [net.add_edge(s, c, P[c]) for c in range(m)]
+    edge_index = {(i, c): net.add_edge(c, m + i, None)
+                  for i in range(n) for c in sorted(mpb_sets[i])}
+    income = [net.add_edge(m + i, t, int(hi * L)) for i in range(n)]
+    net.edmonds_karp(s, t)
+    unrouted = [c for c in range(m) if net.flow_value(supply[c]) < P[c]]
+    incomes = None if unrouted else [F(net.flow_value(k), L) for k in income]
+    return net, unrouted, incomes, edge_index
+
+
+def two_flow_approx_ceei(inst, eps, log, max_rounds=100_000):
+    """The price loop as it was, with ``Fraction`` prices and two
+    Edmonds-Karp flows per round: the bounded routing first, then the
+    cap-only one to find the blocked side. Appends ``("round", P, L)`` to
+    ``log`` for every round's scaled prices, and ``("renormalise",)`` or
+    ``("rescale",)`` whenever the price total is brought back near n."""
     n, m = inst.n, inst.m
     lo, hi = 1 - eps, 1 + eps
     D = _integer_matrix(inst)
@@ -231,15 +304,17 @@ def two_flow_approx_ceei(inst, eps, max_rounds=100_000):
             if rounded > 0:
                 scale = rounded
             prices = [value * scale for value in prices]
+            log.append(("renormalise",))
         L = lcm(eps.denominator, *(value.denominator for value in prices))
         P = [value.numerator * (L // value.denominator) for value in prices]
+        log.append(("round", P, L))
         mpb_values, mpb_sets = _mpb_structure(D, P)
         earnings = _route_within_bounds(n, m, P, L, mpb_sets, lo, hi)
         if earnings is not None:
             outcome = _outcome_from_earnings(inst, prices, earnings, eps)
             assert verify_fisher_equilibrium(inst, outcome).passed
             return outcome
-        net, unrouted, incomes, edge_index = _route_plain(n, m, P, L, mpb_sets, hi)
+        net, unrouted, incomes, edge_index = edmonds_karp_plain(n, m, P, L, mpb_sets, hi)
         if unrouted:
             reach = net.reachable(n + m)
             blocked = [c for c in range(m) if c in reach]
@@ -267,6 +342,7 @@ def two_flow_approx_ceei(inst, eps, max_rounds=100_000):
         if lam is None:
             scale = F(n) / sum(prices, ZERO)
             prices = [value * scale for value in prices]
+            log.append(("rescale",))
             continue
         factor = F(*lam)
         for c in blocked:
@@ -274,13 +350,60 @@ def two_flow_approx_ceei(inst, eps, max_rounds=100_000):
     raise BudgetExhaustedError("round cap")
 
 
-def test_approx_ceei_matches_the_two_flow_loop():
+def test_approx_ceei_matches_the_two_flow_loop(monkeypatch):
+    visited = []
+
+    def recording(n, m, P, L, mpb_sets, hi):
+        visited.append(("round", P, L))
+        return _route_plain(n, m, P, L, mpb_sets, hi)
+
+    monkeypatch.setattr(equilibrium, "_route_plain", recording)
     rng = random.Random(11)
-    for trial in range(40):
+    taken = Counter()
+    for trial in range(80):
         n = rng.randint(1, 7)
         m = rng.randint(max(n, 1), 14)
-        inst = Instance.from_rows(
-            [[F(rng.randint(1, 20), rng.choice((1, 1, 2, 3))) for _ in range(m)]
-             for _ in range(n)])
+        # The second half mixes denominators up to 30 within each row.
+        if trial < 40:
+            rows = [[F(rng.randint(1, 20), rng.choice((1, 1, 2, 3))) for _ in range(m)]
+                    for _ in range(n)]
+        else:
+            rows = [[F(rng.randint(1, 20), rng.randint(1, 30)) for _ in range(m)]
+                    for _ in range(n)]
+        inst = Instance.from_rows(rows)
         eps = default_epsilon(n, m) if trial % 4 else F(1, rng.randint(2, 30))
-        assert approx_ceei(inst, eps) == two_flow_approx_ceei(inst, eps)
+        log = []
+        visited.clear()
+        assert approx_ceei(inst, eps) == two_flow_approx_ceei(inst, eps, log)
+        # Round by round, the integer price vector scales to the same P and L.
+        assert visited == [entry for entry in log if entry[0] == "round"]
+        taken.update(entry[0] for entry in log)
+    assert taken["renormalise"] >= 1 and taken["rescale"] >= 1
+
+
+def test_overpriced_rounds_never_search_augmenting_paths(monkeypatch):
+    # An overpriced round reads only the cut, which max_flow finds without
+    # FlowNetwork._augment; only rounds where every chore routes read a flow
+    # and run Edmonds-Karp, twice: the cap-only and the bounded routing.
+    rng = random.Random(13)
+    n, m = 21, 30
+    inst = Instance.from_rows([[rng.randint(1, 20) for _ in range(m)] for _ in range(n)])
+    augments = []
+    real_augment = FlowNetwork._augment
+    monkeypatch.setattr(FlowNetwork, "_augment",
+                        lambda net, s, t: augments.append(1) or real_augment(net, s, t))
+    rounds = []  # (overpriced?, _augment calls) of every round
+
+    def counting(*args):
+        before = len(augments)
+        result = _route_plain(*args)
+        rounds.append((bool(result[1]), len(augments) - before))
+        return result
+
+    monkeypatch.setattr(equilibrium, "_route_plain", counting)
+    approx_ceei(inst, default_epsilon(n, m))
+    overpriced = [calls for unrouted, calls in rounds if unrouted]
+    routed = len(rounds) - len(overpriced)
+    assert len(overpriced) >= 20 and set(overpriced) == {0}
+    # Each Edmonds-Karp run here finds about one path per node.
+    assert 0 < len(augments) <= routed * 4 * (n + m)
