@@ -1,21 +1,34 @@
-"""Exact max-flow with integer capacities.
+"""Exact max-flow with integer capacities, by blocking flows (Dinic 1970).
 
-Two algorithms over Python ints, so capacities and flows stay exact at any
-magnitude and both are deterministic: adjacency lists keep insertion order,
-and every search visits them in that order. Callers with rational capacities
-scale them to a common denominator first.
+Python ints keep capacities and flows exact at any magnitude; callers with
+rational capacities scale them to a common denominator first. Adjacency lists
+keep insertion order, and every search visits them in that order.
+``reachable(source)`` after ``max_flow`` is the source side of the minimal
+minimum cut, the same set for every maximum flow.
 
-- ``max_flow`` runs blocking flows (Dinic 1970): breadth-first levels, then
-  a depth-first search with current-arc pointers. Use it when only the value
-  or the cut is read: ``reachable(source)`` afterwards is the source side of
-  the minimal minimum cut, the same set for every maximum flow.
-- ``edmonds_karp`` pushes along one shortest path at a time (Edmonds-Karp).
-  Maximum flows differ edge by edge, so callers that read per-edge flows use
-  this one, from zero flow; ``reset`` returns a used network there.
+Callers also read per-edge flows, which differ between maximum flows. From
+zero flow, ``max_flow`` pushes the same paths in the same order as
+Edmonds-Karp (breadth-first search in adjacency order), so both leave the same
+residual on every edge. In a phase with the sink at distance d, order paths
+by the adjacency positions of their edges:
+
+- Edmonds-Karp's search returns the first shortest residual path in that
+  order, since it labels each level's nodes in that order.
+- Against the levels at the phase's start, a residual edge leads at most one
+  level up and the reverse of a pushed edge one level down. So every residual
+  path of length d lies in the level graph, and no new reverse edge is on one.
+- The current-arc depth-first search returns the first level-graph path with
+  residual left on every edge. An arc it skips is saturated or leads to a
+  dead end, and stays so: residuals on level edges only fall in a phase.
+  After a push it resumes at the tail of the first saturated edge, with the
+  path's prefix, where the next path in that order begins.
+
+Both push the bottleneck of the same path through ``_augment``, and the phase
+ends when Edmonds-Karp's next path would be longer.
 
 An edge added with capacity ``None`` is uncapped; its residual never runs out.
 There is no large-number stand-in for infinity. A path made only of uncapped
-edges would carry unbounded flow, and both algorithms raise ``ValueError`` on
+edges would carry unbounded flow, and ``max_flow`` raises ``ValueError`` on
 one rather than loop.
 """
 
@@ -52,42 +65,7 @@ class FlowNetwork:
         """Flow on an edge, given the index ``add_edge`` returned."""
         return self.residual[index ^ 1]
 
-    def reset(self) -> None:
-        """Return every edge to zero flow."""
-        residual = self.residual
-        for index in range(0, len(residual), 2):
-            # A reverse edge starts at 0, so a finite capacity is the sum of
-            # the pair's residuals; an uncapped one stays None.
-            if residual[index] is not None:
-                residual[index] += residual[index + 1]
-            residual[index + 1] = 0
-
-    def _augment(self, source: int, sink: int) -> int:
-        """Push flow along the shortest residual path; returns the amount."""
-        adj, head, residual = self.adj, self.head, self.residual
-        parent: list[Optional[int]] = [None] * len(adj)  # edge into each node
-        parent[source] = -1
-        queue = deque([source])
-        # The search stops once the sink is labelled: no later step of the
-        # breadth-first order changes the path that reached it.
-        while queue and parent[sink] is None:
-            for index in adj[queue.popleft()]:
-                v = head[index]
-                # An uncapped residual is None, which is != 0 too.
-                if parent[v] is None and residual[index] != 0:
-                    parent[v] = index
-                    queue.append(v)
-        if parent[sink] is None:
-            return 0
-        path = []
-        node = sink
-        while node != source:
-            index = parent[node]
-            path.append(index)
-            node = head[index ^ 1]
-        return self._push(path)
-
-    def _push(self, path: list[int]) -> int:
+    def _augment(self, path: list[int]) -> int:
         """Push the bottleneck of ``path``, a list of edge indices; returns it."""
         residual = self.residual
         finite = [residual[index] for index in path if residual[index] is not None]
@@ -100,15 +78,6 @@ class FlowNetwork:
             if residual[index ^ 1] is not None:
                 residual[index ^ 1] += bottleneck
         return bottleneck
-
-    def edmonds_karp(self, source: int, sink: int) -> int:
-        """Augment along shortest paths until none is left; returns the amount."""
-        total = 0
-        while True:
-            pushed = self._augment(source, sink)
-            if pushed == 0:
-                return total
-            total += pushed
 
     def max_flow(self, source: int, sink: int) -> int:
         """Augment by blocking flows until the sink is cut off; returns the amount."""
@@ -135,7 +104,7 @@ class FlowNetwork:
             node = source
             while True:
                 if node == sink:
-                    total += self._push(path)
+                    total += self._augment(path)
                     # Resume from the tail of the first saturated edge.
                     cut = next(k for k, index in enumerate(path) if residual[index] == 0)
                     node = head[path[cut] ^ 1]

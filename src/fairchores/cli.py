@@ -7,7 +7,6 @@ Exit codes: 0 success (or property holds), 1 property violated, 2 bad input,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -26,6 +25,7 @@ from .serialize import (
     allocation_from_dict,
     bundles_to_list,
     dump_json,
+    dumps,
     fmt_rat,
     instance_from_dict,
     instance_to_dict,
@@ -197,7 +197,7 @@ def _cmd_verify(args) -> tuple[int, Optional[str]]:
                 raise InputError(f"{len(prices)} prices for {inst.m} chores")
             certificate = check_pef1(prices, alloc)
     payload = certificate.to_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = dumps(payload)
     if args.output:
         dump_json(args.output, payload)
     return (EXIT_OK if certificate.holds else EXIT_VIOLATED), text

@@ -474,9 +474,8 @@ def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
     ``c`` and agent ``i`` at node ``m + i``. Returns the earning of each MPB
     edge as ``Fraction(flow, L)``, or None when infeasible.
 
-    The earnings are read off the Edmonds-Karp flow, which fixes which of the
-    many feasible routings is returned. Nearly every call is feasible, so no
-    cheaper flow decides feasibility first.
+    The earnings are read off the ``max_flow`` flow from zero, which fixes
+    which of the many feasible routings is returned.
     """
     low, high = int(lo * L), int(hi * L)
     SS, TT, s, t = range(n + m, n + m + 4)
@@ -493,7 +492,7 @@ def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
         net.add_edge(m + i, TT, low)
     net.add_edge(SS, t, low * n)
     net.add_edge(t, s, None)
-    if net.edmonds_karp(SS, TT) != total + low * n:
+    if net.max_flow(SS, TT) != total + low * n:
         return None
     return _earnings(net, edge_index, L)
 
@@ -509,9 +508,8 @@ def _route_plain(n, m, P, L, mpb_sets, hi):
     edge for ``_earnings``.
 
     When a chore is unrouted the caller reads only ``reachable``, the same
-    set after every maximum flow, so the network keeps the ``max_flow`` flow.
-    When every chore routes the incomes and earnings are read off the
-    Edmonds-Karp flow from zero instead.
+    set after every maximum flow; when every chore routes it reads incomes
+    and earnings off the same ``max_flow`` flow.
     """
     s, t = n + m, n + m + 1
     net = FlowNetwork(n + m + 2)
@@ -529,8 +527,6 @@ def _route_plain(n, m, P, L, mpb_sets, hi):
     if net.max_flow(s, t) < sum(P):
         unrouted = [c for c in range(m) if net.flow_value(supply_idx[c]) < P[c]]
         return net, unrouted, None, edge_index
-    net.reset()
-    net.edmonds_karp(s, t)
     incomes = [Fraction(net.flow_value(idx), L) for idx in income_idx]
     return net, [], incomes, edge_index
 
@@ -564,15 +560,14 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     equilibria of Chaudhury, Garg, McGlaughlin and Mehta (EC 2022). Every
     round first routes chore payments to agents along current best-ratio
     edges with only the income caps (``_route_plain``). A chore left
-    unrouted there marks the chores overpriced and settles the round with
-    one blocking flow, whose residual cut is the same for every maximum
-    flow; only when every chore routes does the bounded routing
-    (``_route_within_bounds``) decide acceptance. When routing fails, the
-    blocked side of the market identifies a set of chores whose prices rise
-    multiplicatively, by exactly the factor that lets the next agent-chore
-    pair join the best-ratio graph. The returned outcome is re-verified
-    before being accepted, so the adjustment policy affects speed, never
-    soundness.
+    unrouted there marks the chores overpriced, and the round reads the
+    residual cut, the same for every maximum flow; only when every chore
+    routes does the bounded routing (``_route_within_bounds``) decide
+    acceptance. When routing fails, the blocked side of the market
+    identifies a set of chores whose prices rise multiplicatively, by
+    exactly the factor that lets the next agent-chore pair join the
+    best-ratio graph. The returned outcome is re-verified before being
+    accepted, so the adjustment policy affects speed, never soundness.
 
     Prices are one integer vector ``Q`` over a shared denominator ``R``,
     reduced so that ``gcd(R, *Q) == 1``; ``R`` is then the lcm of the price

@@ -8,6 +8,8 @@ deterministic: identical data produces identical bytes.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,10 +37,32 @@ def _count(value, what: str) -> int:
     return value
 
 
+@contextmanager
+def _all_digits():
+    """Lift the interpreter's int-to-str digit limit while output is formatted:
+    prices multiply up many input denominators. ``load_json`` keeps the limit."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def fmt_rat(value: Fraction):
     if value.denominator == 1:
         return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    with _all_digits():
+        return f"{value.numerator}/{value.denominator}"
+
+
+def dumps(payload) -> str:
+    """Indented JSON with sorted keys; integers of any length are written in full."""
+    with _all_digits():
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -113,7 +137,7 @@ def prices_from_dict(data: dict) -> PriceVector:
 
 
 def dump_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = dumps(payload) + "\n"
     try:
         Path(path).write_text(text)
     except OSError as exc:

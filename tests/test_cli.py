@@ -4,12 +4,14 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
-from fairchores import equilibrium, rounding
+from fairchores import cli, equilibrium, rounding
 from fairchores.cli import main
-from fairchores.core import PaymentGraph
+from fairchores.core import FractionalAllocation, MarketOutcome, PaymentGraph, PriceVector
+from fairchores.errors import InputError
 from fairchores.serialize import instance_from_dict, load_json
 
 
@@ -364,6 +366,29 @@ class TestOracle:
                    "-o", eq) == 0
         assert run("verify", "-i", instance_file, "--alloc", eq,
                    "--property", "fisher") == 0
+
+    def test_prices_past_the_digit_limit_are_written_in_full(self, tmp_path, monkeypatch):
+        # High-precision input gives prices with thousands of digits, past the
+        # interpreter's 4300-digit limit on int-to-str conversion; writing
+        # them used to end in a ValueError traceback and exit 1.
+        prices = [Fraction(10**5000 + 1, 7**6000), Fraction(3**10000)]
+        outcome = MarketOutcome(FractionalAllocation.from_rows([[1, 1]]),
+                                PriceVector(tuple(prices)), (Fraction(1),), Fraction(0))
+        monkeypatch.setattr(cli, "approx_ceei", lambda inst, eps: outcome)
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[1, 2]]}))
+        out = tmp_path / "o.json"
+        limit = sys.get_int_max_str_digits()
+        assert run("oracle", "-i", inst, "--which", "ceei-approx", "-o", out) == 0
+        assert sys.get_int_max_str_digits() == limit
+        # Input parsing keeps the limit: the whole price is a long literal.
+        with pytest.raises(InputError):
+            load_json(out)
+        try:
+            sys.set_int_max_str_digits(0)
+            assert [Fraction(p) for p in json.loads(out.read_text())["prices"]] == prices
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("extra", [(), ("--epsilon", "1/10")])
     def test_approx_without_chores_exits_two(self, tmp_path, capsys, extra):

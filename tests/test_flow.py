@@ -1,7 +1,8 @@
 """The integer max-flow kernel and the integer routing built on it."""
 
 import random
-from collections import Counter
+import sys
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -16,6 +17,7 @@ from fairchores.equilibrium import (
     _integer_matrix,
     _mpb_structure,
     _outcome_from_earnings,
+    _round_to_exact,
     _route_plain,
     _route_within_bounds,
     approx_ceei,
@@ -67,6 +69,69 @@ def build(nodes, edges):
     return net, [net.add_edge(u, v, capacity) for u, v, capacity in edges]
 
 
+def edmonds_karp(net, source, sink, paths=None):
+    """The Edmonds-Karp oracle, run on ``net``'s residual arrays: push along
+    one breadth-first shortest path at a time, searching adjacency lists in
+    order, until the sink is cut off; returns the amount. Appends each path,
+    source first, to ``paths`` when given."""
+    adj, head, residual = net.adj, net.head, net.residual
+    total = 0
+    while True:
+        parent = [None] * len(adj)  # edge into each labelled node
+        parent[source] = -1
+        queue = deque([source])
+        while queue and parent[sink] is None:
+            for index in adj[queue.popleft()]:
+                v = head[index]
+                if parent[v] is None and residual[index] != 0:
+                    parent[v] = index
+                    queue.append(v)
+        if parent[sink] is None:
+            return total
+        path = []
+        node = sink
+        while node != source:
+            path.append(parent[node])
+            node = head[parent[node] ^ 1]
+        path.reverse()
+        finite = [residual[index] for index in path if residual[index] is not None]
+        if not finite:
+            raise ValueError("unbounded flow")
+        bottleneck = min(finite)
+        for index in path:
+            if residual[index] is not None:
+                residual[index] -= bottleneck
+            if residual[index ^ 1] is not None:
+                residual[index ^ 1] += bottleneck
+        total += bottleneck
+        if paths is not None:
+            paths.append(path)
+
+
+def copy_network(net):
+    twin = FlowNetwork(len(net.adj))
+    twin.adj = [list(edges) for edges in net.adj]
+    twin.head = list(net.head)
+    twin.residual = list(net.residual)
+    return twin
+
+
+def max_flow_paths(net, source, sink, real_max_flow=FlowNetwork.max_flow):
+    """``net.max_flow`` with the paths it pushes through ``_augment``, in order.
+    The default binds the real ``max_flow`` at import, past any monkeypatch."""
+    paths = []
+
+    def recording(path):
+        paths.append(list(path))
+        return FlowNetwork._augment(net, path)
+
+    net._augment = recording
+    try:
+        return real_max_flow(net, source, sink), paths
+    finally:
+        del net._augment
+
+
 def test_max_flow_equals_brute_force_min_cut():
     rng = random.Random(5)
     bounded = 0
@@ -111,30 +176,28 @@ def test_reachable_after_max_flow_is_a_minimum_cut():
 
 @pytest.mark.parametrize("top", [9, 10**40], ids=["top9", "top1e40"])
 def test_blocking_flow_agrees_with_edmonds_karp(top):
+    # From zero flow, max_flow pushes Edmonds-Karp's paths in Edmonds-Karp's
+    # order, so both leave the same flow on every edge.
     rng = random.Random(12)
     bounded = 0
     for _ in range(300):
         nodes, edges = random_network(rng, top)
         source, sink = 0, nodes - 1
-        blocking, index = build(nodes, edges)
+        blocking, _ = build(nodes, edges)
         shortest, _ = build(nodes, edges)
         best = brute_min_cut(nodes, edges)
         if best is None:
             with pytest.raises(ValueError):
                 blocking.max_flow(source, sink)
             with pytest.raises(ValueError):
-                shortest.edmonds_karp(source, sink)
+                edmonds_karp(shortest, source, sink)
             continue
         bounded += 1
-        value = blocking.max_flow(source, sink)
-        assert value == best == shortest.edmonds_karp(source, sink)
-        # The source side of the minimal minimum cut, whichever flow found it.
-        assert blocking.reachable(source) == shortest.reachable(source)
-        # From zero flow again, Edmonds-Karp finds the same flow edge by edge.
-        blocking.reset()
-        assert blocking.edmonds_karp(source, sink) == value
-        assert ([blocking.flow_value(k) for k in index]
-                == [shortest.flow_value(k) for k in index])
+        oracle_paths = []
+        value, paths = max_flow_paths(blocking, source, sink)
+        assert value == best == edmonds_karp(shortest, source, sink, oracle_paths)
+        assert paths == oracle_paths
+        assert blocking.residual == shortest.residual
     assert bounded >= 200
 
 
@@ -278,7 +341,7 @@ def edmonds_karp_plain(n, m, P, L, mpb_sets, hi):
     edge_index = {(i, c): net.add_edge(c, m + i, None)
                   for i in range(n) for c in sorted(mpb_sets[i])}
     income = [net.add_edge(m + i, t, int(hi * L)) for i in range(n)]
-    net.edmonds_karp(s, t)
+    edmonds_karp(net, s, t)
     unrouted = [c for c in range(m) if net.flow_value(supply[c]) < P[c]]
     incomes = None if unrouted else [F(net.flow_value(k), L) for k in income]
     return net, unrouted, incomes, edge_index
@@ -381,29 +444,29 @@ def test_approx_ceei_matches_the_two_flow_loop(monkeypatch):
     assert taken["renormalise"] >= 1 and taken["rescale"] >= 1
 
 
-def test_overpriced_rounds_never_search_augmenting_paths(monkeypatch):
-    # An overpriced round reads only the cut, which max_flow finds without
-    # FlowNetwork._augment; only rounds where every chore routes read a flow
-    # and run Edmonds-Karp, twice: the cap-only and the bounded routing.
+def test_price_loop_flows_are_the_edmonds_karp_flows(monkeypatch):
+    # Every network that _route_plain and _route_within_bounds build, in the
+    # price loop and in the rounding to an exact equilibrium, gets the paths
+    # of the Edmonds-Karp oracle in its order, and so its flow edge by edge.
+    callers = Counter()
+
+    def checked(net, source, sink):
+        twin = copy_network(net)
+        value, paths = max_flow_paths(net, source, sink)
+        oracle_paths = []
+        assert edmonds_karp(twin, source, sink, oracle_paths) == value
+        assert paths == oracle_paths
+        assert net.residual == twin.residual
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return value
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", checked)
     rng = random.Random(13)
-    n, m = 21, 30
-    inst = Instance.from_rows([[rng.randint(1, 20) for _ in range(m)] for _ in range(n)])
-    augments = []
-    real_augment = FlowNetwork._augment
-    monkeypatch.setattr(FlowNetwork, "_augment",
-                        lambda net, s, t: augments.append(1) or real_augment(net, s, t))
-    rounds = []  # (overpriced?, _augment calls) of every round
-
-    def counting(*args):
-        before = len(augments)
-        result = _route_plain(*args)
-        rounds.append((bool(result[1]), len(augments) - before))
-        return result
-
-    monkeypatch.setattr(equilibrium, "_route_plain", counting)
-    approx_ceei(inst, default_epsilon(n, m))
-    overpriced = [calls for unrouted, calls in rounds if unrouted]
-    routed = len(rounds) - len(overpriced)
-    assert len(overpriced) >= 20 and set(overpriced) == {0}
-    # Each Edmonds-Karp run here finds about one path per node.
-    assert 0 < len(augments) <= routed * 4 * (n + m)
+    rounded = 0
+    for n, m in [(21, 30), (4, 7), (4, 7), (3, 10), (3, 10), (3, 6), (3, 6)]:
+        inst = Instance.from_rows([[rng.randint(1, 20) for _ in range(m)] for _ in range(n)])
+        outcome = approx_ceei(inst, default_epsilon(n, m))
+        rounded += _round_to_exact(inst, outcome.prices) is not None
+    assert callers["_route_plain"] >= 100
+    assert callers["_route_within_bounds"] >= 14 and rounded >= 1
+    assert set(callers) == {"_route_plain", "_route_within_bounds"}
