@@ -74,8 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     surplus.add_argument("--exact", action="store_true",
                          help="exact equilibrium (epsilon 0) at any size, rounded from "
                               "the approximate one, retried at epsilon/10 and /100; "
-                              "up to 4 agents x 7 chores the exhaustive search answers "
-                              "a miss, above that it is an error")
+                              "a miss on all three is an error")
     surplus.add_argument("--epsilon", default=None,
                          help="override the income slack, a rational in (0, 1/(5nm)] "
                               "(default 1/(5nm))")

@@ -52,10 +52,6 @@ MAX_SEARCH_AGENTS = 4
 MAX_SEARCH_CHORES = 7
 
 
-def _searchable(inst: Instance) -> bool:
-    return inst.n <= MAX_SEARCH_AGENTS and inst.m <= MAX_SEARCH_CHORES
-
-
 @dataclass(frozen=True)
 class EquilibriumReport:
     """Result of checking the three equilibrium conditions, with witnesses."""
@@ -394,7 +390,7 @@ def exact_ceei(inst: Instance) -> MarketOutcome:
         raise InputError(_NO_CHORES)
     if inst.has_zero_entry():
         raise ZeroDisutilityError("exact search requires strictly positive disutilities")
-    if not _searchable(inst):
+    if inst.n > MAX_SEARCH_AGENTS or inst.m > MAX_SEARCH_CHORES:
         raise InstanceTooLargeError(
             f"{inst.n} agents x {inst.m} chores exceeds search limits "
             f"({MAX_SEARCH_AGENTS} x {MAX_SEARCH_CHORES})")

@@ -29,10 +29,8 @@ from .core import (
 from .equilibrium import (
     _cancel_cycles,
     _round_to_exact,
-    _searchable,
     approx_ceei,
     default_epsilon,
-    exact_ceei,
     verify_fisher_equilibrium,
 )
 from .errors import (
@@ -269,10 +267,7 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
 
     Both routes start from one ``approx_ceei`` call, which ``opts.exact``
     rounds to an exact equilibrium (epsilon 0, ``_exact_by_rounding``). A
-    ``BudgetExhaustedError`` of either is answered by ``exact_ceei`` within
-    the search caps (``MAX_SEARCH_AGENTS`` x ``MAX_SEARCH_CHORES``) and
-    propagates above them. With ``opts.exact`` the trace opens with an
-    ``exact-search`` event naming the search: "rounded" or "canonical".
+    ``BudgetExhaustedError`` of either propagates, at every instance size.
     """
     if inst.has_zero_entry():
         raise ZeroDisutilityError("the surplus pipeline needs strictly positive disutilities")
@@ -296,19 +291,11 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
                              f"and {inst.m} chores, got {requested}")
         eps = requested
 
-    search = "rounded"
-    try:
-        outcome = approx_ceei(inst, eps)
-        if opts.exact:
-            outcome = _exact_by_rounding(inst, outcome)
-    except BudgetExhaustedError:
-        if not _searchable(inst):
-            raise
-        outcome, search = exact_ceei(inst), "canonical"
+    outcome = approx_ceei(inst, eps)
+    if opts.exact:
+        outcome = _exact_by_rounding(inst, outcome)
 
     state = RoundingState.from_outcome(inst, outcome)
-    if opts.exact:
-        state.trace.append({"event": "exact-search", "search": search})
     phase1(state)
     alloc = phase2(state)
     eps = outcome.epsilon

@@ -149,6 +149,8 @@ def load_json(path) -> dict:
         return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:  # a directory, or no permission to read
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except ValueError as exc:

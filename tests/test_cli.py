@@ -87,6 +87,17 @@ class TestSolveSurplus:
         payload = load_json(out)
         assert payload["epsilon"] == 0 and payload["surplus"] == 0
 
+    def test_exact_rounding_miss_exits_two(self, tmp_path, capsys, monkeypatch):
+        # 2 x 3 is inside exact_ceei's caps, yet a miss on every rung of the
+        # rounding ladder is an error, not a call to the exhaustive search.
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[1, 3, 2], [2, 1, 3]]}))
+        monkeypatch.setattr(rounding, "_round_to_exact", lambda *args: None)
+        out = tmp_path / "o.json"
+        assert run("solve-surplus", "--exact", "-i", inst, "-o", out) == 2
+        assert "error: no exact equilibrium rounded" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_epsilon_override(self, tmp_path):
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
@@ -115,6 +126,7 @@ class TestSolveSurplus:
         assert run("solve-surplus", "-i", ragged, "-o", tmp_path / "o.json") == 2
         missing = tmp_path / "missing.json"
         assert run("solve-surplus", "-i", missing, "-o", tmp_path / "o.json") == 2
+        assert run("solve-surplus", "-i", tmp_path, "-o", tmp_path / "o.json") == 2
 
     @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_json_numbers_exit_two(self, tmp_path, capsys, entry):
@@ -428,21 +440,14 @@ def _one_agent_takes_all(earnings):
 
 
 class TestInternalBugsExitThree:
-    """A corrupted outcome is a bug: exit 3, and no fallback hides it."""
+    """A corrupted outcome is a bug: exit 3."""
 
     @pytest.fixture
     def small(self, tmp_path):
-        # 2 x 3 is inside the exhaustive search limits, where a
-        # BudgetExhaustedError falls back to exact_ceei.
+        # 2 x 3 is small enough for the exact oracle, ceei-exact, to run.
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[1, 2, 3], [3, 1, 2]]}))
         return inst
-
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(rounding, "exact_ceei", lambda *args: calls.append(args))
-        return calls
 
     @staticmethod
     def corrupt_outcomes(monkeypatch, only_exact=False):
@@ -462,20 +467,16 @@ class TestInternalBugsExitThree:
         assert "internal failure" in err
         return err
 
-    def test_routed_outcome_failing_verification(self, small, fallbacks, tmp_path, capsys,
-                                                 monkeypatch):
+    def test_routed_outcome_failing_verification(self, small, tmp_path, capsys, monkeypatch):
         self.corrupt_outcomes(monkeypatch)
         assert "routed outcome failed verification" in self.solve(small, tmp_path, capsys)
-        assert fallbacks == []
 
-    def test_routing_disagreeing_with_itself(self, small, fallbacks, tmp_path, capsys,
-                                             monkeypatch):
+    def test_routing_disagreeing_with_itself(self, small, tmp_path, capsys, monkeypatch):
         # With the bounded routing failing, two agents whose cap-only routing
         # pays every chore are never underpaid, so the cap-only flow is used.
         self.corrupt_outcomes(monkeypatch)
         monkeypatch.setattr(equilibrium, "_route_within_bounds", lambda *args: None)
         assert "routing disagreed with itself" in self.solve(small, tmp_path, capsys)
-        assert fallbacks == []
 
     def test_exact_route_accepting_a_rejected_outcome(self, small, tmp_path, capsys,
                                                        monkeypatch):
@@ -494,7 +495,7 @@ class TestInternalBugsExitThree:
             assert "internal failure" in err
             assert message in err
 
-    def test_cycle_cancellation_breaking_the_equilibrium(self, small, fallbacks, tmp_path,
+    def test_cycle_cancellation_breaking_the_equilibrium(self, small, tmp_path,
                                                          capsys, monkeypatch):
         # The rounding cancels cycles on the earnings it reads off the
         # outcome; a corrupted hand-off fails the phase-1 income window.
@@ -507,4 +508,3 @@ class TestInternalBugsExitThree:
 
         monkeypatch.setattr(rounding, "payment_graph", corrupted)
         assert "agent 0 income 2 left" in self.solve(small, tmp_path, capsys)
-        assert fallbacks == []

@@ -32,6 +32,7 @@ from fairchores.errors import (
 from fairchores.rounding import (
     RoundingState,
     SolveOptions,
+    _exact_by_rounding,
     fair_and_efficient,
     phase1,
     phase2,
@@ -199,12 +200,16 @@ class TestPipeline:
         assert result.alloc.bundles == (frozenset({ChoreCopy(0, 0)}),
                                         frozenset({ChoreCopy(1, 0)}))
 
-    def test_exact_route_names_its_search(self):
+    def test_exact_route_trace_is_the_rounding_trace(self):
+        # Epsilon 0 marks the exact route; its trace holds the rounding's
+        # events alone, as the approximate route's does.
         inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])
         result = fair_and_efficient(inst, SolveOptions(exact=True))
-        assert result.trace[0] == {"event": "exact-search", "search": "rounded"}
-        assert all(event["event"] != "exact-search"
-                   for event in result.trace[1:] + fair_and_efficient(inst).trace)
+        outcome = _exact_by_rounding(inst, approx_ceei(inst, default_epsilon(2, 3)))
+        state = RoundingState.from_outcome(inst, outcome)
+        phase2(phase1(state))
+        assert result.epsilon == 0
+        assert result.trace == tuple(state.trace)
 
     def test_exact_route_retries_with_a_smaller_epsilon(self, monkeypatch):
         # Criterion-5 draw 22 (seed 1005): the approximate prices at
@@ -220,27 +225,36 @@ class TestPipeline:
         patch_every_binding(monkeypatch, approx_ceei, calls)
         result = fair_and_efficient(inst, SolveOptions(exact=True))
         assert [args[1] for args in calls] == [F(1, 75), F(1, 750)]
-        assert result.trace[0] == {"event": "exact-search", "search": "rounded"}
         assert result.prices == rounded.prices
         assert result.epsilon == 0
 
-    def test_exact_route_falls_back_to_the_canonical_search(self, monkeypatch):
-        # A rounding that misses on every rung of the ladder is answered by
-        # exact_ceei inside the search caps and raises above them.
-        calls = []
-        patch_every_binding(monkeypatch, approx_ceei, calls)
-        patch_every_binding(monkeypatch, _round_to_exact, [], lambda *args: None)
+    @pytest.mark.parametrize("miss", ["rounding", "price-loop"])
+    def test_exhaustion_propagates_inside_the_search_caps(self, monkeypatch, miss):
+        # 2 x 3 lies inside exact_ceei's 4 x 7 caps, yet no exhaustive
+        # search answers a miss: a rounding that misses on every rung of the
+        # ladder fails the exact route, an exhausted price loop both routes.
+        def exhausted(*args):
+            raise BudgetExhaustedError("out of rounds")
+
+        approximated, searched = [], []
+        patch_every_binding(monkeypatch, exact_ceei, searched)
         inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])
-        result = fair_and_efficient(inst, SolveOptions(exact=True))
         eps = default_epsilon(2, 3)
-        assert [args[1] for args in calls] == [eps, eps / 10, eps / 100]
-        assert result.trace[0] == {"event": "exact-search", "search": "canonical"}
-        assert result.prices == exact_ceei(inst).prices
-        assert result.epsilon == 0
-        above = Instance.from_rows([[1, 2, 3, 4, 5]] * 5)
-        with pytest.raises(BudgetExhaustedError, match="no exact equilibrium rounded"):
-            fair_and_efficient(above, SolveOptions(exact=True))
-        assert fair_and_efficient(above).epsilon == default_epsilon(5, 5)
+        if miss == "rounding":
+            patch_every_binding(monkeypatch, approx_ceei, approximated)
+            patch_every_binding(monkeypatch, _round_to_exact, [], lambda *args: None)
+            with pytest.raises(BudgetExhaustedError, match="no exact equilibrium rounded"):
+                fair_and_efficient(inst, SolveOptions(exact=True))
+            assert [args[1] for args in approximated] == [eps, eps / 10, eps / 100]
+            # The approximate route never rounds, so the miss cannot reach it.
+            assert fair_and_efficient(inst).epsilon == eps
+        else:
+            patch_every_binding(monkeypatch, approx_ceei, approximated, exhausted)
+            for opts in (SolveOptions(), SolveOptions(exact=True)):
+                with pytest.raises(BudgetExhaustedError, match="out of rounds"):
+                    fair_and_efficient(inst, opts)
+            assert len(approximated) == 2
+        assert searched == []
 
     def test_exact_route_never_searches_supports_when_rounding_answers(self, monkeypatch):
         # Identical rows tie every ratio, the exhaustive search's worst case
@@ -251,7 +265,6 @@ class TestPipeline:
         row = [rng.randint(1, 20) for _ in range(7)]
         for rows in ([row] * 4, [[rng.randint(1, 20) for _ in range(15)] for _ in range(6)]):
             result = fair_and_efficient(Instance.from_rows(rows), SolveOptions(exact=True))
-            assert result.trace[0] == {"event": "exact-search", "search": "rounded"}
             assert result.epsilon == 0
         assert calls == []
 
@@ -320,27 +333,6 @@ class TestPipeline:
                 fair_and_efficient(inst, opts)
                 assert len(verified) == expected, (rows, opts)
                 assert len(approximated) == 1, (rows, opts)
-
-    def test_exhausted_price_loop_falls_back_within_the_search_caps(self, monkeypatch):
-        def exhausted(*args):
-            raise BudgetExhaustedError("out of rounds")
-
-        calls = []
-        patch_every_binding(monkeypatch, approx_ceei, calls, exhausted)
-        inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])
-        canonical = exact_ceei(inst)
-        plain = fair_and_efficient(inst)
-        exact = fair_and_efficient(inst, SolveOptions(exact=True))
-        assert len(calls) == 2
-        for result in (plain, exact):
-            assert result.prices == canonical.prices
-            assert result.epsilon == 0
-        assert exact.trace[0] == {"event": "exact-search", "search": "canonical"}
-        assert all(event["event"] != "exact-search" for event in plain.trace)
-        above = Instance.from_rows([[1, 2, 3, 4, 5]] * 5)
-        for opts in (SolveOptions(), SolveOptions(exact=True)):
-            with pytest.raises(BudgetExhaustedError):
-                fair_and_efficient(above, opts)
 
     def test_fpo_certified_by_the_equilibrium_above_the_lp_cap(self):
         small = fair_and_efficient(Instance.from_rows([[1, 3, 2], [2, 1, 3]]))
