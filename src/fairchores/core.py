@@ -1,8 +1,10 @@
 """Instance, allocation and price data model, plus the elementary evaluations.
 
-All numeric quantities are exact rationals (`fractions.Fraction`); nothing in
-the algorithmic pipeline ever rounds. Values are immutable and safe to share
-across threads.
+All numeric quantities are exact rationals (`fractions.Fraction`) at the
+boundary; nothing in the algorithmic pipeline ever rounds. Inside, solvers and
+certificates compare costs in integers: ``integer_rows`` is the one place a
+row of disutilities is scaled. Values are immutable and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -279,15 +281,6 @@ class PaymentGraph:
     def edge_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.weights)
 
-    def weight(self, agent: int, chore: int) -> Fraction:
-        return self.edge_dict().get((agent, chore), ZERO)
-
-    def chore_payment(self, chore: int) -> Fraction:
-        return sum((w for (_, c), w in self.weights if c == chore), ZERO)
-
-    def agent_income(self, agent: int) -> Fraction:
-        return sum((w for (i, _), w in self.weights if i == agent), ZERO)
-
     def to_networkx(self):
         """The graph on ("a", i) and ("c", c) nodes; no solver needs ``networkx``."""
         import networkx as nx
@@ -328,6 +321,29 @@ class PaymentGraph:
         return [(frozenset(v for v in nodes if v < self.n),
                  frozenset(v - self.n for v in nodes if v >= self.n))
                 for nodes in groups.values()]
+
+
+def scaled(values, scale: int) -> list[int]:
+    """Each rational times ``scale``, a common multiple of their denominators."""
+    return [value.numerator * (scale // value.denominator) for value in values]
+
+
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integers ``P`` over their least common denominator ``L``."""
+    L = math.lcm(*(value.denominator for value in values))
+    return scaled(values, L), L
+
+
+def integer_rows(inst: Instance) -> list[list[int]]:
+    """Each agent's disutilities times the lcm of that row's own denominators.
+
+    Every comparison the solvers and certificates make reads one agent's
+    costs at a time, or a ratio of two entries of one row (best-ratio sets,
+    price-rise factors, tree prices, set costs, cap rows), and a positive
+    factor on a row changes none of them. Sums across rows, such as initial
+    prices or a total disutility, are taken from the rationals instead.
+    """
+    return [over_common_denominator(row)[0] for row in inst.disutility]
 
 
 def bundle_disutility(inst: Instance, agent: int, units: Iterable[ChoreCopy]) -> Fraction:

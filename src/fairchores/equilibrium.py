@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from ._flow import FlowNetwork
@@ -23,6 +23,8 @@ from .core import (
     MarketOutcome,
     PaymentGraph,
     PriceVector,
+    integer_rows,
+    over_common_denominator,
     payment_graph,
     rat,
 )
@@ -132,35 +134,14 @@ def verify_fisher_equilibrium(inst: Instance, out: MarketOutcome) -> Equilibrium
                              clearing_witness, income_witness, mpb_witness)
 
 
-def _integer_matrix(inst: Instance) -> list[list[int]]:
-    """Disutilities times the lcm of their denominators.
-
-    A common rescale changes neither best-ratio sets nor incomes, so the
-    solvers can compare and route in integers.
-    """
-    scale = lcm(*(value.denominator for row in inst.disutility for value in row))
-    return [_scaled(row, scale) for row in inst.disutility]
-
-
-def _scaled(values, scale: int) -> list[int]:
-    """Each rational times ``scale``, a common multiple of their denominators."""
-    return [value.numerator * (scale // value.denominator) for value in values]
-
-
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """Rationals as integers ``P`` over their least common denominator ``L``."""
-    L = lcm(*(value.denominator for value in values))
-    return _scaled(values, L), L
-
-
 def _best_ratio_sets(inst: Instance, prices: PriceVector) -> list[frozenset[int]]:
     """Every agent's min-pain-per-buck chore set at ``prices``, decided in integers.
 
     Needs at least one chore. The sets are ``core.mpb``'s, which divides in
     ``Fraction``s and stays as the test oracle.
     """
-    P, _ = _over_common_denominator([prices[c] for c in range(inst.m)])
-    return _mpb_structure(_integer_matrix(inst), P)[1]
+    P, _ = over_common_denominator([prices[c] for c in range(inst.m)])
+    return _mpb_structure(integer_rows(inst), P)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +376,9 @@ def exact_ceei(inst: Instance) -> MarketOutcome:
             f"{inst.n} agents x {inst.m} chores exceeds search limits "
             f"({MAX_SEARCH_AGENTS} x {MAX_SEARCH_CHORES})")
     n, m = inst.n, inst.m
-    D = _integer_matrix(inst)
+    # A tree's relative prices are ratios within one agent's row, so a
+    # factor on a row cancels out of every record.
+    D = integer_rows(inst)
 
     earn_cache: dict[int, Optional[dict[tuple[int, int], int]]] = {}
     pair_cache: dict[tuple[int, int], bool] = {}
@@ -490,7 +473,7 @@ def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
     net.add_edge(t, s, None)
     if net.max_flow(SS, TT) != total + low * n:
         return None
-    return _earnings(net, edge_index, L)
+    return {edge: Fraction(net.flow_value(idx), L) for edge, idx in edge_index.items()}
 
 
 def _route_plain(n, m, P, L, mpb_sets, hi):
@@ -498,14 +481,13 @@ def _route_plain(n, m, P, L, mpb_sets, hi):
 
     Takes integer prices ``P`` scaled by ``L`` as ``_route_within_bounds``
     does, and numbers the nodes the same way, with the source at ``n + m``.
-    Returns the network, the chores whose payment is not fully routed, each
-    agent's income as ``Fraction(flow, L)`` (None when some chore is
-    unrouted, since only the routed case reads it), and the index of each MPB
-    edge for ``_earnings``.
+    Returns the network, the chores whose payment is not fully routed, and
+    each agent's income as ``Fraction(flow, L)`` (None when some chore is
+    unrouted, since only the routed case reads it).
 
     When a chore is unrouted the caller reads only ``reachable``, the same
     set after every maximum flow; when every chore routes it reads incomes
-    and earnings off the same ``max_flow`` flow.
+    off the same ``max_flow`` flow.
     """
     s, t = n + m, n + m + 1
     net = FlowNetwork(n + m + 2)
@@ -513,18 +495,17 @@ def _route_plain(n, m, P, L, mpb_sets, hi):
     income_idx = []
     for c in range(m):
         supply_idx.append(net.add_edge(s, c, P[c]))
-    edge_index: dict[tuple[int, int], int] = {}
     for i in range(n):
         for c in sorted(mpb_sets[i]):
-            edge_index[(i, c)] = net.add_edge(c, m + i, None)
+            net.add_edge(c, m + i, None)
     high = int(hi * L)
     for i in range(n):
         income_idx.append(net.add_edge(m + i, t, high))
     if net.max_flow(s, t) < sum(P):
         unrouted = [c for c in range(m) if net.flow_value(supply_idx[c]) < P[c]]
-        return net, unrouted, None, edge_index
+        return net, unrouted, None
     incomes = [Fraction(net.flow_value(idx), L) for idx in income_idx]
-    return net, [], incomes, edge_index
+    return net, [], incomes
 
 
 def _reduced(Q: list[int], R: int) -> tuple[list[int], int]:
@@ -533,10 +514,6 @@ def _reduced(Q: list[int], R: int) -> tuple[list[int], int]:
     if g == 1:
         return Q, R
     return [value // g for value in Q], R // g
-
-
-def _earnings(net, edge_index, L) -> dict[tuple[int, int], Fraction]:
-    return {edge: Fraction(net.flow_value(idx), L) for edge, idx in edge_index.items()}
 
 
 def _outcome_from_earnings(inst, prices, earnings, epsilon, budgets=None) -> MarketOutcome:
@@ -568,10 +545,11 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     Prices are one integer vector ``Q`` over a shared denominator ``R``,
     reduced so that ``gcd(R, *Q) == 1``; ``R`` is then the lcm of the price
     denominators. Within a round they are scaled by ``L``, the lcm of ``R``
-    and the denominator of the income bounds, so the best-ratio sets, both
-    flows and the factor are computed in integers; each integer comparison
-    is the rational one multiplied through by a positive integer. Only the
-    returned outcome holds ``Fraction`` prices.
+    and the denominator of the income bounds, and each agent's row by its
+    own lcm (``integer_rows``), so the best-ratio sets, both flows and the
+    factor are computed in integers; each integer comparison is the rational
+    one multiplied through by a positive integer. Only the returned outcome
+    holds ``Fraction`` prices.
     """
     if inst.m == 0:
         raise InputError(_NO_CHORES)
@@ -583,9 +561,12 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
 
     n, m = inst.n, inst.m
     lo, hi = 1 - eps, 1 + eps
-    D = _integer_matrix(inst)
-    # Each chore starts at n times its share of the total disutility.
-    Q, R = _reduced([n * sum(row[c] for row in D) for c in range(m)], sum(map(sum, D)))
+    D = integer_rows(inst)
+    # Each chore starts at n times its share of the total disutility. The
+    # sums add entries of different rows, so they are taken in rationals.
+    columns = [sum(column, ZERO) for column in zip(*inst.disutility)]
+    total = sum(columns, ZERO)
+    Q, R = over_common_denominator([n * value / total for value in columns])
 
     for _ in range(DEFAULT_ROUNDS):
         total = sum(Q)
@@ -604,7 +585,7 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
         # A routing that pays every chore in full with incomes in [lo, hi]
         # is also a routing of the cap-only network, so a chore left unrouted
         # there proves the bounded routing infeasible without solving it.
-        net, unrouted, incomes, edge_index = _route_plain(n, m, P, L, mpb_sets, hi)
+        net, unrouted, incomes = _route_plain(n, m, P, L, mpb_sets, hi)
         if unrouted:
             # Overpriced side: its neighborhood is income-saturated, so raise
             # the blocked chores until a fresh agent's ratio ties.
@@ -621,10 +602,8 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
                 raise AlgorithmBugError("routed outcome failed verification; this is a bug")
             poor = [i for i in range(n) if incomes[i] < lo]
             if not poor:
-                outcome = _outcome_from_earnings(
-                    inst, [Fraction(value, R) for value in Q], _earnings(net, edge_index, L), eps)
-                if verify_fisher_equilibrium(inst, outcome).passed:
-                    return outcome
+                # This cap-only flow routes every chore with incomes in
+                # [lo, hi], so the bounded routing cannot have failed.
                 raise AlgorithmBugError("routing disagreed with itself; this is a bug")
             # Underpaid side: everything reachable by the poor agents is too
             # cheap relative to the rest, so raise the rest until one of the
@@ -665,15 +644,15 @@ def _round_to_exact(inst: Instance, prices: PriceVector) -> Optional[MarketOutco
     agent count, then routed at incomes of exactly 1. The rounding step of
     Chaudhury, Garg, McGlaughlin and Mehta (EC 2022); not proved complete."""
     n, m = inst.n, inst.m
-    D = _integer_matrix(inst)
-    P, _ = _over_common_denominator([prices[c] for c in range(m)])
+    D = integer_rows(inst)
+    P, _ = over_common_denominator([prices[c] for c in range(m)])
     edges = {(i, c): ONE for i, chores in enumerate(_mpb_structure(D, P)[1]) for c in chores}
     rounded: list[Fraction] = [ZERO] * m
     for agents, chores in PaymentGraph.from_edges(n, m, edges).components():
         total = sum((prices[c] for c in chores), ZERO)
         for c in chores:
             rounded[c] = len(agents) * prices[c] / total
-    P, L = _over_common_denominator(rounded)
+    P, L = over_common_denominator(rounded)
     earnings = _route_within_bounds(n, m, P, L, _mpb_structure(D, P)[1], ONE, ONE)
     if earnings is None:
         return None

@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+from .core import over_common_denominator, scaled
 from .errors import InputError
 
 OPTIMAL = "optimal"
@@ -35,11 +36,6 @@ class LpResult:
     status: str
     objective: Optional[Fraction]
     solution: Optional[tuple[Fraction, ...]]
-
-
-def _integers(values, scale: int) -> list[int]:
-    """``scale * values`` for a ``scale`` that is a multiple of every denominator."""
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def solve_lp(cost, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LpResult:
@@ -78,7 +74,7 @@ def solve_lp(cost, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LpResult:
     # A row with a negative right-hand side is negated, in integers.
     tableau = []
     for r in range(m_rows):
-        line = _integers(rows[r] + [0] * m_rows + [rhs[r]], scale)
+        line = scaled(rows[r] + [0] * m_rows + [rhs[r]], scale)
         if rhs[r] < 0:
             line = [-v for v in line]
         line[total_vars + r] = 1
@@ -159,7 +155,7 @@ def solve_lp(cost, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LpResult:
     for r in range(m_rows):
         for col in range(total_vars, total_vars + m_rows):
             tableau[r][col] = 0
-    phase2_cost = _integers(cost, lcm(*(v.denominator for v in cost)))
+    phase2_cost, _ = over_common_denominator(cost)
     status = run_phase(phase2_cost + [0] * (slack_count + m_rows))
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)

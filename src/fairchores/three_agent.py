@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .core import ChoreCopy, Instance, SurplusAllocation, rat
+from .core import ChoreCopy, Instance, SurplusAllocation, integer_rows, rat
 from .errors import (
     CertificateFailureError,
     LoopInvariantError,
@@ -60,25 +60,22 @@ def perturb_nondegenerate(inst: Instance) -> tuple[Instance, Fraction]:
 class _ScaledRows:
     """Integer rows that order one agent's chore sets as the perturbation does.
 
-    Entry ``(i, j)`` is ``K_i d_ij 2^(m+1) + 2^(j+1)``, with ``K_i`` the lcm of
-    row ``i``'s denominators. Two sets whose original costs differ then
-    differ by at least ``2^(m+1)``, more than any two fingerprints
-    ``sum 2^(j+1)`` can, so every strict comparison keeps its direction and
-    ties break as under ``perturb_nondegenerate``. Rows are scaled apart, so
-    only sets under the same agent's costs may be compared.
+    Entry ``(i, j)`` is ``K_i d_ij 2^(m+1) + 2^(j+1)``, where ``K_i d_ij`` is
+    the ``integer_rows`` entry: ``K_i`` is the lcm of row ``i``'s
+    denominators. Two sets whose original costs differ then differ by at
+    least ``2^(m+1)``, more than any two fingerprints ``sum 2^(j+1)`` can, so
+    every strict comparison keeps its direction and ties break as under
+    ``perturb_nondegenerate``. Rows are scaled apart, so only sets under the
+    same agent's costs may be compared.
     """
 
     __slots__ = ("disutility",)
 
     def __init__(self, inst: Instance):
         unit = 2 ** (inst.m + 1)
-        rows = []
-        for row in inst.disutility:
-            scale = lcm(*(value.denominator for value in row))
-            rows.append(tuple(
-                value.numerator * (scale // value.denominator) * unit + 2 ** (j + 1)
-                for j, value in enumerate(row)))
-        self.disutility = tuple(rows)
+        self.disutility = tuple(
+            tuple(value * unit + 2 ** (j + 1) for j, value in enumerate(row))
+            for row in integer_rows(inst))
 
     def d(self, agent: int, chore: int) -> int:
         return self.disutility[agent][chore]

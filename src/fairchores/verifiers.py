@@ -20,6 +20,7 @@ from .core import (
     SurplusAllocation,
     bundle_disutility,
     bundle_payment,
+    integer_rows,
 )
 from .equilibrium import EquilibriumReport, _best_ratio_sets, verify_fisher_equilibrium
 from .errors import InstanceTooLargeError
@@ -216,7 +217,9 @@ def check_po_brute(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     return Certificate(PO, False, {"dominating": bundles})
 
 
-def _fpo_certificate(inst: Instance, items: list[ChoreCopy], caps: list[Fraction]) -> Certificate:
+def _fpo_certificate(inst: Instance, items: list[ChoreCopy], shares) -> Certificate:
+    """The fPO program over ``items``; ``shares[i][t]`` is agent ``i``'s part of
+    ``items[t]`` in the allocation under test."""
     n, k = inst.n, len(items)
     if n * k > MAX_LP_VARIABLES:
         raise InstanceTooLargeError(f"{n * k} LP variables exceed the cap of {MAX_LP_VARIABLES}")
@@ -226,28 +229,35 @@ def _fpo_certificate(inst: Instance, items: list[ChoreCopy], caps: list[Fraction
     # one disutility cap per agent.
     a_eq = []
     for t in range(k):
-        row = [Fraction(0)] * (n * k)
+        row = [0] * (n * k)
         for i in range(n):
-            row[i * k + t] = Fraction(1)
+            row[i * k + t] = 1
         a_eq.append(row)
-    b_eq = [Fraction(1)] * k
-    a_ub = []
+    b_eq = [1] * k
+    # Agent i's cap row is its row of integer_rows, K_i times its costs, and
+    # its bound is its current load in the same units: the inequality
+    # d_i(y_i) <= d_i(x_i) times the positive integer K_i, so the program is
+    # the same. Loads and the objective stay in the original units.
+    costs = [[inst.d(i, u.chore) for u in items] for i in range(n)]
+    caps = [sum((costs[i][t] * shares[i][t] for t in range(k)), ZERO) for i in range(n)]
+    D = integer_rows(inst)
+    a_ub, b_ub = [], []
     for i in range(n):
-        row = [Fraction(0)] * (n * k)
-        for t in range(k):
-            row[i * k + t] = inst.d(i, items[t].chore)
+        row = [0] * (n * k)
+        for t, unit in enumerate(items):
+            row[i * k + t] = D[i][unit.chore]
         a_ub.append(row)
-    # Total disutility: each variable sits in exactly one cap row, so the
-    # column sums of ``a_ub`` are the objective.
-    cost = [sum(column) for column in zip(*a_ub)]
-    result = solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=caps)
+        b_ub.append(sum(row[i * k + t] * shares[i][t] for t in range(k)))
+    # Total disutility: each variable belongs to exactly one agent.
+    cost = [d for row in costs for d in row]
+    result = solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
     assert result.status == OPTIMAL  # the allocation itself is feasible
     if result.objective == sum(caps, ZERO):
         return Certificate(FPO, True)
     # Nobody is above their cap, so a smaller total leaves someone strictly below.
     y = result.solution
-    loads = [sum((a_ub[i][v] * y[v] for v in range(i * k, (i + 1) * k)), ZERO)
-             for i in range(n)]
+    loads = [sum((d * y[i * k + t] for t, d in enumerate(row)), ZERO)
+             for i, row in enumerate(costs)]
     j = next(i for i in range(n) if loads[i] < caps[i])
     return Certificate(FPO, False, {
         "improving_agent": j,
@@ -269,17 +279,13 @@ def check_fpo(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     there.
     """
     items = alloc.items()
-    caps = [bundle_disutility(inst, i, alloc.bundles[i]) for i in range(alloc.n)]
-    return _fpo_certificate(inst, items, caps)
+    shares = [[int(unit in bundle) for unit in items] for bundle in alloc.bundles]
+    return _fpo_certificate(inst, items, shares)
 
 
 def check_fpo_outcome(inst: Instance, out: MarketOutcome) -> Certificate:
     """Fractional Pareto optimality of a fractional market outcome."""
-    items = [ChoreCopy(c, 0) for c in range(inst.m)]
-    caps = []
-    for i in range(inst.n):
-        caps.append(sum((out.x.x[i][c] * inst.d(i, c) for c in range(inst.m)), ZERO))
-    return _fpo_certificate(inst, items, caps)
+    return _fpo_certificate(inst, [ChoreCopy(c, 0) for c in range(inst.m)], out.x.x)
 
 
 def check_nondegenerate(inst: Instance) -> Certificate:

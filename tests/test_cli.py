@@ -159,6 +159,27 @@ class TestSolveSurplus:
         assert done.returncode == 2, done.stderr
         assert "input error" in done.stderr
 
+    def test_high_precision_input_finishes(self, tmp_path):
+        # 3 x 6 entries over random 200-digit denominators. With one scale
+        # for the whole matrix the fPO program's integers grew with every
+        # row's denominators (over a minute per solve); each row now takes
+        # its own lcm. A child process under a timeout turns a slow solve
+        # into a failure.
+        rng = random.Random(5)
+        rows = [[f"{rng.randint(100, 999)}/{rng.randint(10**199, 10**200 - 1)}"
+                 for _ in range(6)] for _ in range(3)]
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": rows}))
+        out = tmp_path / "surplus.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        commands = [("solve-surplus", "-i", str(inst), "-o", str(out))]
+        commands += [("verify", "-i", str(inst), "--alloc", str(out), "--property", prop)
+                     for prop in ("ef1", "fpo")]
+        for argv in commands:
+            done = subprocess.run([sys.executable, "-m", "fairchores.cli", *argv],
+                                  capture_output=True, text=True, timeout=60, env=env)
+            assert done.returncode == 0, done.stderr
+
 
 class TestSolveThree:
     def test_solve_and_verify(self, instance_file, tmp_path):
@@ -472,9 +493,9 @@ class TestInternalBugsExitThree:
         assert "routed outcome failed verification" in self.solve(small, tmp_path, capsys)
 
     def test_routing_disagreeing_with_itself(self, small, tmp_path, capsys, monkeypatch):
-        # With the bounded routing failing, two agents whose cap-only routing
-        # pays every chore are never underpaid, so the cap-only flow is used.
-        self.corrupt_outcomes(monkeypatch)
+        # A cap-only flow that routes every chore with no agent underpaid is
+        # itself a routing within the income bounds, so a bounded routing
+        # that fails on the same round is a bug.
         monkeypatch.setattr(equilibrium, "_route_within_bounds", lambda *args: None)
         assert "routing disagreed with itself" in self.solve(small, tmp_path, capsys)
 

@@ -1,0 +1,104 @@
+"""One integer view of an instance: every row scaled by its own lcm."""
+
+import random
+import sys
+from fractions import Fraction
+from math import lcm
+
+from fairchores import core
+from fairchores.core import ChoreCopy, Instance, SurplusAllocation, integer_rows
+from fairchores.equilibrium import approx_ceei, default_epsilon, exact_ceei
+from fairchores.rounding import SolveOptions, fair_and_efficient
+from fairchores.three_agent import solve_three
+from fairchores.verifiers import check_fpo, check_fpo_outcome
+
+F = Fraction
+
+
+def common_scale_rows(inst):
+    """The rule ``integer_rows`` replaced: the whole matrix times one lcm of
+    every denominator. Test oracles keep it, so they stay independent of
+    ``integer_rows``."""
+    scale = lcm(*(value.denominator for row in inst.disutility for value in row))
+    return [[value.numerator * (scale // value.denominator) for value in row]
+            for row in inst.disutility]
+
+
+def test_integer_rows_scale_each_row_by_its_own_lcm():
+    inst = Instance.from_rows([["1/3", "1/6"], [1, 2], ["3/4", "1/2"], [0, "5/7"]])
+    assert integer_rows(inst) == [[2, 1], [1, 2], [3, 2], [0, 5]]
+    assert common_scale_rows(inst) == [[28, 14], [84, 168], [63, 42], [0, 60]]
+    assert integer_rows(Instance.from_rows([[], []])) == [[], []]
+
+
+def mixed_draw(rng, kind):
+    """Rows whose denominators differ from row to row: small fractions, about
+    10^6 denominators, or three rows with zero entries."""
+    if kind == "zeros":
+        n, m = 3, rng.randint(1, 9)
+    else:
+        n = rng.randint(1, 4)
+        m = rng.randint(n, 7)
+    rows = []
+    for _ in range(n):
+        if kind == "wide":
+            rows.append([F(rng.randint(1, 999), rng.randint(10**6, 2 * 10**6))
+                         for _ in range(m)])
+            continue
+        denominators = rng.sample(range(1, 13), 2)
+        low = 0 if kind == "zeros" else 1
+        rows.append([F(rng.randint(low, 20), rng.choice(denominators)) for _ in range(m)])
+    return Instance.from_rows(rows)
+
+
+def random_allocation(rng, inst):
+    """Every chore to a random agent, then up to n-1 copies of random chores."""
+    bundles = [set() for _ in range(inst.n)]
+    for c in range(inst.m):
+        bundles[rng.randrange(inst.n)].add(ChoreCopy(c, 0))
+    for copy in range(1, rng.randint(1, inst.n)):
+        bundles[rng.randrange(inst.n)].add(ChoreCopy(rng.randrange(inst.m), copy))
+    return SurplusAllocation(tuple(frozenset(b) for b in bundles), inst.m)
+
+
+def results(inst, rng):
+    """Every solver and certificate that reads ``integer_rows``, on one draw."""
+    out = {"fpo-random": check_fpo(inst, random_allocation(rng, inst))}
+    if inst.n == 3:
+        out["three"] = solve_three(inst)
+    if inst.has_zero_entry():
+        return out
+    outcome = approx_ceei(inst, default_epsilon(inst.n, inst.m))
+    out["approx"] = outcome
+    out["fpo-outcome"] = check_fpo_outcome(inst, outcome)
+    out["surplus"] = fair_and_efficient(inst)
+    out["exact-route"] = fair_and_efficient(inst, SolveOptions(exact=True))
+    if inst.n * inst.m <= 20:  # inside 4 x 7, where the search is fast
+        out["exact"] = exact_ceei(inst)
+    return out
+
+
+def test_per_row_scales_agree_with_one_common_scale(monkeypatch):
+    # A factor on one row changes no comparison within that row, so running
+    # every reader of integer_rows on the common-scale rows must give the
+    # same outcomes, allocations, traces and certificates, witnesses included.
+    readers = [module for name, module in sorted(sys.modules.items())
+               if name.startswith("fairchores.") and module is not core
+               and getattr(module, "integer_rows", None) is integer_rows]
+    assert {module.__name__ for module in readers} >= {
+        "fairchores.equilibrium", "fairchores.three_agent", "fairchores.verifiers"}
+    rng = random.Random(19)
+    draws = [mixed_draw(rng, kind) for kind in ("small", "wide", "zeros") for _ in range(24)]
+    mixed = sum(len({lcm(*(v.denominator for v in row)) for row in inst.disutility}) > 1
+                for inst in draws)
+    assert mixed >= 60
+    seeds = [rng.random() for _ in draws]
+    per_row = [results(inst, random.Random(seed)) for inst, seed in zip(draws, seeds)]
+    for module in readers:
+        monkeypatch.setattr(module, "integer_rows", common_scale_rows)
+    common = [results(inst, random.Random(seed)) for inst, seed in zip(draws, seeds)]
+    assert per_row == common
+    kinds = [key for found in per_row for key in found]
+    assert min(kinds.count(key) for key in (
+        "three", "approx", "fpo-outcome", "surplus", "exact-route", "exact")) >= 20
+    assert sum(not found["fpo-random"].holds for found in per_row) >= 20
