@@ -45,6 +45,7 @@ from .errors import (
     RedistributionDegreeError,
     ZeroDisutilityError,
 )
+from .serialize import rat_text
 from .verifiers import (
     Certificate,
     FPO,
@@ -150,7 +151,7 @@ def phase1(state: RoundingState) -> RoundingState:
             state.chore_adj[c].discard(i)
             state.trace.append({"event": "delete-edge", "agent": i, "chore": c})
             state.trace.append({"event": "redistribute", "chore": c,
-                                "to": others, "share": str(share)})
+                                "to": others, "share": rat_text(share)})
             state.checkpoint()
 
     for c in range(inst.m):

@@ -59,6 +59,12 @@ def fmt_rat(value: Fraction):
         return f"{value.numerator}/{value.denominator}"
 
 
+def rat_text(value: Fraction) -> str:
+    """A rational as one string, "p/q" or a whole number, written in full."""
+    with _all_digits():
+        return str(value)
+
+
 def dumps(payload) -> str:
     """Indented JSON with sorted keys; integers of any length are written in full."""
     with _all_digits():

@@ -19,11 +19,12 @@ from .core import (
     PriceVector,
     SurplusAllocation,
     bundle_disutility,
-    bundle_payment,
     integer_rows,
+    over_common_denominator,
 )
 from .equilibrium import EquilibriumReport, _best_ratio_sets, verify_fisher_equilibrium
 from .errors import InstanceTooLargeError
+from .serialize import rat_text
 from .simplex import OPTIMAL, solve_lp
 
 EF1 = "EF1"
@@ -54,97 +55,88 @@ MAX_LP_VARIABLES = 600  # n*k variables of the fPO linear program
 MAX_SUBSET_CHORES = 12  # chores whose 2^m subset sums check_nondegenerate compares
 
 
-def _fmt(value: Fraction) -> str:
-    from .serialize import fmt_rat
+def _costs(row, bundles) -> tuple[list[int], int, list[int]]:
+    """``row`` as integers over its own lcm ``K``, as ``integer_rows`` scales
+    a row; ``K``; and each bundle's cost in those units."""
+    ints, K = over_common_denominator(row)
+    return ints, K, [sum(ints[u.chore] for u in bundle) for bundle in bundles]
 
-    return str(fmt_rat(value))
+
+def _envy(views, bundles, pick, transfer: bool = False):
+    """The first agent ``i``, then bundle ``j``, in index order, such that
+    ``i``'s bundle less the unit ``pick`` chooses by (cost, unit) still costs
+    ``i`` more than bundle ``j`` (plus that unit when ``transfer``). ``views``
+    yields ``_costs`` of each agent's row in turn. Returns None, or ``(i, j,
+    unit, own, kept, other)`` with the costs as rationals."""
+    for i, (mine, (ints, K, cost)) in enumerate(zip(bundles, views)):
+        if not mine:
+            continue
+        unit = pick(mine, key=lambda u: (ints[u.chore], u))
+        kept = cost[i] - ints[unit.chore]
+        moved = ints[unit.chore] if transfer else 0
+        for j, other in enumerate(cost):
+            if i != j and kept > other + moved:
+                return i, j, unit, *(Fraction(v, K) for v in (cost[i], kept, other + moved))
+    return None
+
+
+def _agent_views(inst: Instance, alloc: SurplusAllocation):
+    return (_costs(inst.disutility[i], alloc.bundles) for i in range(alloc.n))
 
 
 def check_ef1(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """Envy-freeness up to removing one chore from the envious bundle."""
-    for i in range(alloc.n):
-        mine = alloc.bundles[i]
-        total = bundle_disutility(inst, i, mine)
-        drop = max((inst.d(i, u.chore) for u in mine), default=ZERO)
-        for j in range(alloc.n):
-            if i == j:
-                continue
-            other = bundle_disutility(inst, i, alloc.bundles[j])
-            if total - drop > other:
-                return Certificate(EF1, False, {
-                    "agent": i, "envied": j,
-                    "own": _fmt(total), "best_removal": _fmt(total - drop),
-                    "other": _fmt(other)})
-    return Certificate(EF1, True)
+    found = _envy(_agent_views(inst, alloc), alloc.bundles, max)
+    if found is None:
+        return Certificate(EF1, True)
+    i, j, _, own, kept, other = found
+    return Certificate(EF1, False, {
+        "agent": i, "envied": j,
+        "own": rat_text(own), "best_removal": rat_text(kept), "other": rat_text(other)})
 
 
 def check_efx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """Envy-freeness up to removing any chore from the envious bundle."""
-    for i in range(alloc.n):
-        mine = alloc.bundles[i]
-        if not mine:
-            continue
-        total = bundle_disutility(inst, i, mine)
-        softest = min(mine, key=lambda u: (inst.d(i, u.chore), u))
-        drop = inst.d(i, softest.chore)
-        for j in range(alloc.n):
-            if i == j:
-                continue
-            other = bundle_disutility(inst, i, alloc.bundles[j])
-            if total - drop > other:
-                return Certificate(EFX, False, {
-                    "agent": i, "envied": j,
-                    "chore": softest.chore, "copy": softest.copy,
-                    "after_removal": _fmt(total - drop), "other": _fmt(other)})
-    return Certificate(EFX, True)
+    found = _envy(_agent_views(inst, alloc), alloc.bundles, min)
+    if found is None:
+        return Certificate(EFX, True)
+    i, j, unit, _, kept, other = found
+    return Certificate(EFX, False, {
+        "agent": i, "envied": j, "chore": unit.chore, "copy": unit.copy,
+        "after_removal": rat_text(kept), "other": rat_text(other)})
 
 
 def check_tefx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """No strong envy: transferring any single chore kills the envy."""
-    for i in range(alloc.n):
-        mine = alloc.bundles[i]
-        if not mine:
-            continue
-        total = bundle_disutility(inst, i, mine)
-        softest = min(mine, key=lambda u: (inst.d(i, u.chore), u))
-        drop = inst.d(i, softest.chore)
-        for j in range(alloc.n):
-            if i == j:
-                continue
-            other = bundle_disutility(inst, i, alloc.bundles[j])
-            if total - drop > other + drop:
-                return Certificate(TEFX, False, {
-                    "agent": i, "envied": j,
-                    "chore": softest.chore, "copy": softest.copy,
-                    "after_transfer": _fmt(total - drop),
-                    "other_with_chore": _fmt(other + drop)})
-    return Certificate(TEFX, True)
+    found = _envy(_agent_views(inst, alloc), alloc.bundles, min, transfer=True)
+    if found is None:
+        return Certificate(TEFX, True)
+    i, j, unit, _, kept, other = found
+    return Certificate(TEFX, False, {
+        "agent": i, "envied": j, "chore": unit.chore, "copy": unit.copy,
+        "after_transfer": rat_text(kept), "other_with_chore": rat_text(other)})
 
 
 def check_proportional(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """Every bundle costs its holder at most a 1/n share of all original chores."""
     for i in range(alloc.n):
-        own = bundle_disutility(inst, i, alloc.bundles[i])
-        share = inst.total(i) / alloc.n
-        if own > share:
+        ints, K, (own,) = _costs(inst.disutility[i], (alloc.bundles[i],))
+        if alloc.n * own > sum(ints):
             return Certificate(PROPORTIONAL, False, {
-                "agent": i, "own": _fmt(own), "share": _fmt(share)})
+                "agent": i, "own": rat_text(Fraction(own, K)),
+                "share": rat_text(Fraction(sum(ints), K * alloc.n))})
     return Certificate(PROPORTIONAL, True)
 
 
 def check_pef1(prices: PriceVector, alloc: SurplusAllocation) -> Certificate:
     """Payment envy-freeness up to one chore."""
-    paid = [bundle_payment(prices, bundle) for bundle in alloc.bundles]
-    for i, mine in enumerate(alloc.bundles):
-        if not mine:
-            continue
-        kept = paid[i] - max(prices[u.chore] for u in mine)
-        for j, other in enumerate(paid):
-            if i != j and kept > other:
-                return Certificate(PEF1, False, {
-                    "agent": i, "envied": j,
-                    "own_after_removal": _fmt(kept), "other": _fmt(other)})
-    return Certificate(PEF1, True)
+    found = _envy([_costs(prices.p, alloc.bundles)] * alloc.n, alloc.bundles, max)
+    if found is None:
+        return Certificate(PEF1, True)
+    i, j, _, _, kept, other = found
+    return Certificate(PEF1, False, {
+        "agent": i, "envied": j,
+        "own_after_removal": rat_text(kept), "other": rat_text(other)})
 
 
 def check_fisher_eq(inst: Instance, out: MarketOutcome) -> Certificate:
@@ -261,10 +253,10 @@ def _fpo_certificate(inst: Instance, items: list[ChoreCopy], shares) -> Certific
     j = next(i for i in range(n) if loads[i] < caps[i])
     return Certificate(FPO, False, {
         "improving_agent": j,
-        "objective": _fmt(loads[j]),
-        "current": _fmt(caps[j]),
+        "objective": rat_text(loads[j]),
+        "current": rat_text(caps[j]),
         "items": [{"chore": u.chore, "copy": u.copy} for u in items],
-        "dominating": [[_fmt(y[i * k + t]) for t in range(k)] for i in range(n)]})
+        "dominating": [[rat_text(y[i * k + t]) for t in range(k)] for i in range(n)]})
 
 
 def check_fpo(inst: Instance, alloc: SurplusAllocation) -> Certificate:
@@ -307,7 +299,7 @@ def check_nondegenerate(inst: Instance) -> Certificate:
                         "agent": i,
                         "subset_a": _mask_to_ids(clash),
                         "subset_b": _mask_to_ids(mask | bit),
-                        "sum": _fmt(candidate)})
+                        "sum": rat_text(candidate)})
                 updates[candidate] = mask | bit
             sums.update(updates)
     return Certificate(NON_DEGENERATE, True)

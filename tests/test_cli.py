@@ -180,6 +180,28 @@ class TestSolveSurplus:
                                   capture_output=True, text=True, timeout=60, env=env)
             assert done.returncode == 0, done.stderr
 
+    def test_redistributed_share_past_the_digit_limit(self, tmp_path):
+        # Each entry is v + 1/q over a random 495-digit q. Phase 1 splits an
+        # earning whose text runs past the interpreter's 4300-digit int-to-str
+        # limit; the trace event used to end the run in a ValueError traceback.
+        rng = random.Random(600)
+        base = [[12, 15, 5, 20, 4, 13, 13, 15], [14, 2, 3, 18, 1, 13, 12, 11]]
+        rows = [[f"{v * q + 1}/{q}" for v in row
+                 for q in [rng.randint(10**494, 10**495 - 1)]] for row in base]
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": rows}))
+        out, trace = tmp_path / "surplus.json", tmp_path / "trace.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        commands = [("solve-surplus", "-i", str(inst), "-o", str(out), "--trace", str(trace)),
+                    ("verify", "-i", str(inst), "--alloc", str(out), "--property", "ef1")]
+        for argv in commands:
+            done = subprocess.run([sys.executable, "-m", "fairchores.cli", *argv],
+                                  capture_output=True, text=True, timeout=60, env=env)
+            assert done.returncode == 0, done.stderr
+        shares = [event["share"] for event in load_json(trace)["events"]
+                  if event["event"] == "redistribute"]
+        assert any(len(share) > 4300 for share in shares)
+
 
 class TestSolveThree:
     def test_solve_and_verify(self, instance_file, tmp_path):

@@ -12,6 +12,7 @@ from fairchores.core import (
     PriceVector,
     SurplusAllocation,
     bundle_disutility,
+    bundle_payment,
     mpb,
     originals,
 )
@@ -22,6 +23,7 @@ from fairchores.equilibrium import (
     verify_fisher_equilibrium,
 )
 from fairchores.errors import InstanceTooLargeError
+from fairchores.serialize import fmt_rat
 from fairchores.simplex import solve_lp
 from fairchores.three_agent import perturb_nondegenerate
 from fairchores.verifiers import (
@@ -37,7 +39,7 @@ from fairchores.verifiers import (
     check_tefx,
     implication_suite,
 )
-from fairchores.verifiers import FISHER_EQ, Certificate
+from fairchores.verifiers import EF1, EFX, FISHER_EQ, PEF1, PROPORTIONAL, TEFX, Certificate
 
 F = Fraction
 
@@ -99,6 +101,148 @@ class TestEnvyChecks:
         assert check_pef1(PriceVector(()), empty).holds
         assert not check_pef1(p, alloc_of(2, {0, 1}, set())).holds
         assert check_pef1(p, alloc_of(2, {0}, {1})).holds
+
+
+# The envy and share checks in Fractions, one bundle sum at a time: the
+# oracle that the integer scan in ``verifiers`` must agree with.
+def _fmt(value: Fraction) -> str:
+    return str(fmt_rat(value))
+
+
+def fraction_ef1(inst: Instance, alloc: SurplusAllocation) -> Certificate:
+    """Envy-freeness up to removing one chore from the envious bundle."""
+    for i in range(alloc.n):
+        mine = alloc.bundles[i]
+        total = bundle_disutility(inst, i, mine)
+        drop = max((inst.d(i, u.chore) for u in mine), default=ZERO)
+        for j in range(alloc.n):
+            if i == j:
+                continue
+            other = bundle_disutility(inst, i, alloc.bundles[j])
+            if total - drop > other:
+                return Certificate(EF1, False, {
+                    "agent": i, "envied": j,
+                    "own": _fmt(total), "best_removal": _fmt(total - drop),
+                    "other": _fmt(other)})
+    return Certificate(EF1, True)
+
+
+def fraction_efx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
+    """Envy-freeness up to removing any chore from the envious bundle."""
+    for i in range(alloc.n):
+        mine = alloc.bundles[i]
+        if not mine:
+            continue
+        total = bundle_disutility(inst, i, mine)
+        softest = min(mine, key=lambda u: (inst.d(i, u.chore), u))
+        drop = inst.d(i, softest.chore)
+        for j in range(alloc.n):
+            if i == j:
+                continue
+            other = bundle_disutility(inst, i, alloc.bundles[j])
+            if total - drop > other:
+                return Certificate(EFX, False, {
+                    "agent": i, "envied": j,
+                    "chore": softest.chore, "copy": softest.copy,
+                    "after_removal": _fmt(total - drop), "other": _fmt(other)})
+    return Certificate(EFX, True)
+
+
+def fraction_tefx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
+    """No strong envy: transferring any single chore kills the envy."""
+    for i in range(alloc.n):
+        mine = alloc.bundles[i]
+        if not mine:
+            continue
+        total = bundle_disutility(inst, i, mine)
+        softest = min(mine, key=lambda u: (inst.d(i, u.chore), u))
+        drop = inst.d(i, softest.chore)
+        for j in range(alloc.n):
+            if i == j:
+                continue
+            other = bundle_disutility(inst, i, alloc.bundles[j])
+            if total - drop > other + drop:
+                return Certificate(TEFX, False, {
+                    "agent": i, "envied": j,
+                    "chore": softest.chore, "copy": softest.copy,
+                    "after_transfer": _fmt(total - drop),
+                    "other_with_chore": _fmt(other + drop)})
+    return Certificate(TEFX, True)
+
+
+def fraction_proportional(inst: Instance, alloc: SurplusAllocation) -> Certificate:
+    """Every bundle costs its holder at most a 1/n share of all original chores."""
+    for i in range(alloc.n):
+        own = bundle_disutility(inst, i, alloc.bundles[i])
+        share = inst.total(i) / alloc.n
+        if own > share:
+            return Certificate(PROPORTIONAL, False, {
+                "agent": i, "own": _fmt(own), "share": _fmt(share)})
+    return Certificate(PROPORTIONAL, True)
+
+
+def fraction_pef1(prices: PriceVector, alloc: SurplusAllocation) -> Certificate:
+    """Payment envy-freeness up to one chore."""
+    paid = [bundle_payment(prices, bundle) for bundle in alloc.bundles]
+    for i, mine in enumerate(alloc.bundles):
+        if not mine:
+            continue
+        kept = paid[i] - max(prices[u.chore] for u in mine)
+        for j, other in enumerate(paid):
+            if i != j and kept > other:
+                return Certificate(PEF1, False, {
+                    "agent": i, "envied": j,
+                    "own_after_removal": _fmt(kept), "other": _fmt(other)})
+    return Certificate(PEF1, True)
+
+
+def random_value(rng, kind, positive=False):
+    """Zeros and small integers, small fractions, or a small numerator over a
+    9-digit or a 500-digit denominator."""
+    low = 1 if positive else 0
+    if kind == 0:
+        return F(rng.randint(low, 9))
+    if kind == 1:
+        return F(rng.randint(low, 9), rng.randint(1, 4))
+    digits = 9 if kind == 2 else 500
+    return F(rng.randint(low, 999), rng.randint(10 ** (digits - 1), 10 ** digits - 1))
+
+
+def random_surplus_allocation(rng, n, m):
+    """Originals dealt at random, sometimes all to one agent, plus up to three
+    copies of random chores; empty bundles are common."""
+    lump = rng.random() < 0.2
+    bundles = [set() for _ in range(n)]
+    for c in range(m):
+        bundles[0 if lump else rng.randrange(n)].add(ChoreCopy(c))
+    for copy in range(1, rng.randint(1, 4) if m else 1):
+        bundles[rng.randrange(n)].add(ChoreCopy(rng.randrange(m), copy))
+    return SurplusAllocation(tuple(frozenset(b) for b in bundles), m)
+
+
+def test_envy_scan_agrees_with_fraction_oracle():
+    rng = random.Random(2020)
+    seen = {name: set() for name in ("ef1", "efx", "tefx", "prop", "pef1")}
+    for trial in range(4000):
+        # One in twenty draws reads 500-digit denominators, where the oracle
+        # is slow; the rest cycle through the three other kinds of entry.
+        kind = 3 if trial % 20 == 19 else trial % 3
+        n, m = rng.randint(1, 5), rng.randint(0, 9)
+        inst = Instance(tuple(tuple(random_value(rng, kind) for _ in range(m))
+                              for _ in range(n)))
+        prices = PriceVector(tuple(random_value(rng, kind, positive=True) for _ in range(m)))
+        alloc = random_surplus_allocation(rng, n, m)
+        pairs = {
+            "ef1": (check_ef1(inst, alloc), fraction_ef1(inst, alloc)),
+            "efx": (check_efx(inst, alloc), fraction_efx(inst, alloc)),
+            "tefx": (check_tefx(inst, alloc), fraction_tefx(inst, alloc)),
+            "prop": (check_proportional(inst, alloc), fraction_proportional(inst, alloc)),
+            "pef1": (check_pef1(prices, alloc), fraction_pef1(prices, alloc)),
+        }
+        for name, (certificate, oracle) in pairs.items():
+            assert certificate.to_dict() == oracle.to_dict(), (name, inst, alloc, prices)
+            seen[name].add(certificate.holds)
+    assert all(verdicts == {True, False} for verdicts in seen.values()), seen
 
 
 class TestParetoChecks:
