@@ -24,7 +24,16 @@ by the adjacency positions of their edges:
   path's prefix, where the next path in that order begins.
 
 Both push the bottleneck of the same path through ``_augment``, and the phase
-ends when Edmonds-Karp's next path would be longer.
+ends when Edmonds-Karp's next path would be longer. Nothing here uses the
+zero start, so from any starting flow both push the same paths too.
+
+``reachable`` does not depend on the starting flow either. A network may be
+built carrying a feasible flow (``add_edge``'s ``flow``), and ``max_flow``
+then augments it to some maximum flow. Every maximum flow has the same
+residual source side: the nodes left reachable from the source form the
+smallest minimum cut, which is a property of the capacities alone. So a
+caller that reads only ``reachable`` may start from any feasible flow, and
+one that reads per-edge flows must start from zero.
 
 An edge added with capacity ``None`` is uncapped; its residual never runs out.
 There is no large-number stand-in for infinity. A path made only of uncapped
@@ -49,14 +58,16 @@ class FlowNetwork:
         self.head: list[int] = []
         self.residual: list[Optional[int]] = []
 
-    def add_edge(self, u: int, v: int, capacity: Optional[int]) -> int:
+    def add_edge(self, u: int, v: int, capacity: Optional[int], flow: int = 0) -> int:
         """Add a directed edge and its reverse; returns the edge index.
 
         ``capacity`` is a non-negative int, or ``None`` for an uncapped edge.
+        The edge starts out carrying ``flow``, at most its capacity; the
+        caller keeps the flow conserved at every node but the source and sink.
         """
         index = len(self.head)
         self.head += (v, u)
-        self.residual += (capacity, 0)
+        self.residual += (capacity if capacity is None else capacity - flow, flow)
         self.adj[u].append(index)
         self.adj[v].append(index + 1)
         return index
@@ -80,7 +91,8 @@ class FlowNetwork:
         return bottleneck
 
     def max_flow(self, source: int, sink: int) -> int:
-        """Augment by blocking flows until the sink is cut off; returns the amount."""
+        """Augment by blocking flows until the sink is cut off; returns the
+        amount added to the flow the network started with."""
         adj, head, residual = self.adj, self.head, self.residual
         total = 0
         while True:

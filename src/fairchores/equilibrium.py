@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from ._flow import FlowNetwork
@@ -476,36 +476,74 @@ def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
     return {edge: Fraction(net.flow_value(idx), L) for edge, idx in edge_index.items()}
 
 
-def _route_plain(n, m, P, L, mpb_sets, hi):
-    """Cap-only routing, the first flow of every price round.
+def _plain_network(n, m, P, L, mpb_sets, hi, carried=None):
+    """The cap-only network of a price round, and its integer unit.
 
-    Takes integer prices ``P`` scaled by ``L`` as ``_route_within_bounds``
-    does, and numbers the nodes the same way, with the source at ``n + m``.
-    Returns the network, the chores whose payment is not fully routed, and
-    each agent's income as ``Fraction(flow, L)`` (None when some chore is
-    unrouted, since only the routed case reads it).
+    Prices ``P`` are scaled by ``L`` as in ``_route_within_bounds``, and the
+    nodes are numbered the same way, with the source at ``n + m`` and the
+    sink at ``n + m + 1``. Edges: source to each chore, capped at its price;
+    chore to agent, uncapped, along each MPB edge in (agent, chore) order;
+    agent to sink, capped at ``hi``. Amounts are integers over the
+    network's unit ``U``.
 
-    When a chore is unrouted the caller reads only ``reachable``, the same
-    set after every maximum flow; when every chore routes it reads incomes
-    off the same ``max_flow`` flow.
+    Without ``carried`` the flow is zero and ``U = L``. Otherwise ``carried``
+    is ``(flows, unit)`` from an earlier round, each MPB edge's flow as an
+    integer over ``unit``; ``U = lcm(unit, L)`` holds it exactly. The flow is
+    preloaded on the edges still in ``mpb_sets``, and every supply and income
+    edge carries its node's sum. The caller makes sure this fits the caps.
+
+    Returns the network, the supply and income edge indices, the MPB edge
+    indices keyed by (agent, chore), and ``U``.
     """
-    s, t = n + m, n + m + 1
-    net = FlowNetwork(n + m + 2)
-    supply_idx = []
-    income_idx = []
-    for c in range(m):
-        supply_idx.append(net.add_edge(s, c, P[c]))
+    flows, unit = carried if carried else ({}, L)
+    U = lcm(unit, L)
+    up, old = U // L, U // unit
+    supplied, earned = [0] * m, [0] * n
+    preload = []
     for i in range(n):
         for c in sorted(mpb_sets[i]):
-            net.add_edge(c, m + i, None)
-    high = int(hi * L)
-    for i in range(n):
-        income_idx.append(net.add_edge(m + i, t, high))
-    if net.max_flow(s, t) < sum(P):
-        unrouted = [c for c in range(m) if net.flow_value(supply_idx[c]) < P[c]]
-        return net, unrouted, None
-    incomes = [Fraction(net.flow_value(idx), L) for idx in income_idx]
-    return net, [], incomes
+            amount = flows.get((i, c), 0) * old
+            preload.append((i, c, amount))
+            supplied[c] += amount
+            earned[i] += amount
+    s, t = n + m, n + m + 1
+    net = FlowNetwork(n + m + 2)
+    supply = [net.add_edge(s, c, P[c] * up, supplied[c]) for c in range(m)]
+    edges = {(i, c): net.add_edge(c, m + i, None, amount) for i, c, amount in preload}
+    high = int(hi * L) * up
+    income = [net.add_edge(m + i, t, high, earned[i]) for i in range(n)]
+    return net, supply, income, edges, U
+
+
+def _route_plain(n, m, P, L, mpb_sets, hi, carried=None):
+    """Cap-only routing, the first flow of every price round.
+
+    Builds ``_plain_network``, starting from ``carried`` when given, and
+    augments it to a maximum flow. Returns the network, the chores whose
+    payment is not fully routed, and the flow on the MPB edges as
+    ``(flows, unit)``: the positive flows as integers over the least unit
+    that holds them all.
+
+    The caller reads only ``reachable`` off the network, the same set after
+    every maximum flow from any starting flow, so a carried flow leaves the
+    round's decision as it was. Incomes, which depend on the flow, come from
+    ``_plain_incomes``.
+    """
+    net, supply, _, edges, unit = _plain_network(n, m, P, L, mpb_sets, hi, carried)
+    net.max_flow(n + m, n + m + 1)
+    unrouted = [c for c in range(m) if net.residual[supply[c]]]
+    flows = {edge: amount for edge, index in edges.items()
+             if (amount := net.flow_value(index))}
+    g = gcd(unit, *flows.values())
+    return net, unrouted, ({edge: amount // g for edge, amount in flows.items()}, unit // g)
+
+
+def _plain_incomes(n, m, P, L, mpb_sets, hi):
+    """Each agent's income as ``Fraction(flow, L)`` in the cap-only maximum
+    flow from zero, which fixes which of the many maximum flows is read."""
+    net, _, income, _, _ = _plain_network(n, m, P, L, mpb_sets, hi)
+    net.max_flow(n + m, n + m + 1)
+    return [Fraction(net.flow_value(index), L) for index in income]
 
 
 def _reduced(Q: list[int], R: int) -> tuple[list[int], int]:
@@ -550,6 +588,31 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     factor are computed in integers; each integer comparison is the rational
     one multiplied through by a positive integer. Only the returned outcome
     holds ``Fraction`` prices.
+
+    Each round carries its state into the next, and no round decides
+    differently for it:
+
+    - *MPB sets.* ``_mpb_structure`` builds them once; after that each
+      agent keeps its set, and any chore of it gives the agent's best ratio.
+      A rise multiplies the blocked prices by one factor ``top/bottom > 1``,
+      so ratios within each side keep their order. Every candidate's set
+      lies on the unblocked side, and the factor is the least that ties a
+      candidate with a blocked chore, so a candidate gains exactly the
+      blocked chores that tie at it, collected where the factor is chosen.
+      Every other agent has a blocked chore in its set; those now beat its
+      unblocked ones, which it drops. A uniform rescale changes no set.
+      The sets equal ``_mpb_structure``'s every round.
+    - *Flow.* After an overpriced round, the cap-only flow on the MPB edges
+      starts the next round's. It still fits: blocked prices only rise,
+      income caps are fixed in money, and a dropped edge runs from an
+      unblocked chore to a reachable agent, so it carried nothing (flow on
+      it would make its chore reachable). The next round reads only the
+      cut when a chore stays unrouted, and the cut is the same after every
+      maximum flow. When every chore routes and the bounded routing fails,
+      the incomes that pick the poor agents come from a flow from zero
+      (``_plain_incomes``). A routed round's flow may sit on dropped edges,
+      and a normalisation or a uniform rescale moves the caps under the
+      flow, so the round after one of these starts from zero.
     """
     if inst.m == 0:
         raise InputError(_NO_CHORES)
@@ -567,6 +630,9 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     columns = [sum(column, ZERO) for column in zip(*inst.disutility)]
     total = sum(columns, ZERO)
     Q, R = over_common_denominator([n * value / total for value in columns])
+    # The sets do not depend on the price scale.
+    mpb_sets = _mpb_structure(D, Q)[1]
+    carried = None
 
     for _ in range(DEFAULT_ROUNDS):
         total = sum(Q)
@@ -576,16 +642,17 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
             if rounded > 0:
                 scale = rounded
             Q, R = _reduced([value * scale.numerator for value in Q], R * scale.denominator)
+            carried = None
 
         # lo and hi share the denominator of eps.
         step = eps.denominator // gcd(eps.denominator, R)
         L = R * step
         P = [value * step for value in Q]
-        mpb_values, mpb_sets = _mpb_structure(D, P)
+        mpb_values = [(D[i][b], P[b]) for i, b in enumerate(map(min, mpb_sets))]
         # A routing that pays every chore in full with incomes in [lo, hi]
         # is also a routing of the cap-only network, so a chore left unrouted
         # there proves the bounded routing infeasible without solving it.
-        net, unrouted, incomes = _route_plain(n, m, P, L, mpb_sets, hi)
+        net, unrouted, flow = _route_plain(n, m, P, L, mpb_sets, hi, carried)
         if unrouted:
             # Overpriced side: its neighborhood is income-saturated, so raise
             # the blocked chores until a fresh agent's ratio ties.
@@ -600,6 +667,7 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
                 if verify_fisher_equilibrium(inst, outcome).passed:
                     return outcome
                 raise AlgorithmBugError("routed outcome failed verification; this is a bug")
+            incomes = _plain_incomes(n, m, P, L, mpb_sets, hi)
             poor = [i for i in range(n) if incomes[i] < lo]
             if not poor:
                 # This cap-only flow routes every chore with incomes in
@@ -616,23 +684,40 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
 
         # The factor that brings chore c into agent i's MPB set is
         # (D[i][c]/P[c]) / (num/den) with (num, den) = mpb_values[i]; take the
-        # least by cross-multiplication.
+        # least by cross-multiplication, with every pair that ties at it.
         lam = None
+        ties = []
         for i in candidates:
             num, den = mpb_values[i]
             row = D[i]
             for c in blocked:
                 top, bottom = row[c] * den, P[c] * num
-                if lam is None or top * lam[1] < lam[0] * bottom:
-                    lam = (top, bottom)
+                if lam is None:
+                    lam, ties = (top, bottom), [(i, c)]
+                    continue
+                left, right = top * lam[1], lam[0] * bottom
+                if left < right:
+                    lam, ties = (top, bottom), [(i, c)]
+                elif left == right:
+                    ties.append((i, c))
         if lam is None:
             Q, R = _reduced([n * value for value in Q], sum(Q))
+            carried = None
             continue
         # Blocked prices times top/bottom, over the denominator R * bottom.
         top, bottom = lam
-        rise = set(blocked)
+        rise = frozenset(blocked)
         Q, R = _reduced([value * (top if c in rise else bottom) for c, value in enumerate(Q)],
                         R * bottom)
+        for i, chores in enumerate(mpb_sets):
+            keep = chores & rise
+            if keep and keep != chores:
+                mpb_sets[i] = keep
+        for i, c in ties:
+            mpb_sets[i] = mpb_sets[i] | {c}
+        # An overpriced round's flow holds nothing on the edges the rise
+        # drops, so it fits the next round; a routed round's flow need not.
+        carried = flow if unrouted else None
 
     raise BudgetExhaustedError(
         f"no verified outcome within {DEFAULT_ROUNDS} price-adjustment rounds")

@@ -77,6 +77,12 @@ class RoundingState:
         cancelled as ``make_acyclic`` would: a forest, same prices and incomes."""
         if not verify_fisher_equilibrium(inst, out).passed:
             raise InvalidEquilibriumError("rounding requires a verified equilibrium")
+        return cls._from_verified(inst, out)
+
+    @classmethod
+    def _from_verified(cls, inst: Instance, out: MarketOutcome) -> "RoundingState":
+        """``from_outcome`` without its check, for an outcome that ``approx_ceei``
+        or ``_round_to_exact`` verified as it returned it."""
         weights = payment_graph(out.x, out.prices).edge_dict()
         adj = _cancel_cycles(inst.n, inst.m, weights)
         agent_adj = [{v - inst.n for v in chores} for chores in adj[:inst.n]]
@@ -296,7 +302,7 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     if opts.exact:
         outcome = _exact_by_rounding(inst, outcome)
 
-    state = RoundingState.from_outcome(inst, outcome)
+    state = RoundingState._from_verified(inst, outcome)
     phase1(state)
     alloc = phase2(state)
     eps = outcome.epsilon

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -12,12 +13,16 @@ from fairchores.core import (
     MarketOutcome,
     PaymentGraph,
     PriceVector,
+    integer_rows,
     payment_graph,
 )
 from fairchores.equilibrium import (
     _enumerate_supports,
     _forest_supports,
+    _mpb_structure,
     _outcome_from_earnings,
+    _plain_network,
+    _route_plain,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -32,6 +37,7 @@ from fairchores.errors import (
     InvalidEquilibriumError,
     ZeroDisutilityError,
 )
+from test_flow import edmonds_karp_plain
 from test_integer_rows import common_scale_rows
 
 F = Fraction
@@ -462,6 +468,100 @@ class TestApproxCeei:
             approx_ceei(inst, F(3, 2))
         with pytest.raises(ZeroDisutilityError):
             approx_ceei(Instance.from_rows([[0, 1]]), F(1, 10))
+
+
+def price_loop_draws():
+    """Instances and slacks for the per-round checks of ``approx_ceei``: 300
+    random strictly positive draws (n 2..8, m n..20, values 1..20, every
+    third with 9-digit fractions mixed in, every fourth at a wide slack), then
+    the two ``surplus-large`` benchmark shapes."""
+    rng = random.Random(22)
+    draws = []
+    for k in range(300):
+        n = rng.randint(2, 8)
+        m = rng.randint(n, 20)
+        if k % 3:
+            rows = [[rng.randint(1, 20) for _ in range(m)] for _ in range(n)]
+        else:
+            rows = [[F(rng.randint(10**8, 10**9 - 1), rng.randint(10**8, 10**9 - 1))
+                     if rng.random() < 0.3 else rng.randint(1, 20) for _ in range(m)]
+                    for _ in range(n)]
+        eps = default_epsilon(n, m) if k % 4 else F(1, rng.randint(2, 30))
+        draws.append((Instance.from_rows(rows), eps))
+    for n, m in ((21, 30), (25, 25)):
+        rows = [[rng.randint(1, 20) for _ in range(m)] for _ in range(n)]
+        draws.append((Instance.from_rows(rows), default_epsilon(n, m)))
+    return draws
+
+
+def run_price_loops(monkeypatch, check):
+    """``approx_ceei`` on every draw, with ``_route_plain`` wrapped to call
+    ``check(D, args, result)`` on each round: ``D`` the integer rows, ``args``
+    the round's ``(n, m, P, L, mpb_sets, hi, carried)``. Returns counts of the
+    round kinds that carrying state between rounds must handle."""
+    kinds = Counter()
+    state = {}
+
+    def checked(n, m, P, L, mpb_sets, hi, carried=None):
+        args = (n, m, P, L, mpb_sets, hi, carried)
+        result = _route_plain(*args)
+        check(state["D"], args, result)
+        previous = state.get("previous")
+        if carried is not None:
+            kinds["warm"] += 1
+        if previous is not None:
+            P0, L0, unrouted = previous
+            # Every price moved by one factor other than 1: a normalisation
+            # or a rescale, which leaves the caps out of step with the flow.
+            factors = {F(a * L0, L * b) for a, b in zip(P, P0)}
+            if unrouted and len(factors) == 1 and factors != {1}:
+                kinds["rescaled after an overpriced round"] += 1
+            if not unrouted:
+                kinds["after a routed round"] += 1
+        state["previous"] = (P, L, bool(result[1]))
+        return result
+
+    monkeypatch.setattr(equilibrium, "_route_plain", checked)
+    for inst, eps in price_loop_draws():
+        state.update(D=integer_rows(inst), previous=None)
+        assert verify_fisher_equilibrium(inst, approx_ceei(inst, eps)).passed
+    return kinds
+
+
+def test_carried_round_state_matches_a_fresh_round(monkeypatch):
+    # Every round's MPB sets, carried from the last round, are those a full
+    # rescan finds, and its residual cut from the carried flow is the one
+    # the Edmonds-Karp flow from zero leaves.
+    def check(D, args, result):
+        n, m, P, L, mpb_sets, hi, _ = args
+        net, unrouted, _ = result
+        assert list(mpb_sets) == _mpb_structure(D, P)[1]
+        oracle, oracle_unrouted, _, _ = edmonds_karp_plain(n, m, P, L, mpb_sets, hi)
+        # Which chores stay unrouted depends on the flow; whether any does not.
+        assert bool(unrouted) == bool(oracle_unrouted)
+        if unrouted:
+            assert net.reachable(n + m) == oracle.reachable(n + m)
+
+    kinds = run_price_loops(monkeypatch, check)
+    assert kinds["warm"] >= 1000
+    assert kinds["rescaled after an overpriced round"] >= 1
+    assert kinds["after a routed round"] >= 1
+
+
+def test_carried_flow_fits_the_next_round(monkeypatch):
+    # A carried flow holds nothing on an edge that left the MPB graph, and
+    # preloaded into the next round's network it leaves no residual negative:
+    # it is a feasible flow there.
+    def check(D, args, result):
+        n, m, P, L, mpb_sets, hi, carried = args
+        if carried is None:
+            return
+        flows, _ = carried
+        assert all(c in mpb_sets[i] for (i, c), amount in flows.items() if amount)
+        net = _plain_network(n, m, P, L, mpb_sets, hi, carried)[0]
+        assert all(value is None or value >= 0 for value in net.residual)
+
+    assert run_price_loops(monkeypatch, check)["warm"] >= 1000
 
 
 class TestMakeAcyclic:

@@ -15,6 +15,7 @@ from fairchores.core import ZERO, Instance, PriceVector, integer_rows, mpb
 from fairchores.equilibrium import (
     _mpb_structure,
     _outcome_from_earnings,
+    _plain_incomes,
     _round_to_exact,
     _route_plain,
     _route_within_bounds,
@@ -267,8 +268,9 @@ def test_route_within_bounds_saturates_chores_and_bounds_incomes():
 
 
 def plain_routing_cases(monkeypatch):
-    """Cap-only routing inputs ``(n, m, P, L, sets, eps)`` as two lists: 150
-    on random prices, and every round of 12 ``approx_ceei`` runs."""
+    """Cap-only routing inputs ``(n, m, P, L, sets, eps, carried)`` as two
+    lists: 150 on random prices from zero flow, and every round of 12
+    ``approx_ceei`` runs with the flow each started from."""
     rng = random.Random(10)
     cases = []
     for _ in range(150):
@@ -278,13 +280,14 @@ def plain_routing_cases(monkeypatch):
         raw = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(m)]
         P, L = scaled([p * n / sum(raw) for p in raw], eps)
         _, sets = _mpb_structure(integer_rows(inst), P)
-        cases.append((n, m, P, L, sets, eps))
+        cases.append((n, m, P, L, sets, eps, None))
 
     visited = []
 
-    def recording(n, m, P, L, mpb_sets, hi):
-        visited.append((n, m, P, L, mpb_sets, hi - 1))
-        return _route_plain(n, m, P, L, mpb_sets, hi)
+    def recording(n, m, P, L, mpb_sets, hi, carried=None):
+        # The loop updates its list of sets in place after the round.
+        visited.append((n, m, P, L, list(mpb_sets), hi - 1, carried))
+        return _route_plain(n, m, P, L, mpb_sets, hi, carried)
 
     monkeypatch.setattr(equilibrium, "_route_plain", recording)
     for _ in range(12):
@@ -302,23 +305,24 @@ def test_unrouted_chore_means_bounded_routing_is_infeasible(monkeypatch):
     # prices and on every price vector approx_ceei visits.
     cases, visited = plain_routing_cases(monkeypatch)
     blocked = 0
-    for n, m, P, L, sets, eps in cases + visited:
-        _, unrouted, incomes = _route_plain(n, m, P, L, sets, 1 + eps)
+    for n, m, P, L, sets, eps, _ in cases + visited:
+        _, unrouted, _ = _route_plain(n, m, P, L, sets, 1 + eps)
         if unrouted:
             blocked += 1
-            assert incomes is None
             assert _route_within_bounds(n, m, P, L, sets, 1 - eps, 1 + eps) is None
     assert len(visited) >= 100 and blocked >= 100
 
 
 def test_route_plain_reads_the_edmonds_karp_flow_or_the_cut(monkeypatch):
-    # A blocked round reads only the cut, the same after every maximum flow;
-    # a routed round reads incomes, which must be those of the Edmonds-Karp
-    # flow from zero, whatever flow found the round routed.
+    # A blocked round reads only the cut, the same after every maximum flow
+    # from any starting flow; a routed round reads incomes, which must be
+    # those of the Edmonds-Karp flow from zero, whatever flow found the round
+    # routed. Loop rounds are replayed from the flow they started from.
     cases, visited = plain_routing_cases(monkeypatch)
+    assert sum(carried is not None for *_, carried in visited) >= 50
     routed = 0
-    for n, m, P, L, sets, eps in cases + visited:
-        net, unrouted, incomes = _route_plain(n, m, P, L, sets, 1 + eps)
+    for n, m, P, L, sets, eps, carried in cases + visited:
+        net, unrouted, _ = _route_plain(n, m, P, L, sets, 1 + eps, carried)
         oracle, oracle_unrouted, oracle_incomes, _ = edmonds_karp_plain(
             n, m, P, L, sets, 1 + eps)
         assert bool(unrouted) == bool(oracle_unrouted)
@@ -326,7 +330,7 @@ def test_route_plain_reads_the_edmonds_karp_flow_or_the_cut(monkeypatch):
             assert net.reachable(n + m) == oracle.reachable(n + m)
         else:
             routed += 1
-            assert incomes == oracle_incomes
+            assert _plain_incomes(n, m, P, L, sets, 1 + eps) == oracle_incomes
     assert routed >= 30
 
 
@@ -414,9 +418,9 @@ def two_flow_approx_ceei(inst, eps, log, max_rounds=100_000):
 def test_approx_ceei_matches_the_two_flow_loop(monkeypatch):
     visited = []
 
-    def recording(n, m, P, L, mpb_sets, hi):
+    def recording(n, m, P, L, mpb_sets, hi, carried=None):
         visited.append(("round", P, L))
-        return _route_plain(n, m, P, L, mpb_sets, hi)
+        return _route_plain(n, m, P, L, mpb_sets, hi, carried)
 
     monkeypatch.setattr(equilibrium, "_route_plain", recording)
     rng = random.Random(11)

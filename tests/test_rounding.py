@@ -319,15 +319,16 @@ class TestPipeline:
             assert all(k <= 1 for k in per_agent_copies)
 
     def test_each_route_verifies_the_equilibrium_once_per_step(self, monkeypatch):
-        # The price loop and the rounding verify once each; the exact route
-        # adds the check of the rounded equilibrium. Both routes start from
-        # the one approx_ceei call.
+        # The price loop verifies once, and the exact route adds the check of
+        # the rounded equilibrium. The rounding takes the verified outcome
+        # without a second check. Both routes start from the one approx_ceei
+        # call.
         verified, approximated = [], []
         patch_every_binding(monkeypatch, verify_fisher_equilibrium, verified)
         patch_every_binding(monkeypatch, approx_ceei, approximated)
         for rows in ([[1, 2, 3], [3, 1, 2]], [[1, 1], [1, 1]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]):
             inst = Instance.from_rows(rows)
-            for opts, expected in ((SolveOptions(), 2), (SolveOptions(exact=True), 3)):
+            for opts, expected in ((SolveOptions(), 1), (SolveOptions(exact=True), 2)):
                 verified.clear()
                 approximated.clear()
                 fair_and_efficient(inst, opts)
