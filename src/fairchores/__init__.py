@@ -7,6 +7,7 @@ agents, and verifiers that certify every claimed property with witnesses.
 """
 
 from .core import (
+    Certificate,
     ChoreCopy,
     FractionalAllocation,
     Instance,
@@ -22,7 +23,6 @@ from .core import (
     rat,
 )
 from .equilibrium import (
-    EquilibriumReport,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -46,11 +46,9 @@ from .three_agent import (
     terminal_assignment,
 )
 from .verifiers import (
-    Certificate,
     ImplicationReport,
     check_ef1,
     check_efx,
-    check_fisher_eq,
     check_fisher_integral,
     check_fpo,
     check_fpo_outcome,

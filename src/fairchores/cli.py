@@ -1,7 +1,7 @@
 """Command-line front end: generate, solve, verify, and expose oracles.
 
 Exit codes: 0 success (or property holds), 1 property violated, 2 bad input,
-3 internal certificate failure.
+3 internal bug: a certificate or invariant the algorithm guarantees failed.
 """
 
 from __future__ import annotations
@@ -13,13 +13,8 @@ import sys
 from typing import Optional
 
 from .core import Instance, rat
-from .equilibrium import approx_ceei, default_epsilon, exact_ceei
-from .errors import (
-    AlgorithmBugError,
-    CertificateFailureError,
-    FairChoresError,
-    InputError,
-)
+from .equilibrium import approx_ceei, default_epsilon, exact_ceei, verify_fisher_equilibrium
+from .errors import AlgorithmBugError, FairChoresError, InputError
 from .rounding import SolveOptions, fair_and_efficient
 from .serialize import (
     allocation_from_dict,
@@ -38,7 +33,6 @@ from .three_agent import solve_three
 from .verifiers import (
     check_ef1,
     check_efx,
-    check_fisher_eq,
     check_fpo,
     check_nondegenerate,
     check_pef1,
@@ -99,8 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="run one oracle for external cross-checking")
     oracle.add_argument("-i", "--input", required=True)
     oracle.add_argument("--which", required=True,
-                        choices=["ceei-exact", "ceei-approx", "po-brute"])
-    oracle.add_argument("--alloc", default=None, help="allocation file (po-brute only)")
+                        choices=["ceei-exact", "ceei-approx"])
     oracle.add_argument("--epsilon", default=None,
                         help="income slack for ceei-approx (default 1/(5nm))")
     oracle.add_argument("-o", "--output", required=True)
@@ -180,7 +173,7 @@ def _cmd_verify(args) -> tuple[int, Optional[str]]:
         if args.alloc is None:
             raise InputError("--alloc (a market outcome file) is required for fisher")
         outcome = outcome_from_dict(load_json(args.alloc))
-        certificate = check_fisher_eq(inst, outcome)
+        certificate = verify_fisher_equilibrium(inst, outcome)
     else:
         if args.alloc is None:
             raise InputError("--alloc is required for this property")
@@ -204,13 +197,6 @@ def _cmd_verify(args) -> tuple[int, Optional[str]]:
 
 def _cmd_oracle(args) -> tuple[int, Optional[str]]:
     inst = instance_from_dict(load_json(args.input))
-    if args.which == "po-brute":
-        if args.alloc is None:
-            raise InputError("--alloc is required for the po-brute oracle")
-        alloc, _ = _load_allocation(args.alloc, inst)
-        certificate = check_po_brute(inst, alloc)
-        dump_json(args.output, certificate.to_dict())
-        return (EXIT_OK if certificate.holds else EXIT_VIOLATED), None
     if args.which == "ceei-exact":
         outcome = exact_ceei(inst)
     else:
@@ -235,7 +221,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (CertificateFailureError, AlgorithmBugError) as exc:
+    except AlgorithmBugError as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except FairChoresError as exc:

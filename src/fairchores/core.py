@@ -1,4 +1,4 @@
-"""Instance, allocation and price data model, plus the elementary evaluations.
+"""Data model (instances, allocations, prices, certificates) and the elementary evaluations.
 
 All numeric quantities are exact rationals (`fractions.Fraction`) at the
 boundary; nothing in the algorithmic pipeline ever rounds. Inside, solvers and
@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InputError
 
@@ -23,9 +23,10 @@ Rat = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Longest numerator or denominator a rational given as text may expand to, in
-# decimal digits: the digits written plus the exponent's magnitude. It keeps
-# an entry like "1e99999999" from building a hundred-million-digit integer.
+# Most decimal digits a rational given as text may expand to: every digit
+# written, numerator and denominator together, plus the exponent's magnitude.
+# It keeps an entry like "1e99999999" from building a hundred-million-digit
+# integer.
 MAX_TEXT_DIGITS = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
@@ -109,10 +110,6 @@ class Instance:
 
     def d(self, agent: int, chore: int) -> Fraction:
         return self.disutility[agent][chore]
-
-    def total(self, agent: int) -> Fraction:
-        """Disutility of the whole chore set for one agent."""
-        return sum(self.disutility[agent], ZERO)
 
     def has_zero_entry(self) -> bool:
         return any(v == 0 for row in self.disutility for v in row)
@@ -259,6 +256,23 @@ class SurplusAllocation:
     def items(self) -> list[ChoreCopy]:
         """All allocated units (originals and copies), in a canonical order."""
         return sorted(unit for bundle in self.bundles for unit in bundle)
+
+
+# Property name of the Fisher-equilibrium certificates, fractional or integral.
+FISHER_EQ = "FisherEq"
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Whether one property holds; a failed one carries a witness whose
+    rationals are strings, re-checkable by plain arithmetic."""
+
+    property: str
+    holds: bool
+    witness: Optional[dict] = None
+
+    def to_dict(self) -> dict:
+        return {"property": self.property, "holds": self.holds, "witness": self.witness}
 
 
 @dataclass(frozen=True)

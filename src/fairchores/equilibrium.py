@@ -1,23 +1,27 @@
 """Competitive equilibria with equal incomes for chore markets.
 
 Three entry points matter to callers: ``verify_fisher_equilibrium`` certifies a
-candidate outcome, ``exact_ceei`` / ``approx_ceei`` produce verified outcomes,
-and ``make_acyclic`` turns any verified outcome into one whose payment graph is
-a forest without touching prices. ``_round_to_exact`` rounds an approximate
+candidate outcome with a ``Certificate`` whose witness names the first failing
+condition, ``exact_ceei`` / ``approx_ceei`` produce verified outcomes, and
+``make_acyclic`` turns any verified outcome into one whose payment graph is a
+forest without touching prices. ``_round_to_exact`` rounds an approximate
 outcome to an exact one; ``exact_ceei``, exhaustive, is the oracle for both.
+Every solver re-verifies what it returns, and an outcome that fails its own
+check raises ``AlgorithmBugError`` naming the solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
 from ._flow import FlowNetwork
 from .core import (
+    FISHER_EQ,
     ONE,
     ZERO,
+    Certificate,
     FractionalAllocation,
     Instance,
     MarketOutcome,
@@ -31,12 +35,12 @@ from .core import (
 from .errors import (
     AlgorithmBugError,
     BudgetExhaustedError,
-    EquilibriumNotFoundError,
     InputError,
     InstanceTooLargeError,
     InvalidEquilibriumError,
     ZeroDisutilityError,
 )
+from .serialize import rat_text
 
 DEFAULT_ROUNDS = 100_000
 _NO_CHORES = "no chores: equal unit incomes are unattainable"
@@ -54,63 +58,24 @@ MAX_SEARCH_AGENTS = 4
 MAX_SEARCH_CHORES = 7
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
-    """Result of checking the three equilibrium conditions, with witnesses."""
-
-    clearing: bool
-    incomes: bool
-    min_pain_per_buck: bool
-    clearing_witness: Optional[tuple[int, Fraction]] = None
-    income_witness: Optional[tuple[int, Fraction]] = None
-    mpb_witness: Optional[tuple[int, int]] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.clearing and self.incomes and self.min_pain_per_buck
-
-    def to_dict(self) -> dict:
-        from .serialize import fmt_rat
-
-        witness = None
-        if not self.clearing:
-            chore, total = self.clearing_witness
-            witness = {"condition": "clearing", "chore": chore, "allocated": fmt_rat(total)}
-        elif not self.incomes:
-            agent, income = self.income_witness
-            witness = {"condition": "incomes", "agent": agent, "income": fmt_rat(income)}
-        elif not self.min_pain_per_buck:
-            agent, chore = self.mpb_witness
-            witness = {"condition": "min-pain-per-buck", "agent": agent, "chore": chore}
-        return {
-            "clearing": self.clearing,
-            "incomes": self.incomes,
-            "min_pain_per_buck": self.min_pain_per_buck,
-            "passed": self.passed,
-            "witness": witness,
-        }
-
-
-def verify_fisher_equilibrium(inst: Instance, out: MarketOutcome) -> EquilibriumReport:
-    """Check clearing, incomes, and the min-pain-per-buck condition.
+def verify_fisher_equilibrium(inst: Instance, out: MarketOutcome) -> Certificate:
+    """Check clearing, then incomes, then the min-pain-per-buck condition.
 
     With ``epsilon == 0`` incomes must match the stated budgets exactly;
     otherwise every income must lie in [1-eps, 1+eps]. Verification always
-    completes; a failing condition comes back with a witness.
+    completes; the first failing condition comes back as the witness.
     """
     if inst.n != out.n or inst.m != out.m:
         raise InputError("instance and outcome dimensions disagree")
 
     # Allocation entries are non-negative, so the sums skip the zero ones.
     rows, prices = out.x.x, out.prices
-    clearing, clearing_witness = True, None
     for c in range(inst.m):
         total = sum((row[c] for row in rows if row[c]), ZERO)
         if total != 1:
-            clearing, clearing_witness = False, (c, total)
-            break
+            return Certificate(FISHER_EQ, False, {
+                "condition": "clearing", "chore": c, "allocated": rat_text(total)})
 
-    incomes_ok, income_witness = True, None
     for i, row in enumerate(rows):
         income = sum((value * prices[c] for c, value in enumerate(row) if value), ZERO)
         if out.epsilon == 0:
@@ -118,20 +83,17 @@ def verify_fisher_equilibrium(inst: Instance, out: MarketOutcome) -> Equilibrium
         else:
             good = 1 - out.epsilon <= income <= 1 + out.epsilon
         if not good:
-            incomes_ok, income_witness = False, (i, income)
-            break
+            return Certificate(FISHER_EQ, False, {
+                "condition": "incomes", "agent": i, "income": rat_text(income)})
 
-    mpb_ok, mpb_witness = True, None
     if inst.m > 0:
         sets = _best_ratio_sets(inst, prices)
         for i, row in enumerate(rows):
             c = next((c for c, value in enumerate(row) if value and c not in sets[i]), None)
             if c is not None:
-                mpb_ok, mpb_witness = False, (i, c)
-                break
-
-    return EquilibriumReport(clearing, incomes_ok, mpb_ok,
-                             clearing_witness, income_witness, mpb_witness)
+                return Certificate(FISHER_EQ, False, {
+                    "condition": "min-pain-per-buck", "agent": i, "chore": c})
+    return Certificate(FISHER_EQ, True)
 
 
 def _best_ratio_sets(inst: Instance, prices: PriceVector) -> list[frozenset[int]]:
@@ -411,12 +373,12 @@ def exact_ceei(inst: Instance) -> MarketOutcome:
             for edge, amount in earn_cache[mask].items():
                 earnings[edge] = Fraction(amount, T)
         outcome = _outcome_from_earnings(inst, prices, earnings, ZERO)
-        if verify_fisher_equilibrium(inst, outcome).passed:
+        if verify_fisher_equilibrium(inst, outcome).holds:
             return outcome
-        raise EquilibriumNotFoundError(
-            "support solver accepted an outcome the verifier rejects; this is a bug")
-    raise EquilibriumNotFoundError(
-        "support enumeration exhausted without an equilibrium; this is a bug")
+        raise AlgorithmBugError(
+            "exact_ceei: support solver accepted an outcome the verifier rejects; this is a bug")
+    raise AlgorithmBugError(
+        "exact_ceei: support enumeration exhausted without an equilibrium; this is a bug")
 
 
 # ---------------------------------------------------------------------------
@@ -664,15 +626,17 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
             if earnings is not None:
                 outcome = _outcome_from_earnings(
                     inst, [Fraction(value, R) for value in Q], earnings, eps)
-                if verify_fisher_equilibrium(inst, outcome).passed:
+                if verify_fisher_equilibrium(inst, outcome).holds:
                     return outcome
-                raise AlgorithmBugError("routed outcome failed verification; this is a bug")
+                raise AlgorithmBugError(
+                    "approx_ceei: routed outcome failed verification; this is a bug")
             incomes = _plain_incomes(n, m, P, L, mpb_sets, hi)
             poor = [i for i in range(n) if incomes[i] < lo]
             if not poor:
                 # This cap-only flow routes every chore with incomes in
                 # [lo, hi], so the bounded routing cannot have failed.
-                raise AlgorithmBugError("routing disagreed with itself; this is a bug")
+                raise AlgorithmBugError(
+                    "approx_ceei: routing disagreed with itself; this is a bug")
             # Underpaid side: everything reachable by the poor agents is too
             # cheap relative to the rest, so raise the rest until one of the
             # agents stuck on the cheap chores gains an edge out.
@@ -742,9 +706,10 @@ def _round_to_exact(inst: Instance, prices: PriceVector) -> Optional[MarketOutco
     if earnings is None:
         return None
     outcome = _outcome_from_earnings(inst, rounded, earnings, ZERO)
-    if verify_fisher_equilibrium(inst, outcome).passed:
+    if verify_fisher_equilibrium(inst, outcome).holds:
         return outcome
-    raise AlgorithmBugError("rounded outcome failed verification; this is a bug")
+    raise AlgorithmBugError(
+        "exact rounding: rounded outcome failed verification; this is a bug")
 
 
 # ---------------------------------------------------------------------------
@@ -799,12 +764,13 @@ def make_acyclic(inst: Instance, out: MarketOutcome) -> MarketOutcome:
     """Verified equilibrium with a forest payment graph, from a verified one:
     ``_cancel_cycles`` in (agent, chore) edge order keeps prices, incomes and
     the support inclusion. A standalone tool; the rounding cancels cycles itself."""
-    if not verify_fisher_equilibrium(inst, out).passed:
+    if not verify_fisher_equilibrium(inst, out).holds:
         raise InvalidEquilibriumError("make_acyclic requires a verified equilibrium")
 
     weights = payment_graph(out.x, out.prices).edge_dict()
     _cancel_cycles(out.n, out.m, weights)
     result = _outcome_from_earnings(inst, out.prices, weights, out.epsilon, out.budgets)
-    if not verify_fisher_equilibrium(inst, result).passed:
-        raise AlgorithmBugError("cycle cancellation broke the equilibrium; this is a bug")
+    if not verify_fisher_equilibrium(inst, result).holds:
+        raise AlgorithmBugError(
+            "make_acyclic: cycle cancellation broke the equilibrium; this is a bug")
     return result

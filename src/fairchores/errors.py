@@ -29,37 +29,9 @@ class WrongAgentCountError(FairChoresError):
     """The three-agent solver was called on an instance without exactly 3 agents."""
 
 
-class CertificateFailureError(FairChoresError):
-    """A post-hoc certificate check failed on output we just computed (bug guard)."""
-
-
 class AlgorithmBugError(FairChoresError):
-    """An internal state the correctness analysis rules out was reached."""
+    """A certificate or invariant the algorithm guarantees failed: a bug.
 
-
-class EquilibriumNotFoundError(AlgorithmBugError):
-    """The exact support search found no verified equilibrium.
-
-    Equal-income equilibria always exist for strictly positive disutilities,
-    so this indicates a bug rather than a property of the instance.
+    The message starts with the stage that failed (``phase 1:``,
+    ``certificate:``, ...) and names what broke.
     """
-
-
-class IsolatedChoreError(AlgorithmBugError):
-    """An unallocated chore lost its last payment edge during rounding."""
-
-
-class RedistributionDegreeError(AlgorithmBugError):
-    """Edge-deletion fired on a chore with a single neighbor (would divide by zero)."""
-
-
-class OwnChoreCopyError(AlgorithmBugError):
-    """The duplication step would copy a chore into a bundle that already holds it."""
-
-
-class LoopInvariantError(AlgorithmBugError):
-    """An instrumented loop invariant failed mid-run."""
-
-
-class NonTerminationError(AlgorithmBugError):
-    """A loop with a proven iteration bound exceeded it."""

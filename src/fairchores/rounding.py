@@ -17,6 +17,7 @@ from typing import Optional
 
 from .core import (
     ZERO,
+    Certificate,
     ChoreCopy,
     Instance,
     MarketOutcome,
@@ -34,20 +35,15 @@ from .equilibrium import (
     verify_fisher_equilibrium,
 )
 from .errors import (
+    AlgorithmBugError,
     BudgetExhaustedError,
-    CertificateFailureError,
     InputError,
     InstanceTooLargeError,
     InvalidEquilibriumError,
-    IsolatedChoreError,
-    LoopInvariantError,
-    OwnChoreCopyError,
-    RedistributionDegreeError,
     ZeroDisutilityError,
 )
 from .serialize import rat_text
 from .verifiers import (
-    Certificate,
     FPO,
     check_ef1,
     check_fisher_integral,
@@ -75,7 +71,7 @@ class RoundingState:
     def from_outcome(cls, inst: Instance, out: MarketOutcome) -> "RoundingState":
         """State for any verified equilibrium, its payment graph's cycles
         cancelled as ``make_acyclic`` would: a forest, same prices and incomes."""
-        if not verify_fisher_equilibrium(inst, out).passed:
+        if not verify_fisher_equilibrium(inst, out).holds:
             raise InvalidEquilibriumError("rounding requires a verified equilibrium")
         return cls._from_verified(inst, out)
 
@@ -99,8 +95,8 @@ class RoundingState:
         for i in range(self.inst.n):
             income = self.income(i)
             if not floor <= income <= ceiling:
-                raise LoopInvariantError(
-                    f"agent {i} income {income} left [{floor}, {ceiling}]")
+                raise AlgorithmBugError(
+                    f"rounding checkpoint: agent {i} income {income} left [{floor}, {ceiling}]")
         self.checkpoints += 1
 
 
@@ -144,10 +140,10 @@ def phase1(state: RoundingState) -> RoundingState:
             degree = len(state.chore_adj[c])
             if degree == 1:
                 if c in state.bundles[i]:
-                    raise RedistributionDegreeError(
-                        f"deletion picked the lone edge of allocated chore {c}")
-                raise IsolatedChoreError(
-                    f"deletion would isolate unallocated chore {c}")
+                    raise AlgorithmBugError(
+                        f"phase 1: deletion picked the lone edge of allocated chore {c}")
+                raise AlgorithmBugError(
+                    f"phase 1: deletion would isolate unallocated chore {c}")
             share = state.weights[(i, c)] / (degree - 1)
             others = sorted(state.chore_adj[c] - {i})
             for j in others:
@@ -162,7 +158,7 @@ def phase1(state: RoundingState) -> RoundingState:
 
     for c in range(inst.m):
         if c not in state.allocated and not state.chore_adj[c]:
-            raise IsolatedChoreError(f"unallocated chore {c} has no payment edge")
+            raise AlgorithmBugError(f"phase 1: unallocated chore {c} has no payment edge")
     return state
 
 
@@ -175,7 +171,7 @@ def phase2(state: RoundingState) -> SurplusAllocation:
     copy_counter = [0] * inst.m
 
     if not all(state.chore_adj):
-        raise LoopInvariantError("a chore lost all its payment edges")
+        raise AlgorithmBugError("phase 2: a chore lost all its payment edges")
     # BFS over agents, one tree per least unvisited agent; each non-root
     # agent remembers the chore above it and runs when it leaves the queue.
     parent_chore: dict[int, Optional[int]] = {}
@@ -196,7 +192,7 @@ def phase2(state: RoundingState) -> SurplusAllocation:
                     if j == i:
                         continue
                     if j in parent_chore:
-                        raise LoopInvariantError("payment graph is not a forest")
+                        raise AlgorithmBugError("phase 2: payment graph is not a forest")
                     parent_chore[j] = c
                     queue.append(j)
             if above is not None and above not in state.allocated:
@@ -210,8 +206,8 @@ def phase2(state: RoundingState) -> SurplusAllocation:
                 if held >= floor:
                     break
                 if c in state.allocated:
-                    raise LoopInvariantError(
-                        f"child chore {c} was allocated before its parent agent ran")
+                    raise AlgorithmBugError(
+                        f"phase 2: child chore {c} was allocated before its parent agent ran")
                 state.bundles[i].add(c)
                 state.allocated.add(c)
                 held += prices[c]
@@ -220,8 +216,8 @@ def phase2(state: RoundingState) -> SurplusAllocation:
                 if above is None:
                     continue  # the root never needs a copy
                 if above in state.bundles[i]:
-                    raise OwnChoreCopyError(
-                        f"agent {i} would copy chore {above} it already holds")
+                    raise AlgorithmBugError(
+                        f"phase 2: agent {i} would copy chore {above} it already holds")
                 copy_counter[above] += 1
                 unit = ChoreCopy(above, copy_counter[above])
                 copies[i].append(unit)
@@ -308,16 +304,16 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     eps = outcome.epsilon
 
     if alloc.surplus_count > inst.n - 1:
-        raise CertificateFailureError(
-            f"surplus {alloc.surplus_count} exceeds {inst.n - 1}")
+        raise AlgorithmBugError(
+            f"certificate: surplus {alloc.surplus_count} exceeds {inst.n - 1}")
     for i in range(inst.n):
         held = bundle_payment(outcome.prices, alloc.bundles[i])
         if held < 1 - eps:
-            raise CertificateFailureError(f"agent {i} bundle pays {held} < 1-eps")
+            raise AlgorithmBugError(f"certificate: agent {i} bundle pays {held} < 1-eps")
         slimmest = min(held - outcome.prices[u.chore] for u in alloc.bundles[i])
         if slimmest > 1 - eps:
-            raise CertificateFailureError(
-                f"agent {i} keeps more than 1-eps after every removal")
+            raise AlgorithmBugError(
+                f"certificate: agent {i} keeps more than 1-eps after every removal")
 
     fisher = check_fisher_integral(inst, alloc, outcome.prices)
     pef1 = check_pef1(outcome.prices, alloc)
@@ -332,7 +328,7 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     certificates = (fisher, pef1, ef1, fpo)
     for certificate in certificates:
         if not certificate.holds:
-            raise CertificateFailureError(
-                f"{certificate.property} failed: {certificate.witness}")
+            raise AlgorithmBugError(
+                f"certificate: {certificate.property} failed: {certificate.witness}")
     return SurplusResult(alloc, outcome.prices, eps, certificates,
                          tuple(state.trace), state.checkpoints)

@@ -22,14 +22,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .core import ChoreCopy, Instance, SurplusAllocation, integer_rows, rat
-from .errors import (
-    CertificateFailureError,
-    LoopInvariantError,
-    NonTerminationError,
-    WrongAgentCountError,
-)
-from .verifiers import Certificate, check_proportional, check_tefx
+from .core import Certificate, ChoreCopy, Instance, SurplusAllocation, integer_rows, rat
+from .errors import AlgorithmBugError, WrongAgentCountError
+from .verifiers import check_proportional, check_tefx
 
 Partition3 = tuple[frozenset[int], frozenset[int], frozenset[int]]
 
@@ -158,14 +153,14 @@ class ThreeResult:
 def _check_invariants(pert, bundles: list[frozenset[int]]) -> None:
     for k in (0, 1):
         if not tefx_feasible(pert, 0, k, bundles):
-            raise LoopInvariantError(f"bundle {k} lost feasibility for agent 0")
+            raise AlgorithmBugError(f"three-agent loop: bundle {k} lost feasibility for agent 0")
         if bundles[k]:
             worst = _cost(pert, 0, bundles[k]) - min(pert.d(0, c) for c in bundles[k])
             if worst > _cost(pert, 0, bundles[2]):
-                raise LoopInvariantError(
-                    f"bundle {k} minus a chore exceeds bundle 2 for agent 0")
+                raise AlgorithmBugError(
+                    f"three-agent loop: bundle {k} minus a chore exceeds bundle 2 for agent 0")
     if not tefx_feasible(pert, 2, 2, bundles):
-        raise LoopInvariantError("bundle 2 lost feasibility for agent 2")
+        raise AlgorithmBugError("three-agent loop: bundle 2 lost feasibility for agent 2")
 
 
 def _result(inst: Instance, bundles_by_agent, assignment, kind, trace, iterations) -> ThreeResult:
@@ -177,8 +172,8 @@ def _result(inst: Instance, bundles_by_agent, assignment, kind, trace, iteration
     else:
         certificate = check_proportional(inst, alloc)
     if not certificate.holds:
-        raise CertificateFailureError(
-            f"{kind} claim failed on the original instance: {certificate.witness}")
+        raise AlgorithmBugError(
+            f"certificate: {kind} claim failed on the original instance: {certificate.witness}")
     return ThreeResult(kind, alloc, tuple(assignment), certificate,
                        tuple(trace), iterations)
 
@@ -206,7 +201,7 @@ def solve_three(inst: Instance) -> ThreeResult:
         _check_invariants(pert, bundles)
         phi = len(bundles[0]) + len(bundles[1])
         if previous_phi is not None and phi >= previous_phi:
-            raise LoopInvariantError(f"potential stalled at {phi}")
+            raise AlgorithmBugError(f"three-agent loop: potential stalled at {phi}")
         previous_phi = phi
 
         assignment = terminal_assignment(pert, bundles)
@@ -222,7 +217,8 @@ def solve_three(inst: Instance) -> ThreeResult:
         slim = bundles[0] - {mover}
         grown = bundles[2] | {mover}
         if _cost(pert, 2, slim) <= _cost(pert, 2, grown):
-            raise LoopInvariantError("moved chore failed to keep bundle 0 heavier")
+            raise AlgorithmBugError(
+                "three-agent loop: moved chore failed to keep bundle 0 heavier")
         candidate = [slim, bundles[1], grown]
         if tefx_feasible(pert, 0, 1, candidate):
             trace.append({"iteration": iteration, "phi": phi, "branch": "move",
@@ -243,7 +239,8 @@ def solve_three(inst: Instance) -> ThreeResult:
                     chosen = (frozenset(one), frozenset(two), take)
                     break
         if chosen is None:
-            raise LoopInvariantError("no valid transfer prefix: rebalancing failed")
+            raise AlgorithmBugError(
+                "three-agent loop: no valid transfer prefix: rebalancing failed")
         balanced = [chosen[0], chosen[1], candidate[2]]
         if tefx_feasible(pert, 2, 2, balanced):
             trace.append({"iteration": iteration, "phi": phi, "branch": "transfer",
@@ -266,4 +263,4 @@ def solve_three(inst: Instance) -> ThreeResult:
         by_agent = [balanced[labels[a]] for a in range(3)]
         return _result(inst, by_agent, labels, "Proportional", trace, iteration + 1)
 
-    raise NonTerminationError(f"loop exceeded {m} iterations")
+    raise AlgorithmBugError(f"three-agent loop: exceeded {m} iterations")

@@ -1,8 +1,10 @@
 """Certify or refute fairness and efficiency properties, with witnesses.
 
-Every check returns a ``Certificate``; a failed certificate always carries a
-witness that re-validates by plain arithmetic. The brute-force checks are the
-desk-scale oracles the rest of the test suite leans on.
+Every check returns a ``core.Certificate``, as does the fractional
+equilibrium check ``equilibrium.verify_fisher_equilibrium``; a failed
+certificate always carries a witness that re-validates by plain arithmetic.
+The brute-force checks are the desk-scale oracles the rest of the test suite
+leans on.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    FISHER_EQ,
     ZERO,
+    Certificate,
     ChoreCopy,
     Instance,
     MarketOutcome,
@@ -22,7 +26,7 @@ from .core import (
     integer_rows,
     over_common_denominator,
 )
-from .equilibrium import EquilibriumReport, _best_ratio_sets, verify_fisher_equilibrium
+from .equilibrium import _best_ratio_sets
 from .errors import InstanceTooLargeError
 from .serialize import rat_text
 from .simplex import OPTIMAL, solve_lp
@@ -34,18 +38,7 @@ PEF1 = "pEF1"
 PROPORTIONAL = "Proportional"
 PO = "PO"
 FPO = "fPO"
-FISHER_EQ = "FisherEq"
 NON_DEGENERATE = "NonDegenerate"
-
-
-@dataclass(frozen=True)
-class Certificate:
-    property: str
-    holds: bool
-    witness: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        return {"property": self.property, "holds": self.holds, "witness": self.witness}
 
 
 # Size caps of the exhaustive verifications, read at call time; each check
@@ -137,13 +130,6 @@ def check_pef1(prices: PriceVector, alloc: SurplusAllocation) -> Certificate:
     return Certificate(PEF1, False, {
         "agent": i, "envied": j,
         "own_after_removal": rat_text(kept), "other": rat_text(other)})
-
-
-def check_fisher_eq(inst: Instance, out: MarketOutcome) -> Certificate:
-    """Fisher-equilibrium conditions of a fractional outcome (delegated)."""
-    report: EquilibriumReport = verify_fisher_equilibrium(inst, out)
-    witness = None if report.passed else report.to_dict()["witness"]
-    return Certificate(FISHER_EQ, report.passed, witness)
 
 
 def check_fisher_integral(inst: Instance, alloc: SurplusAllocation,

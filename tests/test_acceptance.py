@@ -147,12 +147,12 @@ def test_criterion_5_oracle_agreement():
         inst = random_instance(rng, n, m, 1, 20)
         eps = default_epsilon(n, m)
         exact = exact_ceei(inst)
-        assert verify_fisher_equilibrium(inst, exact).passed
+        assert verify_fisher_equilibrium(inst, exact).holds
         assert exact.epsilon == 0
         approx = approx_ceei(inst, eps)
-        assert verify_fisher_equilibrium(inst, approx).passed
+        assert verify_fisher_equilibrium(inst, approx).holds
         rounded = _exact_by_rounding(inst, approx)  # raises on a miss
-        assert verify_fisher_equilibrium(inst, rounded).passed
+        assert verify_fisher_equilibrium(inst, rounded).holds
         assert rounded.epsilon == 0
         same += rounded == exact
     report("criterion 5 (exact and approximate oracles agree with verifier)",
@@ -172,14 +172,14 @@ def test_criterion_6_make_acyclic():
         prices = PriceVector.from_values([F(n * v, total) for v in row])
         x = FractionalAllocation.from_rows([[F(1, n)] * m] * n)
         out = MarketOutcome(x, prices, (F(1),) * n, F(0))
-        assert verify_fisher_equilibrium(inst, out).passed
+        assert verify_fisher_equilibrium(inst, out).holds
         if payment_graph(out.x, out.prices).is_acyclic():
             continue
         acyclic = make_acyclic(inst, out)
         graph = payment_graph(acyclic.x, acyclic.prices)
         assert graph.is_acyclic()
         assert len(graph.edge_dict()) <= n + m - 1
-        assert verify_fisher_equilibrium(inst, acyclic).passed
+        assert verify_fisher_equilibrium(inst, acyclic).holds
         count += 1
     report("criterion 6 (cycle cancellation)", True,
            "100/100 cyclic equilibria became verified forests")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairchores import cli, equilibrium, rounding
+from fairchores import cli, equilibrium, errors, rounding
 from fairchores.cli import main
 from fairchores.core import FractionalAllocation, MarketOutcome, PaymentGraph, PriceVector
 from fairchores.errors import InputError
@@ -300,7 +300,7 @@ class TestVerify:
         }))
         for prop in ("ef1", "prop", "po", "fpo"):
             assert run("verify", "-i", inst, "--alloc", alloc, "--property", prop) == 2
-        assert run("oracle", "-i", inst, "--which", "po-brute", "--alloc", alloc,
+        assert run("verify", "-i", inst, "--alloc", alloc, "--property", "po",
                    "-o", tmp_path / "cert.json") == 2
 
     def test_negative_copy_index_exits_two(self, tmp_path):
@@ -366,6 +366,35 @@ class TestVerify:
         out = tmp_path / "cert.json"
         run("verify", "-i", inst, "--property", "nondeg", "-o", out)
         assert load_json(out)["holds"] is True
+
+    def test_po_violation_written_to_file(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
+        alloc = tmp_path / "a.json"
+        alloc.write_text(json.dumps({
+            "chores": 2,
+            "bundles": [[{"chore": 1, "copy": 0}], [{"chore": 0, "copy": 0}]],
+        }))
+        cert = tmp_path / "cert.json"
+        assert run("verify", "-i", inst, "--alloc", alloc, "--property", "po",
+                   "-o", cert) == 1
+        assert load_json(cert) == json.loads(capsys.readouterr().out) == {
+            "property": "PO", "holds": False,
+            "witness": {"dominating": [[{"chore": 0, "copy": 0}], [{"chore": 1, "copy": 0}]]}}
+
+    @pytest.mark.parametrize("prices, witness", [
+        ([1, 1], {"agent": 0, "chore": 0, "condition": "min-pain-per-buck"}),
+        # Whole rationals are strings in a witness, as in every other one.
+        ([2, 1], {"agent": 0, "condition": "incomes", "income": "2"}),
+    ])
+    def test_failing_fisher_witness(self, tmp_path, capsys, prices, witness):
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[2, 1], [1, 2]]}))
+        outcome = tmp_path / "o.json"
+        outcome.write_text(json.dumps({"x": [[1, 0], [0, 1]], "prices": prices}))
+        assert run("verify", "-i", inst, "--alloc", outcome, "--property", "fisher") == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "property": "FisherEq", "holds": False, "witness": witness}
 
 
 class TestOracle:
@@ -454,19 +483,6 @@ class TestOracle:
                    "-o", tmp_path / "o.json", *extra) == 2
         assert "no chores" in capsys.readouterr().err
 
-    def test_po_brute_oracle(self, tmp_path):
-        inst = tmp_path / "i.json"
-        inst.write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
-        alloc = tmp_path / "a.json"
-        alloc.write_text(json.dumps({
-            "chores": 2,
-            "bundles": [[{"chore": 1, "copy": 0}], [{"chore": 0, "copy": 0}]],
-        }))
-        cert = tmp_path / "cert.json"
-        assert run("oracle", "-i", inst, "--which", "po-brute",
-                   "--alloc", alloc, "-o", cert) == 1
-        assert load_json(cert)["holds"] is False
-
     def test_oracle_too_large_is_internal_error(self, tmp_path):
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[1] * 9] * 2}))
@@ -551,3 +567,25 @@ class TestInternalBugsExitThree:
 
         monkeypatch.setattr(rounding, "payment_graph", corrupted)
         assert "agent 0 income 2 left" in self.solve(small, tmp_path, capsys)
+
+
+ERROR_CLASSES = [value for value in vars(errors).values()
+                 if isinstance(value, type) and value.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_has_its_exit_code(tmp_path, capsys, monkeypatch, cls):
+    # A bug exits 3, bad input 2; any other library error is an input the
+    # library cannot serve (a cap, a budget, a zero entry), also 2.
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_cmd_gen", fail)
+    code = run("gen", "--agents", 1, "--chores", 1, "-o", tmp_path / "i.json")
+    err = capsys.readouterr().err
+    if cls is errors.AlgorithmBugError:
+        assert (code, err.startswith("internal failure")) == (3, True), err
+    elif cls is errors.InputError:
+        assert (code, err.startswith("input error:")) == (2, True), err
+    else:
+        assert (code, err.startswith("error:")) == (2, True), err

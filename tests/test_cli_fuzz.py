@@ -171,7 +171,7 @@ FILE_COMMANDS = {
     "allocation": [
         ["verify", "--property", "ef1", "--alloc", "FILE"],
         ["verify", "--property", "pef1", "--alloc", "FILE"],
-        ["oracle", "--which", "po-brute", "--alloc", "FILE"],
+        ["verify", "--property", "po", "--alloc", "FILE"],
     ],
     "prices": [
         ["verify", "--property", "pef1", "--alloc", "FILE"],
@@ -216,8 +216,6 @@ def run_file_command(command: list[str], text: str):
         (tmp / "inst.json").write_text(json.dumps(INSTANCE))
         argv = [command[0], "-i", str(tmp / "inst.json"),
                 *(str(files.get(arg, arg)) for arg in command[1:])]
-        if command[0] == "oracle":
-            argv += ["-o", str(tmp / "out.json")]
         return main(argv)
 
 

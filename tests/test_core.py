@@ -50,7 +50,6 @@ def test_instance_validation():
         Instance(((F(-1, 3),),))
     inst = Instance.from_rows([[1, 2], [3, 4]])
     assert (inst.n, inst.m) == (2, 2)
-    assert inst.total(1) == 7
 
 
 def test_bundle_disutility_examples():

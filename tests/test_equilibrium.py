@@ -8,6 +8,8 @@ import pytest
 
 from fairchores import equilibrium
 from fairchores.core import (
+    FISHER_EQ,
+    Certificate,
     FractionalAllocation,
     Instance,
     MarketOutcome,
@@ -31,7 +33,6 @@ from fairchores.equilibrium import (
 )
 from fairchores.errors import (
     AlgorithmBugError,
-    EquilibriumNotFoundError,
     InputError,
     InstanceTooLargeError,
     InvalidEquilibriumError,
@@ -53,37 +54,36 @@ class TestVerifier:
     def test_single_agent_proportional_prices(self):
         inst = Instance.from_rows([[1, 3]])
         report = verify_fisher_equilibrium(inst, outcome([[1, 1]], [F(1, 4), F(3, 4)]))
-        assert report.passed
+        assert report.holds
 
     def test_diagonal_passes(self):
         inst = Instance.from_rows([[1, 2], [2, 1]])
         report = verify_fisher_equilibrium(inst, outcome([[1, 0], [0, 1]], [1, 1]))
-        assert report.clearing and report.incomes and report.min_pain_per_buck
+        assert report == Certificate(FISHER_EQ, True)
 
     def test_skewed_prices_break_incomes(self):
         # With p=(1,2) the diagonal stays ratio-optimal for both agents but
         # agent 1 earns 2, so the income condition is the one that fails.
         inst = Instance.from_rows([[1, 2], [2, 1]])
         report = verify_fisher_equilibrium(inst, outcome([[1, 0], [0, 1]], [1, 2]))
-        assert not report.passed
-        assert report.min_pain_per_buck
-        assert not report.incomes
-        assert report.income_witness == (1, F(2))
+        assert report == Certificate(FISHER_EQ, False, {
+            "condition": "incomes", "agent": 1, "income": "2"})
+        earned = outcome([[1, 0], [0, 1]], [1, 2], budgets=[1, 2])
+        assert verify_fisher_equilibrium(inst, earned).holds
 
     def test_mpb_violation_witnessed(self):
         # Anti-diagonal at unit prices hands both agents their worse ratio.
         inst = Instance.from_rows([[1, 2], [2, 1]])
         report = verify_fisher_equilibrium(inst, outcome([[0, 1], [1, 0]], [1, 1]))
-        assert report.clearing and report.incomes
-        assert not report.min_pain_per_buck
-        assert report.mpb_witness == (0, 1)
+        assert report == Certificate(FISHER_EQ, False, {
+            "condition": "min-pain-per-buck", "agent": 0, "chore": 1})
 
     def test_epsilon_window(self):
         inst = Instance.from_rows([[1], [1]])
         shared = outcome([[F(11, 20)], [F(9, 20)]], [2], eps=F(1, 10))
-        assert verify_fisher_equilibrium(inst, shared).passed
+        assert verify_fisher_equilibrium(inst, shared).holds
         tight = outcome([[F(11, 20)], [F(9, 20)]], [2], eps=F(1, 100))
-        assert not verify_fisher_equilibrium(inst, tight).passed
+        assert not verify_fisher_equilibrium(inst, tight).holds
 
 
 class TestExactCeei:
@@ -109,7 +109,7 @@ class TestExactCeei:
             inst = Instance.from_rows(
                 [[rng.randint(1, 20) for _ in range(m)] for _ in range(n)])
             out = exact_ceei(inst)
-            assert verify_fisher_equilibrium(inst, out).passed
+            assert verify_fisher_equilibrium(inst, out).holds
             assert all(out.income(i) == 1 for i in range(n))
             assert out.prices.total() == n
 
@@ -124,7 +124,7 @@ class TestExactCeei:
                 exact_ceei(inst)
         at_cap = Instance.from_rows(
             [[1 + (i * 7 + c * 3) % 10 for c in range(7)] for i in range(4)])
-        assert verify_fisher_equilibrium(at_cap, exact_ceei(at_cap)).passed
+        assert verify_fisher_equilibrium(at_cap, exact_ceei(at_cap)).holds
         monkeypatch.setattr(equilibrium, "MAX_SEARCH_CHORES", 8)
         assert exact_ceei(big) is not None
         with pytest.raises(ZeroDisutilityError):
@@ -403,9 +403,9 @@ def unpruned_exact_ceei(inst):
             for edge, amount in comp.earn.items():
                 earnings[edge] = F(amount, comp.T)
         outcome = _outcome_from_earnings(inst, prices, earnings, F(0))
-        assert verify_fisher_equilibrium(inst, outcome).passed
+        assert verify_fisher_equilibrium(inst, outcome).holds
         return outcome
-    raise EquilibriumNotFoundError("unpruned enumeration exhausted")
+    raise AlgorithmBugError("unpruned enumeration exhausted")
 
 
 def test_exact_ceei_matches_the_unpruned_loop():
@@ -430,17 +430,17 @@ class TestApproxCeei:
         exact = exact_ceei(inst)
         for eps in (F(1, 100), F(1, 15), F(1, 2)):
             relaxed = MarketOutcome(exact.x, exact.prices, exact.budgets, eps)
-            assert verify_fisher_equilibrium(inst, relaxed).passed
+            assert verify_fisher_equilibrium(inst, relaxed).holds
 
     def test_single_chore_three_agents(self):
         inst = Instance.from_rows([[1], [1], [1]])
         # The equal split at price 3 is a valid outcome at this slack.
         equal = outcome([[F(1, 3)], [F(1, 3)], [F(1, 3)]], [3], eps=F(1, 15))
-        assert verify_fisher_equilibrium(inst, equal).passed
+        assert verify_fisher_equilibrium(inst, equal).holds
         # Whatever the solver returns, every agent must hold a positive share:
         # each income is at least 1 - eps > 0 and the only chore pays for all of it.
         out = approx_ceei(inst, F(1, 15))
-        assert verify_fisher_equilibrium(inst, out).passed
+        assert verify_fisher_equilibrium(inst, out).holds
         assert all(row[0] > 0 for row in out.x.x)
 
     def test_random_instance_self_verifies(self):
@@ -448,7 +448,7 @@ class TestApproxCeei:
         inst = Instance.from_rows(
             [[rng.randint(1, 20) for _ in range(8)] for _ in range(4)])
         out = approx_ceei(inst, default_epsilon(4, 8))
-        assert verify_fisher_equilibrium(inst, out).passed
+        assert verify_fisher_equilibrium(inst, out).holds
 
     def test_fuzz_many_sizes(self):
         rng = random.Random(2024)
@@ -458,7 +458,7 @@ class TestApproxCeei:
             inst = Instance.from_rows(
                 [[rng.randint(1, 20) for _ in range(m)] for _ in range(n)])
             out = approx_ceei(inst, default_epsilon(n, m))
-            assert verify_fisher_equilibrium(inst, out).passed
+            assert verify_fisher_equilibrium(inst, out).holds
 
     def test_rejects_bad_epsilon_and_zero_entries(self):
         inst = Instance.from_rows([[1, 2]])
@@ -524,7 +524,7 @@ def run_price_loops(monkeypatch, check):
     monkeypatch.setattr(equilibrium, "_route_plain", checked)
     for inst, eps in price_loop_draws():
         state.update(D=integer_rows(inst), previous=None)
-        assert verify_fisher_equilibrium(inst, approx_ceei(inst, eps)).passed
+        assert verify_fisher_equilibrium(inst, approx_ceei(inst, eps)).holds
     return kinds
 
 
@@ -577,7 +577,7 @@ class TestMakeAcyclic:
         acyclic = make_acyclic(inst, out)
         graph = payment_graph(acyclic.x, acyclic.prices)
         assert graph.is_acyclic()
-        assert verify_fisher_equilibrium(inst, acyclic).passed
+        assert verify_fisher_equilibrium(inst, acyclic).holds
         assert acyclic.prices == out.prices
         # Pins the cancellation order: edge (1, 1) closes the cycle with the
         # forest path a1-c0-a0-c1; all four weights tie, so the first path
@@ -588,7 +588,7 @@ class TestMakeAcyclic:
         inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
         x = [[F(2, 3), F(1, 2), F(1, 3)], [F(1, 3), F(1, 2), F(2, 3)]]
         out = outcome(x, [F(2, 3)] * 3, eps=0)
-        assert verify_fisher_equilibrium(inst, out).passed
+        assert verify_fisher_equilibrium(inst, out).holds
         before = set(payment_graph(out.x, out.prices).edge_dict())
         acyclic = make_acyclic(inst, out)
         after = payment_graph(acyclic.x, acyclic.prices)
@@ -607,7 +607,7 @@ class TestMakeAcyclic:
             before = payment_graph(out.x, out.prices)
             acyclic = make_acyclic(inst, out)
             after = payment_graph(acyclic.x, acyclic.prices)
-            assert verify_fisher_equilibrium(inst, acyclic).passed
+            assert verify_fisher_equilibrium(inst, acyclic).holds
             assert after.is_acyclic()
             assert acyclic.prices == out.prices and acyclic.epsilon == out.epsilon
             assert set(after.edge_dict()) <= set(before.edge_dict())

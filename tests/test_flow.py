@@ -377,7 +377,7 @@ def two_flow_approx_ceei(inst, eps, log, max_rounds=100_000):
         earnings = _route_within_bounds(n, m, P, L, mpb_sets, lo, hi)
         if earnings is not None:
             outcome = _outcome_from_earnings(inst, prices, earnings, eps)
-            assert verify_fisher_equilibrium(inst, outcome).passed
+            assert verify_fisher_equilibrium(inst, outcome).holds
             return outcome
         net, unrouted, incomes, edge_index = edmonds_karp_plain(n, m, P, L, mpb_sets, hi)
         if unrouted:
@@ -389,7 +389,7 @@ def two_flow_approx_ceei(inst, eps, log, max_rounds=100_000):
             if not poor:
                 earnings = {edge: F(net.flow_value(k), L) for edge, k in edge_index.items()}
                 outcome = _outcome_from_earnings(inst, prices, earnings, eps)
-                assert verify_fisher_equilibrium(inst, outcome).passed
+                assert verify_fisher_equilibrium(inst, outcome).holds
                 return outcome
             cheap = set()
             for i in poor:

@@ -219,7 +219,7 @@ class TestPipeline:
         assert default_epsilon(3, 5) == F(1, 75)
         assert _round_to_exact(inst, approx_ceei(inst, F(1, 75)).prices) is None
         rounded = _round_to_exact(inst, approx_ceei(inst, F(1, 750)).prices)
-        assert verify_fisher_equilibrium(inst, rounded).passed
+        assert verify_fisher_equilibrium(inst, rounded).holds
         assert rounded.epsilon == 0
         calls = []
         patch_every_binding(monkeypatch, approx_ceei, calls)
