@@ -14,7 +14,6 @@ from .core import (
     MarketOutcome,
     PaymentGraph,
     PriceVector,
-    Rat,
     SurplusAllocation,
     bundle_disutility,
     bundle_payment,
@@ -46,7 +45,6 @@ from .three_agent import (
     terminal_assignment,
 )
 from .verifiers import (
-    ImplicationReport,
     check_ef1,
     check_efx,
     check_fisher_integral,

@@ -17,9 +17,6 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import InputError
 
-# Exact rational scalar used everywhere in the pipeline.
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -176,31 +173,22 @@ class PriceVector:
 
 @dataclass(frozen=True)
 class MarketOutcome:
-    """A fractional allocation together with prices, liabilities and slack.
+    """A fractional allocation with prices, in a market of equal incomes.
 
-    ``budgets[i]`` is the amount agent ``i`` is supposed to earn (all 1 for an
-    equal-incomes equilibrium); ``epsilon`` is the allowed relative income
-    slack, 0 for an exact equilibrium. Budgets are positive, epsilon lies in
-    [0, 1), and an outcome with slack has every budget 1.
+    Every agent is to earn 1; ``epsilon`` is the allowed income slack, so an
+    income in [1-eps, 1+eps] passes, and 0 for an exact equilibrium. It lies
+    in [0, 1).
     """
 
     x: FractionalAllocation
     prices: PriceVector
-    budgets: tuple[Fraction, ...]
     epsilon: Fraction
 
     def __post_init__(self):
         if self.x.m != len(self.prices):
             raise InputError("allocation and price vector disagree on chore count")
-        if self.x.n != len(self.budgets):
-            raise InputError("allocation and budgets disagree on agent count")
         if not 0 <= self.epsilon < 1:
             raise InputError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if any(b <= 0 for b in self.budgets):
-            raise InputError("budgets must be positive")
-        # With slack the verifier measures incomes against 1, not the budgets.
-        if self.epsilon and any(b != 1 for b in self.budgets):
-            raise InputError("budgets other than 1 need epsilon 0")
 
     @property
     def n(self) -> int:

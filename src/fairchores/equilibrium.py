@@ -37,8 +37,6 @@ from .errors import (
     BudgetExhaustedError,
     InputError,
     InstanceTooLargeError,
-    InvalidEquilibriumError,
-    ZeroDisutilityError,
 )
 from .serialize import rat_text
 
@@ -59,30 +57,21 @@ MAX_SEARCH_CHORES = 7
 
 
 def verify_fisher_equilibrium(inst: Instance, out: MarketOutcome) -> Certificate:
-    """Check clearing, then incomes, then the min-pain-per-buck condition.
+    """Check incomes, then the min-pain-per-buck condition.
 
-    With ``epsilon == 0`` incomes must match the stated budgets exactly;
-    otherwise every income must lie in [1-eps, 1+eps]. Verification always
-    completes; the first failing condition comes back as the witness.
+    Every income must lie in [1-eps, 1+eps], so exactly 1 at ``epsilon == 0``.
+    Clearing needs no check: ``FractionalAllocation`` allots every chore
+    exactly once. The first failing condition comes back as the witness.
     """
     if inst.n != out.n or inst.m != out.m:
         raise InputError("instance and outcome dimensions disagree")
 
     # Allocation entries are non-negative, so the sums skip the zero ones.
     rows, prices = out.x.x, out.prices
-    for c in range(inst.m):
-        total = sum((row[c] for row in rows if row[c]), ZERO)
-        if total != 1:
-            return Certificate(FISHER_EQ, False, {
-                "condition": "clearing", "chore": c, "allocated": rat_text(total)})
-
+    low, high = 1 - out.epsilon, 1 + out.epsilon
     for i, row in enumerate(rows):
         income = sum((value * prices[c] for c, value in enumerate(row) if value), ZERO)
-        if out.epsilon == 0:
-            good = income == out.budgets[i]
-        else:
-            good = 1 - out.epsilon <= income <= 1 + out.epsilon
-        if not good:
+        if not low <= income <= high:
             return Certificate(FISHER_EQ, False, {
                 "condition": "incomes", "agent": i, "income": rat_text(income)})
 
@@ -310,8 +299,7 @@ def exact_ceei(inst: Instance) -> MarketOutcome:
 
     Exhaustive over forest supports, so only permitted up to
     ``MAX_SEARCH_AGENTS`` x ``MAX_SEARCH_CHORES``.
-    The returned outcome passes ``verify_fisher_equilibrium`` at epsilon 0
-    with every budget equal to 1.
+    The returned outcome passes ``verify_fisher_equilibrium`` at epsilon 0.
 
     Each tree of a support is described once, by its record from
     ``_enumerate_supports``: edges, agents, chores and integer relative
@@ -332,7 +320,7 @@ def exact_ceei(inst: Instance) -> MarketOutcome:
     if inst.m == 0:
         raise InputError(_NO_CHORES)
     if inst.has_zero_entry():
-        raise ZeroDisutilityError("exact search requires strictly positive disutilities")
+        raise InputError("exact search requires strictly positive disutilities")
     if inst.n > MAX_SEARCH_AGENTS or inst.m > MAX_SEARCH_CHORES:
         raise InstanceTooLargeError(
             f"{inst.n} agents x {inst.m} chores exceeds search limits "
@@ -516,14 +504,13 @@ def _reduced(Q: list[int], R: int) -> tuple[list[int], int]:
     return [value // g for value in Q], R // g
 
 
-def _outcome_from_earnings(inst, prices, earnings, epsilon, budgets=None) -> MarketOutcome:
-    """Outcome from per-edge earnings; ``budgets`` default to equal incomes of 1."""
+def _outcome_from_earnings(inst, prices, earnings, epsilon) -> MarketOutcome:
+    """Outcome from per-edge earnings."""
     rows = [[ZERO] * inst.m for _ in range(inst.n)]
     for (i, c), amount in earnings.items():
         rows[i][c] = amount / prices[c]
     x = FractionalAllocation(tuple(tuple(row) for row in rows))
-    budgets = (ONE,) * inst.n if budgets is None else budgets
-    return MarketOutcome(x, PriceVector(tuple(prices)), budgets, epsilon)
+    return MarketOutcome(x, PriceVector(tuple(prices)), epsilon)
 
 
 def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
@@ -579,7 +566,7 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     if inst.m == 0:
         raise InputError(_NO_CHORES)
     if inst.has_zero_entry():
-        raise ZeroDisutilityError("price adjustment requires strictly positive disutilities")
+        raise InputError("price adjustment requires strictly positive disutilities")
     eps = rat(epsilon)
     if not 0 < eps < 1:
         raise InputError("epsilon must lie strictly between 0 and 1")
@@ -765,11 +752,11 @@ def make_acyclic(inst: Instance, out: MarketOutcome) -> MarketOutcome:
     ``_cancel_cycles`` in (agent, chore) edge order keeps prices, incomes and
     the support inclusion. A standalone tool; the rounding cancels cycles itself."""
     if not verify_fisher_equilibrium(inst, out).holds:
-        raise InvalidEquilibriumError("make_acyclic requires a verified equilibrium")
+        raise InputError("make_acyclic requires a verified equilibrium")
 
     weights = payment_graph(out.x, out.prices).edge_dict()
     _cancel_cycles(out.n, out.m, weights)
-    result = _outcome_from_earnings(inst, out.prices, weights, out.epsilon, out.budgets)
+    result = _outcome_from_earnings(inst, out.prices, weights, out.epsilon)
     if not verify_fisher_equilibrium(inst, result).holds:
         raise AlgorithmBugError(
             "make_acyclic: cycle cancellation broke the equilibrium; this is a bug")

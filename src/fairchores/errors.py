@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules; the CLI exits 3 on
+``AlgorithmBugError`` and 2 on every other class."""
 
 
 class FairChoresError(Exception):
@@ -6,11 +7,9 @@ class FairChoresError(Exception):
 
 
 class InputError(FairChoresError):
-    """Malformed or inconsistent user input (bad file, bad dimensions, bad flag)."""
-
-
-class ZeroDisutilityError(FairChoresError):
-    """An agent values some chore at exactly zero, which the market solvers reject."""
+    """Malformed, inconsistent or unsupported input: a bad file, dimension or
+    flag, a zero disutility, other than 3 agents for ``solve_three``, or an
+    outcome passed as an equilibrium that fails verification."""
 
 
 class InstanceTooLargeError(FairChoresError):
@@ -19,14 +18,6 @@ class InstanceTooLargeError(FairChoresError):
 
 class BudgetExhaustedError(FairChoresError):
     """An iterative solver ran out of its fixed budget (rounds or rungs)."""
-
-
-class InvalidEquilibriumError(FairChoresError):
-    """An operation requiring a verified market equilibrium received one that fails."""
-
-
-class WrongAgentCountError(FairChoresError):
-    """The three-agent solver was called on an instance without exactly 3 agents."""
 
 
 class AlgorithmBugError(FairChoresError):

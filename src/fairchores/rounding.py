@@ -39,8 +39,6 @@ from .errors import (
     BudgetExhaustedError,
     InputError,
     InstanceTooLargeError,
-    InvalidEquilibriumError,
-    ZeroDisutilityError,
 )
 from .serialize import rat_text
 from .verifiers import (
@@ -72,7 +70,7 @@ class RoundingState:
         """State for any verified equilibrium, its payment graph's cycles
         cancelled as ``make_acyclic`` would: a forest, same prices and incomes."""
         if not verify_fisher_equilibrium(inst, out).holds:
-            raise InvalidEquilibriumError("rounding requires a verified equilibrium")
+            raise InputError("rounding requires a verified equilibrium")
         return cls._from_verified(inst, out)
 
     @classmethod
@@ -273,7 +271,7 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     ``BudgetExhaustedError`` of either propagates, at every instance size.
     """
     if inst.has_zero_entry():
-        raise ZeroDisutilityError("the surplus pipeline needs strictly positive disutilities")
+        raise InputError("the surplus pipeline needs strictly positive disutilities")
     if inst.m == 0:
         alloc = SurplusAllocation(tuple(frozenset() for _ in range(inst.n)), 0)
         certificates = (

@@ -85,9 +85,9 @@ def instance_from_dict(data: dict) -> Instance:
     except (KeyError, TypeError) as exc:
         raise InputError("instance file needs a 'disutility' matrix") from exc
     inst = Instance.from_rows(_list(rows, "'disutility'", of_rows=True))
-    if "agents" in data and data["agents"] != inst.n:
+    if "agents" in data and _count(data["agents"], "'agents'") != inst.n:
         raise InputError(f"'agents' says {data['agents']} but matrix has {inst.n} rows")
-    if "chores" in data and data["chores"] != inst.m:
+    if "chores" in data and _count(data["chores"], "'chores'") != inst.m:
         raise InputError(f"'chores' says {data['chores']} but matrix has {inst.m} columns")
     return inst
 
@@ -96,7 +96,6 @@ def outcome_to_dict(out: MarketOutcome) -> dict:
     return {
         "x": [[fmt_rat(v) for v in row] for row in out.x.x],
         "prices": [fmt_rat(p) for p in out.prices],
-        "budgets": [fmt_rat(b) for b in out.budgets],
         "epsilon": fmt_rat(out.epsilon),
     }
 
@@ -108,9 +107,12 @@ def outcome_from_dict(data: dict) -> MarketOutcome:
         raise InputError("market outcome file needs 'x' and 'prices'") from exc
     x = FractionalAllocation.from_rows(_list(rows, "'x'", of_rows=True))
     prices = PriceVector.from_values(_list(values, "'prices'"))
-    budgets = tuple(rat(b) for b in _list(data.get("budgets", [1] * x.n), "'budgets'"))
-    epsilon = rat(data.get("epsilon", 0))
-    return MarketOutcome(x, prices, budgets, epsilon)
+    # Older files list every agent's budget, which can only be 1.
+    if "budgets" in data:
+        budgets = _list(data["budgets"], "'budgets'")
+        if len(budgets) != x.n or any(rat(b) != 1 for b in budgets):
+            raise InputError(f"'budgets' must be {x.n} ones: every agent earns 1")
+    return MarketOutcome(x, prices, rat(data.get("epsilon", 0)))
 
 
 def bundles_to_list(alloc: SurplusAllocation) -> list:

@@ -23,7 +23,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .core import Certificate, ChoreCopy, Instance, SurplusAllocation, integer_rows, rat
-from .errors import AlgorithmBugError, WrongAgentCountError
+from .errors import AlgorithmBugError, InputError
 from .verifiers import check_proportional, check_tefx
 
 Partition3 = tuple[frozenset[int], frozenset[int], frozenset[int]]
@@ -181,7 +181,7 @@ def _result(inst: Instance, bundles_by_agent, assignment, kind, trace, iteration
 def solve_three(inst: Instance) -> ThreeResult:
     """Partition three agents' chores into a tEFX or proportional allocation."""
     if inst.n != 3:
-        raise WrongAgentCountError(f"expected 3 agents, got {inst.n}")
+        raise InputError(f"expected 3 agents, got {inst.n}")
     m = inst.m
     pert = _ScaledRows(inst)
 

@@ -9,7 +9,6 @@ leans on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -161,6 +160,8 @@ def check_po_brute(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """
     items = alloc.items()
     n = len(alloc.bundles)
+    if n == 1:  # the only reassignment is the allocation itself
+        return Certificate(PO, True)
     if n ** len(items) > MAX_PO_CANDIDATES:
         raise InstanceTooLargeError(
             f"{n}^{len(items)} candidate allocations exceed the cap of {MAX_PO_CANDIDATES}")
@@ -295,39 +296,16 @@ def _mask_to_ids(mask: int) -> list[int]:
     return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
-@dataclass(frozen=True)
-class ImplicationReport:
-    """Concrete-input checks of the implication lattice between properties."""
-
-    results: tuple[tuple[str, bool, bool], ...]  # (name, antecedent, consequent)
-
-    @property
-    def violations(self) -> list[str]:
-        return [name for name, antecedent, consequent in self.results
-                if antecedent and not consequent]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "implications": [
-                {"name": name, "antecedent": antecedent, "consequent": consequent}
-                for name, antecedent, consequent in self.results
-            ],
-            "violations": self.violations,
-        }
-
-
 def implication_suite(inst: Instance, alloc: SurplusAllocation,
-                      prices: PriceVector) -> ImplicationReport:
-    """Assert the property implications on one concrete allocation.
+                      prices: PriceVector) -> list[tuple[str, bool, bool]]:
+    """The property implications on one concrete allocation, as
+    ``(name, antecedent, consequent)`` rows; a row with its antecedent and
+    without its consequent is a violation.
 
-    Checks, each skipped gracefully when its antecedent fails: payment-EF1
-    plus equilibrium forces EF1; EFX forces transfer-EFX; equilibrium forces
-    fractional Pareto optimality; fractional forces integral Pareto
-    optimality (the latter two only within brute-force limits).
+    Payment-EF1 plus equilibrium forces EF1; EFX forces transfer-EFX;
+    equilibrium forces fractional Pareto optimality; fractional forces
+    integral Pareto optimality (the latter two only within brute-force
+    limits, past which their rows are left out).
     """
     fisher = check_fisher_integral(inst, alloc, prices)
     pef1 = check_pef1(prices, alloc)
@@ -349,4 +327,4 @@ def implication_suite(inst: Instance, alloc: SurplusAllocation,
             pass
     except InstanceTooLargeError:
         pass
-    return ImplicationReport(tuple(results))
+    return results

@@ -127,6 +127,20 @@ class TestSolveSurplus:
         missing = tmp_path / "missing.json"
         assert run("solve-surplus", "-i", missing, "-o", tmp_path / "o.json") == 2
         assert run("solve-surplus", "-i", tmp_path, "-o", tmp_path / "o.json") == 2
+        # The counts are checked as integers: true and 1.0 used to pass as 1.
+        for agents in (True, 1.0):
+            miscounted = tmp_path / "miscounted.json"
+            miscounted.write_text(json.dumps({"agents": agents, "disutility": [[1, 2]]}))
+            assert run("solve-surplus", "-i", miscounted, "-o", tmp_path / "o.json") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("solve-surplus",), ("oracle", "--which", "ceei-exact"),
+        ("oracle", "--which", "ceei-approx")])
+    def test_zero_disutility_is_input_error(self, tmp_path, capsys, argv):
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[0, 1], [1, 1]]}))
+        assert run(*argv, "-i", inst, "-o", tmp_path / "o.json") == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
     @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_json_numbers_exit_two(self, tmp_path, capsys, entry):
@@ -216,10 +230,11 @@ class TestSolveThree:
                    "--property", prop) == 0
         assert load_json(trace)["iterations"]
 
-    def test_wrong_agent_count(self, tmp_path):
+    def test_wrong_agent_count(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[1], [1]]}))
         assert run("solve-three", "-i", inst, "-o", tmp_path / "o.json") == 2
+        assert capsys.readouterr().err.startswith("input error: expected 3 agents")
 
     def test_high_precision_input_finishes(self, tmp_path):
         # Distinct denominators of about 990 digits, just under MAX_TEXT_DIGITS,
@@ -382,6 +397,17 @@ class TestVerify:
             "property": "PO", "holds": False,
             "witness": {"dominating": [[{"chore": 0, "copy": 0}], [{"chore": 1, "copy": 0}]]}}
 
+    def test_po_of_one_agent_holding_many_units(self, tmp_path, capsys):
+        # The brute-force search recursed once per unit, so one agent with
+        # 1,500 chores ended in a RecursionError traceback and exit 1.
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[1] * 1500]}))
+        alloc = tmp_path / "a.json"
+        alloc.write_text(json.dumps({"chores": 1500, "bundles": [
+            [{"chore": c, "copy": 0} for c in range(1500)]]}))
+        assert run("verify", "-i", inst, "--alloc", alloc, "--property", "po") == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("prices, witness", [
         ([1, 1], {"agent": 0, "chore": 0, "condition": "min-pain-per-buck"}),
         # Whole rationals are strings in a witness, as in every other one.
@@ -395,6 +421,21 @@ class TestVerify:
         assert run("verify", "-i", inst, "--alloc", outcome, "--property", "fisher") == 1
         assert json.loads(capsys.readouterr().out) == {
             "property": "FisherEq", "holds": False, "witness": witness}
+
+    @pytest.mark.parametrize("budgets, prices, code", [
+        ([1, 1], [1, 1], 0),
+        # Every agent earns 1: budgets [1, 2] used to let agent 1 earn 2.
+        ([1, 2], [1, 2], 2),
+    ])
+    def test_fisher_budgets_must_be_ones(self, tmp_path, capsys, budgets, prices, code):
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
+        outcome = tmp_path / "o.json"
+        outcome.write_text(json.dumps(
+            {"x": [[1, 0], [0, 1]], "prices": prices, "budgets": budgets}))
+        assert run("verify", "-i", inst, "--alloc", outcome, "--property", "fisher") == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("input error: 'budgets'")
 
 
 class TestOracle:
@@ -457,7 +498,7 @@ class TestOracle:
         # them used to end in a ValueError traceback and exit 1.
         prices = [Fraction(10**5000 + 1, 7**6000), Fraction(3**10000)]
         outcome = MarketOutcome(FractionalAllocation.from_rows([[1, 1]]),
-                                PriceVector(tuple(prices)), (Fraction(1),), Fraction(0))
+                                PriceVector(tuple(prices)), Fraction(0))
         monkeypatch.setattr(cli, "approx_ceei", lambda inst, eps: outcome)
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[1, 2]]}))
@@ -576,7 +617,7 @@ ERROR_CLASSES = [value for value in vars(errors).values()
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_error_class_has_its_exit_code(tmp_path, capsys, monkeypatch, cls):
     # A bug exits 3, bad input 2; any other library error is an input the
-    # library cannot serve (a cap, a budget, a zero entry), also 2.
+    # library cannot serve (a size cap or a round budget), also 2.
     def fail(args):
         raise cls("boom")
 

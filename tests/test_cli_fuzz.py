@@ -160,7 +160,7 @@ FILES = {
         ("prices",): st.one_of(not_a_list, wrong_length),
         ("prices", 0): bad_price,
         ("budgets",): st.one_of(not_a_list, wrong_length),
-        ("budgets", 0): st.one_of(st.integers(max_value=0), not_a_rational),
+        ("budgets", 0): st.one_of(st.integers().filter(lambda v: v != 1), not_a_rational),
         ("epsilon",): st.one_of(st.integers(max_value=-1), st.integers(min_value=1),
                                 not_a_rational),
     }),
@@ -230,8 +230,8 @@ def test_malformed_allocation_outcome_and_prices_files_exit_two(case):
 @pytest.mark.parametrize("change", [
     {"epsilon": 5},
     {"budgets": [-1, 1]},
-    # With slack the verifier reads incomes against 1, so other budgets
-    # would be ignored rather than checked.
+    # Every agent earns 1, so budgets other than ones would be ignored
+    # rather than checked.
     {"epsilon": "1/2", "budgets": [7, 9]},
 ])
 def test_impossible_slack_or_budgets_exit_two(change, capsys):

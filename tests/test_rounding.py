@@ -23,12 +23,7 @@ from fairchores.equilibrium import (
     make_acyclic,
     verify_fisher_equilibrium,
 )
-from fairchores.errors import (
-    BudgetExhaustedError,
-    InputError,
-    InvalidEquilibriumError,
-    ZeroDisutilityError,
-)
+from fairchores.errors import BudgetExhaustedError, InputError
 from fairchores.rounding import (
     RoundingState,
     SolveOptions,
@@ -66,7 +61,7 @@ def shared_path_state(eps=F(1, 30)):
     """Two agents, three unit chores; c1 is split half-half between them."""
     inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
     x = FractionalAllocation.from_rows([[1, F(1, 2), 0], [0, F(1, 2), 1]])
-    out = MarketOutcome(x, PriceVector.from_values([F(2, 3)] * 3), (F(1), F(1)), eps)
+    out = MarketOutcome(x, PriceVector.from_values([F(2, 3)] * 3), eps)
     return inst, RoundingState.from_outcome(inst, out)
 
 
@@ -74,7 +69,7 @@ class TestPhase1:
     def test_integral_input_all_assigned_no_deletions(self):
         inst = Instance.from_rows([[1, 2], [2, 1]])
         x = FractionalAllocation.from_rows([[1, 0], [0, 1]])
-        out = MarketOutcome(x, PriceVector.from_values([1, 1]), (F(1), F(1)), F(0))
+        out = MarketOutcome(x, PriceVector.from_values([1, 1]), F(0))
         state = phase1(RoundingState.from_outcome(inst, out))
         assert state.bundles == [{0}, {1}]
         assert not any(e["event"] == "delete-edge" for e in state.trace)
@@ -82,7 +77,7 @@ class TestPhase1:
     def test_fully_shared_chore_never_enters_loop(self):
         inst = Instance.from_rows([[1], [1], [1]])
         x = FractionalAllocation.from_rows([[F(1, 3)], [F(1, 3)], [F(1, 3)]])
-        out = MarketOutcome(x, PriceVector.from_values([3]), (F(1),) * 3, F(1, 15))
+        out = MarketOutcome(x, PriceVector.from_values([3]), F(1, 15))
         state = phase1(RoundingState.from_outcome(inst, out))
         assert state.bundles == [set(), set(), set()]
         assert state.allocated == set()
@@ -107,7 +102,7 @@ class TestPhase1:
         inst = Instance.from_rows([row])
         x = FractionalAllocation.from_rows([[1] * m])
         prices = PriceVector.from_values([F(d, sum(row)) for d in row])
-        state = RoundingState.from_outcome(inst, MarketOutcome(x, prices, (F(1),), F(0)))
+        state = RoundingState.from_outcome(inst, MarketOutcome(x, prices, F(0)))
         reads = []
         real = PriceVector.__getitem__
         monkeypatch.setattr(PriceVector, "__getitem__",
@@ -135,7 +130,7 @@ class TestPhase1:
             inst = Instance.from_rows([row] * n)
             prices = PriceVector.from_values([F(n * v, sum(row)) for v in row])
             x = FractionalAllocation.from_rows([[F(1, n)] * m] * n)
-            out = MarketOutcome(x, prices, (F(1),) * n, F(0))
+            out = MarketOutcome(x, prices, F(0))
             direct = RoundingState.from_outcome(inst, out)
             forest = RoundingState.from_outcome(inst, make_acyclic(inst, out))
             assert direct.weights == forest.weights
@@ -144,8 +139,8 @@ class TestPhase1:
             assert len(direct.weights) <= n + m - 1
         inst = Instance.from_rows([[1, 1], [1, 1]])
         bad = MarketOutcome(FractionalAllocation.from_rows([[1, 0], [0, 1]]),
-                            PriceVector.from_values([1, 3]), (F(1), F(1)), F(0))
-        with pytest.raises(InvalidEquilibriumError):
+                            PriceVector.from_values([1, 3]), F(0))
+        with pytest.raises(InputError):
             RoundingState.from_outcome(inst, bad)  # wrong incomes
 
 
@@ -161,7 +156,7 @@ class TestPhase2:
     def test_no_trees_left_is_a_no_op(self):
         inst = Instance.from_rows([[1, 2], [2, 1]])
         x = FractionalAllocation.from_rows([[1, 0], [0, 1]])
-        out = MarketOutcome(x, PriceVector.from_values([1, 1]), (F(1), F(1)), F(0))
+        out = MarketOutcome(x, PriceVector.from_values([1, 1]), F(0))
         state = phase1(RoundingState.from_outcome(inst, out))
         alloc = phase2(state)
         assert alloc.surplus_count == 0
@@ -170,7 +165,7 @@ class TestPhase2:
     def test_single_chore_splits_into_copies(self):
         inst = Instance.from_rows([[1], [1], [1]])
         x = FractionalAllocation.from_rows([[F(1, 3)], [F(1, 3)], [F(1, 3)]])
-        out = MarketOutcome(x, PriceVector.from_values([3]), (F(1),) * 3, F(1, 15))
+        out = MarketOutcome(x, PriceVector.from_values([3]), F(1, 15))
         state = phase1(RoundingState.from_outcome(inst, out))
         alloc = phase2(state)
         assert alloc.surplus_count == 2
@@ -277,7 +272,7 @@ class TestPipeline:
                 fair_and_efficient(inst, SolveOptions(epsilon=bad))
 
     def test_zero_disutility_rejected(self):
-        with pytest.raises(ZeroDisutilityError):
+        with pytest.raises(InputError):
             fair_and_efficient(Instance.from_rows([[0, 1], [1, 1]]))
 
     def test_empty_chore_set(self):

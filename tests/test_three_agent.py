@@ -6,7 +6,7 @@ import pytest
 
 from fairchores import three_agent
 from fairchores.core import Instance
-from fairchores.errors import WrongAgentCountError
+from fairchores.errors import InputError
 from fairchores.three_agent import (
     _ScaledRows,
     efx_identical,
@@ -226,7 +226,7 @@ class TestTerminalAssignment:
 
 class TestSolveThree:
     def test_wrong_agent_count(self):
-        with pytest.raises(WrongAgentCountError):
+        with pytest.raises(InputError):
             solve_three(Instance.from_rows([[1], [1]]))
 
     def test_identical_costs_terminal_immediately(self):
