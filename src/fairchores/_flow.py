@@ -33,7 +33,10 @@ then augments it to some maximum flow. Every maximum flow has the same
 residual source side: the nodes left reachable from the source form the
 smallest minimum cut, which is a property of the capacities alone. So a
 caller that reads only ``reachable`` may start from any feasible flow, and
-one that reads per-edge flows must start from zero.
+one that reads per-edge flows must start from zero. Raising a capacity
+between two calls, by adding to the edge's ``residual``, keeps the flow
+feasible, and the second call's paths end at the sink, so they lower no flow
+into it.
 
 An edge added with capacity ``None`` is uncapped; its residual never runs out.
 There is no large-number stand-in for infinity. A path made only of uncapped

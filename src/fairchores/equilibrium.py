@@ -92,7 +92,7 @@ def _best_ratio_sets(inst: Instance, prices: PriceVector) -> list[frozenset[int]
     ``Fraction``s and stays as the test oracle.
     """
     P, _ = over_common_denominator([prices[c] for c in range(inst.m)])
-    return _mpb_structure(integer_rows(inst), P)[1]
+    return _mpb_structure(integer_rows(inst), P)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +375,12 @@ def exact_ceei(inst: Instance) -> MarketOutcome:
 # ---------------------------------------------------------------------------
 
 def _mpb_structure(D, P):
-    """Each agent's best ratio as an integer pair (D[i][b], P[b]), and her MPB set.
+    """Each agent's min-pain-per-buck set, whose least chore gives its best ratio.
 
     ``d_i(c)/p_c <= d_i(b)/p_b`` is decided as ``D[i][c]*P[b] <= D[i][b]*P[c]``:
     the rational comparison multiplied through by positive integers.
     """
     m = len(P)
-    values: list[tuple[int, int]] = []
     sets: list[frozenset[int]] = []
     for row in D:
         b = 0
@@ -389,52 +388,19 @@ def _mpb_structure(D, P):
             if row[c] * P[b] < row[b] * P[c]:
                 b = c
         num, den = row[b], P[b]
-        values.append((num, den))
         sets.append(frozenset(c for c in range(m) if row[c] * den == num * P[c]))
-    return values, sets
-
-
-def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
-    """Earnings routing with every chore saturated and incomes in [lo, hi].
-
-    ``P[c]`` is price ``c`` times ``L``, an integer, and ``lo * L`` and
-    ``hi * L`` are integers too. Standard lower-bound reduction on the
-    circulation s -> chores -> agents -> t -> s, with chore ``c`` at node
-    ``c`` and agent ``i`` at node ``m + i``. Returns the earning of each MPB
-    edge as ``Fraction(flow, L)``, or None when infeasible.
-
-    The earnings are read off the ``max_flow`` flow from zero, which fixes
-    which of the many feasible routings is returned.
-    """
-    low, high = int(lo * L), int(hi * L)
-    SS, TT, s, t = range(n + m, n + m + 4)
-    net = FlowNetwork(n + m + 4)
-    total = sum(P)
-    edge_index: dict[tuple[int, int], int] = {}
-    for c in range(m):
-        net.add_edge(SS, c, P[c])
-    net.add_edge(s, TT, total)
-    for i in range(n):
-        for c in sorted(mpb_sets[i]):
-            edge_index[(i, c)] = net.add_edge(c, m + i, None)
-        net.add_edge(m + i, t, high - low)
-        net.add_edge(m + i, TT, low)
-    net.add_edge(SS, t, low * n)
-    net.add_edge(t, s, None)
-    if net.max_flow(SS, TT) != total + low * n:
-        return None
-    return {edge: Fraction(net.flow_value(idx), L) for edge, idx in edge_index.items()}
+    return sets
 
 
 def _plain_network(n, m, P, L, mpb_sets, hi, carried=None):
     """The cap-only network of a price round, and its integer unit.
 
-    Prices ``P`` are scaled by ``L`` as in ``_route_within_bounds``, and the
-    nodes are numbered the same way, with the source at ``n + m`` and the
-    sink at ``n + m + 1``. Edges: source to each chore, capped at its price;
-    chore to agent, uncapped, along each MPB edge in (agent, chore) order;
-    agent to sink, capped at ``hi``. Amounts are integers over the
-    network's unit ``U``.
+    Prices ``P`` are integers, price ``c`` times ``L``. Chore ``c`` is node
+    ``c``, agent ``i`` node ``m + i``, the source ``n + m`` and the sink
+    ``n + m + 1``. Edges: source to each chore, capped at its price; chore to
+    agent, uncapped, along each MPB edge in (agent, chore) order; agent to
+    sink, capped at ``hi``. Amounts are integers over the network's unit
+    ``U``.
 
     Without ``carried`` the flow is zero and ``U = L``. Otherwise ``carried``
     is ``(flows, unit)`` from an earlier round, each MPB edge's flow as an
@@ -463,6 +429,31 @@ def _plain_network(n, m, P, L, mpb_sets, hi, carried=None):
     high = int(hi * L) * up
     income = [net.add_edge(m + i, t, high, earned[i]) for i in range(n)]
     return net, supply, income, edges, U
+
+
+def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
+    """Earnings routing with every chore saturated and incomes in [lo, hi].
+
+    ``P[c]`` is price ``c`` times ``L``, an integer, and so are ``lo * L``
+    and ``hi * L``. On ``_plain_network``, a maximum flow from zero fills
+    every income up to ``lo``, then a second one with the caps raised to
+    ``hi``. Returns each MPB edge's earning as ``Fraction(flow, L)``, or None
+    when no such routing exists (the lower-bound argument of Ford and
+    Fulkerson, *Flows in Networks*, 1962): a bounded routing trimmed to ``lo``
+    per agent is a first flow of ``n * lo``, and the second flow lowers no
+    income and ends at a maximum flow, which pays every chore in full if any
+    routing does. Which routing is returned is fixed by the two flows.
+    """
+    low, high = int(lo * L), int(hi * L)
+    net, supply, income, edges, _ = _plain_network(n, m, P, L, mpb_sets, lo)
+    if net.max_flow(n + m, n + m + 1) != n * low:
+        return None
+    for index in income:
+        net.residual[index] += high - low
+    net.max_flow(n + m, n + m + 1)
+    if any(net.residual[index] for index in supply):
+        return None
+    return {edge: Fraction(net.flow_value(index), L) for edge, index in edges.items()}
 
 
 def _route_plain(n, m, P, L, mpb_sets, hi, carried=None):
@@ -521,19 +512,21 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     round first routes chore payments to agents along current best-ratio
     edges with only the income caps (``_route_plain``). A chore left
     unrouted there marks the chores overpriced, and the round reads the
-    residual cut, the same for every maximum flow; only when every chore
-    routes does the bounded routing (``_route_within_bounds``) decide
-    acceptance. When routing fails, the blocked side of the market
-    identifies a set of chores whose prices rise multiplicatively, by
-    exactly the factor that lets the next agent-chore pair join the
-    best-ratio graph. The returned outcome is re-verified before being
-    accepted, so the adjustment policy affects speed, never soundness.
+    residual cut, the same for every maximum flow. Only when every chore
+    routes is the same network routed again from zero, every income filled
+    to its floor first and then up to its cap (``_route_within_bounds``),
+    and that routing decides acceptance. When routing fails, the blocked
+    side of the market identifies a set of chores whose prices rise
+    multiplicatively, by exactly the factor that lets the next agent-chore
+    pair join the best-ratio graph. The returned outcome is re-verified
+    before being accepted, so the adjustment policy affects speed, never
+    soundness.
 
     Prices are one integer vector ``Q`` over a shared denominator ``R``,
     reduced so that ``gcd(R, *Q) == 1``; ``R`` is then the lcm of the price
     denominators. Within a round they are scaled by ``L``, the lcm of ``R``
     and the denominator of the income bounds, and each agent's row by its
-    own lcm (``integer_rows``), so the best-ratio sets, both flows and the
+    own lcm (``integer_rows``), so the best-ratio sets, every flow and the
     factor are computed in integers; each integer comparison is the rational
     one multiplied through by a positive integer. Only the returned outcome
     holds ``Fraction`` prices.
@@ -580,7 +573,7 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     total = sum(columns, ZERO)
     Q, R = over_common_denominator([n * value / total for value in columns])
     # The sets do not depend on the price scale.
-    mpb_sets = _mpb_structure(D, Q)[1]
+    mpb_sets = _mpb_structure(D, Q)
     carried = None
 
     for _ in range(DEFAULT_ROUNDS):
@@ -682,14 +675,14 @@ def _round_to_exact(inst: Instance, prices: PriceVector) -> Optional[MarketOutco
     n, m = inst.n, inst.m
     D = integer_rows(inst)
     P, _ = over_common_denominator([prices[c] for c in range(m)])
-    edges = {(i, c): ONE for i, chores in enumerate(_mpb_structure(D, P)[1]) for c in chores}
+    edges = {(i, c): ONE for i, chores in enumerate(_mpb_structure(D, P)) for c in chores}
     rounded: list[Fraction] = [ZERO] * m
     for agents, chores in PaymentGraph.from_edges(n, m, edges).components():
         total = sum((prices[c] for c in chores), ZERO)
         for c in chores:
             rounded[c] = len(agents) * prices[c] / total
     P, L = over_common_denominator(rounded)
-    earnings = _route_within_bounds(n, m, P, L, _mpb_structure(D, P)[1], ONE, ONE)
+    earnings = _route_within_bounds(n, m, P, L, _mpb_structure(D, P), ONE, ONE)
     if earnings is None:
         return None
     outcome = _outcome_from_earnings(inst, rounded, earnings, ZERO)

@@ -1,11 +1,12 @@
 """Round a verified near-equilibrium into integral bundles with few copies.
 
-The rounding accepts any verified equilibrium and first cancels the cycles of
-its payment graph. Phase 1 hands out fully-earned chores and prunes payment
-edges whose removal keeps every single-removal payment above the income
-floor. Phase 2 walks each remaining tree top-down, topping bundles up with
-child chores and duplicating the parent chore as a last resort. The pipeline
-re-verifies every claimed property before returning and hard-fails otherwise.
+The rounding accepts any verified equilibrium with slack up to 1/(5nm) and
+first cancels the cycles of its payment graph. Phase 1 hands out fully-earned
+chores and prunes payment edges whose removal keeps every single-removal
+payment above the income floor. Phase 2 walks each remaining tree top-down,
+topping bundles up with child chores and duplicating the parent chore as a
+last resort. The pipeline re-verifies every claimed property before
+returning and hard-fails otherwise.
 """
 
 from __future__ import annotations
@@ -67,15 +68,19 @@ class RoundingState:
 
     @classmethod
     def from_outcome(cls, inst: Instance, out: MarketOutcome) -> "RoundingState":
-        """State for any verified equilibrium, its payment graph's cycles
-        cancelled as ``make_acyclic`` would: a forest, same prices and incomes."""
+        """State for a verified equilibrium with slack at most ``default_epsilon``,
+        the bound phase 1 is proved for, its payment graph's cycles cancelled
+        as ``make_acyclic`` would: a forest, same prices and incomes."""
         if not verify_fisher_equilibrium(inst, out).holds:
             raise InputError("rounding requires a verified equilibrium")
+        if out.epsilon > (bound := default_epsilon(inst.n, inst.m)):
+            raise InputError(f"epsilon must lie in [0, {bound}] for {inst.n} agents "
+                             f"and {inst.m} chores, got {out.epsilon}")
         return cls._from_verified(inst, out)
 
     @classmethod
     def _from_verified(cls, inst: Instance, out: MarketOutcome) -> "RoundingState":
-        """``from_outcome`` without its check, for an outcome that ``approx_ceei``
+        """``from_outcome`` without its checks, for an outcome that ``approx_ceei``
         or ``_round_to_exact`` verified as it returned it."""
         weights = payment_graph(out.x, out.prices).edge_dict()
         adj = _cancel_cycles(inst.n, inst.m, weights)

@@ -11,7 +11,7 @@ Ties are broken in integers, the simplest form of Edelsbrunner & Mücke's
 "Simulation of Simplicity" (ACM TOG 1990): every comparison in the walk is
 between two chore sets under one agent's costs, so each row is scaled to
 integers on its own and chore ``j``'s tie-break weight ``2^(j+1)`` sits in
-the low bits (``_ScaledRows``). ``perturb_nondegenerate`` applies the same
+the low bits (``_scaled_rows``). ``perturb_nondegenerate`` applies the same
 order as an explicit rational epsilon and stays as the test oracle.
 """
 
@@ -38,7 +38,7 @@ def perturb_nondegenerate(inst: Instance) -> tuple[Instance, Fraction]:
     least ``1/D``, so ``eps = 1 / (2 D 2^(m+1))`` keeps every strict original
     comparison strict after perturbation.
 
-    ``solve_three`` does not call this: it orders sets by ``_ScaledRows``,
+    ``solve_three`` does not call this: it orders sets by ``_scaled_rows``,
     which is this order in integers. This explicit form is the test oracle
     for that order, and the way to check non-degeneracy with
     ``check_nondegenerate``.
@@ -52,7 +52,7 @@ def perturb_nondegenerate(inst: Instance) -> tuple[Instance, Fraction]:
     return Instance(rows), eps
 
 
-class _ScaledRows:
+def _scaled_rows(inst: Instance) -> tuple[tuple[int, ...], ...]:
     """Integer rows that order one agent's chore sets as the perturbation does.
 
     Entry ``(i, j)`` is ``K_i d_ij 2^(m+1) + 2^(j+1)``, where ``K_i d_ij`` is
@@ -63,17 +63,9 @@ class _ScaledRows:
     ``perturb_nondegenerate``. Rows are scaled apart, so only sets under the
     same agent's costs may be compared.
     """
-
-    __slots__ = ("disutility",)
-
-    def __init__(self, inst: Instance):
-        unit = 2 ** (inst.m + 1)
-        self.disutility = tuple(
-            tuple(value * unit + 2 ** (j + 1) for j, value in enumerate(row))
-            for row in integer_rows(inst))
-
-    def d(self, agent: int, chore: int) -> int:
-        return self.disutility[agent][chore]
+    unit = 2 ** (inst.m + 1)
+    return tuple(tuple(value * unit + 2 ** (j + 1) for j, value in enumerate(row))
+                 for row in integer_rows(inst))
 
 
 def efx_identical(costs: Sequence, n: int) -> tuple[frozenset[int], ...]:
@@ -93,31 +85,31 @@ def efx_identical(costs: Sequence, n: int) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(b) for b in bundles)
 
 
-def _cost(inst: Instance, agent: int, chores):
-    row = inst.disutility[agent]
+def _cost(rows, agent: int, chores):
+    row = rows[agent]
     return sum(row[c] for c in chores)
 
 
-def tefx_feasible(inst: Instance, agent: int, k: int, partition) -> bool:
+def tefx_feasible(rows, agent: int, k: int, partition) -> bool:
     """Whether bundle ``k`` stays unenvied by ``agent`` after any single transfer.
 
     Additivity means only the cheapest chore of the bundle needs checking.
-    ``inst`` may be an ``Instance`` or the solver's integer rows.
+    ``rows`` are an instance's ``disutility`` or the solver's integer rows.
     """
     bundle = partition[k]
     if not bundle:
         return True
-    drop = min(inst.d(agent, c) for c in bundle)
-    total = _cost(inst, agent, bundle)
+    drop = min(rows[agent][c] for c in bundle)
+    total = _cost(rows, agent, bundle)
     for j in range(len(partition)):
         if j == k:
             continue
-        if total - drop > _cost(inst, agent, partition[j]) + drop:
+        if total - drop > _cost(rows, agent, partition[j]) + drop:
             return False
     return True
 
 
-def terminal_assignment(inst: Instance, partition) -> Optional[dict[int, int]]:
+def terminal_assignment(rows, partition) -> Optional[dict[int, int]]:
     """Match agents to bundles everyone accepts, if possible.
 
     Agents 0 and 2 accept their transfer-EFX-feasible bundles; agent 1
@@ -126,11 +118,11 @@ def terminal_assignment(inst: Instance, partition) -> Optional[dict[int, int]]:
     """
     acceptable = [set(), set(), set()]
     for k in range(3):
-        if tefx_feasible(inst, 0, k, partition):
+        if tefx_feasible(rows, 0, k, partition):
             acceptable[0].add(k)
-        if tefx_feasible(inst, 2, k, partition):
+        if tefx_feasible(rows, 2, k, partition):
             acceptable[2].add(k)
-    costs = [_cost(inst, 1, partition[k]) for k in range(3)]
+    costs = [_cost(rows, 1, partition[k]) for k in range(3)]
     cheapest = min(costs)
     acceptable[1] = {k for k in range(3) if costs[k] == cheapest}
     for b0 in sorted(acceptable[0]):
@@ -150,16 +142,16 @@ class ThreeResult:
     iterations: int
 
 
-def _check_invariants(pert, bundles: list[frozenset[int]]) -> None:
+def _check_invariants(rows, bundles: list[frozenset[int]]) -> None:
     for k in (0, 1):
-        if not tefx_feasible(pert, 0, k, bundles):
+        if not tefx_feasible(rows, 0, k, bundles):
             raise AlgorithmBugError(f"three-agent loop: bundle {k} lost feasibility for agent 0")
         if bundles[k]:
-            worst = _cost(pert, 0, bundles[k]) - min(pert.d(0, c) for c in bundles[k])
-            if worst > _cost(pert, 0, bundles[2]):
+            worst = _cost(rows, 0, bundles[k]) - min(rows[0][c] for c in bundles[k])
+            if worst > _cost(rows, 0, bundles[2]):
                 raise AlgorithmBugError(
                     f"three-agent loop: bundle {k} minus a chore exceeds bundle 2 for agent 0")
-    if not tefx_feasible(pert, 2, 2, bundles):
+    if not tefx_feasible(rows, 2, 2, bundles):
         raise AlgorithmBugError("three-agent loop: bundle 2 lost feasibility for agent 2")
 
 
@@ -183,11 +175,11 @@ def solve_three(inst: Instance) -> ThreeResult:
     if inst.n != 3:
         raise InputError(f"expected 3 agents, got {inst.n}")
     m = inst.m
-    pert = _ScaledRows(inst)
+    rows = _scaled_rows(inst)
 
-    greedy = efx_identical(pert.disutility[0], 3)
+    greedy = efx_identical(rows[0], 3)
     # Labels sorted so agent 2 ranks them: bundle2 <= bundle0 <= bundle1.
-    by_agent2 = sorted(range(3), key=lambda k: (_cost(pert, 2, greedy[k]), k))
+    by_agent2 = sorted(range(3), key=lambda k: (_cost(rows, 2, greedy[k]), k))
     bundles = [greedy[by_agent2[1]], greedy[by_agent2[2]], greedy[by_agent2[0]]]
 
     trace: list[dict] = []
@@ -195,16 +187,16 @@ def solve_three(inst: Instance) -> ThreeResult:
 
     for iteration in range(m + 1):
         swapped = False
-        if _cost(pert, 2, bundles[0]) > _cost(pert, 2, bundles[1]):
+        if _cost(rows, 2, bundles[0]) > _cost(rows, 2, bundles[1]):
             bundles[0], bundles[1] = bundles[1], bundles[0]
             swapped = True
-        _check_invariants(pert, bundles)
+        _check_invariants(rows, bundles)
         phi = len(bundles[0]) + len(bundles[1])
         if previous_phi is not None and phi >= previous_phi:
             raise AlgorithmBugError(f"three-agent loop: potential stalled at {phi}")
         previous_phi = phi
 
-        assignment = terminal_assignment(pert, bundles)
+        assignment = terminal_assignment(rows, bundles)
         if assignment is not None:
             trace.append({"iteration": iteration, "phi": phi, "branch": "terminal",
                           "swapped": swapped})
@@ -213,14 +205,14 @@ def solve_three(inst: Instance) -> ThreeResult:
             return _result(inst, by_agent, labels, "tEFX", trace, iteration + 1)
 
         # Only bundle 2 fits agent 2 now; move her least-cost chore over.
-        mover = min(bundles[0], key=lambda c: (pert.d(2, c), c))
+        mover = min(bundles[0], key=lambda c: (rows[2][c], c))
         slim = bundles[0] - {mover}
         grown = bundles[2] | {mover}
-        if _cost(pert, 2, slim) <= _cost(pert, 2, grown):
+        if _cost(rows, 2, slim) <= _cost(rows, 2, grown):
             raise AlgorithmBugError(
                 "three-agent loop: moved chore failed to keep bundle 0 heavier")
         candidate = [slim, bundles[1], grown]
-        if tefx_feasible(pert, 0, 1, candidate):
+        if tefx_feasible(rows, 0, 1, candidate):
             trace.append({"iteration": iteration, "phi": phi, "branch": "move",
                           "moved": [mover], "swapped": swapped})
             bundles = candidate
@@ -228,21 +220,21 @@ def solve_three(inst: Instance) -> ThreeResult:
 
         # Rebalance: shift the cheapest chores (agent 0's view) from bundle 1
         # to bundle 0 until the order flips on the next shift.
-        order = sorted(candidate[1], key=lambda c: (pert.d(0, c), c))
+        order = sorted(candidate[1], key=lambda c: (rows[0][c], c))
         chosen = None
         for take in range(1, len(order)):
             one = candidate[0] | set(order[:take])
             two = candidate[1] - set(order[:take])
-            if _cost(pert, 0, one) < _cost(pert, 0, two):
+            if _cost(rows, 0, one) < _cost(rows, 0, two):
                 nxt = order[take]
-                if _cost(pert, 0, one) + pert.d(0, nxt) >= _cost(pert, 0, two) - pert.d(0, nxt):
+                if _cost(rows, 0, one) + rows[0][nxt] >= _cost(rows, 0, two) - rows[0][nxt]:
                     chosen = (frozenset(one), frozenset(two), take)
                     break
         if chosen is None:
             raise AlgorithmBugError(
                 "three-agent loop: no valid transfer prefix: rebalancing failed")
         balanced = [chosen[0], chosen[1], candidate[2]]
-        if tefx_feasible(pert, 2, 2, balanced):
+        if tefx_feasible(rows, 2, 2, balanced):
             trace.append({"iteration": iteration, "phi": phi, "branch": "transfer",
                           "moved": [mover] + order[:chosen[2]], "swapped": swapped})
             bundles = balanced
@@ -250,7 +242,7 @@ def solve_three(inst: Instance) -> ThreeResult:
 
         # Proportional exit: agent 1 takes her cheapest bundle; agents 0 and 2
         # take their proven-proportional bundles from the remainder.
-        costs1 = [_cost(pert, 1, b) for b in balanced]
+        costs1 = [_cost(rows, 1, b) for b in balanced]
         favorite = min(range(3), key=lambda k: (costs1[k], k))
         if favorite == 0:
             labels = [1, 0, 2]

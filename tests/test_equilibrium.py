@@ -530,7 +530,7 @@ def test_carried_round_state_matches_a_fresh_round(monkeypatch):
     def check(D, args, result):
         n, m, P, L, mpb_sets, hi, _ = args
         net, unrouted, _ = result
-        assert list(mpb_sets) == _mpb_structure(D, P)[1]
+        assert list(mpb_sets) == _mpb_structure(D, P)
         oracle, oracle_unrouted, _, _ = edmonds_karp_plain(n, m, P, L, mpb_sets, hi)
         # Which chores stay unrouted depends on the flow; whether any does not.
         assert bool(unrouted) == bool(oracle_unrouted)

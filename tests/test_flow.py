@@ -228,12 +228,46 @@ def test_mpb_structure_matches_rational_ratios():
             [[F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(m)] for _ in range(n)])
         prices = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(m)]
         P, L = scaled(prices, F(1, 2))
-        values, sets = _mpb_structure(integer_rows(inst), P)
+        D = integer_rows(inst)
+        sets = _mpb_structure(D, P)
         for i in range(n):
             best, chores = mpb(inst, PriceVector(tuple(prices)), i)
             scale = lcm(*(value.denominator for value in inst.disutility[i]))
             assert sets[i] == chores
-            assert F(*values[i]) == best * scale / L
+            b = min(sets[i])
+            assert F(D[i][b], P[b]) == best * scale / L
+
+
+def circulation_routing(n, m, P, L, mpb_sets, lo, hi):
+    """Earnings routing with every chore saturated and incomes in [lo, hi].
+
+    ``P[c]`` is price ``c`` times ``L``, an integer, and ``lo * L`` and
+    ``hi * L`` are integers too. Standard lower-bound reduction on the
+    circulation s -> chores -> agents -> t -> s, with chore ``c`` at node
+    ``c`` and agent ``i`` at node ``m + i``. Returns the earning of each MPB
+    edge as ``Fraction(flow, L)``, or None when infeasible.
+
+    The earnings are read off the ``max_flow`` flow from zero, which fixes
+    which of the many feasible routings is returned.
+    """
+    low, high = int(lo * L), int(hi * L)
+    SS, TT, s, t = range(n + m, n + m + 4)
+    net = FlowNetwork(n + m + 4)
+    total = sum(P)
+    edge_index: dict[tuple[int, int], int] = {}
+    for c in range(m):
+        net.add_edge(SS, c, P[c])
+    net.add_edge(s, TT, total)
+    for i in range(n):
+        for c in sorted(mpb_sets[i]):
+            edge_index[(i, c)] = net.add_edge(c, m + i, None)
+        net.add_edge(m + i, t, high - low)
+        net.add_edge(m + i, TT, low)
+    net.add_edge(SS, t, low * n)
+    net.add_edge(t, s, None)
+    if net.max_flow(SS, TT) != total + low * n:
+        return None
+    return {edge: Fraction(net.flow_value(idx), L) for edge, idx in edge_index.items()}
 
 
 def test_route_within_bounds_saturates_chores_and_bounds_incomes():
@@ -251,7 +285,7 @@ def test_route_within_bounds_saturates_chores_and_bounds_incomes():
             raw = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(m)]
             prices = [p * n / sum(raw) for p in raw]
         P, L = scaled(prices, eps)
-        _, sets = _mpb_structure(integer_rows(inst), P)
+        sets = _mpb_structure(integer_rows(inst), P)
         earnings = _route_within_bounds(n, m, P, L, sets, 1 - eps, 1 + eps)
         if trial % 2:
             assert earnings is not None
@@ -267,6 +301,44 @@ def test_route_within_bounds_saturates_chores_and_bounds_incomes():
     assert routed >= 40
 
 
+def test_route_within_bounds_agrees_with_the_circulation():
+    # The income floors first and the caps second on the cap-only network
+    # find a bounded routing exactly when the lower-bound circulation does,
+    # and at lo == hi they find the circulation's routing edge by edge.
+    rng = random.Random(14)
+    routed = Counter()
+    for trial in range(2400):
+        n, m = rng.randint(1, 3), rng.randint(1, 5)
+        inst = random_instance(rng, n, m)
+        if trial % 3 == 0:
+            prices = list(exact_ceei(inst).prices)
+        else:
+            raw = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(m)]
+            prices = [p * n / sum(raw) for p in raw]
+        if rng.random() < 0.3:
+            # Off balance: the prices no longer sum to n.
+            factor = F(rng.randint(1, 30), 20)
+            prices = [p * factor for p in prices]
+        eps = F(1, rng.randint(2, 40)) if trial % 2 else ZERO
+        lo, hi = 1 - eps, 1 + eps
+        P, L = scaled(prices, eps)
+        sets = _mpb_structure(integer_rows(inst), P)
+        earnings = _route_within_bounds(n, m, P, L, sets, lo, hi)
+        oracle = circulation_routing(n, m, P, L, sets, lo, hi)
+        assert (earnings is None) == (oracle is None)
+        if earnings is None:
+            continue
+        routed[lo == hi] += 1
+        assert set(earnings) == {(i, c) for i in range(n) for c in sets[i]}
+        for c in range(m):
+            assert sum(earnings.get((i, c), 0) for i in range(n)) == prices[c]
+        for i in range(n):
+            assert lo <= sum(earnings.get((i, c), 0) for c in range(m)) <= hi
+        if lo == hi:
+            assert earnings == oracle
+    assert routed[True] >= 300 and routed[False] >= 300
+
+
 def plain_routing_cases(monkeypatch):
     """Cap-only routing inputs ``(n, m, P, L, sets, eps, carried)`` as two
     lists: 150 on random prices from zero flow, and every round of 12
@@ -279,7 +351,7 @@ def plain_routing_cases(monkeypatch):
         eps = F(1, rng.randint(2, 40))
         raw = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(m)]
         P, L = scaled([p * n / sum(raw) for p in raw], eps)
-        _, sets = _mpb_structure(integer_rows(inst), P)
+        sets = _mpb_structure(integer_rows(inst), P)
         cases.append((n, m, P, L, sets, eps, None))
 
     visited = []
@@ -350,11 +422,12 @@ def edmonds_karp_plain(n, m, P, L, mpb_sets, hi):
 
 
 def two_flow_approx_ceei(inst, eps, log, max_rounds=100_000):
-    """The price loop as it was, with ``Fraction`` prices and two
-    Edmonds-Karp flows per round: the bounded routing first, then the
-    cap-only one to find the blocked side. Appends ``("round", P, L)`` to
-    ``log`` for every round's scaled prices, and ``("renormalise",)`` or
-    ``("rescale",)`` whenever the price total is brought back near n."""
+    """The price loop as it was, with ``Fraction`` prices and two routings
+    per round: the bounded one first, by ``circulation_routing``, then an
+    Edmonds-Karp cap-only flow to find the blocked side. Appends
+    ``("round", P, L)`` to ``log`` for every round's scaled prices, and
+    ``("renormalise",)`` or ``("rescale",)`` whenever the price total is
+    brought back near n."""
     n, m = inst.n, inst.m
     lo, hi = 1 - eps, 1 + eps
     D = common_scale_rows(inst)
@@ -373,8 +446,9 @@ def two_flow_approx_ceei(inst, eps, log, max_rounds=100_000):
         L = lcm(eps.denominator, *(value.denominator for value in prices))
         P = [value.numerator * (L // value.denominator) for value in prices]
         log.append(("round", P, L))
-        mpb_values, mpb_sets = _mpb_structure(D, P)
-        earnings = _route_within_bounds(n, m, P, L, mpb_sets, lo, hi)
+        mpb_sets = _mpb_structure(D, P)
+        mpb_values = [(D[i][b], P[b]) for i, b in enumerate(map(min, mpb_sets))]
+        earnings = circulation_routing(n, m, P, L, mpb_sets, lo, hi)
         if earnings is not None:
             outcome = _outcome_from_earnings(inst, prices, earnings, eps)
             assert verify_fisher_equilibrium(inst, outcome).holds
@@ -439,7 +513,10 @@ def test_approx_ceei_matches_the_two_flow_loop(monkeypatch):
         eps = default_epsilon(n, m) if trial % 4 else F(1, rng.randint(2, 30))
         log = []
         visited.clear()
-        assert approx_ceei(inst, eps) == two_flow_approx_ceei(inst, eps, log)
+        fast, slow = approx_ceei(inst, eps), two_flow_approx_ceei(inst, eps, log)
+        # The routings may differ; the prices and the rounds may not.
+        assert (fast.prices, fast.epsilon) == (slow.prices, slow.epsilon)
+        assert verify_fisher_equilibrium(inst, fast).holds
         # Round by round, the integer price vector scales to the same P and L.
         assert visited == [entry for entry in log if entry[0] == "round"]
         taken.update(entry[0] for entry in log)

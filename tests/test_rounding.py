@@ -143,6 +143,18 @@ class TestPhase1:
         with pytest.raises(InputError):
             RoundingState.from_outcome(inst, bad)  # wrong incomes
 
+    def test_rejects_slack_past_the_proved_bound(self):
+        # A verified equilibrium at epsilon 1/2 is far past 1/(5nm) = 1/50.
+        # Phase 1 is proved only up to that bound; on this outcome it deleted
+        # the lone edge of an allocated chore.
+        inst = Instance.from_rows([[2, 16, 17, 20, 15], [11, 9, 4, 20, 6]])
+        out = approx_ceei(inst, F(1, 2))
+        assert verify_fisher_equilibrium(inst, out).holds
+        with pytest.raises(InputError, match=r"epsilon must lie in \[0, 1/50\]"):
+            RoundingState.from_outcome(inst, out)
+        at_bound = approx_ceei(inst, default_epsilon(inst.n, inst.m))
+        phase2(phase1(RoundingState.from_outcome(inst, at_bound)))
+
 
 class TestPhase2:
     def test_path_example_copy_of_shared_chore(self):

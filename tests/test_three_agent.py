@@ -8,7 +8,7 @@ from fairchores import three_agent
 from fairchores.core import Instance
 from fairchores.errors import InputError
 from fairchores.three_agent import (
-    _ScaledRows,
+    _scaled_rows,
     efx_identical,
     perturb_nondegenerate,
     solve_three,
@@ -100,9 +100,9 @@ class TestScaledRows:
     """The integer rows ``solve_three`` uses order sets as the perturbation does."""
 
     def test_formula_per_row(self):
-        scaled = _ScaledRows(Instance.from_rows([["1/3", "1/6"], [1, 2], [0, 0]]))
-        assert scaled.disutility == ((2 * 8 + 2, 1 * 8 + 4), (8 + 2, 16 + 4), (2, 4))
-        assert _ScaledRows(Instance.from_rows([[], [], []])).disutility == ((), (), ())
+        scaled = _scaled_rows(Instance.from_rows([["1/3", "1/6"], [1, 2], [0, 0]]))
+        assert scaled == ((2 * 8 + 2, 1 * 8 + 4), (8 + 2, 16 + 4), (2, 4))
+        assert _scaled_rows(Instance.from_rows([[], [], []])) == ((), (), ())
 
     def test_sign_agrees_with_perturbation(self):
         rng = random.Random(15)
@@ -110,13 +110,13 @@ class TestScaledRows:
             m = rng.randint(0, 12)
             inst = mixed_instance(rng, m)
             pert, _ = perturb_nondegenerate(inst)
-            scaled = _ScaledRows(inst)
+            scaled = _scaled_rows(inst)
             for _ in range(25):
                 s = [c for c in range(m) if rng.random() < 0.5]
                 t = [c for c in range(m) if rng.random() < 0.5]
                 agent = rng.randrange(3)
                 exact = sum(pert.d(agent, c) for c in s) - sum(pert.d(agent, c) for c in t)
-                fast = sum(scaled.d(agent, c) for c in s) - sum(scaled.d(agent, c) for c in t)
+                fast = sum(scaled[agent][c] for c in s) - sum(scaled[agent][c] for c in t)
                 assert sign(fast) == sign(exact)
 
     def test_helpers_agree_with_perturbation(self):
@@ -124,8 +124,8 @@ class TestScaledRows:
         for _ in range(150):
             m = rng.randint(0, 9)
             inst = mixed_instance(rng, m)
-            pert, _ = perturb_nondegenerate(inst)
-            scaled = _ScaledRows(inst)
+            pert = perturb_nondegenerate(inst)[0].disutility
+            scaled = _scaled_rows(inst)
             partition = random_partition(rng, m)
             for agent in range(3):
                 for k in range(3):
@@ -139,8 +139,8 @@ class TestScaledRows:
         fast = [solve_three(inst) for inst in instances]
         branches = {event["branch"] for result in fast for event in result.trace}
         assert branches == {"terminal", "move", "transfer", "proportional"}
-        monkeypatch.setattr(three_agent, "_ScaledRows",
-                            lambda inst: perturb_nondegenerate(inst)[0])
+        monkeypatch.setattr(three_agent, "_scaled_rows",
+                            lambda inst: perturb_nondegenerate(inst)[0].disutility)
         assert [solve_three(inst) for inst in instances] == fast
 
 
@@ -172,17 +172,17 @@ class TestGreedyIdentical:
 
 class TestFeasibility:
     def test_empty_bundle(self):
-        inst = Instance.from_rows([[1, 1, 1]] * 3)
-        assert tefx_feasible(inst, 0, 1, (frozenset({0, 1, 2}), frozenset(), frozenset()))
+        rows = [[1, 1, 1]] * 3
+        assert tefx_feasible(rows, 0, 1, (frozenset({0, 1, 2}), frozenset(), frozenset()))
 
     def test_singleton_always_feasible(self):
-        inst = Instance.from_rows([[9, 1, 1]] * 3)
-        assert tefx_feasible(inst, 0, 0, (frozenset({0}), frozenset({1}), frozenset({2})))
+        rows = [[9, 1, 1]] * 3
+        assert tefx_feasible(rows, 0, 0, (frozenset({0}), frozenset({1}), frozenset({2})))
 
     def test_lump_infeasible(self):
-        inst = Instance.from_rows([[1, 1, 1]] * 3)
+        rows = [[1, 1, 1]] * 3
         partition = (frozenset({0, 1, 2}), frozenset(), frozenset())
-        assert not tefx_feasible(inst, 0, 0, partition)
+        assert not tefx_feasible(rows, 0, 0, partition)
 
 
 def brute_terminal_exists(inst, partition):
@@ -192,9 +192,9 @@ def brute_terminal_exists(inst, partition):
     cheapest = min(costs)
     for perm in itertools.permutations(range(3)):
         b0, b1, b2 = perm
-        if (tefx_feasible(inst, 0, b0, partition)
+        if (tefx_feasible(inst.disutility, 0, b0, partition)
                 and costs[b1] == cheapest
-                and tefx_feasible(inst, 2, b2, partition)):
+                and tefx_feasible(inst.disutility, 2, b2, partition)):
             return True
     return False
 
@@ -203,7 +203,7 @@ class TestTerminalAssignment:
     def test_everyone_flexible(self):
         inst = Instance.from_rows([[1, 1, 1]] * 3)
         partition = (frozenset({0}), frozenset({1}), frozenset({2}))
-        assignment = terminal_assignment(inst, partition)
+        assignment = terminal_assignment(inst.disutility, partition)
         assert assignment == {0: 0, 1: 1, 2: 2}
 
     def test_matches_brute_force_existence(self):
@@ -216,12 +216,12 @@ class TestTerminalAssignment:
             for c in range(m):
                 bundles[rng.randrange(3)].add(c)
             partition = tuple(frozenset(b) for b in bundles)
-            assignment = terminal_assignment(inst, partition)
+            assignment = terminal_assignment(inst.disutility, partition)
             assert (assignment is not None) == brute_terminal_exists(inst, partition)
             if assignment is not None:
                 assert sorted(assignment.values()) == [0, 1, 2]
-                assert tefx_feasible(inst, 0, assignment[0], partition)
-                assert tefx_feasible(inst, 2, assignment[2], partition)
+                assert tefx_feasible(inst.disutility, 0, assignment[0], partition)
+                assert tefx_feasible(inst.disutility, 2, assignment[2], partition)
 
 
 class TestSolveThree:
