@@ -27,16 +27,18 @@ Both push the bottleneck of the same path through ``_augment``, and the phase
 ends when Edmonds-Karp's next path would be longer. Nothing here uses the
 zero start, so from any starting flow both push the same paths too.
 
-``reachable`` does not depend on the starting flow either. A network may be
-built carrying a feasible flow (``add_edge``'s ``flow``), and ``max_flow``
-then augments it to some maximum flow. Every maximum flow has the same
-residual source side: the nodes left reachable from the source form the
-smallest minimum cut, which is a property of the capacities alone. So a
-caller that reads only ``reachable`` may start from any feasible flow, and
-one that reads per-edge flows must start from zero. Raising a capacity
-between two calls, by adding to the edge's ``residual``, keeps the flow
-feasible, and the second call's paths end at the sink, so they lower no flow
-into it.
+``reachable`` does not depend on the starting flow either. A network may
+enter ``max_flow`` carrying any feasible flow, such as the one an earlier
+call left, and ``max_flow`` then augments it to some maximum flow. Every
+maximum flow has the same residual source side: the nodes left reachable
+from the source form the smallest minimum cut, which is a property of the
+capacities alone. So a caller that reads only ``reachable`` may start from
+any feasible flow, and one that reads per-edge flows must start from zero.
+Between two calls a caller may change capacities and flows by writing
+``residual`` (an edge's capacity minus its flow, and its reverse's flow),
+add edges, or ``unlink`` edges without flow, as long as the flow stays
+feasible. Raising a capacity keeps it feasible by itself, and the second
+call's paths end at the sink, so they lower no flow into it.
 
 An edge added with capacity ``None`` is uncapped; its residual never runs out.
 There is no large-number stand-in for infinity. A path made only of uncapped
@@ -61,19 +63,22 @@ class FlowNetwork:
         self.head: list[int] = []
         self.residual: list[Optional[int]] = []
 
-    def add_edge(self, u: int, v: int, capacity: Optional[int], flow: int = 0) -> int:
-        """Add a directed edge and its reverse; returns the edge index.
-
-        ``capacity`` is a non-negative int, or ``None`` for an uncapped edge.
-        The edge starts out carrying ``flow``, at most its capacity; the
-        caller keeps the flow conserved at every node but the source and sink.
-        """
+    def add_edge(self, u: int, v: int, capacity: Optional[int]) -> int:
+        """Add a directed edge without flow, and its reverse; returns the
+        edge index. ``capacity`` is a non-negative int, or ``None`` for an
+        uncapped edge."""
         index = len(self.head)
         self.head += (v, u)
-        self.residual += (capacity if capacity is None else capacity - flow, flow)
+        self.residual += (capacity, 0)
         self.adj[u].append(index)
         self.adj[v].append(index + 1)
         return index
+
+    def unlink(self, index: int) -> None:
+        """Take an edge and its reverse out of the adjacency lists, so no
+        search sees them again. Other edges keep their indices."""
+        self.adj[self.head[index ^ 1]].remove(index)
+        self.adj[self.head[index]].remove(index ^ 1)
 
     def flow_value(self, index: int) -> int:
         """Flow on an edge, given the index ``add_edge`` returned."""

@@ -343,7 +343,8 @@ def integer_rows(inst: Instance) -> list[list[int]]:
     costs at a time, or a ratio of two entries of one row (best-ratio sets,
     price-rise factors, tree prices, set costs, cap rows), and a positive
     factor on a row changes none of them. Sums across rows, such as initial
-    prices or a total disutility, are taken from the rationals instead.
+    prices or a total disutility, need one scale for every row instead: the
+    rationals themselves, or the lcm of every entry's denominator.
     """
     return [over_common_denominator(row)[0] for row in inst.disutility]
 

@@ -392,42 +392,73 @@ def _mpb_structure(D, P):
     return sets
 
 
-def _plain_network(n, m, P, L, mpb_sets, hi, carried=None):
-    """The cap-only network of a price round, and its integer unit.
+def _plain_network(n, m, P, L, mpb_sets, hi):
+    """The cap-only network of a price round, with zero flow.
 
     Prices ``P`` are integers, price ``c`` times ``L``. Chore ``c`` is node
     ``c``, agent ``i`` node ``m + i``, the source ``n + m`` and the sink
     ``n + m + 1``. Edges: source to each chore, capped at its price; chore to
     agent, uncapped, along each MPB edge in (agent, chore) order; agent to
-    sink, capped at ``hi``. Amounts are integers over the network's unit
-    ``U``.
+    sink, capped at ``hi``. Amounts are integers over the network's unit,
+    here ``L``; ``_carry_plain_network`` moves the network, flow and all, to
+    a later round with another unit.
 
-    Without ``carried`` the flow is zero and ``U = L``. Otherwise ``carried``
-    is ``(flows, unit)`` from an earlier round, each MPB edge's flow as an
-    integer over ``unit``; ``U = lcm(unit, L)`` holds it exactly. The flow is
-    preloaded on the edges still in ``mpb_sets``, and every supply and income
-    edge carries its node's sum. The caller makes sure this fits the caps.
-
-    Returns the network, the supply and income edge indices, the MPB edge
-    indices keyed by (agent, chore), and ``U``.
+    Returns ``(net, supply, income, edges, unit)``: the network, the supply
+    and income edge indices, the MPB edge indices keyed by (agent, chore),
+    and the unit.
     """
-    flows, unit = carried if carried else ({}, L)
-    U = lcm(unit, L)
-    up, old = U // L, U // unit
-    supplied, earned = [0] * m, [0] * n
-    preload = []
-    for i in range(n):
-        for c in sorted(mpb_sets[i]):
-            amount = flows.get((i, c), 0) * old
-            preload.append((i, c, amount))
-            supplied[c] += amount
-            earned[i] += amount
     s, t = n + m, n + m + 1
     net = FlowNetwork(n + m + 2)
-    supply = [net.add_edge(s, c, P[c] * up, supplied[c]) for c in range(m)]
-    edges = {(i, c): net.add_edge(c, m + i, None, amount) for i, c, amount in preload}
-    high = int(hi * L) * up
-    income = [net.add_edge(m + i, t, high, earned[i]) for i in range(n)]
+    supply = [net.add_edge(s, c, P[c]) for c in range(m)]
+    edges = {(i, c): net.add_edge(c, m + i, None) for i in range(n) for c in sorted(mpb_sets[i])}
+    high = int(hi * L)
+    income = [net.add_edge(m + i, t, high) for i in range(n)]
+    return net, supply, income, edges, L
+
+
+def _carry_plain_network(network, n, m, P, L, mpb_sets, hi):
+    """An overpriced round's cap-only network, with its maximum flow, moved
+    in place to the next round's prices ``P`` over ``L`` and ``mpb_sets``.
+
+    - The MPB edges that left are unlinked. Each must carry no flow.
+    - Every flow is divided by ``g``, the gcd of the MPB flows and the unit
+      ``U``, then scaled to the new unit ``lcm(U/g, L)``, which holds the
+      flow and this round's caps exactly.
+    - The supply and income caps are reset from ``P`` and ``hi``. Each must
+      still hold its flow.
+    - The MPB edges that joined are added without flow.
+
+    The caps and flows are then those of a fresh ``_plain_network`` with the
+    carried flow loaded onto it; only the adjacency order differs, which
+    changes the maximum flow found but not its cut. ``approx_ceei`` argues
+    why the flow fits, and a flow that does not raises ``AlgorithmBugError``.
+    Returns the network in ``_plain_network``'s form, with its new unit.
+    """
+    net, supply, income, edges, unit = network
+    residual = net.residual
+    for (i, c), index in list(edges.items()):
+        if c not in mpb_sets[i]:
+            if residual[index ^ 1]:
+                raise AlgorithmBugError(
+                    f"approx_ceei: dropped MPB edge ({i}, {c}) carries flow; this is a bug")
+            net.unlink(index)
+            del edges[(i, c)]
+    g = gcd(unit, *(residual[index ^ 1] for index in edges.values()))
+    U = lcm(unit // g, L)
+    scale, up = U // (unit // g), U // L
+    if g != 1 or scale != 1:
+        for index in [*supply, *edges.values(), *income]:
+            residual[index ^ 1] = residual[index ^ 1] // g * scale
+    caps = [value * up for value in P] + [int(hi * L) * up] * n
+    for index, cap in zip(supply + income, caps):
+        residual[index] = cap - residual[index ^ 1]
+        if residual[index] < 0:
+            raise AlgorithmBugError(
+                "approx_ceei: a carried flow exceeds its rescaled cap; this is a bug")
+    for i, chores in enumerate(mpb_sets):
+        for c in chores:
+            if (i, c) not in edges:
+                edges[(i, c)] = net.add_edge(c, m + i, None)
     return net, supply, income, edges, U
 
 
@@ -459,24 +490,24 @@ def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
 def _route_plain(n, m, P, L, mpb_sets, hi, carried=None):
     """Cap-only routing, the first flow of every price round.
 
-    Builds ``_plain_network``, starting from ``carried`` when given, and
-    augments it to a maximum flow. Returns the network, the chores whose
-    payment is not fully routed, and the flow on the MPB edges as
-    ``(flows, unit)``: the positive flows as integers over the least unit
-    that holds them all.
+    Builds ``_plain_network`` from zero flow or, given the last overpriced
+    round's network as ``carried``, moves that one to this round in place
+    (``_carry_plain_network``). Then augments it to a maximum flow. Returns
+    the network, the chores whose payment is not fully routed, and the
+    network in ``_plain_network``'s form, for the next round to carry.
 
-    The caller reads only ``reachable`` off the network, the same set after
-    every maximum flow from any starting flow, so a carried flow leaves the
+    The caller reads only ``reachable`` off a carried network, the same set
+    after every maximum flow from any starting flow, so carrying leaves the
     round's decision as it was. Incomes, which depend on the flow, come from
     ``_plain_incomes``.
     """
-    net, supply, _, edges, unit = _plain_network(n, m, P, L, mpb_sets, hi, carried)
+    if carried is None:
+        network = _plain_network(n, m, P, L, mpb_sets, hi)
+    else:
+        network = _carry_plain_network(carried, n, m, P, L, mpb_sets, hi)
+    net, supply = network[0], network[1]
     net.max_flow(n + m, n + m + 1)
-    unrouted = [c for c in range(m) if net.residual[supply[c]]]
-    flows = {edge: amount for edge, index in edges.items()
-             if (amount := net.flow_value(index))}
-    g = gcd(unit, *flows.values())
-    return net, unrouted, ({edge: amount // g for edge, amount in flows.items()}, unit // g)
+    return net, [c for c in range(m) if net.residual[supply[c]]], network
 
 
 def _plain_incomes(n, m, P, L, mpb_sets, hi):
@@ -544,17 +575,21 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
       Every other agent has a blocked chore in its set; those now beat its
       unblocked ones, which it drops. A uniform rescale changes no set.
       The sets equal ``_mpb_structure``'s every round.
-    - *Flow.* After an overpriced round, the cap-only flow on the MPB edges
-      starts the next round's. It still fits: blocked prices only rise,
-      income caps are fixed in money, and a dropped edge runs from an
-      unblocked chore to a reachable agent, so it carried nothing (flow on
-      it would make its chore reachable). The next round reads only the
-      cut when a chore stays unrouted, and the cut is the same after every
-      maximum flow. When every chore routes and the bounded routing fails,
-      the incomes that pick the poor agents come from a flow from zero
-      (``_plain_incomes``). A routed round's flow may sit on dropped edges,
-      and a normalisation or a uniform rescale moves the caps under the
-      flow, so the round after one of these starts from zero.
+    - *Flow.* After an overpriced round, its cap-only network, maximum flow
+      and all, becomes the next round's: ``_carry_plain_network`` unlinks
+      the dropped MPB edges, rescales the flow to the new unit, resets the
+      caps and adds the joined edges, in place. The flow still fits:
+      blocked prices only rise, income caps are fixed in money, and a
+      dropped edge runs from an unblocked chore to a reachable agent, so it
+      carried nothing (flow on it would make its chore reachable). The
+      update checks both. The next round reads only the cut when a chore
+      stays unrouted, and the cut is the same after every maximum flow.
+      When every chore routes, the bounded routing and, if it fails, the
+      incomes that pick the poor agents come from flows from zero on fresh
+      networks (``_route_within_bounds``, ``_plain_incomes``). A routed
+      round's flow may sit on dropped edges, and a normalisation or a
+      uniform rescale moves the caps under the flow, so the round after one
+      of these builds a fresh network too.
     """
     if inst.m == 0:
         raise InputError(_NO_CHORES)
@@ -568,10 +603,14 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     lo, hi = 1 - eps, 1 + eps
     D = integer_rows(inst)
     # Each chore starts at n times its share of the total disutility. The
-    # sums add entries of different rows, so they are taken in rationals.
-    columns = [sum(column, ZERO) for column in zip(*inst.disutility)]
-    total = sum(columns, ZERO)
-    Q, R = over_common_denominator([n * value / total for value in columns])
+    # sums add entries of different rows, so they are taken over the lcm of
+    # every entry's denominator. Prices have one form Q / R with
+    # gcd(R, *Q) == 1, so reducing n * S / sum(S) finds the (Q, R) of the
+    # rational sums.
+    K = lcm(*(value.denominator for row in inst.disutility for value in row))
+    S = [sum(value.numerator * (K // value.denominator) for value in column)
+         for column in zip(*inst.disutility)]
+    Q, R = _reduced([n * value for value in S], sum(S))
     # The sets do not depend on the price scale.
     mpb_sets = _mpb_structure(D, Q)
     carried = None
@@ -594,7 +633,7 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
         # A routing that pays every chore in full with incomes in [lo, hi]
         # is also a routing of the cap-only network, so a chore left unrouted
         # there proves the bounded routing infeasible without solving it.
-        net, unrouted, flow = _route_plain(n, m, P, L, mpb_sets, hi, carried)
+        net, unrouted, network = _route_plain(n, m, P, L, mpb_sets, hi, carried)
         if unrouted:
             # Overpriced side: its neighborhood is income-saturated, so raise
             # the blocked chores until a fresh agent's ratio ties.
@@ -627,29 +666,41 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
             blocked = [c for c in range(m) if c not in cheap]
 
         # The factor that brings chore c into agent i's MPB set is
-        # (D[i][c]/P[c]) / (num/den) with (num, den) = mpb_values[i]; take the
-        # least by cross-multiplication, with every pair that ties at it.
+        # (D[i][c]/P[c]) / (num/den) with (num, den) = mpb_values[i]. Each
+        # candidate's least factor comes from its least blocked ratio
+        # D[i][c]/P[c], with the chores that tie at it; take the least of
+        # the candidates' factors, with every candidate that ties at it.
+        # Without a blocked chore there is no factor, and lam stays None.
         lam = None
         ties = []
-        for i in candidates:
-            num, den = mpb_values[i]
+        for i in candidates if blocked else ():
             row = D[i]
-            for c in blocked:
-                top, bottom = row[c] * den, P[c] * num
-                if lam is None:
-                    lam, ties = (top, bottom), [(i, c)]
-                    continue
-                left, right = top * lam[1], lam[0] * bottom
+            best, price, near = row[blocked[0]], P[blocked[0]], [blocked[0]]
+            for c in blocked[1:]:
+                left, right = row[c] * price, best * P[c]
                 if left < right:
-                    lam, ties = (top, bottom), [(i, c)]
+                    best, price, near = row[c], P[c], [c]
                 elif left == right:
-                    ties.append((i, c))
+                    near.append(c)
+            num, den = mpb_values[i]
+            top, bottom = best * den, price * num
+            if lam is not None:
+                left, right = top * lam[1], lam[0] * bottom
+                if left > right:
+                    continue
+                if left == right:
+                    ties += ((i, c) for c in near)
+                    continue
+            lam, ties = (top, bottom), [(i, c) for c in near]
         if lam is None:
             Q, R = _reduced([n * value for value in Q], sum(Q))
             carried = None
             continue
         # Blocked prices times top/bottom, over the denominator R * bottom.
-        top, bottom = lam
+        # The factor is reduced first, so the products stay small; _reduced
+        # still strips what the rise leaves in common.
+        g = gcd(*lam)
+        top, bottom = lam[0] // g, lam[1] // g
         rise = frozenset(blocked)
         Q, R = _reduced([value * (top if c in rise else bottom) for c, value in enumerate(Q)],
                         R * bottom)
@@ -659,9 +710,10 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
                 mpb_sets[i] = keep
         for i, c in ties:
             mpb_sets[i] = mpb_sets[i] | {c}
-        # An overpriced round's flow holds nothing on the edges the rise
-        # drops, so it fits the next round; a routed round's flow need not.
-        carried = flow if unrouted else None
+        # An overpriced round's network holds no flow on the edges the rise
+        # drops, so the next round updates it in place; a routed round's
+        # flow need not fit.
+        carried = network if unrouted else None
 
     raise BudgetExhaustedError(
         f"no verified outcome within {DEFAULT_ROUNDS} price-adjustment rounds")

@@ -23,8 +23,8 @@ from fairchores.equilibrium import (
     _forest_supports,
     _mpb_structure,
     _outcome_from_earnings,
+    _carry_plain_network,
     _plain_network,
-    _route_plain,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -36,7 +36,13 @@ from fairchores.errors import (
     InputError,
     InstanceTooLargeError,
 )
-from test_flow import edmonds_karp_plain
+from test_flow import (
+    carried_flow,
+    check_plain_round,
+    plain_state,
+    preloaded_plain_network,
+    watch_price_rounds,
+)
 from test_integer_rows import common_scale_rows
 
 F = Fraction
@@ -490,17 +496,17 @@ def price_loop_draws():
 
 
 def run_price_loops(monkeypatch, check):
-    """``approx_ceei`` on every draw, with ``_route_plain`` wrapped to call
-    ``check(D, args, result)`` on each round: ``D`` the integer rows, ``args``
-    the round's ``(n, m, P, L, mpb_sets, hi, carried)``. Returns counts of the
-    round kinds that carrying state between rounds must handle."""
+    """``approx_ceei`` on every draw, with ``check(D, args, result, carried,
+    moved)`` called on each round through ``watch_price_rounds``: ``D`` the
+    integer rows, ``args`` the round's ``(n, m, P, L, mpb_sets, hi)``.
+    Returns counts of the round kinds that carrying state between rounds
+    must handle."""
     kinds = Counter()
     state = {}
 
-    def checked(n, m, P, L, mpb_sets, hi, carried=None):
-        args = (n, m, P, L, mpb_sets, hi, carried)
-        result = _route_plain(*args)
-        check(state["D"], args, result)
+    def checked(args, result, carried, moved):
+        n, m, P, L, mpb_sets, hi = args
+        check(state["D"], args, result, carried, moved)
         previous = state.get("previous")
         if carried is not None:
             kinds["warm"] += 1
@@ -514,9 +520,8 @@ def run_price_loops(monkeypatch, check):
             if not unrouted:
                 kinds["after a routed round"] += 1
         state["previous"] = (P, L, bool(result[1]))
-        return result
 
-    monkeypatch.setattr(equilibrium, "_route_plain", checked)
+    watch_price_rounds(monkeypatch, checked)
     for inst, eps in price_loop_draws():
         state.update(D=integer_rows(inst), previous=None)
         assert verify_fisher_equilibrium(inst, approx_ceei(inst, eps)).holds
@@ -525,17 +530,14 @@ def run_price_loops(monkeypatch, check):
 
 def test_carried_round_state_matches_a_fresh_round(monkeypatch):
     # Every round's MPB sets, carried from the last round, are those a full
-    # rescan finds, and its residual cut from the carried flow is the one
-    # the Edmonds-Karp flow from zero leaves.
-    def check(D, args, result):
-        n, m, P, L, mpb_sets, hi, _ = args
-        net, unrouted, _ = result
+    # rescan finds. A warm round's network, moved in place, has the caps and
+    # flows of a fresh network with the same flow loaded, and its residual
+    # cut is the one the Edmonds-Karp flow from zero leaves
+    # (check_plain_round).
+    def check(D, args, result, carried, moved):
+        _, _, P, _, mpb_sets, _ = args
         assert list(mpb_sets) == _mpb_structure(D, P)
-        oracle, oracle_unrouted, _, _ = edmonds_karp_plain(n, m, P, L, mpb_sets, hi)
-        # Which chores stay unrouted depends on the flow; whether any does not.
-        assert bool(unrouted) == bool(oracle_unrouted)
-        if unrouted:
-            assert net.reachable(n + m) == oracle.reachable(n + m)
+        check_plain_round(args, result, carried, moved)
 
     kinds = run_price_loops(monkeypatch, check)
     assert kinds["warm"] >= 1000
@@ -544,19 +546,50 @@ def test_carried_round_state_matches_a_fresh_round(monkeypatch):
 
 
 def test_carried_flow_fits_the_next_round(monkeypatch):
-    # A carried flow holds nothing on an edge that left the MPB graph, and
-    # preloaded into the next round's network it leaves no residual negative:
-    # it is a feasible flow there.
-    def check(D, args, result):
-        n, m, P, L, mpb_sets, hi, carried = args
+    # A carried flow holds nothing on an edge that left the MPB graph. Moved
+    # into the next round, before its max_flow, it leaves no residual
+    # negative and is conserved at every chore and agent: a feasible flow.
+    def check(D, args, result, carried, moved):
+        n, m, P, L, mpb_sets, hi = args
         if carried is None:
             return
         flows, _ = carried
-        assert all(c in mpb_sets[i] for (i, c), amount in flows.items() if amount)
-        net = _plain_network(n, m, P, L, mpb_sets, hi, carried)[0]
-        assert all(value is None or value >= 0 for value in net.residual)
+        assert all(c in mpb_sets[i] for i, c in flows)
+        edges, supply, income, _ = moved
+        pairs = [*edges.values(), *supply, *income]
+        assert all(left is None or left >= 0 for left, _ in pairs)
+        assert all(flow >= 0 for _, flow in pairs)
+        for c in range(m):
+            assert supply[c][1] == sum(flow for (_, h), (_, flow) in edges.items() if h == c)
+        for i in range(n):
+            assert income[i][1] == sum(flow for (a, _), (_, flow) in edges.items() if a == i)
 
     assert run_price_loops(monkeypatch, check)["warm"] >= 1000
+
+
+def test_carrying_a_flow_that_does_not_fit_is_a_bug():
+    # 2 agents x 2 chores, both prices 1 over L = 2, income caps 3/2: agent
+    # 0 is paid chore 0 in full, and agent 1 chore 1.
+    n, m, L, hi = 2, 2, 2, F(3, 2)
+    P, sets = [2, 2], [frozenset({0}), frozenset({1})]
+
+    def routed():
+        network = _plain_network(n, m, P, L, sets, hi)
+        network[0].max_flow(n + m, n + m + 1)
+        return network
+
+    # Agent 0 drops the edge that carries chore 0's payment.
+    with pytest.raises(AlgorithmBugError, match="^approx_ceei: dropped MPB edge"):
+        _carry_plain_network(routed(), n, m, P, L, [frozenset({1}), sets[1]], hi)
+    # Chore 0's price halves under the payment it already routes.
+    with pytest.raises(AlgorithmBugError, match="^approx_ceei: a carried flow exceeds"):
+        _carry_plain_network(routed(), n, m, [1, 2], L, sets, hi)
+    # Agent 0 gains chore 1 instead: the flow fits, as in a fresh build.
+    network = routed()
+    carried, joined = carried_flow(network), [frozenset({0, 1}), sets[1]]
+    moved = _carry_plain_network(network, n, m, P, L, joined, hi)
+    assert plain_state(moved) == plain_state(
+        preloaded_plain_network(n, m, P, L, joined, hi, carried))
 
 
 class TestMakeAcyclic:

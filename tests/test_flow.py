@@ -5,7 +5,7 @@ import sys
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -339,10 +339,12 @@ def test_route_within_bounds_agrees_with_the_circulation():
     assert routed[True] >= 300 and routed[False] >= 300
 
 
-def plain_routing_cases(monkeypatch):
-    """Cap-only routing inputs ``(n, m, P, L, sets, eps, carried)`` as two
+def plain_routing_cases(monkeypatch, check=None):
+    """Cap-only routing inputs ``(n, m, P, L, sets, eps, warm)`` as two
     lists: 150 on random prices from zero flow, and every round of 12
-    ``approx_ceei`` runs with the flow each started from."""
+    ``approx_ceei`` runs, ``warm`` telling whether it carried the last
+    round's network. ``check`` sees each loop round as it runs, through
+    ``watch_price_rounds``."""
     rng = random.Random(10)
     cases = []
     for _ in range(150):
@@ -352,16 +354,18 @@ def plain_routing_cases(monkeypatch):
         raw = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(m)]
         P, L = scaled([p * n / sum(raw) for p in raw], eps)
         sets = _mpb_structure(integer_rows(inst), P)
-        cases.append((n, m, P, L, sets, eps, None))
+        cases.append((n, m, P, L, sets, eps, False))
 
     visited = []
 
-    def recording(n, m, P, L, mpb_sets, hi, carried=None):
+    def recording(args, result, carried, moved):
+        n, m, P, L, mpb_sets, hi = args
         # The loop updates its list of sets in place after the round.
-        visited.append((n, m, P, L, list(mpb_sets), hi - 1, carried))
-        return _route_plain(n, m, P, L, mpb_sets, hi, carried)
+        visited.append((n, m, P, L, list(mpb_sets), hi - 1, carried is not None))
+        if check is not None:
+            check(args, result, carried, moved)
 
-    monkeypatch.setattr(equilibrium, "_route_plain", recording)
+    watch_price_rounds(monkeypatch, recording)
     for _ in range(12):
         n = rng.randint(2, 6)
         m = rng.randint(n, 12)
@@ -385,25 +389,43 @@ def test_unrouted_chore_means_bounded_routing_is_infeasible(monkeypatch):
     assert len(visited) >= 100 and blocked >= 100
 
 
+def check_plain_round(args, result, carried, moved):
+    """One cap-only round against the oracles: a warm round's network, as
+    moved before its ``max_flow``, is the fresh network with the same flow
+    loaded; a blocked round's cut is the Edmonds-Karp cut from zero; a routed
+    round's incomes are the Edmonds-Karp incomes from zero. Returns whether
+    every chore routed."""
+    n, m, P, L, mpb_sets, hi = args
+    if carried is not None:
+        assert moved == plain_state(preloaded_plain_network(n, m, P, L, mpb_sets, hi, carried))
+    net, unrouted, _ = result
+    oracle, oracle_unrouted, oracle_incomes, _ = edmonds_karp_plain(n, m, P, L, mpb_sets, hi)
+    # Which chores stay unrouted depends on the flow; whether any does not.
+    assert bool(unrouted) == bool(oracle_unrouted)
+    if unrouted:
+        assert net.reachable(n + m) == oracle.reachable(n + m)
+    else:
+        assert _plain_incomes(n, m, P, L, mpb_sets, hi) == oracle_incomes
+    return not unrouted
+
+
 def test_route_plain_reads_the_edmonds_karp_flow_or_the_cut(monkeypatch):
     # A blocked round reads only the cut, the same after every maximum flow
     # from any starting flow; a routed round reads incomes, which must be
     # those of the Edmonds-Karp flow from zero, whatever flow found the round
-    # routed. Loop rounds are replayed from the flow they started from.
-    cases, visited = plain_routing_cases(monkeypatch)
-    assert sum(carried is not None for *_, carried in visited) >= 50
-    routed = 0
-    for n, m, P, L, sets, eps, carried in cases + visited:
-        net, unrouted, _ = _route_plain(n, m, P, L, sets, 1 + eps, carried)
-        oracle, oracle_unrouted, oracle_incomes, _ = edmonds_karp_plain(
-            n, m, P, L, sets, 1 + eps)
-        assert bool(unrouted) == bool(oracle_unrouted)
-        if unrouted:
-            assert net.reachable(n + m) == oracle.reachable(n + m)
-        else:
-            routed += 1
-            assert _plain_incomes(n, m, P, L, sets, 1 + eps) == oracle_incomes
-    assert routed >= 30
+    # routed. Loop rounds are checked as they run, a warm one's network
+    # against the fresh build from the flow it carried.
+    routed = Counter()
+
+    def check(args, result, carried, moved):
+        routed[check_plain_round(args, result, carried, moved)] += 1
+
+    cases, visited = plain_routing_cases(monkeypatch, check)
+    assert sum(warm for *_, warm in visited) >= 50
+    for n, m, P, L, sets, eps, _ in cases:
+        args = (n, m, P, L, sets, 1 + eps)
+        routed[check_plain_round(args, _route_plain(*args), None, None)] += 1
+    assert routed[True] >= 30
 
 
 def edmonds_karp_plain(n, m, P, L, mpb_sets, hi):
@@ -419,6 +441,79 @@ def edmonds_karp_plain(n, m, P, L, mpb_sets, hi):
     unrouted = [c for c in range(m) if net.flow_value(supply[c]) < P[c]]
     incomes = None if unrouted else [F(net.flow_value(k), L) for k in income]
     return net, unrouted, incomes, edge_index
+
+
+def carried_flow(network):
+    """A cap-only network's flow on its MPB edges as ``(flows, unit)``: the
+    positive flows as integers over the least unit that holds them all."""
+    net, _, _, edges, unit = network
+    flows = {edge: amount for edge, index in edges.items() if (amount := net.flow_value(index))}
+    g = gcd(unit, *flows.values())
+    return {edge: amount // g for edge, amount in flows.items()}, unit // g
+
+
+def preloaded_plain_network(n, m, P, L, mpb_sets, hi, carried):
+    """The oracle for ``_carry_plain_network``: the cap-only network of
+    ``_plain_network`` built afresh over the unit ``U = lcm(unit, L)``, with
+    ``carried = (flows, unit)`` loaded onto it. The flow sits on the MPB
+    edges still in ``mpb_sets``, and every supply and income edge carries its
+    node's sum. Returns the network in ``_plain_network``'s form."""
+    flows, unit = carried
+    U = lcm(unit, L)
+    up, old = U // L, U // unit
+    s, t = n + m, n + m + 1
+    net = FlowNetwork(n + m + 2)
+    supply = [net.add_edge(s, c, P[c] * up) for c in range(m)]
+    edges = {(i, c): net.add_edge(c, m + i, None) for i in range(n) for c in sorted(mpb_sets[i])}
+    income = [net.add_edge(m + i, t, int(hi * L) * up) for i in range(n)]
+    residual = net.residual
+    for (i, c), index in edges.items():
+        amount = flows.get((i, c), 0) * old
+        for k in (supply[c], index, income[i]):
+            if residual[k] is not None:
+                residual[k] -= amount
+            residual[k ^ 1] += amount
+    return net, supply, income, edges, U
+
+
+def plain_state(network):
+    """A cap-only network's ``(residual, flow)`` on every MPB edge keyed by
+    (agent, chore), on every supply and income edge, and its unit: its caps
+    and flows, whatever order its adjacency lists hold them in."""
+    net, supply, income, edges, unit = network
+
+    def edge(index):
+        return net.residual[index], net.flow_value(index)
+
+    return ({key: edge(index) for key, index in edges.items()},
+            [edge(index) for index in supply], [edge(index) for index in income], unit)
+
+
+def watch_price_rounds(monkeypatch, check):
+    """Wrap the price loop's cap-only routing so that ``check(args, result,
+    carried, moved)`` sees every round: ``args`` is ``(n, m, P, L, mpb_sets,
+    hi)`` and ``result`` what ``_route_plain`` returned. In a warm round
+    ``carried`` is the flow the last round's network held, as
+    ``carried_flow`` reads it, and ``moved`` the ``plain_state`` of the
+    network moved in place, snapshotted before its ``max_flow``; both are
+    None in a round built from zero."""
+    real_carry, real_route = equilibrium._carry_plain_network, _route_plain
+    warm = {}
+
+    def carry(network, *args):
+        warm["carried"] = carried_flow(network)
+        moved = real_carry(network, *args)
+        warm["moved"] = plain_state(moved)
+        return moved
+
+    def route(n, m, P, L, mpb_sets, hi, carried=None):
+        warm.clear()
+        result = real_route(n, m, P, L, mpb_sets, hi, carried)
+        check((n, m, P, L, mpb_sets, hi), result, warm.get("carried"), warm.get("moved"))
+        return result
+
+    monkeypatch.setattr(equilibrium, "_carry_plain_network", carry)
+    monkeypatch.setattr(equilibrium, "_route_plain", route)
 
 
 def two_flow_approx_ceei(inst, eps, log, max_rounds=100_000):
