@@ -49,7 +49,6 @@ from .verifiers import (
     check_efx,
     check_fisher_integral,
     check_fpo,
-    check_fpo_outcome,
     check_nondegenerate,
     check_pef1,
     check_po_brute,

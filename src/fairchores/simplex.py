@@ -1,8 +1,13 @@
-"""Two-phase primal simplex over exact rationals, pivoted in integers.
+"""Primal simplex over exact rationals, pivoted in integers, from a feasible basis.
 
-Dense tableau with Bland's rule, so it cannot cycle and gives bit-identical
-results on every run. Problem sizes here are tiny (tens of variables), which
-a dense exact tableau handles comfortably.
+``solve_lp`` runs phase 2 only: the caller names a feasible basis, and
+Bland's rule (lowest entering column, ties in the ratio test to the lowest
+basic index) then terminates from it without cycling (Bland, *New finite
+pivoting rules for the simplex method*, Math. Oper. Res. 1977), with
+bit-identical results on every run. Its one caller, ``verifiers.check_fpo``,
+starts at the allocation under test, which is such a basis. Problem sizes
+here are small (at most a few hundred variables), which a dense exact
+tableau handles comfortably.
 
 The tableau is one integer matrix over one common denominator ``d`` and is
 pivoted by integer-preserving (fraction-free) elimination: Bareiss,
@@ -21,71 +26,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 from .core import over_common_denominator, scaled
-from .errors import InputError
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
+from .errors import AlgorithmBugError
 
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str
-    objective: Optional[Fraction]
-    solution: Optional[tuple[Fraction, ...]]
+    objective: Fraction
+    solution: tuple[Fraction, ...]
 
 
-def solve_lp(cost, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LpResult:
-    """Minimize ``cost @ x`` subject to ``a_eq @ x == b_eq``, ``a_ub @ x <= b_ub``, ``x >= 0``.
+def solve_lp(cost, a_eq, b_eq, a_ub, b_ub, start) -> LpResult:
+    """Minimize ``cost @ x`` subject to ``a_eq @ x == b_eq``, ``a_ub @ x <= b_ub``, ``x >= 0``,
+    starting from the basis in which column ``start[r]`` is basic in equality
+    row ``r`` and every inequality row's slack is basic in its row.
 
     All data must be ints or Fractions, read through their ``numerator`` and
-    ``denominator``; the optimum and solution come back exact.
+    ``denominator``; the optimum and solution come back exact. Raises
+    ``AlgorithmBugError`` when the start is not a feasible basis or the
+    program is unbounded below; the caller rules out both.
     """
-    cost = list(cost)
     n = len(cost)
-    rows: list[list] = []
-    rhs: list = []
-    slack_count = 0
-    if a_ub:
-        slack_count = len(a_ub)
-    for idx, row in enumerate(a_ub or []):
-        if len(row) != n:
-            raise InputError("inequality row width mismatch")
-        slack = [0] * slack_count
-        slack[idx] = 1
-        rows.append(list(row) + slack)
-        rhs.append(b_ub[idx])
-    for idx, row in enumerate(a_eq or []):
-        if len(row) != n:
-            raise InputError("equality row width mismatch")
-        rows.append(list(row) + [0] * slack_count)
-        rhs.append(b_eq[idx])
-
-    total_vars = n + slack_count
-    m_rows = len(rows)
-    # One scale for every row: a factor per row would reweight the phase-1
-    # artificials and could change the pivot path.
-    scale = lcm(*(v.denominator for row in rows for v in row),
-                *(v.denominator for v in rhs))
-    # Tableau layout: columns are [structural + slack | artificial | rhs].
-    # A row with a negative right-hand side is negated, in integers.
+    slack_count = len(a_ub)
+    rows = [list(row) + [b] for row, b in zip(a_ub, b_ub)]
+    rows += [list(row) + [b] for row, b in zip(a_eq, b_eq)]
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    # Columns are [structural | slack | rhs]: inequality rows first, each
+    # with its slack basic at coefficient 1, then the equality rows.
     tableau = []
-    for r in range(m_rows):
-        line = scaled(rows[r] + [0] * m_rows + [rhs[r]], scale)
-        if rhs[r] < 0:
-            line = [-v for v in line]
-        line[total_vars + r] = 1
-        tableau.append(line)
-    basis = [total_vars + r for r in range(m_rows)]
-    width = total_vars + m_rows + 1
+    for r, row in enumerate(rows):
+        line = scaled(row, scale)
+        tableau.append(line[:-1] + [int(s == r) for s in range(slack_count)] + line[-1:])
+    basis = [n + r for r in range(slack_count)] + list(start)
+    m_rows = len(tableau)
     denominator = 1  # the rational tableau is tableau / denominator
 
     def pivot(row: int, col: int) -> None:
-        # Every row but the pivot row, the reduced costs' row included while
-        # a phase runs, by the same rule.
+        # Every row but the pivot row, the reduced costs' row included once
+        # it is appended, by the same rule.
         nonlocal denominator
         d, q, base = denominator, tableau[row][col], tableau[row]
         for r, line in enumerate(tableau):
@@ -96,73 +75,54 @@ def solve_lp(cost, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LpResult:
                 tableau[r] = [(q * v - coeff * b) // d for v, b in zip(line, base)]
             elif q != d:
                 tableau[r] = [q * v // d for v in line]
-        if q < 0:
-            # Only a lingering artificial's pivot can be negative. Keep the
-            # denominator positive so that signs read off directly.
-            for r, line in enumerate(tableau):
-                tableau[r] = [-v for v in line]
-            q = -q
         denominator = q
         basis[row] = col
 
-    def run_phase(objective: list[int]) -> str:
-        # Reduced costs maintained in a dedicated last row: the objective
-        # restated over the current basis, times the denominator.
-        z = [denominator * v for v in objective] + [0]
+    for r in range(slack_count, m_rows):
+        # An equality may be negated freely: this keeps the denominator
+        # positive, so that signs read off directly.
+        if tableau[r][basis[r]] < 0:
+            tableau[r] = [-v for v in tableau[r]]
+        if tableau[r][basis[r]] == 0:
+            raise AlgorithmBugError(f"solve_lp: start column {basis[r]} is not basic in row {r}")
+        pivot(r, basis[r])
+    if any(line[-1] < 0 for line in tableau):
+        raise AlgorithmBugError("solve_lp: the start basis is infeasible")
+
+    # Reduced costs in a dedicated last row: the objective restated over the
+    # current basis, times the denominator.
+    objective = over_common_denominator(cost)[0] + [0] * slack_count
+    z = [denominator * v for v in objective] + [0]
+    for r in range(m_rows):
+        coeff = objective[basis[r]]
+        if coeff:
+            z = [v - coeff * b for v, b in zip(z, tableau[r])]
+    tableau.append(z)
+    while True:
+        z = tableau[m_rows]
+        entering = next((col for col in range(n + slack_count) if z[col] < 0), -1)
+        if entering < 0:
+            break
+        # Least ratio rhs/coeff by cross-multiplication, ties to the lowest
+        # basic index.
+        leaving = -1
         for r in range(m_rows):
-            coeff = objective[basis[r]]
-            if coeff:
-                z = [v - coeff * b for v, b in zip(z, tableau[r])]
-        tableau.append(z)
-        while True:
-            z = tableau[m_rows]
-            entering = next((col for col in range(width - 1) if z[col] < 0), -1)
-            if entering < 0:
-                tableau.pop()
-                return OPTIMAL
-            # Least ratio rhs/coeff by cross-multiplication, ties to the
-            # lowest basic index.
-            leaving = -1
-            for r in range(m_rows):
-                coeff = tableau[r][entering]
-                if coeff > 0:
-                    if leaving < 0:
-                        leaving = r
-                        continue
-                    mine = tableau[r][width - 1] * tableau[leaving][entering]
-                    best = tableau[leaving][width - 1] * coeff
-                    if mine < best or (mine == best and basis[r] < basis[leaving]):
-                        leaving = r
-            if leaving < 0:
-                tableau.pop()
-                return UNBOUNDED
-            pivot(leaving, entering)
-
-    # Phase 1: drive the artificial variables to zero.
-    run_phase([0] * total_vars + [1] * m_rows)
-    infeasibility = sum(tableau[r][width - 1] for r in range(m_rows) if basis[r] >= total_vars)
-    if infeasibility != 0:
-        return LpResult(INFEASIBLE, None, None)
-    # Pivot lingering zero-valued artificials out of the basis where possible.
-    for r in range(m_rows):
-        if basis[r] >= total_vars:
-            for col in range(total_vars):
-                if tableau[r][col] != 0:
-                    pivot(r, col)
-                    break
-
-    # Forbid re-entering artificial columns.
-    for r in range(m_rows):
-        for col in range(total_vars, total_vars + m_rows):
-            tableau[r][col] = 0
-    phase2_cost, _ = over_common_denominator(cost)
-    status = run_phase(phase2_cost + [0] * (slack_count + m_rows))
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
+            coeff = tableau[r][entering]
+            if coeff > 0:
+                if leaving < 0:
+                    leaving = r
+                    continue
+                mine = tableau[r][-1] * tableau[leaving][entering]
+                best = tableau[leaving][-1] * coeff
+                if mine < best or (mine == best and basis[r] < basis[leaving]):
+                    leaving = r
+        if leaving < 0:
+            raise AlgorithmBugError("solve_lp: the program is unbounded below")
+        pivot(leaving, entering)
 
     solution = [Fraction(0)] * n
     for r in range(m_rows):
         if basis[r] < n:
-            solution[basis[r]] = Fraction(tableau[r][width - 1], denominator)
-    objective = sum((cost[j] * solution[j] for j in range(n)), Fraction(0))
-    return LpResult(OPTIMAL, objective, tuple(solution))
+            solution[basis[r]] = Fraction(tableau[r][-1], denominator)
+    return LpResult(sum((cost[j] * solution[j] for j in range(n)), Fraction(0)),
+                    tuple(solution))

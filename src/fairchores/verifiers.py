@@ -16,9 +16,7 @@ from .core import (
     FISHER_EQ,
     ZERO,
     Certificate,
-    ChoreCopy,
     Instance,
-    MarketOutcome,
     PriceVector,
     SurplusAllocation,
     bundle_disutility,
@@ -28,7 +26,7 @@ from .core import (
 from .equilibrium import _best_ratio_sets
 from .errors import InstanceTooLargeError
 from .serialize import rat_text
-from .simplex import OPTIMAL, solve_lp
+from .simplex import solve_lp
 
 EF1 = "EF1"
 EFX = "EFX"
@@ -196,9 +194,20 @@ def check_po_brute(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     return Certificate(PO, False, {"dominating": bundles})
 
 
-def _fpo_certificate(inst: Instance, items: list[ChoreCopy], shares) -> Certificate:
-    """The fPO program over ``items``; ``shares[i][t]`` is agent ``i``'s part of
-    ``items[t]`` in the allocation under test."""
+def check_fpo(inst: Instance, alloc: SurplusAllocation) -> Certificate:
+    """Fractional Pareto optimality over the allocation's own item multiset.
+
+    One exact linear program: minimize the total disutility subject to
+    clearing every allocated unit and to nobody getting worse off. The
+    allocation itself is a feasible vertex of that program at its current
+    total (each unit's owner basic in its clearing row, each cap's slack
+    basic at 0), and the simplex starts there. The allocation is
+    fractionally dominated exactly when the optimum lands strictly below
+    that total. The witness names the lowest-index agent strictly better off
+    under the optimal ``dominating`` matrix; ``objective`` is that agent's
+    disutility there.
+    """
+    items = alloc.items()
     n, k = inst.n, len(items)
     if n * k > MAX_LP_VARIABLES:
         raise InstanceTooLargeError(f"{n * k} LP variables exceed the cap of {MAX_LP_VARIABLES}")
@@ -212,13 +221,12 @@ def _fpo_certificate(inst: Instance, items: list[ChoreCopy], shares) -> Certific
         for i in range(n):
             row[i * k + t] = 1
         a_eq.append(row)
-    b_eq = [1] * k
     # Agent i's cap row is its row of integer_rows, K_i times its costs, and
     # its bound is its current load in the same units: the inequality
     # d_i(y_i) <= d_i(x_i) times the positive integer K_i, so the program is
     # the same. Loads and the objective stay in the original units.
     costs = [[inst.d(i, u.chore) for u in items] for i in range(n)]
-    caps = [sum((costs[i][t] * shares[i][t] for t in range(k)), ZERO) for i in range(n)]
+    caps = [bundle_disutility(inst, i, alloc.bundles[i]) for i in range(n)]
     D = integer_rows(inst)
     a_ub, b_ub = [], []
     for i in range(n):
@@ -226,11 +234,12 @@ def _fpo_certificate(inst: Instance, items: list[ChoreCopy], shares) -> Certific
         for t, unit in enumerate(items):
             row[i * k + t] = D[i][unit.chore]
         a_ub.append(row)
-        b_ub.append(sum(row[i * k + t] * shares[i][t] for t in range(k)))
+        b_ub.append(sum(D[i][u.chore] for u in alloc.bundles[i]))
     # Total disutility: each variable belongs to exactly one agent.
     cost = [d for row in costs for d in row]
-    result = solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-    assert result.status == OPTIMAL  # the allocation itself is feasible
+    owner = {unit: i for i, bundle in enumerate(alloc.bundles) for unit in bundle}
+    start = [owner[u] * k + t for t, u in enumerate(items)]
+    result = solve_lp(cost, a_eq, [1] * k, a_ub, b_ub, start)
     if result.objective == sum(caps, ZERO):
         return Certificate(FPO, True)
     # Nobody is above their cap, so a smaller total leaves someone strictly below.
@@ -244,27 +253,6 @@ def _fpo_certificate(inst: Instance, items: list[ChoreCopy], shares) -> Certific
         "current": rat_text(caps[j]),
         "items": [{"chore": u.chore, "copy": u.copy} for u in items],
         "dominating": [[rat_text(y[i * k + t]) for t in range(k)] for i in range(n)]})
-
-
-def check_fpo(inst: Instance, alloc: SurplusAllocation) -> Certificate:
-    """Fractional Pareto optimality over the allocation's own item multiset.
-
-    One exact linear program: minimize the total disutility subject to
-    clearing every allocated unit and to nobody getting worse off. The
-    allocation itself is feasible at its current total, so it is fractionally
-    dominated exactly when the optimum lands strictly below that total. The
-    witness names the lowest-index agent strictly better off under the
-    optimal ``dominating`` matrix; ``objective`` is that agent's disutility
-    there.
-    """
-    items = alloc.items()
-    shares = [[int(unit in bundle) for unit in items] for bundle in alloc.bundles]
-    return _fpo_certificate(inst, items, shares)
-
-
-def check_fpo_outcome(inst: Instance, out: MarketOutcome) -> Certificate:
-    """Fractional Pareto optimality of a fractional market outcome."""
-    return _fpo_certificate(inst, [ChoreCopy(c, 0) for c in range(inst.m)], out.x.x)
 
 
 def check_nondegenerate(inst: Instance) -> Certificate:

@@ -1,280 +1,339 @@
 import random
 from fractions import Fraction
-from typing import Optional
 
+import pytest
 from scipy.optimize import linprog
 
 from fairchores import verifiers
-from fairchores.core import Instance, SurplusAllocation, originals
-from fairchores.errors import InputError
+from fairchores.core import ChoreCopy, Instance, SurplusAllocation
+from fairchores.errors import AlgorithmBugError
 from fairchores.rounding import fair_and_efficient
-from fairchores.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_lp
+from fairchores.simplex import LpResult, solve_lp
 
 F = Fraction
 
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
 
 def test_box_corner():
-    result = solve_lp([-1, -1], a_ub=[[1, 0], [0, 1]], b_ub=[1, 1])
-    assert result.status == OPTIMAL
-    assert result.objective == -2
-    assert result.solution == (F(1), F(1))
+    result = solve_lp([-1, -1], [], [], [[1, 0], [0, 1]], [1, 1], [])
+    assert result == LpResult(F(-2), (F(1), F(1)))
 
 
 def test_equality_pins_variable():
-    result = solve_lp([1], a_eq=[[1]], b_eq=[5])
-    assert result.status == OPTIMAL and result.objective == 5
-
-
-def test_infeasible_detected():
-    assert solve_lp([-1], a_eq=[[0]], b_eq=[1]).status == INFEASIBLE
-
-
-def test_unbounded_detected():
-    assert solve_lp([-1, 0], a_ub=[[0, 1]], b_ub=[1]).status == UNBOUNDED
+    assert solve_lp([1], [[1]], [5], [], [], [0]).objective == 5
 
 
 def test_exact_rational_optimum():
-    # min x0 + x1 with 3 x0 + x1 >= 1 and x0 + 3 x1 >= 1 (negated to <=)
-    result = solve_lp([1, 1], a_ub=[[-3, -1], [-1, -3]], b_ub=[-1, -1])
-    assert result.status == OPTIMAL
-    assert result.objective == F(1, 2)
-    assert result.solution == (F(1, 4), F(1, 4))
+    # min x0 + x1 with 3 x0 + x1 - x2 == 1 and x0 + 3 x1 - x3 == 1, started
+    # at x0 = 1 with the surplus x2 = 2 basic in the first row, whose start
+    # entry is negative.
+    result = solve_lp([1, 1, 0, 0], [[3, 1, -1, 0], [1, 3, 0, -1]], [1, 1], [], [], [2, 0])
+    assert result == LpResult(F(1, 2), (F(1, 4), F(1, 4), F(0), F(0)))
+
+
+def test_infeasible_detected():
+    # x0 == 1 breaks x0 <= 1/2, though x1 == 1 would not.
+    with pytest.raises(AlgorithmBugError, match="infeasible"):
+        solve_lp([0, 0], [[1, 1]], [1], [[1, 0]], [F(1, 2)], [0])
+    # x0 - x1 == -1 puts x0 at -1.
+    with pytest.raises(AlgorithmBugError, match="infeasible"):
+        solve_lp([0, 0], [[1, -1]], [-1], [], [], [0])
+
+
+def test_start_that_is_not_a_basis_raises():
+    with pytest.raises(AlgorithmBugError, match="not basic"):
+        solve_lp([1, 1], [[0, 1]], [1], [], [], [0])
+    with pytest.raises(AlgorithmBugError, match="not basic"):
+        solve_lp([1, 1], [[1, 1], [2, 2]], [1, 2], [], [], [0, 1])
+
+
+def test_unbounded_detected():
+    with pytest.raises(AlgorithmBugError, match="unbounded"):
+        solve_lp([-1, 0], [], [], [[0, 1]], [1], [])
+    with pytest.raises(AlgorithmBugError, match="unbounded"):
+        solve_lp([-1, 0], [[-1, 1]], [1], [], [], [1])
 
 
 def test_degenerate_constraints_no_cycling():
-    # Redundant equalities plus ties in every ratio test.
-    result = solve_lp([0, 0, 1],
-                      a_eq=[[1, 1, 0], [2, 2, 0]],
-                      b_eq=[1, 2],
-                      a_ub=[[1, 0, -1]],
-                      b_ub=[0])
-    assert result.status == OPTIMAL
-    assert result.objective == 0
+    # Beale's example, on which the largest-coefficient rule cycles through
+    # degenerate bases from the origin; Bland's rule reaches the optimum.
+    args = ([F(-3, 4), 20, F(-1, 2), 6], [], [],
+            [[F(1, 4), -8, -1, 9], [F(1, 2), -12, F(-1, 2), 3], [0, 0, 1, 0]], [0, 0, 1], [])
+    result = solve_lp(*args)
+    assert fraction_solve_from(*args)[0] == result
+    assert result == LpResult(F(-5, 4), (F(1), F(0), F(1), F(0)))
 
 
-def test_matches_reference_solver_on_random_problems():
-    rng = random.Random(5)
-    optima = 0
-    for _ in range(80):
-        n = rng.randint(1, 5)
-        me, mu = rng.randint(1, 3), rng.randint(0, 3)
-        c = [rng.randint(-5, 5) for _ in range(n)]
-        a_eq = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(me)]
-        b_eq = [rng.randint(0, 6) for _ in range(me)]
-        a_ub = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(mu)]
-        b_ub = [rng.randint(0, 6) for _ in range(mu)]
-        mine = solve_lp(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-        ref = linprog(c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub or None, b_ub=b_ub or None,
-                      bounds=(0, None), method="highs")
-        if mine.status == OPTIMAL:
-            assert ref.status == 0
-            assert abs(float(mine.objective) - ref.fun) < 1e-7
-            for row, b in zip(a_eq, b_eq):
-                assert sum(F(a) * s for a, s in zip(row, mine.solution)) == b
-            for row, b in zip(a_ub, b_ub):
-                assert sum(F(a) * s for a, s in zip(row, mine.solution)) <= b
-            assert all(s >= 0 for s in mine.solution)
-            optima += 1
-        elif mine.status == INFEASIBLE:
-            assert ref.status == 2
-        else:
-            assert ref.status == 3
-    assert optima >= 10  # the fuzz actually exercised the optimal path
+def test_ratio_tie_leaves_by_lowest_basic_index():
+    # min -x0 - x1 s.t. 2 x0 + x1 <= 2 and 2 x0 + x2 + x3 == 2, from x3 = 2.
+    # x0 enters with both rows at ratio 1. The equality row comes second but
+    # its basic x3, column 3, is below the slack's column 4, so it leaves.
+    # Leaving by the slack ends at (0, 2, 0, 2), as optimal.
+    args = ([-1, -1, 0, 0], [[2, 0, 1, 1]], [2], [[2, 1, 0, 0]], [2], [3])
+    result = solve_lp(*args)
+    assert fraction_solve_from(*args) == (result, 1)
+    assert result == LpResult(F(-2), (F(0), F(2), F(2), F(0)))
 
 
-def fraction_solve_lp(cost, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> LpResult:
-    """``solve_lp`` as it was over a ``Fraction`` tableau, kept as the oracle
-    for the integer-preserving pivots: same pivot path, same answer."""
-    cost = [Fraction(v) for v in cost]
+def tableau_rows(a_eq, b_eq, a_ub, b_ub):
+    """[structural | slack | rhs] rows as Fractions, inequality rows first."""
+    slack_count = len(a_ub)
+    rows = [[F(v) for v in row] + [F(int(s == r)) for s in range(slack_count)] + [F(b)]
+            for r, (row, b) in enumerate(zip(a_ub, b_ub))]
+    rows += [[F(v) for v in row] + [F(0)] * slack_count + [F(b)] for row, b in zip(a_eq, b_eq)]
+    return rows
+
+
+def fraction_pivot(tableau, basis, row, col):
+    """Divide ``row`` by its entry in ``col`` and clear ``col`` from every
+    other row of ``tableau``, in place, touching only the pivot row's nonzero
+    entries."""
+    factor = tableau[row][col]
+    tableau[row][:] = [v / factor for v in tableau[row]]
+    support = [(k, b) for k, b in enumerate(tableau[row]) if b]
+    for r, line in enumerate(tableau):
+        coeff = line[col]
+        if r != row and coeff:
+            for k, b in support:
+                line[k] -= coeff * b
+    basis[row] = col
+
+
+def bland_phase(tableau, basis, objective):
+    """Bland's rule on a Fraction tableau in place: the lowest column with a
+    negative reduced cost enters, and ratio ties leave by the lowest basic
+    index. Returns the status and the number of ratio ties met."""
+    m_rows, width = len(tableau), len(objective)
+    ties = 0
+    # Reduced costs: the objective restated over the current basis.
+    z = objective + [F(0)]
+    for r in range(m_rows):
+        coeff = z[basis[r]]
+        if coeff:
+            z = [v - coeff * b for v, b in zip(z, tableau[r])]
+    tableau.append(z)  # pivoted with the rows, read off as the last row
+    while True:
+        z = tableau[-1]
+        entering = next((col for col in range(width) if z[col] < 0), -1)
+        if entering < 0:
+            tableau.pop()
+            return OPTIMAL, ties
+        leaving, best = -1, None
+        for r in range(m_rows):
+            coeff = tableau[r][entering]
+            if coeff > 0:
+                ratio = tableau[r][-1] / coeff
+                if best is not None and ratio == best:
+                    ties += 1
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
+                    best, leaving = ratio, r
+        if leaving < 0:
+            tableau.pop()
+            return UNBOUNDED, ties
+        fraction_pivot(tableau, basis, leaving, entering)
+
+
+def solution_of(tableau, basis, cost):
+    solution = [F(0)] * len(cost)
+    for r, col in enumerate(basis):
+        if col < len(cost):
+            solution[col] = tableau[r][-1]
+    return LpResult(sum((F(c) * v for c, v in zip(cost, solution)), F(0)), tuple(solution))
+
+
+def fraction_solve_lp(cost, a_eq, b_eq, a_ub, b_ub):
+    """A two-phase simplex from scratch over a ``Fraction`` tableau, kept as
+    the objective oracle: it needs no start. Returns the status and, at an
+    optimum, the result."""
     n = len(cost)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    slack_count = 0
-    if a_ub:
-        slack_count = len(a_ub)
-    for idx, row in enumerate(a_ub or []):
-        if len(row) != n:
-            raise InputError("inequality row width mismatch")
-        slack = [Fraction(0)] * slack_count
-        slack[idx] = Fraction(1)
-        rows.append([Fraction(v) for v in row] + slack)
-        rhs.append(Fraction(b_ub[idx]))
-    for idx, row in enumerate(a_eq or []):
-        if len(row) != n:
-            raise InputError("equality row width mismatch")
-        rows.append([Fraction(v) for v in row] + [Fraction(0)] * slack_count)
-        rhs.append(Fraction(b_eq[idx]))
-
-    total_vars = n + slack_count
-    m_rows = len(rows)
-    for r in range(m_rows):
-        if rhs[r] < 0:
-            rows[r] = [-v for v in rows[r]]
-            rhs[r] = -rhs[r]
-
-    # Tableau layout: columns are [structural + slack | artificial | rhs].
-    tableau = [rows[r] + [Fraction(0)] * m_rows + [rhs[r]] for r in range(m_rows)]
-    for r in range(m_rows):
-        tableau[r][total_vars + r] = Fraction(1)
+    rows = tableau_rows(a_eq, b_eq, a_ub, b_ub)
+    rows = [[-v for v in row] if row[-1] < 0 else row for row in rows]
+    m_rows, total_vars = len(rows), n + len(a_ub)
+    # Columns are [structural + slack | artificial | rhs].
+    tableau = [row[:-1] + [F(int(a == r)) for a in range(m_rows)] + row[-1:]
+               for r, row in enumerate(rows)]
     basis = [total_vars + r for r in range(m_rows)]
-    width = total_vars + m_rows + 1
-
-    def pivot(row: int, col: int) -> None:
-        factor = tableau[row][col]
-        tableau[row] = [v / factor for v in tableau[row]]
-        for r in range(m_rows):
-            if r != row and tableau[r][col] != 0:
-                coeff = tableau[r][col]
-                base = tableau[row]
-                tableau[r] = [v - coeff * base[k] for k, v in enumerate(tableau[r])]
-        basis[row] = col
-
-    def run_phase(objective: list[Fraction]) -> str:
-        # Reduced costs maintained in a dedicated row: z = objective restated
-        # over the current basis.
-        z = objective[:]
-        obj_value = Fraction(0)
-        for r in range(m_rows):
-            col = basis[r]
-            if z[col] != 0:
-                coeff = z[col]
-                row = tableau[r]
-                for k in range(width - 1):
-                    z[k] -= coeff * row[k]
-                obj_value -= coeff * row[width - 1]
-        while True:
-            entering = -1
-            for col in range(width - 1):
-                if z[col] < 0:
-                    entering = col
-                    break
-            if entering < 0:
-                return OPTIMAL
-            leaving = -1
-            best: Optional[Fraction] = None
-            for r in range(m_rows):
-                coeff = tableau[r][entering]
-                if coeff > 0:
-                    ratio = tableau[r][width - 1] / coeff
-                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                        best, leaving = ratio, r
-            if leaving < 0:
-                return UNBOUNDED
-            pivot(leaving, entering)
-            coeff = z[entering]
-            row = tableau[leaving]
-            for k in range(width - 1):
-                z[k] -= coeff * row[k]
-
-    # Phase 1: drive the artificial variables to zero.
-    phase1_cost = [Fraction(0)] * total_vars + [Fraction(1)] * m_rows + [Fraction(0)]
-    run_phase(phase1_cost)
-    infeasibility = sum((tableau[r][width - 1] for r in range(m_rows) if basis[r] >= total_vars),
-                        Fraction(0))
-    if infeasibility != 0:
-        return LpResult(INFEASIBLE, None, None)
-    # Pivot lingering zero-valued artificials out of the basis where possible.
+    bland_phase(tableau, basis, [F(0)] * total_vars + [F(1)] * m_rows)
+    if any(tableau[r][-1] for r in range(m_rows) if basis[r] >= total_vars):
+        return INFEASIBLE, None
+    # Pivot lingering zero-valued artificials out where possible, then drop
+    # the artificial columns, so that none re-enters.
     for r in range(m_rows):
         if basis[r] >= total_vars:
-            for col in range(total_vars):
-                if tableau[r][col] != 0:
-                    pivot(r, col)
-                    break
-
-    phase2_cost = cost + [Fraction(0)] * slack_count + [Fraction(0)] * m_rows + [Fraction(0)]
-    # Forbid re-entering artificial columns.
-    for r in range(m_rows):
-        for col in range(total_vars, total_vars + m_rows):
-            tableau[r][col] = Fraction(0)
-    status = run_phase(phase2_cost)
+            col = next((c for c in range(total_vars) if tableau[r][c] != 0), None)
+            if col is not None:
+                fraction_pivot(tableau, basis, r, col)
+    keep = [r for r in range(m_rows) if basis[r] < total_vars]
+    tableau = [tableau[r][:total_vars] + tableau[r][-1:] for r in keep]
+    basis = [basis[r] for r in keep]
+    status, _ = bland_phase(tableau, basis, [F(v) for v in cost] + [F(0)] * (total_vars - n))
     if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
-
-    solution = [Fraction(0)] * n
-    for r in range(m_rows):
-        if basis[r] < n:
-            solution[basis[r]] = tableau[r][width - 1]
-    objective = sum((cost[j] * solution[j] for j in range(n)), Fraction(0))
-    return LpResult(OPTIMAL, objective, tuple(solution))
+        return UNBOUNDED, None
+    return OPTIMAL, solution_of(tableau, basis, cost)
 
 
-def random_lp(rng):
-    """A small LP with rational data: negative right-hand sides, redundant
-    equalities (rational multiples of another row) and many zero entries and
-    zero right-hand sides, so ratio ties and degenerate pivots are common."""
-    n = rng.randint(1, 6)
-    me, mu = rng.randint(0, 3), rng.randint(0, 3)
-    if me + mu == 0:
-        mu = 1
+def fraction_solve_from(cost, a_eq, b_eq, a_ub, b_ub, start):
+    """``solve_lp`` over a ``Fraction`` tableau, kept as the oracle for the
+    integer-preserving pivots: the same start, the same pivot path and the
+    same answer. Returns the result, or None when unbounded, and the number
+    of ratio ties met."""
+    n = len(cost)
+    tableau = tableau_rows(a_eq, b_eq, a_ub, b_ub)
+    basis = [n + r for r in range(len(a_ub))] + list(start)
+    for r in range(len(a_ub), len(tableau)):
+        fraction_pivot(tableau, basis, r, basis[r])
+    assert all(row[-1] >= 0 for row in tableau)
+    objective = [F(v) for v in cost] + [F(0)] * len(a_ub)
+    status, ties = bland_phase(tableau, basis, objective)
+    return (solution_of(tableau, basis, cost) if status == OPTIMAL else None), ties
+
+
+def pivots_cleanly(a_eq, start):
+    """Whether pivoting each equality row onto its start column in turn meets
+    no zero: the start names a basis, row by row."""
+    rows = [[F(v) for v in row] for row in a_eq]
+    for r, col in enumerate(start):
+        if rows[r][col] == 0:
+            return False
+        for s in range(r + 1, len(rows)):
+            coeff = rows[s][col] / rows[r][col]
+            rows[s] = [v - coeff * b for v, b in zip(rows[s], rows[r])]
+    return True
+
+
+def vertex_lp(rng):
+    """A small LP with rational data built around a known vertex: ``start``
+    columns at values that are often 0, and inequality slacks that are often
+    0, so degenerate pivots and ratio ties are common. Zero costs leave many
+    optimal vertices, so the one returned depends on the whole pivot path."""
+    n = rng.randint(1, 7)
+    me, mu = rng.randint(0, min(3, n)), rng.randint(0, 5)
 
     def value(low, high):
         if rng.random() < 0.3:
             return F(0)
         return F(rng.randint(low, high), rng.choice((1, 1, 2, 3, 5)))
 
-    # A zero cost (a pure feasibility program) or a sparse one leaves many
-    # optimal vertices, so the returned one depends on the whole pivot path.
-    c = [value(-5, 5) if rng.random() < 0.5 else F(0) for _ in range(n)]
+    start = rng.sample(range(n), me)
+    x = [F(0)] * n
+    for col in start:
+        x[col] = F(0) if rng.random() < 0.5 else F(rng.randint(1, 4), rng.choice((1, 2, 3)))
     a_eq = [[value(-4, 4) for _ in range(n)] for _ in range(me)]
-    b_eq = [value(-6, 6) for _ in range(me)]
-    if a_eq and rng.random() < 0.4:
-        src = rng.randrange(len(a_eq))
-        k = F(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))
-        a_eq.append([k * v for v in a_eq[src]])
-        b_eq.append(k * b_eq[src])
+    while not pivots_cleanly(a_eq, start):
+        a_eq = [[value(-4, 4) for _ in range(n)] for _ in range(me)]
+    b_eq = [sum((a * v for a, v in zip(row, x)), F(0)) for row in a_eq]
     a_ub = [[value(-4, 4) for _ in range(n)] for _ in range(mu)]
-    b_ub = [value(-3, 6) for _ in range(mu)]
-    return c, a_eq, b_eq, a_ub, b_ub
+    b_ub = [sum((a * v for a, v in zip(row, x)), F(0))
+            + (F(0) if rng.random() < 0.6 else F(rng.randint(1, 3), rng.choice((1, 2))))
+            for row in a_ub]
+    cost = [value(-5, 5) if rng.random() < 0.6 else F(0) for _ in range(n)]
+    return cost, a_eq, b_eq, a_ub, b_ub, start
 
 
-def test_integer_pivots_match_the_fraction_tableau_on_random_lps():
-    rng = random.Random(41)
-    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
-    for _ in range(700):
-        c, a_eq, b_eq, a_ub, b_ub = random_lp(rng)
-        mine = solve_lp(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-        assert mine == fraction_solve_lp(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-        statuses[mine.status] += 1
-    assert min(statuses.values()) >= 20, statuses
-
-
-def test_ratio_tie_leaves_by_lowest_basic_index():
-    # min x0 s.t. 2 x0 - x1 + x2 <= 4 and x0 + 2 x1 + x2 == 2. Phase 1 enters
-    # x0 with both rows at ratio 2; the inequality row's artificial has the
-    # lower index and leaves. The other choice ends at (0, 1, 0), as optimal.
-    args = ([1, 0, 0], [[1, 2, 1]], [2], [[2, -1, 1]], [4])
-    result = solve_lp(*args)
-    assert result == fraction_solve_lp(*args)
-    assert result.solution == (0, 0, 2)
-
-def test_integer_pivots_match_the_fraction_tableau_on_fpo_programs(monkeypatch):
-    """The programs check_fpo builds, on criterion-1 shapes: pipeline outputs
-    (fPO) and random partitions with rational disutilities (mostly not)."""
+def fpo_programs(rng, count, monkeypatch):
+    """The programs ``check_fpo`` builds, with their starts: random
+    allocations with copies, rational entries and zero entries (mostly not
+    fPO), then pipeline outputs (all fPO)."""
     programs = []
 
-    def both(cost, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
-        mine = solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-        assert mine == fraction_solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-        programs.append(mine)
-        return mine
+    def record(*args):
+        programs.append(args)
+        return solve_lp(*args)
 
-    monkeypatch.setattr(verifiers, "solve_lp", both)
-    rng = random.Random(43)
+    monkeypatch.setattr(verifiers, "solve_lp", record)
+    while len(programs) < count:
+        n = rng.randint(2, 4)
+        m = rng.randint(n, 8)
+        inst = Instance.from_rows(
+            [[F(0) if rng.random() < 0.1 else F(rng.randint(1, 20), rng.choice((1, 2, 3, 7)))
+              for _ in range(m)] for _ in range(n)])
+        bundles = [set() for _ in range(n)]
+        for c in range(m):
+            bundles[rng.randrange(n)].add(ChoreCopy(c, 0))
+        for copy in range(1, rng.randint(1, n)):
+            bundles[rng.randrange(n)].add(ChoreCopy(rng.randrange(m), copy))
+        verifiers.check_fpo(inst, SurplusAllocation(tuple(frozenset(b) for b in bundles), m))
     for _ in range(12):
         n = rng.randint(2, 5)
         m = rng.randint(n, 10)
         fair_and_efficient(Instance.from_rows(
             [[rng.randint(1, 20) for _ in range(m)] for _ in range(n)]))
-    dominated = 0
-    while dominated < 12:
-        n = rng.randint(2, 4)
-        m = rng.randint(n, 7)
-        inst = Instance.from_rows(
-            [[F(rng.randint(1, 20), rng.choice((1, 2, 3, 7))) for _ in range(m)]
-             for _ in range(n)])
-        bundles = [set() for _ in range(n)]
-        for c in range(m):
-            bundles[rng.randrange(n)].add(c)
-        alloc = SurplusAllocation(tuple(frozenset(originals(b)) for b in bundles), m)
-        dominated += not verifiers.check_fpo(inst, alloc).holds
-    assert len(programs) >= 24
+    return programs
+
+
+def check_programs(programs):
+    """Each program solved from its start in integers equals the ``Fraction``
+    tableau from the same start, solution and all; each optimum equals the
+    two-phase oracle's and scipy's. Returns counts of what the programs hit."""
+    seen = {"optimal": 0, "unbounded": 0, "tied": 0}
+    for cost, a_eq, b_eq, a_ub, b_ub, start in programs:
+        expected, ties = fraction_solve_from(cost, a_eq, b_eq, a_ub, b_ub, start)
+        status, two_phase = fraction_solve_lp(cost, a_eq, b_eq, a_ub, b_ub)
+        ref = linprog([float(c) for c in cost],
+                      A_eq=[[float(v) for v in row] for row in a_eq] or None,
+                      b_eq=[float(v) for v in b_eq] or None,
+                      A_ub=[[float(v) for v in row] for row in a_ub] or None,
+                      b_ub=[float(v) for v in b_ub] or None,
+                      bounds=(0, None), method="highs")
+        if expected is None:
+            with pytest.raises(AlgorithmBugError, match="unbounded"):
+                solve_lp(cost, a_eq, b_eq, a_ub, b_ub, start)
+            assert status == UNBOUNDED and ref.status == 3
+            seen["unbounded"] += 1
+            continue
+        mine = solve_lp(cost, a_eq, b_eq, a_ub, b_ub, start)
+        assert mine == expected
+        assert status == OPTIMAL and two_phase.objective == mine.objective
+        assert ref.status == 0
+        assert abs(float(mine.objective) - ref.fun) <= 1e-7 * max(1, abs(ref.fun))
+        seen["optimal"] += 1
+        seen["tied"] += ties > 0
+    return seen
+
+
+def test_matches_reference_solver_on_random_problems():
+    rng = random.Random(5)
+    optima = unbounded = 0
+    for _ in range(80):
+        cost, a_eq, b_eq, a_ub, b_ub, start = vertex_lp(rng)
+        ref = linprog([float(c) for c in cost],
+                      A_eq=[[float(v) for v in row] for row in a_eq] or None,
+                      b_eq=[float(v) for v in b_eq] or None,
+                      A_ub=[[float(v) for v in row] for row in a_ub] or None,
+                      b_ub=[float(v) for v in b_ub] or None,
+                      bounds=(0, None), method="highs")
+        try:
+            mine = solve_lp(cost, a_eq, b_eq, a_ub, b_ub, start)
+        except AlgorithmBugError as err:
+            assert "unbounded" in str(err)
+            assert ref.status == 3
+            unbounded += 1
+            continue
+        assert ref.status == 0
+        assert abs(float(mine.objective) - ref.fun) <= 1e-7 * max(1, abs(ref.fun))
+        for row, b in zip(a_eq, b_eq):
+            assert sum((a * s for a, s in zip(row, mine.solution)), F(0)) == b
+        for row, b in zip(a_ub, b_ub):
+            assert sum((a * s for a, s in zip(row, mine.solution)), F(0)) <= b
+        assert all(s >= 0 for s in mine.solution)
+        assert mine.objective == sum((c * s for c, s in zip(cost, mine.solution)), F(0))
+        optima += 1
+    # the fuzz actually exercised both the optimal and the unbounded path
+    assert optima >= 10 and unbounded >= 5, (optima, unbounded)
+
+
+def test_integer_pivots_match_the_fraction_tableau_on_random_lps():
+    programs = [vertex_lp(random.Random(f"vertex:{k}")) for k in range(500)]
+    seen = check_programs(programs)
+    assert min(seen.values()) >= 40, seen
+    negative = sum(bool(a_eq) and a_eq[0][start[0]] < 0 for _, a_eq, _, _, _, start in programs)
+    assert negative >= 50, negative
+
+
+def test_integer_pivots_match_the_fraction_tableau_on_fpo_programs(monkeypatch):
+    seen = check_programs(fpo_programs(random.Random(43), 200, monkeypatch))
+    assert seen["unbounded"] == 0
+    assert seen["optimal"] >= 200 and seen["tied"] >= 30, seen

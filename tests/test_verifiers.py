@@ -18,7 +18,6 @@ from fairchores.core import (
 )
 from fairchores.equilibrium import (
     approx_ceei,
-    exact_ceei,
     verify_fisher_equilibrium,
 )
 from fairchores.errors import InstanceTooLargeError
@@ -30,7 +29,6 @@ from fairchores.verifiers import (
     check_efx,
     check_fisher_integral,
     check_fpo,
-    check_fpo_outcome,
     check_nondegenerate,
     check_pef1,
     check_po_brute,
@@ -282,16 +280,6 @@ class TestParetoChecks:
         inst = Instance.from_rows([[4, 5, 6]])
         assert check_fpo(inst, alloc_of(3, {0, 1, 2})).holds
 
-    def test_equilibria_are_fpo(self):
-        # Exact equal-income equilibria must pass the fractional check.
-        rng = random.Random(17)
-        for _ in range(10):
-            n, m = rng.randint(1, 3), rng.randint(1, 5)
-            inst = Instance.from_rows(
-                [[rng.randint(1, 12) for _ in range(m)] for _ in range(n)])
-            out = exact_ceei(inst)
-            assert check_fpo_outcome(inst, out).holds
-
     def test_fpo_agrees_with_brute_force(self):
         rng = random.Random(23)
         agreements = 0
@@ -307,15 +295,15 @@ class TestParetoChecks:
                 agreements += 1
         assert agreements > 0
 
-    def test_fpo_witness_revalidates(self):
-        inst = Instance.from_rows([[1, 3], [3, 1]])
-        alloc = alloc_of(2, {1}, {0})
-        certificate = check_fpo(inst, alloc)
+    @staticmethod
+    def assert_witness_revalidates(inst, alloc, certificate):
         assert not certificate.holds
         w = certificate.witness
         items = [ChoreCopy(e["chore"], e["copy"]) for e in w["items"]]
+        assert items == alloc.items()
         y = [[F(v) for v in row] for row in w["dominating"]]
         # clears every item, worsens nobody and strictly improves the named agent
+        assert all(v >= 0 for row in y for v in row)
         for t in range(len(items)):
             assert sum(y[i][t] for i in range(inst.n)) == 1
         loads = [sum(y[i][t] * inst.d(i, items[t].chore) for t in range(len(items)))
@@ -323,7 +311,30 @@ class TestParetoChecks:
         for i in range(inst.n):
             assert loads[i] <= bundle_disutility(inst, i, alloc.bundles[i])
         j = w["improving_agent"]
+        assert F(w["current"]) == bundle_disutility(inst, j, alloc.bundles[j])
         assert loads[j] == F(w["objective"]) < F(w["current"])
+
+    def test_fpo_witness_revalidates(self):
+        inst = Instance.from_rows([[1, 3], [3, 1]])
+        alloc = alloc_of(2, {1}, {0})
+        self.assert_witness_revalidates(inst, alloc, check_fpo(inst, alloc))
+        # Random allocations with copies, rational entries and zero entries.
+        rng = random.Random(31)
+        dominated = zeros = copies = 0
+        while dominated < 300:
+            n = rng.randint(2, 4)
+            m = rng.randint(n, 8)
+            inst = Instance.from_rows(
+                [[F(0) if rng.random() < 0.1 else F(rng.randint(1, 20), rng.choice((1, 2, 3, 7)))
+                  for _ in range(m)] for _ in range(n)])
+            alloc = random_surplus_allocation(rng, n, m)
+            certificate = check_fpo(inst, alloc)
+            if not certificate.holds:
+                self.assert_witness_revalidates(inst, alloc, certificate)
+                dominated += 1
+                zeros += inst.has_zero_entry()
+                copies += len(alloc.items()) > m
+        assert zeros >= 50 and copies >= 150, (zeros, copies)
 
     def test_fpo_certificate_is_pinned(self):
         # The whole certificate, witness included, as the Fraction tableau
@@ -349,9 +360,11 @@ class TestParetoChecks:
         a_eq = [[F(int(v % k == t)) for v in range(n * k)] for t in range(k)]
         a_ub = [[inst.d(i, items[v % k].chore) if v // k == i else F(0)
                  for v in range(n * k)] for i in range(n)]
+        # Start at the allocation itself: each unit's owner basic in its row.
+        start = [next(i for i in range(n) if unit in alloc.bundles[i]) * k + t
+                 for t, unit in enumerate(items)]
         return [j for j in range(n)
-                if solve_lp(a_ub[j], a_eq=a_eq, b_eq=[1] * k, a_ub=a_ub,
-                            b_ub=caps).objective < caps[j]]
+                if solve_lp(a_ub[j], a_eq, [1] * k, a_ub, caps, start).objective < caps[j]]
 
     def test_fpo_agrees_with_per_agent_programs(self):
         rng = random.Random(29)
