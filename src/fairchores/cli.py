@@ -66,12 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
     surplus.add_argument("-i", "--input", required=True)
     surplus.add_argument("-o", "--output", required=True)
     surplus.add_argument("--exact", action="store_true",
-                         help="exact equilibrium (epsilon 0) at any size, rounded from "
-                              "the approximate one, retried at epsilon/10 and /100; "
-                              "a miss on all three is an error")
+                         help="exact equilibrium (epsilon 0) at any size: the same "
+                              "price loop run with no income slack; takes no --epsilon")
     surplus.add_argument("--epsilon", default=None,
                          help="override the income slack, a rational in (0, 1/(5nm)] "
-                              "(default 1/(5nm))")
+                              "(default 1/(5nm)); not with --exact")
     surplus.add_argument("--trace", default=None, help="write the event trace here")
 
     three = sub.add_parser("solve-three", help="tEFX or proportional split for 3 agents")
@@ -95,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--which", required=True,
                         choices=["ceei-exact", "ceei-approx"])
     oracle.add_argument("--epsilon", default=None,
-                        help="income slack for ceei-approx (default 1/(5nm))")
+                        help="income slack for ceei-approx, in [0, 1) (default "
+                             "1/(5nm)); 0 gives an exact equilibrium")
     oracle.add_argument("-o", "--output", required=True)
 
     return parser

@@ -267,8 +267,7 @@ class Certificate:
 class PaymentGraph:
     """Bipartite agent-chore graph weighted by earnings x[i][c] * p[c].
 
-    An edge is present exactly where the earning is positive. The exact
-    route's rounding groups the min-pain-per-buck graph by its components.
+    An edge is present exactly where the earning is positive.
     """
 
     n: int
@@ -294,9 +293,9 @@ class PaymentGraph:
             graph.add_edge(("a", i), ("c", c), weight=w)
         return graph
 
-    def _union_find(self) -> tuple[bool, list[int]]:
-        """Whether the edges form a forest (no edge joins two nodes that already
-        share a root), and the root of every node: agents [0, n), chores [n, n+m)."""
+    def is_acyclic(self) -> bool:
+        """Whether the edges form a forest: no edge joins two nodes that already
+        share a union-find root (agents [0, n), chores [n, n+m))."""
         parent = list(range(self.n + self.m))
 
         def find(a: int) -> int:
@@ -304,25 +303,12 @@ class PaymentGraph:
                 parent[a] = a = parent[parent[a]]
             return a
 
-        acyclic = True
         for (i, c), _ in self.weights:
             ra, rc = find(i), find(self.n + c)
-            acyclic = acyclic and ra != rc
+            if ra == rc:
+                return False
             parent[ra] = rc
-        return acyclic, [find(v) for v in range(self.n + self.m)]
-
-    def is_acyclic(self) -> bool:
-        return self._union_find()[0]
-
-    def components(self) -> list[tuple[frozenset[int], frozenset[int]]]:
-        """Connected components as (agents, chores) pairs, including isolated nodes,
-        by least agent, then agentless ones by least chore (first-seen order)."""
-        groups: dict[int, list[int]] = {}
-        for v, root in enumerate(self._union_find()[1]):
-            groups.setdefault(root, []).append(v)
-        return [(frozenset(v for v in nodes if v < self.n),
-                 frozenset(v - self.n for v in nodes if v >= self.n))
-                for nodes in groups.values()]
+        return True
 
 
 def scaled(values, scale: int) -> list[int]:

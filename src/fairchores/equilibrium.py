@@ -4,8 +4,8 @@ Three entry points matter to callers: ``verify_fisher_equilibrium`` certifies a
 candidate outcome with a ``Certificate`` whose witness names the first failing
 condition, ``exact_ceei`` / ``approx_ceei`` produce verified outcomes, and
 ``make_acyclic`` turns any verified outcome into one whose payment graph is a
-forest without touching prices. ``_round_to_exact`` rounds an approximate
-outcome to an exact one; ``exact_ceei``, exhaustive, is the oracle for both.
+forest without touching prices. ``approx_ceei`` at epsilon 0 returns an exact
+equilibrium; ``exact_ceei``, exhaustive, is its oracle at every epsilon.
 Every solver re-verifies what it returns, and an outcome that fails its own
 check raises ``AlgorithmBugError`` naming the solver.
 """
@@ -19,13 +19,11 @@ from typing import Optional
 from ._flow import FlowNetwork
 from .core import (
     FISHER_EQ,
-    ONE,
     ZERO,
     Certificate,
     FractionalAllocation,
     Instance,
     MarketOutcome,
-    PaymentGraph,
     PriceVector,
     integer_rows,
     over_common_denominator,
@@ -370,8 +368,7 @@ def exact_ceei(inst: Instance) -> MarketOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Approximate equilibrium by earning-balancing price adjustment, and its
-# rounding to an exact one
+# Approximate or exact equilibrium by earning-balancing price adjustment
 # ---------------------------------------------------------------------------
 
 def _mpb_structure(D, P):
@@ -496,10 +493,9 @@ def _route_plain(n, m, P, L, mpb_sets, hi, carried=None):
     the network, the chores whose payment is not fully routed, and the
     network in ``_plain_network``'s form, for the next round to carry.
 
-    The caller reads only ``reachable`` off a carried network, the same set
-    after every maximum flow from any starting flow, so carrying leaves the
-    round's decision as it was. Incomes, which depend on the flow, come from
-    ``_plain_incomes``.
+    The caller reads only ``reachable`` off the network, the same set after
+    every maximum flow from any starting flow, so carrying leaves the
+    round's decision as it was.
     """
     if carried is None:
         network = _plain_network(n, m, P, L, mpb_sets, hi)
@@ -508,14 +504,6 @@ def _route_plain(n, m, P, L, mpb_sets, hi, carried=None):
     net, supply = network[0], network[1]
     net.max_flow(n + m, n + m + 1)
     return net, [c for c in range(m) if net.residual[supply[c]]], network
-
-
-def _plain_incomes(n, m, P, L, mpb_sets, hi):
-    """Each agent's income as ``Fraction(flow, L)`` in the cap-only maximum
-    flow from zero, which fixes which of the many maximum flows is read."""
-    net, _, income, _, _ = _plain_network(n, m, P, L, mpb_sets, hi)
-    net.max_flow(n + m, n + m + 1)
-    return [Fraction(net.flow_value(index), L) for index in income]
 
 
 def _reduced(Q: list[int], R: int) -> tuple[list[int], int]:
@@ -538,20 +526,35 @@ def _outcome_from_earnings(inst, prices, earnings, epsilon) -> MarketOutcome:
 def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     """Equilibrium with incomes within [1-eps, 1+eps], by price adjustment.
 
-    The price loop follows the combinatorial algorithm for chore competitive
-    equilibria of Chaudhury, Garg, McGlaughlin and Mehta (EC 2022). Every
-    round first routes chore payments to agents along current best-ratio
-    edges with only the income caps (``_route_plain``). A chore left
-    unrouted there marks the chores overpriced, and the round reads the
-    residual cut, the same for every maximum flow. Only when every chore
-    routes is the same network routed again from zero, every income filled
-    to its floor first and then up to its cap (``_route_within_bounds``),
-    and that routing decides acceptance. When routing fails, the blocked
-    side of the market identifies a set of chores whose prices rise
-    multiplicatively, by exactly the factor that lets the next agent-chore
-    pair join the best-ratio graph. The returned outcome is re-verified
-    before being accepted, so the adjustment policy affects speed, never
-    soundness.
+    ``eps`` lies in [0, 1); at 0 every income is exactly 1 and the outcome
+    is an exact equilibrium. The price loop follows the combinatorial
+    algorithm for chore competitive equilibria of Chaudhury, Garg,
+    McGlaughlin and Mehta (EC 2022). Every round first routes chore payments
+    to agents along current best-ratio edges with only the income caps
+    (``_route_plain``). Only when every chore routes is the same network
+    routed again from zero, every income filled to its floor first and then
+    up to its cap (``_route_within_bounds``), and that routing decides
+    acceptance.
+
+    A failing round reads one minimum cut, the set ``reach`` of nodes
+    reachable from the source in the residual network, the same for every
+    maximum flow. An overpriced round, with a chore left unrouted under the
+    caps, reads it off the cap-only network. An underpaid round, where every
+    chore routes but the floors cannot all be met, reads it off the floor
+    network: ``_plain_network`` with the caps at ``lo``, from zero. An
+    uncapped best-ratio edge never crosses a minimum cut, so the agents
+    outside ``reach`` have all their best-ratio chores outside it too. On
+    the overpriced side the agents in ``reach`` cannot absorb under their
+    caps what the chores in it pay; on the underpaid side the chores outside
+    it pay the agents outside it less than their floors. Either way the
+    chores in ``reach`` rise multiplicatively, by exactly the factor that
+    lets the next agent outside ``reach`` tie with one of them, so that the
+    next agent-chore pair joins the best-ratio graph. When no chore is in
+    ``reach`` or no agent is outside it, the price total is rescaled to
+    ``n`` instead. The returned outcome is re-verified before being
+    accepted, so the adjustment policy affects speed, never soundness.
+    Termination is bounded only by ``DEFAULT_ROUNDS``, past which
+    ``BudgetExhaustedError`` is raised.
 
     Prices are one integer vector ``Q`` over a shared denominator ``R``,
     reduced so that ``gcd(R, *Q) == 1``; ``R`` is then the lcm of the price
@@ -585,8 +588,8 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
       update checks both. The next round reads only the cut when a chore
       stays unrouted, and the cut is the same after every maximum flow.
       When every chore routes, the bounded routing and, if it fails, the
-      incomes that pick the poor agents come from flows from zero on fresh
-      networks (``_route_within_bounds``, ``_plain_incomes``). A routed
+      floor cut come from flows from zero on fresh networks
+      (``_route_within_bounds``, ``_plain_network`` at ``lo``). A routed
       round's flow may sit on dropped edges, and a normalisation or a
       uniform rescale moves the caps under the flow, so the round after one
       of these builds a fresh network too.
@@ -596,8 +599,8 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     if inst.has_zero_entry():
         raise InputError("price adjustment requires strictly positive disutilities")
     eps = rat(epsilon)
-    if not 0 < eps < 1:
-        raise InputError("epsilon must lie strictly between 0 and 1")
+    if not 0 <= eps < 1:
+        raise InputError(f"epsilon must lie in [0, 1), got {eps}")
 
     n, m = inst.n, inst.m
     lo, hi = 1 - eps, 1 + eps
@@ -634,13 +637,7 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
         # is also a routing of the cap-only network, so a chore left unrouted
         # there proves the bounded routing infeasible without solving it.
         net, unrouted, network = _route_plain(n, m, P, L, mpb_sets, hi, carried)
-        if unrouted:
-            # Overpriced side: its neighborhood is income-saturated, so raise
-            # the blocked chores until a fresh agent's ratio ties.
-            reach = net.reachable(n + m)
-            blocked = [c for c in range(m) if c in reach]
-            candidates = [i for i in range(n) if m + i not in reach]
-        else:
+        if not unrouted:
             earnings = _route_within_bounds(n, m, P, L, mpb_sets, lo, hi)
             if earnings is not None:
                 outcome = _outcome_from_earnings(
@@ -649,21 +646,19 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
                     return outcome
                 raise AlgorithmBugError(
                     "approx_ceei: routed outcome failed verification; this is a bug")
-            incomes = _plain_incomes(n, m, P, L, mpb_sets, hi)
-            poor = [i for i in range(n) if incomes[i] < lo]
-            if not poor:
-                # This cap-only flow routes every chore with incomes in
-                # [lo, hi], so the bounded routing cannot have failed.
+            # Every chore routes under the caps, so the floors failed: the
+            # cut is read off the floor network instead.
+            net = _plain_network(n, m, P, L, mpb_sets, lo)[0]
+            if net.max_flow(n + m, n + m + 1) == n * int(lo * L):
+                # Every income at its floor, then raised to a maximum flow
+                # under the caps, would route every chore within the bounds.
                 raise AlgorithmBugError(
                     "approx_ceei: routing disagreed with itself; this is a bug")
-            # Underpaid side: everything reachable by the poor agents is too
-            # cheap relative to the rest, so raise the rest until one of the
-            # agents stuck on the cheap chores gains an edge out.
-            cheap = set()
-            for i in poor:
-                cheap |= mpb_sets[i]
-            candidates = [i for i in range(n) if mpb_sets[i] <= cheap]
-            blocked = [c for c in range(m) if c not in cheap]
+        # Raise the chores in the cut's source side until an agent on its
+        # sink side ties with one of them.
+        reach = net.reachable(n + m)
+        blocked = [c for c in range(m) if c in reach]
+        candidates = [i for i in range(n) if m + i not in reach]
 
         # The factor that brings chore c into agent i's MPB set is
         # (D[i][c]/P[c]) / (num/den) with (num, den) = mpb_values[i]. Each
@@ -717,31 +712,6 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
 
     raise BudgetExhaustedError(
         f"no verified outcome within {DEFAULT_ROUNDS} price-adjustment rounds")
-
-
-def _round_to_exact(inst: Instance, prices: PriceVector) -> Optional[MarketOutcome]:
-    """An exact equal-income equilibrium near verified approximate ``prices``,
-    or None: each component of their MPB graph is rescaled to sum to its
-    agent count, then routed at incomes of exactly 1. The rounding step of
-    Chaudhury, Garg, McGlaughlin and Mehta (EC 2022); not proved complete."""
-    n, m = inst.n, inst.m
-    D = integer_rows(inst)
-    P, _ = over_common_denominator([prices[c] for c in range(m)])
-    edges = {(i, c): ONE for i, chores in enumerate(_mpb_structure(D, P)) for c in chores}
-    rounded: list[Fraction] = [ZERO] * m
-    for agents, chores in PaymentGraph.from_edges(n, m, edges).components():
-        total = sum((prices[c] for c in chores), ZERO)
-        for c in chores:
-            rounded[c] = len(agents) * prices[c] / total
-    P, L = over_common_denominator(rounded)
-    earnings = _route_within_bounds(n, m, P, L, _mpb_structure(D, P), ONE, ONE)
-    if earnings is None:
-        return None
-    outcome = _outcome_from_earnings(inst, rounded, earnings, ZERO)
-    if verify_fisher_equilibrium(inst, outcome).holds:
-        return outcome
-    raise AlgorithmBugError(
-        "exact rounding: rounded outcome failed verification; this is a bug")
 
 
 # ---------------------------------------------------------------------------

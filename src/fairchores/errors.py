@@ -17,7 +17,7 @@ class InstanceTooLargeError(FairChoresError):
 
 
 class BudgetExhaustedError(FairChoresError):
-    """An iterative solver ran out of its fixed budget (rounds or rungs)."""
+    """An iterative solver ran out of its fixed budget of rounds."""
 
 
 class AlgorithmBugError(FairChoresError):

@@ -30,14 +30,12 @@ from .core import (
 )
 from .equilibrium import (
     _cancel_cycles,
-    _round_to_exact,
     approx_ceei,
     default_epsilon,
     verify_fisher_equilibrium,
 )
 from .errors import (
     AlgorithmBugError,
-    BudgetExhaustedError,
     InputError,
     InstanceTooLargeError,
 )
@@ -81,7 +79,7 @@ class RoundingState:
     @classmethod
     def _from_verified(cls, inst: Instance, out: MarketOutcome) -> "RoundingState":
         """``from_outcome`` without its checks, for an outcome that ``approx_ceei``
-        or ``_round_to_exact`` verified as it returned it."""
+        verified as it returned it, at any epsilon the pipeline allows."""
         weights = payment_graph(out.x, out.prices).edge_dict()
         adj = _cancel_cycles(inst.n, inst.m, weights)
         agent_adj = [{v - inst.n for v in chores} for chores in adj[:inst.n]]
@@ -233,23 +231,17 @@ def phase2(state: RoundingState) -> SurplusAllocation:
     return SurplusAllocation(bundles, inst.m)
 
 
-def _exact_by_rounding(inst: Instance, outcome: MarketOutcome) -> MarketOutcome:
-    """Round the verified approximate ``outcome`` to an exact equilibrium, on a
-    miss re-solving at a tenth, then a hundredth of its slack: a fixed ladder."""
-    eps = outcome.epsilon
-    for slack in (None, eps / 10, eps / 100):
-        if slack is not None:
-            outcome = approx_ceei(inst, slack)
-        rounded = _round_to_exact(inst, outcome.prices)
-        if rounded is not None:
-            return rounded
-    raise BudgetExhaustedError(f"no exact equilibrium rounded at epsilon {eps}, /10 or /100")
-
-
 @dataclass(frozen=True)
 class SolveOptions:
+    """``exact`` asks for an equilibrium at epsilon 0, which leaves no slack
+    to set: giving ``epsilon`` with it raises ``InputError``."""
+
     exact: bool = False
     epsilon: Optional[Fraction] = None
+
+    def __post_init__(self):
+        if self.exact and self.epsilon is not None:
+            raise InputError("the exact route has epsilon 0; it takes no epsilon")
 
 
 @dataclass(frozen=True)
@@ -271,9 +263,10 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     before being returned. ``opts.epsilon`` defaults to 1/(5nm) and may be set
     anywhere in (0, 1/(5nm)]; anything else raises ``InputError``.
 
-    Both routes start from one ``approx_ceei`` call, which ``opts.exact``
-    rounds to an exact equilibrium (epsilon 0, ``_exact_by_rounding``). A
-    ``BudgetExhaustedError`` of either propagates, at every instance size.
+    Both routes are one ``approx_ceei`` call, verified once as it returns:
+    at that slack on the approximate route, at 0 on the exact one
+    (``opts.exact``), which takes no ``opts.epsilon``. Its
+    ``BudgetExhaustedError`` propagates, at every instance size.
     """
     if inst.has_zero_entry():
         raise InputError("the surplus pipeline needs strictly positive disutilities")
@@ -297,9 +290,7 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
                              f"and {inst.m} chores, got {requested}")
         eps = requested
 
-    outcome = approx_ceei(inst, eps)
-    if opts.exact:
-        outcome = _exact_by_rounding(inst, outcome)
+    outcome = approx_ceei(inst, ZERO if opts.exact else eps)
 
     state = RoundingState._from_verified(inst, outcome)
     phase1(state)

@@ -28,7 +28,7 @@ from fairchores.equilibrium import (
     verify_fisher_equilibrium,
 )
 from fairchores.errors import InstanceTooLargeError
-from fairchores.rounding import _exact_by_rounding, fair_and_efficient
+from fairchores.rounding import SolveOptions, fair_and_efficient
 from fairchores.three_agent import (
     efx_identical,
     perturb_nondegenerate,
@@ -135,9 +135,9 @@ def test_criterion_4_phase1_instrumentation():
 
 
 def test_criterion_5_oracle_agreement():
-    # The pipeline's exact route rounds the approximate equilibrium, retrying
-    # at eps/10 and eps/100; a miss on all three fails the pipeline, so every
-    # draw must round. exact_ceei is the oracle each rounded outcome meets.
+    # The pipeline's exact route is the price loop at epsilon 0, so every
+    # draw must reach an exact equilibrium there. exact_ceei is the oracle
+    # each such equilibrium meets, and the route rounds that very outcome.
     rng = random.Random(1005)
     start = time.time()
     same = 0
@@ -145,19 +145,20 @@ def test_criterion_5_oracle_agreement():
         n = rng.randint(2, 4)
         m = rng.randint(n, 7)
         inst = random_instance(rng, n, m, 1, 20)
-        eps = default_epsilon(n, m)
         exact = exact_ceei(inst)
         assert verify_fisher_equilibrium(inst, exact).holds
         assert exact.epsilon == 0
-        approx = approx_ceei(inst, eps)
+        approx = approx_ceei(inst, default_epsilon(n, m))
         assert verify_fisher_equilibrium(inst, approx).holds
-        rounded = _exact_by_rounding(inst, approx)  # raises on a miss
-        assert verify_fisher_equilibrium(inst, rounded).holds
-        assert rounded.epsilon == 0
-        same += rounded == exact
+        zero = approx_ceei(inst, 0)  # raises when the loop runs out of rounds
+        assert verify_fisher_equilibrium(inst, zero).holds
+        assert zero.epsilon == 0
+        routed = fair_and_efficient(inst, SolveOptions(exact=True))
+        assert (routed.prices, routed.epsilon) == (zero.prices, 0)
+        same += zero == exact
     report("criterion 5 (exact and approximate oracles agree with verifier)",
-           True, f"100/100 instances, both oracles and the rounded exact route verified, "
-                 f"100 rounded ({same} equal to exact_ceei's) ({time.time()-start:.1f}s)")
+           True, f"100/100 instances, both oracles and the price loop at epsilon 0 "
+                 f"verified ({same} equal to exact_ceei's) ({time.time()-start:.1f}s)")
 
 
 def test_criterion_6_make_acyclic():

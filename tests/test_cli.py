@@ -13,6 +13,7 @@ from fairchores.cli import main
 from fairchores.core import FractionalAllocation, MarketOutcome, PaymentGraph, PriceVector
 from fairchores.errors import InputError
 from fairchores.serialize import instance_from_dict, load_json
+from test_flow import UNDERPAID_ROWS
 
 
 def run(*argv):
@@ -87,16 +88,48 @@ class TestSolveSurplus:
         payload = load_json(out)
         assert payload["epsilon"] == 0 and payload["surplus"] == 0
 
-    def test_exact_rounding_miss_exits_two(self, tmp_path, capsys, monkeypatch):
-        # 2 x 3 is inside exact_ceei's caps, yet a miss on every rung of the
-        # rounding ladder is an error, not a call to the exhaustive search.
+    def test_exact_flag_takes_no_epsilon(self, tmp_path, capsys):
+        # The exact route has no income slack, so any --epsilon is bad input.
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[1, 3, 2], [2, 1, 3]]}))
-        monkeypatch.setattr(rounding, "_round_to_exact", lambda *args: None)
         out = tmp_path / "o.json"
-        assert run("solve-surplus", "--exact", "-i", inst, "-o", out) == 2
-        assert "error: no exact equilibrium rounded" in capsys.readouterr().err
+        assert run("solve-surplus", "--exact", "--epsilon", "1/100",
+                   "-i", inst, "-o", out) == 2
+        assert "takes no epsilon" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_exact_route_on_a_wide_spread_instance(self, tmp_path):
+        # Entries 1..9 times 1 or 10^6. Rounding the approximate equilibrium
+        # missed here at epsilon 1/75, /10 and /100 and the route exited 2;
+        # the price loop at epsilon 0 reaches an exact equilibrium.
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": [
+            [5, 3000000, 7000000, 7, 5000000], [5, 1000000, 7000000, 1000000, 4],
+            [1, 1000000, 1, 6000000, 9000000]]}))
+        out = tmp_path / "o.json"
+        assert run("solve-surplus", "--exact", "-i", inst, "-o", out) == 0
+        payload = load_json(out)
+        assert payload["epsilon"] == 0
+        assert all(c["holds"] for c in payload["certificates"])
+        for prop in ("ef1", "pef1", "fpo"):
+            assert run("verify", "-i", inst, "--alloc", out, "--property", prop) == 0
+
+    def test_default_route_underpaid_cycle_finishes(self, tmp_path):
+        # The 7 x 15 instance whose underpaid round cycled for all 100,000
+        # rounds; the floor network's minimum cut solves it at once. A child
+        # process under a timeout turns a cycle into a failure.
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"disutility": UNDERPAID_ROWS}))
+        out = tmp_path / "o.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        commands = [("solve-surplus", "-i", str(inst), "-o", str(out))]
+        commands += [("verify", "-i", str(inst), "--alloc", str(out), "--property", prop)
+                     for prop in ("ef1", "fpo")]
+        for argv in commands:
+            done = subprocess.run([sys.executable, "-m", "fairchores.cli", *argv],
+                                  capture_output=True, text=True, timeout=60, env=env)
+            assert done.returncode == 0, done.stderr
+        assert load_json(out)["epsilon"] == "1/525"
 
     def test_epsilon_override(self, tmp_path):
         inst = tmp_path / "i.json"
@@ -450,8 +483,8 @@ class TestOracle:
         # The exact oracle must stay independent of the price-adjustment
         # solver it checks, so a child process replaces approx_ceei in every
         # module that holds it with a function that raises, then runs the
-        # oracle and exact_ceei. The pipeline's exact route, which does start
-        # from approx_ceei, shows that the replacement is reached.
+        # oracle and exact_ceei. The pipeline's exact route, which is
+        # approx_ceei at epsilon 0, shows that the replacement is reached.
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]]}))
         eq = tmp_path / "eq.json"
@@ -489,6 +522,14 @@ class TestOracle:
         eq = tmp_path / "eq.json"
         assert run("oracle", "-i", instance_file, "--which", "ceei-approx",
                    "-o", eq) == 0
+        assert run("verify", "-i", instance_file, "--alloc", eq,
+                   "--property", "fisher") == 0
+
+    def test_approx_equilibrium_at_epsilon_zero_is_exact(self, instance_file, tmp_path):
+        eq = tmp_path / "eq.json"
+        assert run("oracle", "-i", instance_file, "--which", "ceei-approx",
+                   "--epsilon", "0", "-o", eq) == 0
+        assert load_json(eq)["epsilon"] == 0
         assert run("verify", "-i", instance_file, "--alloc", eq,
                    "--property", "fisher") == 0
 
@@ -580,14 +621,13 @@ class TestInternalBugsExitThree:
 
     def test_exact_route_accepting_a_rejected_outcome(self, small, tmp_path, capsys,
                                                        monkeypatch):
-        # The exact route runs approx_ceei first; its outcomes stay intact so
-        # that the pipeline reaches the rounding and the oracle the support
-        # solver.
+        # The exact route is approx_ceei at epsilon 0, and the oracle the
+        # support solver; each rejects its own corrupted epsilon-0 outcome.
         self.corrupt_outcomes(monkeypatch, only_exact=True)
         out = tmp_path / "o.json"
         for argv, message in (
                 (("solve-surplus", "--exact", "-i", small, "-o", out),
-                 "rounded outcome failed verification"),
+                 "approx_ceei: routed outcome failed verification"),
                 (("oracle", "--which", "ceei-exact", "-i", small, "-o", out),
                  "support solver accepted an outcome the verifier rejects")):
             assert run(*argv) == 3

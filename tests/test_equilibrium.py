@@ -462,11 +462,13 @@ class TestApproxCeei:
             assert verify_fisher_equilibrium(inst, out).holds
 
     def test_rejects_bad_epsilon_and_zero_entries(self):
+        # Epsilon 0 asks for an exact equilibrium; the slack lies in [0, 1).
         inst = Instance.from_rows([[1, 2]])
-        with pytest.raises(InputError):
-            approx_ceei(inst, F(0))
-        with pytest.raises(InputError):
-            approx_ceei(inst, F(3, 2))
+        exact = approx_ceei(inst, F(0))
+        assert exact.epsilon == 0 and verify_fisher_equilibrium(inst, exact).holds
+        for bad in (F(-1, 10), F(1), F(3, 2)):
+            with pytest.raises(InputError, match=r"epsilon must lie in \[0, 1\)"):
+                approx_ceei(inst, bad)
         with pytest.raises(InputError):
             approx_ceei(Instance.from_rows([[0, 1]]), F(1, 10))
 

@@ -15,8 +15,7 @@ from fairchores.core import ZERO, Instance, PriceVector, integer_rows, mpb
 from fairchores.equilibrium import (
     _mpb_structure,
     _outcome_from_earnings,
-    _plain_incomes,
-    _round_to_exact,
+    _plain_network,
     _route_plain,
     _route_within_bounds,
     approx_ceei,
@@ -28,6 +27,17 @@ from fairchores.errors import BudgetExhaustedError
 from test_integer_rows import common_scale_rows
 
 F = Fraction
+
+# 7 x 15 with values 1..20, at its default slack 1/525: one round routes
+# every chore yet fails the income floors. Reading the underpaid side off
+# the "poor" agents of one flow cycled here for 100,000 rounds.
+UNDERPAID_ROWS = [[17, 1, 13, 5, 5, 13, 20, 15, 5, 14, 15, 4, 15, 9, 15],
+                  [16, 13, 20, 20, 11, 16, 11, 15, 3, 19, 15, 13, 12, 4, 17],
+                  [2, 10, 19, 3, 11, 3, 16, 18, 8, 15, 4, 3, 12, 12, 7],
+                  [8, 14, 13, 2, 8, 3, 11, 5, 10, 18, 9, 18, 15, 17, 14],
+                  [8, 9, 17, 9, 2, 3, 6, 8, 11, 18, 16, 7, 20, 11, 13],
+                  [3, 5, 17, 14, 4, 16, 7, 10, 9, 12, 11, 5, 8, 7, 3],
+                  [18, 15, 13, 8, 10, 17, 11, 7, 1, 12, 20, 17, 17, 19, 12]]
 
 
 def random_network(rng, top=9):
@@ -393,28 +403,31 @@ def check_plain_round(args, result, carried, moved):
     """One cap-only round against the oracles: a warm round's network, as
     moved before its ``max_flow``, is the fresh network with the same flow
     loaded; a blocked round's cut is the Edmonds-Karp cut from zero; a routed
-    round's incomes are the Edmonds-Karp incomes from zero. Returns whether
-    every chore routed."""
+    round's floor cut, read when its bounded routing fails, is the
+    Edmonds-Karp cut of the floor network from zero. Returns whether every
+    chore routed."""
     n, m, P, L, mpb_sets, hi = args
     if carried is not None:
         assert moved == plain_state(preloaded_plain_network(n, m, P, L, mpb_sets, hi, carried))
     net, unrouted, _ = result
-    oracle, oracle_unrouted, oracle_incomes, _ = edmonds_karp_plain(n, m, P, L, mpb_sets, hi)
+    oracle, oracle_unrouted, _ = edmonds_karp_plain(n, m, P, L, mpb_sets, hi)
     # Which chores stay unrouted depends on the flow; whether any does not.
     assert bool(unrouted) == bool(oracle_unrouted)
-    if unrouted:
-        assert net.reachable(n + m) == oracle.reachable(n + m)
-    else:
-        assert _plain_incomes(n, m, P, L, mpb_sets, hi) == oracle_incomes
+    if not unrouted:
+        lo = 2 - hi
+        net = _plain_network(n, m, P, L, mpb_sets, lo)[0]
+        net.max_flow(n + m, n + m + 1)
+        oracle, _, _ = edmonds_karp_plain(n, m, P, L, mpb_sets, lo)
+    assert net.reachable(n + m) == oracle.reachable(n + m)
     return not unrouted
 
 
 def test_route_plain_reads_the_edmonds_karp_flow_or_the_cut(monkeypatch):
-    # A blocked round reads only the cut, the same after every maximum flow
-    # from any starting flow; a routed round reads incomes, which must be
-    # those of the Edmonds-Karp flow from zero, whatever flow found the round
-    # routed. Loop rounds are checked as they run, a warm one's network
-    # against the fresh build from the flow it carried.
+    # A failing round reads only a cut, the same after every maximum flow
+    # from any starting flow: a blocked round the cut of its cap-only
+    # network, an underpaid one the cut of its floor network. Loop rounds
+    # are checked as they run, a warm one's network against the fresh build
+    # from the flow it carried.
     routed = Counter()
 
     def check(args, result, carried, moved):
@@ -429,18 +442,19 @@ def test_route_plain_reads_the_edmonds_karp_flow_or_the_cut(monkeypatch):
 
 
 def edmonds_karp_plain(n, m, P, L, mpb_sets, hi):
-    """``_route_plain`` with one Edmonds-Karp flow from zero, read in every
-    round, whether or not a chore is left unrouted."""
+    """``_plain_network`` with the income caps at ``hi`` and one
+    Edmonds-Karp flow from zero: the network, the chores it leaves unrouted
+    and every agent's income as a ``Fraction``."""
     s, t = n + m, n + m + 1
     net = FlowNetwork(n + m + 2)
     supply = [net.add_edge(s, c, P[c]) for c in range(m)]
-    edge_index = {(i, c): net.add_edge(c, m + i, None)
-                  for i in range(n) for c in sorted(mpb_sets[i])}
+    for i in range(n):
+        for c in sorted(mpb_sets[i]):
+            net.add_edge(c, m + i, None)
     income = [net.add_edge(m + i, t, int(hi * L)) for i in range(n)]
     edmonds_karp(net, s, t)
     unrouted = [c for c in range(m) if net.flow_value(supply[c]) < P[c]]
-    incomes = None if unrouted else [F(net.flow_value(k), L) for k in income]
-    return net, unrouted, incomes, edge_index
+    return net, unrouted, [F(net.flow_value(k), L) for k in income]
 
 
 def carried_flow(network):
@@ -519,7 +533,8 @@ def watch_price_rounds(monkeypatch, check):
 def two_flow_approx_ceei(inst, eps, log, max_rounds=100_000):
     """The price loop as it was, with ``Fraction`` prices and two routings
     per round: the bounded one first, by ``circulation_routing``, then an
-    Edmonds-Karp cap-only flow to find the blocked side. Appends
+    Edmonds-Karp cap-only flow to find the blocked side, or, when that
+    routes every chore, an Edmonds-Karp floor flow, whose cut does. Appends
     ``("round", P, L)`` to ``log`` for every round's scaled prices, and
     ``("renormalise",)`` or ``("rescale",)`` whenever the price total is
     brought back near n."""
@@ -548,23 +563,13 @@ def two_flow_approx_ceei(inst, eps, log, max_rounds=100_000):
             outcome = _outcome_from_earnings(inst, prices, earnings, eps)
             assert verify_fisher_equilibrium(inst, outcome).holds
             return outcome
-        net, unrouted, incomes, edge_index = edmonds_karp_plain(n, m, P, L, mpb_sets, hi)
-        if unrouted:
-            reach = net.reachable(n + m)
-            blocked = [c for c in range(m) if c in reach]
-            candidates = [i for i in range(n) if m + i not in reach]
-        else:
-            poor = [i for i in range(n) if incomes[i] < lo]
-            if not poor:
-                earnings = {edge: F(net.flow_value(k), L) for edge, k in edge_index.items()}
-                outcome = _outcome_from_earnings(inst, prices, earnings, eps)
-                assert verify_fisher_equilibrium(inst, outcome).holds
-                return outcome
-            cheap = set()
-            for i in poor:
-                cheap |= mpb_sets[i]
-            candidates = [i for i in range(n) if mpb_sets[i] <= cheap]
-            blocked = [c for c in range(m) if c not in cheap]
+        net, unrouted, _ = edmonds_karp_plain(n, m, P, L, mpb_sets, hi)
+        if not unrouted:
+            net, _, incomes = edmonds_karp_plain(n, m, P, L, mpb_sets, lo)
+            assert sum(incomes) < n * lo  # else the bounded routing exists
+        reach = net.reachable(n + m)
+        blocked = [c for c in range(m) if c in reach]
+        candidates = [i for i in range(n) if m + i not in reach]
         lam = None
         for i in candidates:
             num, den = mpb_values[i]
@@ -619,9 +624,10 @@ def test_approx_ceei_matches_the_two_flow_loop(monkeypatch):
 
 
 def test_price_loop_flows_are_the_edmonds_karp_flows(monkeypatch):
-    # Every network that _route_plain and _route_within_bounds build, in the
-    # price loop and in the rounding to an exact equilibrium, gets the paths
-    # of the Edmonds-Karp oracle in its order, and so its flow edge by edge.
+    # Every network that the price loop builds, at the default slack and at
+    # epsilon 0, gets the paths of the Edmonds-Karp oracle in its order, and
+    # so its flow edge by edge: the cap-only one, the bounded one and, in an
+    # underpaid round, the floor network that approx_ceei reads itself.
     callers = Counter()
 
     def checked(net, source, sink):
@@ -636,11 +642,12 @@ def test_price_loop_flows_are_the_edmonds_karp_flows(monkeypatch):
 
     monkeypatch.setattr(FlowNetwork, "max_flow", checked)
     rng = random.Random(13)
-    rounded = 0
-    for n, m in [(21, 30), (4, 7), (4, 7), (3, 10), (3, 10), (3, 6), (3, 6)]:
-        inst = Instance.from_rows([[rng.randint(1, 20) for _ in range(m)] for _ in range(n)])
-        outcome = approx_ceei(inst, default_epsilon(n, m))
-        rounded += _round_to_exact(inst, outcome.prices) is not None
+    draws = [[[rng.randint(1, 20) for _ in range(m)] for _ in range(n)]
+             for n, m in [(21, 30), (4, 7), (4, 7), (3, 10), (3, 10), (3, 6), (3, 6)]]
+    for rows in draws + [UNDERPAID_ROWS]:
+        inst = Instance.from_rows(rows)
+        for eps in (default_epsilon(inst.n, inst.m), 0):
+            assert verify_fisher_equilibrium(inst, approx_ceei(inst, eps)).holds
     assert callers["_route_plain"] >= 100
-    assert callers["_route_within_bounds"] >= 14 and rounded >= 1
-    assert set(callers) == {"_route_plain", "_route_within_bounds"}
+    assert callers["_route_within_bounds"] >= 14 and callers["approx_ceei"] >= 1
+    assert set(callers) == {"_route_plain", "_route_within_bounds", "approx_ceei"}

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fairchores import equilibrium
 from fairchores.core import (
     ChoreCopy,
     FractionalAllocation,
@@ -16,7 +17,6 @@ from fairchores.core import (
     bundle_payment,
 )
 from fairchores.equilibrium import (
-    _round_to_exact,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -27,7 +27,6 @@ from fairchores.errors import BudgetExhaustedError, InputError
 from fairchores.rounding import (
     RoundingState,
     SolveOptions,
-    _exact_by_rounding,
     fair_and_efficient,
     phase1,
     phase2,
@@ -209,59 +208,67 @@ class TestPipeline:
 
     def test_exact_route_trace_is_the_rounding_trace(self):
         # Epsilon 0 marks the exact route; its trace holds the rounding's
-        # events alone, as the approximate route's does.
+        # events alone, as the approximate route's does, run on the price
+        # loop's equilibrium at epsilon 0.
         inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])
         result = fair_and_efficient(inst, SolveOptions(exact=True))
-        outcome = _exact_by_rounding(inst, approx_ceei(inst, default_epsilon(2, 3)))
+        outcome = approx_ceei(inst, 0)
         state = RoundingState.from_outcome(inst, outcome)
         phase2(phase1(state))
-        assert result.epsilon == 0
+        assert result.epsilon == outcome.epsilon == 0
+        assert result.prices == outcome.prices
         assert result.trace == tuple(state.trace)
 
-    def test_exact_route_retries_with_a_smaller_epsilon(self, monkeypatch):
-        # Criterion-5 draw 22 (seed 1005): the approximate prices at
-        # eps = 1/75 round to no equilibrium, those at 1/750 do.
-        inst = Instance.from_rows(
-            [[9, 16, 16, 13, 20], [13, 1, 3, 14, 5], [8, 3, 7, 14, 18]])
-        assert default_epsilon(3, 5) == F(1, 75)
-        assert _round_to_exact(inst, approx_ceei(inst, F(1, 75)).prices) is None
-        rounded = _round_to_exact(inst, approx_ceei(inst, F(1, 750)).prices)
-        assert verify_fisher_equilibrium(inst, rounded).holds
-        assert rounded.epsilon == 0
-        calls = []
-        patch_every_binding(monkeypatch, approx_ceei, calls)
-        result = fair_and_efficient(inst, SolveOptions(exact=True))
-        assert [args[1] for args in calls] == [F(1, 75), F(1, 750)]
-        assert result.prices == rounded.prices
-        assert result.epsilon == 0
-
-    @pytest.mark.parametrize("miss", ["rounding", "price-loop"])
+    @pytest.mark.parametrize("miss", ["price-loop", "round-budget"])
     def test_exhaustion_propagates_inside_the_search_caps(self, monkeypatch, miss):
         # 2 x 3 lies inside exact_ceei's 4 x 7 caps, yet no exhaustive
-        # search answers a miss: a rounding that misses on every rung of the
-        # ladder fails the exact route, an exhausted price loop both routes.
+        # search answers an exhausted price loop, on either route.
         def exhausted(*args):
             raise BudgetExhaustedError("out of rounds")
 
         approximated, searched = [], []
         patch_every_binding(monkeypatch, exact_ceei, searched)
         inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])
-        eps = default_epsilon(2, 3)
-        if miss == "rounding":
-            patch_every_binding(monkeypatch, approx_ceei, approximated)
-            patch_every_binding(monkeypatch, _round_to_exact, [], lambda *args: None)
-            with pytest.raises(BudgetExhaustedError, match="no exact equilibrium rounded"):
-                fair_and_efficient(inst, SolveOptions(exact=True))
-            assert [args[1] for args in approximated] == [eps, eps / 10, eps / 100]
-            # The approximate route never rounds, so the miss cannot reach it.
-            assert fair_and_efficient(inst).epsilon == eps
-        else:
+        if miss == "price-loop":
             patch_every_binding(monkeypatch, approx_ceei, approximated, exhausted)
-            for opts in (SolveOptions(), SolveOptions(exact=True)):
-                with pytest.raises(BudgetExhaustedError, match="out of rounds"):
-                    fair_and_efficient(inst, opts)
-            assert len(approximated) == 2
+            message = "out of rounds"
+        else:
+            patch_every_binding(monkeypatch, approx_ceei, approximated)
+            monkeypatch.setattr(equilibrium, "DEFAULT_ROUNDS", 0)
+            message = "within 0 price-adjustment rounds"
+        for opts in (SolveOptions(), SolveOptions(exact=True)):
+            with pytest.raises(BudgetExhaustedError, match=message):
+                fair_and_efficient(inst, opts)
+        assert [args[1] for args in approximated] == [default_epsilon(2, 3), 0]
         assert searched == []
+
+    def test_wide_spread_family_on_both_routes(self, monkeypatch):
+        # Entries 1..9 times 1 or 10^6. Rounding the approximate equilibrium
+        # missed on 5 of these 400 draws. Every draw now certifies on both
+        # routes, the exact one at epsilon 0, and the underpaid rounds, each
+        # read off the floor network's cut, are counted to show they ran.
+        real = equilibrium._route_within_bounds
+        underpaid = []
+
+        def counted(*args):
+            earnings = real(*args)
+            underpaid.append(earnings is None)
+            return earnings
+
+        monkeypatch.setattr(equilibrium, "_route_within_bounds", counted)
+        rng = random.Random(3)
+        for _ in range(400):
+            n = rng.randint(2, 4)
+            m = rng.randint(n, 8)
+            inst = Instance.from_rows([[rng.randint(1, 9) * rng.choice((1, 10**6))
+                                        for _ in range(m)] for _ in range(n)])
+            for opts, eps in ((SolveOptions(), default_epsilon(n, m)),
+                              (SolveOptions(exact=True), 0)):
+                result = fair_and_efficient(inst, opts)
+                assert result.epsilon == eps
+                assert all(c.holds for c in result.certificates)
+                assert check_ef1(inst, result.alloc).holds
+        assert sum(underpaid) >= 50
 
     def test_exact_route_never_searches_supports_when_rounding_answers(self, monkeypatch):
         # Identical rows tie every ratio, the exhaustive search's worst case
@@ -282,6 +289,12 @@ class TestPipeline:
         for bad in (F(1, 19), F(1, 2), F(0), F(-1, 40)):
             with pytest.raises(InputError):
                 fair_and_efficient(inst, SolveOptions(epsilon=bad))
+
+    def test_exact_route_takes_no_epsilon(self):
+        # The exact route has no income slack to set, not even a valid one.
+        for epsilon in (F(1, 100), F(0)):
+            with pytest.raises(InputError, match="takes no epsilon"):
+                SolveOptions(exact=True, epsilon=epsilon)
 
     def test_zero_disutility_rejected(self):
         with pytest.raises(InputError):
@@ -326,20 +339,19 @@ class TestPipeline:
             assert all(k <= 1 for k in per_agent_copies)
 
     def test_each_route_verifies_the_equilibrium_once_per_step(self, monkeypatch):
-        # The price loop verifies once, and the exact route adds the check of
-        # the rounded equilibrium. The rounding takes the verified outcome
-        # without a second check. Both routes start from the one approx_ceei
-        # call.
+        # Each route is one approx_ceei call, at epsilon 0 on the exact one,
+        # which verifies its equilibrium once. The rounding takes the
+        # verified outcome without a second check.
         verified, approximated = [], []
         patch_every_binding(monkeypatch, verify_fisher_equilibrium, verified)
         patch_every_binding(monkeypatch, approx_ceei, approximated)
         for rows in ([[1, 2, 3], [3, 1, 2]], [[1, 1], [1, 1]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]):
             inst = Instance.from_rows(rows)
-            for opts, expected in ((SolveOptions(), 1), (SolveOptions(exact=True), 2)):
+            for opts in (SolveOptions(), SolveOptions(exact=True)):
                 verified.clear()
                 approximated.clear()
                 fair_and_efficient(inst, opts)
-                assert len(verified) == expected, (rows, opts)
+                assert len(verified) == 1, (rows, opts)
                 assert len(approximated) == 1, (rows, opts)
 
     def test_fpo_certified_by_the_equilibrium_above_the_lp_cap(self):
