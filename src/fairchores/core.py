@@ -2,9 +2,9 @@
 
 All numeric quantities are exact rationals (`fractions.Fraction`) at the
 boundary; nothing in the algorithmic pipeline ever rounds. Inside, solvers and
-certificates compare costs in integers: ``integer_rows`` is the one place a
-row of disutilities is scaled. Values are immutable and safe to share across
-threads.
+certificates compare costs in integers: ``row_scales`` and its integers alone,
+``integer_rows``, are the one place a row of disutilities is scaled. Values
+are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -332,7 +332,14 @@ def integer_rows(inst: Instance) -> list[list[int]]:
     prices or a total disutility, need one scale for every row instead: the
     rationals themselves, or the lcm of every entry's denominator.
     """
-    return [over_common_denominator(row)[0] for row in inst.disutility]
+    return [ints for ints, _ in row_scales(inst)]
+
+
+def row_scales(inst: Instance) -> list[tuple[list[int], int]]:
+    """``integer_rows`` with each row's scale: ``(ints, K_i)`` per agent, as
+    ``over_common_denominator`` gives them, so that a certificate can state
+    its costs as rationals again, ``Fraction(cost, K_i)``."""
+    return [over_common_denominator(row) for row in inst.disutility]
 
 
 def bundle_disutility(inst: Instance, agent: int, units: Iterable[ChoreCopy]) -> Fraction:

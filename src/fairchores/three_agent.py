@@ -4,15 +4,20 @@ The solver breaks every tie between distinct chore sets, seeds the partition
 with a greedy split that is EFX under the first agent's costs, and then walks
 through partitions maintaining three loop invariants until either a consistent
 assignment exists (transfer-EFX) or the walk exits through the proportional
-branch. The final certificate is always re-verified against the original,
-unscaled instance.
+branch. The final certificate is always re-verified from the instance's own
+integer rows, not the tie-broken ones.
+
+Each call scales every row once (``row_scales``), derives the tie-broken rows
+from those integers, and carries every agent's cost of every bundle,
+``T[agent][bundle]``, through the walk: each swap, move and transfer updates
+the nine totals by the chores it shifts, so no step re-sums a bundle.
 
 Ties are broken in integers, the simplest form of Edelsbrunner & Mücke's
 "Simulation of Simplicity" (ACM TOG 1990): every comparison in the walk is
 between two chore sets under one agent's costs, so each row is scaled to
 integers on its own and chore ``j``'s tie-break weight ``2^(j+1)`` sits in
-the low bits (``_scaled_rows``). ``perturb_nondegenerate`` applies the same
-order as an explicit rational epsilon and stays as the test oracle.
+the low bits (``_tie_broken_rows``). ``perturb_nondegenerate`` applies the
+same order as an explicit rational epsilon and stays as the test oracle.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .core import Certificate, ChoreCopy, Instance, SurplusAllocation, integer_rows, rat
+from .core import Certificate, ChoreCopy, Instance, SurplusAllocation, rat, row_scales
 from .errors import AlgorithmBugError, InputError
-from .verifiers import check_proportional, check_tefx
+from .verifiers import _split_certificate
 
 Partition3 = tuple[frozenset[int], frozenset[int], frozenset[int]]
 
@@ -38,10 +43,10 @@ def perturb_nondegenerate(inst: Instance) -> tuple[Instance, Fraction]:
     least ``1/D``, so ``eps = 1 / (2 D 2^(m+1))`` keeps every strict original
     comparison strict after perturbation.
 
-    ``solve_three`` does not call this: it orders sets by ``_scaled_rows``,
-    which is this order in integers. This explicit form is the test oracle
-    for that order, and the way to check non-degeneracy with
-    ``check_nondegenerate``.
+    ``solve_three`` does not call this: it orders sets by
+    ``_tie_broken_rows``, which is this order in integers. This explicit form
+    is the test oracle for that order, and the way to check non-degeneracy
+    with ``check_nondegenerate``.
     """
     m = inst.m
     common = lcm(*(value.denominator for row in inst.disutility for value in row))
@@ -52,20 +57,22 @@ def perturb_nondegenerate(inst: Instance) -> tuple[Instance, Fraction]:
     return Instance(rows), eps
 
 
-def _scaled_rows(inst: Instance) -> tuple[tuple[int, ...], ...]:
+def _tie_broken_rows(scaled) -> list[list[int]]:
     """Integer rows that order one agent's chore sets as the perturbation does.
 
-    Entry ``(i, j)`` is ``K_i d_ij 2^(m+1) + 2^(j+1)``, where ``K_i d_ij`` is
-    the ``integer_rows`` entry: ``K_i`` is the lcm of row ``i``'s
-    denominators. Two sets whose original costs differ then differ by at
-    least ``2^(m+1)``, more than any two fingerprints ``sum 2^(j+1)`` can, so
-    every strict comparison keeps its direction and ties break as under
-    ``perturb_nondegenerate``. Rows are scaled apart, so only sets under the
-    same agent's costs may be compared.
+    ``scaled`` holds each row as ``row_scales`` gives it, ``(ints, K_i)``:
+    ``K_i`` is the lcm of row ``i``'s denominators and ``ints`` is the
+    ``integer_rows`` row, its entries times ``K_i``. Entry ``(i, j)`` is
+    ``K_i d_ij 2^(m+1) + 2^(j+1)``. Two sets whose original costs differ then
+    differ by at least ``2^(m+1)``, more than any two fingerprints
+    ``sum 2^(j+1)`` can, so every strict comparison keeps its direction and
+    ties break as under ``perturb_nondegenerate``. Rows are scaled apart, so
+    only sets under the same agent's costs may be compared.
     """
-    unit = 2 ** (inst.m + 1)
-    return tuple(tuple(value * unit + 2 ** (j + 1) for j, value in enumerate(row))
-                 for row in integer_rows(inst))
+    m = len(scaled[0][0])
+    unit = 2 << m
+    marks = [2 << j for j in range(m)]
+    return [[value * unit + mark for value, mark in zip(ints, marks)] for ints, _ in scaled]
 
 
 def efx_identical(costs: Sequence, n: int) -> tuple[frozenset[int], ...]:
@@ -78,16 +85,36 @@ def efx_identical(costs: Sequence, n: int) -> tuple[frozenset[int], ...]:
     costs = [v if type(v) is int else rat(v) for v in costs]
     bundles: list[set[int]] = [set() for _ in range(n)]
     totals = [0] * n
-    for c in sorted(range(len(costs)), key=lambda c: (-costs[c], c)):
-        target = min(range(n), key=lambda k: (totals[k], k))
+    # A reversed sort is still stable: equal costs keep ascending ids.
+    for c in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        target = totals.index(min(totals))
         bundles[target].add(c)
         totals[target] += costs[c]
     return tuple(frozenset(b) for b in bundles)
 
 
-def _cost(rows, agent: int, chores):
-    row = rows[agent]
-    return sum(row[c] for c in chores)
+def _cost(row, chores):
+    return sum(map(row.__getitem__, chores))
+
+
+def _totals(rows, partition) -> list[list]:
+    """``T[agent][bundle]``: every agent's cost of every bundle."""
+    return [[_cost(row, bundle) for bundle in partition] for row in rows]
+
+
+def _cheapest(row, partition) -> list:
+    """The agent's cost of each bundle's cheapest chore; None for an empty bundle."""
+    return [min(map(row.__getitem__, bundle)) if bundle else None for bundle in partition]
+
+
+def _fits(totals, k: int, drop) -> bool:
+    """Whether bundle ``k``, with the agent's bundle ``totals`` and its
+    cheapest chore costing ``drop`` (None when empty), stays unenvied after
+    any single transfer."""
+    if drop is None:
+        return True
+    kept = totals[k] - drop
+    return all(kept <= total + drop for j, total in enumerate(totals) if j != k)
 
 
 def tefx_feasible(rows, agent: int, k: int, partition) -> bool:
@@ -96,17 +123,24 @@ def tefx_feasible(rows, agent: int, k: int, partition) -> bool:
     Additivity means only the cheapest chore of the bundle needs checking.
     ``rows`` are an instance's ``disutility`` or the solver's integer rows.
     """
-    bundle = partition[k]
-    if not bundle:
-        return True
-    drop = min(rows[agent][c] for c in bundle)
-    total = _cost(rows, agent, bundle)
-    for j in range(len(partition)):
-        if j == k:
-            continue
-        if total - drop > _cost(rows, agent, partition[j]) + drop:
-            return False
-    return True
+    row = rows[agent]
+    return _fits([_cost(row, bundle) for bundle in partition], k, _cheapest(row, partition)[k])
+
+
+def _match(totals, cheapest) -> Optional[dict[int, int]]:
+    """``terminal_assignment`` from the totals and from the cheapest chores
+    of agents 0 and 2 (``cheapest[0]`` and ``cheapest[2]``)."""
+    fits0 = [k for k in range(3) if _fits(totals[0], k, cheapest[0][k])]
+    fits2 = [k for k in range(3) if _fits(totals[2], k, cheapest[2][k])]
+    least = min(totals[1])
+    fits1 = [k for k in range(3) if totals[1][k] == least]
+    for b0 in fits0:
+        for b1 in fits1:
+            if b1 != b0:
+                for b2 in fits2:
+                    if b2 != b0 and b2 != b1:
+                        return {0: b0, 1: b1, 2: b2}
+    return None
 
 
 def terminal_assignment(rows, partition) -> Optional[dict[int, int]]:
@@ -116,20 +150,8 @@ def terminal_assignment(rows, partition) -> Optional[dict[int, int]]:
     accepts her cheapest bundle(s). Returns the lexicographically smallest
     perfect matching as an agent-to-bundle map, or None.
     """
-    acceptable = [set(), set(), set()]
-    for k in range(3):
-        if tefx_feasible(rows, 0, k, partition):
-            acceptable[0].add(k)
-        if tefx_feasible(rows, 2, k, partition):
-            acceptable[2].add(k)
-    costs = [_cost(rows, 1, partition[k]) for k in range(3)]
-    cheapest = min(costs)
-    acceptable[1] = {k for k in range(3) if costs[k] == cheapest}
-    for b0 in sorted(acceptable[0]):
-        for b1 in sorted(acceptable[1] - {b0}):
-            for b2 in sorted(acceptable[2] - {b0, b1}):
-                return {0: b0, 1: b1, 2: b2}
-    return None
+    cheapest = [_cheapest(rows[0], partition), None, _cheapest(rows[2], partition)]
+    return _match(_totals(rows, partition), cheapest)
 
 
 @dataclass(frozen=True)
@@ -142,27 +164,29 @@ class ThreeResult:
     iterations: int
 
 
-def _check_invariants(rows, bundles: list[frozenset[int]]) -> None:
+def _check_invariants(rows, bundles, totals) -> list:
+    """Raise on a broken loop invariant. ``totals`` are the loop's carried
+    ``T[agent][bundle]``; returns the cheapest chores of agents 0 and 2, as
+    ``_match`` reads them."""
+    cheapest = [_cheapest(rows[0], bundles), None, _cheapest(rows[2], bundles)]
+    own = totals[0]
     for k in (0, 1):
-        if not tefx_feasible(rows, 0, k, bundles):
+        drop = cheapest[0][k]
+        if not _fits(own, k, drop):
             raise AlgorithmBugError(f"three-agent loop: bundle {k} lost feasibility for agent 0")
-        if bundles[k]:
-            worst = _cost(rows, 0, bundles[k]) - min(rows[0][c] for c in bundles[k])
-            if worst > _cost(rows, 0, bundles[2]):
-                raise AlgorithmBugError(
-                    f"three-agent loop: bundle {k} minus a chore exceeds bundle 2 for agent 0")
-    if not tefx_feasible(rows, 2, 2, bundles):
+        if drop is not None and own[k] - drop > own[2]:
+            raise AlgorithmBugError(
+                f"three-agent loop: bundle {k} minus a chore exceeds bundle 2 for agent 0")
+    if not _fits(totals[2], 2, cheapest[2][2]):
         raise AlgorithmBugError("three-agent loop: bundle 2 lost feasibility for agent 2")
+    return cheapest
 
 
-def _result(inst: Instance, bundles_by_agent, assignment, kind, trace, iterations) -> ThreeResult:
+def _result(scaled, m: int, bundles_by_agent, assignment, kind, trace,
+            iterations) -> ThreeResult:
     alloc = SurplusAllocation(
-        tuple(frozenset(ChoreCopy(c, 0) for c in bundle) for bundle in bundles_by_agent),
-        inst.m)
-    if kind == "tEFX":
-        certificate = check_tefx(inst, alloc)
-    else:
-        certificate = check_proportional(inst, alloc)
+        tuple(frozenset(ChoreCopy(c, 0) for c in bundle) for bundle in bundles_by_agent), m)
+    certificate = _split_certificate(kind, scaled, alloc)
     if not certificate.holds:
         raise AlgorithmBugError(
             f"certificate: {kind} claim failed on the original instance: {certificate.witness}")
@@ -175,44 +199,52 @@ def solve_three(inst: Instance) -> ThreeResult:
     if inst.n != 3:
         raise InputError(f"expected 3 agents, got {inst.n}")
     m = inst.m
-    rows = _scaled_rows(inst)
+    scaled = row_scales(inst)
+    rows = _tie_broken_rows(scaled)
 
     greedy = efx_identical(rows[0], 3)
+    totals = _totals(rows, greedy)
     # Labels sorted so agent 2 ranks them: bundle2 <= bundle0 <= bundle1.
-    by_agent2 = sorted(range(3), key=lambda k: (_cost(rows, 2, greedy[k]), k))
-    bundles = [greedy[by_agent2[1]], greedy[by_agent2[2]], greedy[by_agent2[0]]]
+    # The sort is stable, so equal costs keep ascending labels.
+    low, middle, high = sorted(range(3), key=totals[2].__getitem__)
+    bundles = [greedy[middle], greedy[high], greedy[low]]
+    totals = [[t[middle], t[high], t[low]] for t in totals]
 
     trace: list[dict] = []
     previous_phi: Optional[int] = None
 
     for iteration in range(m + 1):
         swapped = False
-        if _cost(rows, 2, bundles[0]) > _cost(rows, 2, bundles[1]):
+        if totals[2][0] > totals[2][1]:
             bundles[0], bundles[1] = bundles[1], bundles[0]
+            for t in totals:
+                t[0], t[1] = t[1], t[0]
             swapped = True
-        _check_invariants(rows, bundles)
+        cheapest = _check_invariants(rows, bundles, totals)
         phi = len(bundles[0]) + len(bundles[1])
         if previous_phi is not None and phi >= previous_phi:
             raise AlgorithmBugError(f"three-agent loop: potential stalled at {phi}")
         previous_phi = phi
 
-        assignment = terminal_assignment(rows, bundles)
+        assignment = _match(totals, cheapest)
         if assignment is not None:
             trace.append({"iteration": iteration, "phi": phi, "branch": "terminal",
                           "swapped": swapped})
             by_agent = [bundles[assignment[a]] for a in range(3)]
             labels = [assignment[a] for a in range(3)]
-            return _result(inst, by_agent, labels, "tEFX", trace, iteration + 1)
+            return _result(scaled, m, by_agent, labels, "tEFX", trace, iteration + 1)
 
         # Only bundle 2 fits agent 2 now; move her least-cost chore over.
-        mover = min(bundles[0], key=lambda c: (rows[2][c], c))
-        slim = bundles[0] - {mover}
-        grown = bundles[2] | {mover}
-        if _cost(rows, 2, slim) <= _cost(rows, 2, grown):
+        # Every row's entries are distinct, so the least cost names one chore.
+        row0, row2 = rows[0], rows[2]
+        mover = min(bundles[0], key=row2.__getitem__)
+        step = [row[mover] for row in rows]
+        if totals[2][0] - step[2] <= totals[2][2] + step[2]:
             raise AlgorithmBugError(
                 "three-agent loop: moved chore failed to keep bundle 0 heavier")
-        candidate = [slim, bundles[1], grown]
-        if tefx_feasible(rows, 0, 1, candidate):
+        totals = [[t[0] - d, t[1], t[2] + d] for t, d in zip(totals, step)]
+        candidate = [bundles[0] - {mover}, bundles[1], bundles[2] | {mover}]
+        if _fits(totals[0], 1, cheapest[0][1]):
             trace.append({"iteration": iteration, "phi": phi, "branch": "move",
                           "moved": [mover], "swapped": swapped})
             bundles = candidate
@@ -220,30 +252,39 @@ def solve_three(inst: Instance) -> ThreeResult:
 
         # Rebalance: shift the cheapest chores (agent 0's view) from bundle 1
         # to bundle 0 until the order flips on the next shift.
-        order = sorted(candidate[1], key=lambda c: (rows[0][c], c))
-        chosen = None
-        for take in range(1, len(order)):
-            one = candidate[0] | set(order[:take])
-            two = candidate[1] - set(order[:take])
-            if _cost(rows, 0, one) < _cost(rows, 0, two):
-                nxt = order[take]
-                if _cost(rows, 0, one) + rows[0][nxt] >= _cost(rows, 0, two) - rows[0][nxt]:
-                    chosen = (frozenset(one), frozenset(two), take)
+        order = sorted(candidate[1], key=row0.__getitem__)
+        one, two = totals[0][0], totals[0][1]
+        take = None
+        for index in range(1, len(order)):
+            shift = row0[order[index - 1]]
+            one += shift
+            two -= shift
+            if one < two:
+                nxt = row0[order[index]]
+                if one + nxt >= two - nxt:
+                    take = index
                     break
-        if chosen is None:
+        if take is None:
             raise AlgorithmBugError(
                 "three-agent loop: no valid transfer prefix: rebalancing failed")
-        balanced = [chosen[0], chosen[1], candidate[2]]
-        if tefx_feasible(rows, 2, 2, balanced):
+        shifted = order[:take]
+        moving = set(shifted)
+        balanced = [candidate[0] | moving, candidate[1] - moving, candidate[2]]
+        totals = [[t[0] + s, t[1] - s, t[2]]
+                  for t, s in zip(totals, (_cost(row, shifted) for row in rows))]
+        # Bundle 2 gained the mover, so its cheapest chore for agent 2 is the
+        # cheaper of the two.
+        drop = step[2] if cheapest[2][2] is None else min(cheapest[2][2], step[2])
+        if _fits(totals[2], 2, drop):
             trace.append({"iteration": iteration, "phi": phi, "branch": "transfer",
-                          "moved": [mover] + order[:chosen[2]], "swapped": swapped})
+                          "moved": [mover] + shifted, "swapped": swapped})
             bundles = balanced
             continue
 
         # Proportional exit: agent 1 takes her cheapest bundle; agents 0 and 2
         # take their proven-proportional bundles from the remainder.
-        costs1 = [_cost(rows, 1, b) for b in balanced]
-        favorite = min(range(3), key=lambda k: (costs1[k], k))
+        costs1 = totals[1]
+        favorite = costs1.index(min(costs1))
         if favorite == 0:
             labels = [1, 0, 2]
         elif favorite == 1:
@@ -253,6 +294,6 @@ def solve_three(inst: Instance) -> ThreeResult:
         trace.append({"iteration": iteration, "phi": phi, "branch": "proportional",
                       "favorite": favorite, "swapped": swapped})
         by_agent = [balanced[labels[a]] for a in range(3)]
-        return _result(inst, by_agent, labels, "Proportional", trace, iteration + 1)
+        return _result(scaled, m, by_agent, labels, "Proportional", trace, iteration + 1)
 
     raise AlgorithmBugError(f"three-agent loop: exceeded {m} iterations")

@@ -22,6 +22,7 @@ from .core import (
     bundle_disutility,
     integer_rows,
     over_common_denominator,
+    row_scales,
 )
 from .equilibrium import _best_ratio_sets
 from .errors import InstanceTooLargeError
@@ -48,7 +49,11 @@ MAX_SUBSET_CHORES = 12  # chores whose 2^m subset sums check_nondegenerate compa
 def _costs(row, bundles) -> tuple[list[int], int, list[int]]:
     """``row`` as integers over its own lcm ``K``, as ``integer_rows`` scales
     a row; ``K``; and each bundle's cost in those units."""
-    ints, K = over_common_denominator(row)
+    return _view(*over_common_denominator(row), bundles)
+
+
+def _view(ints, K, bundles) -> tuple[list[int], int, list[int]]:
+    """``_costs`` of a row already over its own lcm."""
     return ints, K, [sum(ints[u.chore] for u in bundle) for bundle in bundles]
 
 
@@ -98,19 +103,30 @@ def check_efx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
 
 def check_tefx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """No strong envy: transferring any single chore kills the envy."""
-    found = _envy(_agent_views(inst, alloc), alloc.bundles, min, transfer=True)
-    if found is None:
-        return Certificate(TEFX, True)
-    i, j, unit, _, kept, other = found
-    return Certificate(TEFX, False, {
-        "agent": i, "envied": j, "chore": unit.chore, "copy": unit.copy,
-        "after_transfer": rat_text(kept), "other_with_chore": rat_text(other)})
+    return _split_certificate(TEFX, row_scales(inst), alloc)
 
 
 def check_proportional(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """Every bundle costs its holder at most a 1/n share of all original chores."""
-    for i in range(alloc.n):
-        ints, K, (own,) = _costs(inst.disutility[i], (alloc.bundles[i],))
+    return _split_certificate(PROPORTIONAL, row_scales(inst), alloc)
+
+
+def _split_certificate(prop: str, scaled, alloc: SurplusAllocation) -> Certificate:
+    """``check_tefx`` (``prop`` TEFX) or ``check_proportional`` (PROPORTIONAL)
+    from rows already over their own lcm: ``scaled[i]`` is agent ``i``'s
+    ``(ints, K)``, as ``row_scales`` gives them. ``solve_three`` passes the
+    rows it scaled itself, so no row is scaled twice."""
+    if prop == TEFX:
+        views = (_view(ints, K, alloc.bundles) for ints, K in scaled)
+        found = _envy(views, alloc.bundles, min, transfer=True)
+        if found is None:
+            return Certificate(TEFX, True)
+        i, j, unit, _, kept, other = found
+        return Certificate(TEFX, False, {
+            "agent": i, "envied": j, "chore": unit.chore, "copy": unit.copy,
+            "after_transfer": rat_text(kept), "other_with_chore": rat_text(other)})
+    for i, ((ints, K), bundle) in enumerate(zip(scaled, alloc.bundles)):
+        own = sum(ints[u.chore] for u in bundle)
         if alloc.n * own > sum(ints):
             return Certificate(PROPORTIONAL, False, {
                 "agent": i, "own": rat_text(Fraction(own, K)),

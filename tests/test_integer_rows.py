@@ -24,11 +24,20 @@ def common_scale_rows(inst):
             for row in inst.disutility]
 
 
+def common_scale_pairs(inst):
+    """``row_scales`` under the same rule: every common-scale row with that
+    one scale."""
+    scale = lcm(*(value.denominator for row in inst.disutility for value in row))
+    return [(row, scale) for row in common_scale_rows(inst)]
+
+
 def test_integer_rows_scale_each_row_by_its_own_lcm():
     inst = Instance.from_rows([["1/3", "1/6"], [1, 2], ["3/4", "1/2"], [0, "5/7"]])
     assert integer_rows(inst) == [[2, 1], [1, 2], [3, 2], [0, 5]]
     assert common_scale_rows(inst) == [[28, 14], [84, 168], [63, 42], [0, 60]]
     assert integer_rows(Instance.from_rows([[], []])) == [[], []]
+    assert core.row_scales(inst) == [([2, 1], 6), ([1, 2], 1), ([3, 2], 4), ([0, 5], 7)]
+    assert common_scale_pairs(inst) == [(row, 84) for row in common_scale_rows(inst)]
 
 
 def mixed_draw(rng, kind):
@@ -78,13 +87,19 @@ def results(inst, rng):
 
 def test_per_row_scales_agree_with_one_common_scale(monkeypatch):
     # A factor on one row changes no comparison within that row, so running
-    # every reader of integer_rows on the common-scale rows must give the
-    # same outcomes, allocations, traces and certificates, witnesses included.
-    readers = [module for name, module in sorted(sys.modules.items())
-               if name.startswith("fairchores.") and module is not core
-               and getattr(module, "integer_rows", None) is integer_rows]
+    # every reader of integer_rows or row_scales on the common-scale rows
+    # must give the same outcomes, allocations, traces and certificates,
+    # witnesses included.
+    modules = [module for name, module in sorted(sys.modules.items())
+               if name.startswith("fairchores.") and module is not core]
+    readers = [module for module in modules
+               if getattr(module, "integer_rows", None) is integer_rows]
+    pair_readers = [module for module in modules
+                    if getattr(module, "row_scales", None) is core.row_scales]
     assert {module.__name__ for module in readers} >= {
-        "fairchores.equilibrium", "fairchores.three_agent", "fairchores.verifiers"}
+        "fairchores.equilibrium", "fairchores.verifiers"}
+    assert {module.__name__ for module in pair_readers} >= {
+        "fairchores.three_agent", "fairchores.verifiers"}
     rng = random.Random(19)
     draws = [mixed_draw(rng, kind) for kind in ("small", "wide", "zeros") for _ in range(24)]
     mixed = sum(len({lcm(*(v.denominator for v in row)) for row in inst.disutility}) > 1
@@ -94,6 +109,8 @@ def test_per_row_scales_agree_with_one_common_scale(monkeypatch):
     per_row = [results(inst, random.Random(seed)) for inst, seed in zip(draws, seeds)]
     for module in readers:
         monkeypatch.setattr(module, "integer_rows", common_scale_rows)
+    for module in pair_readers:
+        monkeypatch.setattr(module, "row_scales", common_scale_pairs)
     common = [results(inst, random.Random(seed)) for inst, seed in zip(draws, seeds)]
     assert per_row == common
     kinds = [key for found in per_row for key in found]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from fairchores import three_agent
-from fairchores.core import Instance
+from fairchores.core import Instance, row_scales
 from fairchores.errors import InputError
 from fairchores.three_agent import (
-    _scaled_rows,
+    _tie_broken_rows,
     efx_identical,
     perturb_nondegenerate,
     solve_three,
@@ -96,13 +97,24 @@ def sign(x):
     return (x > 0) - (x < 0)
 
 
+def tie_broken(inst):
+    return _tie_broken_rows(row_scales(inst))
+
+
+def perturbed_rows(scaled):
+    """``_tie_broken_rows``'s stand-in: the explicit perturbation of the
+    instance whose rows ``row_scales`` gave as ``scaled``."""
+    rows = [[F(value, K) for value in ints] for ints, K in scaled]
+    return perturb_nondegenerate(Instance.from_rows(rows))[0].disutility
+
+
 class TestScaledRows:
     """The integer rows ``solve_three`` uses order sets as the perturbation does."""
 
     def test_formula_per_row(self):
-        scaled = _scaled_rows(Instance.from_rows([["1/3", "1/6"], [1, 2], [0, 0]]))
-        assert scaled == ((2 * 8 + 2, 1 * 8 + 4), (8 + 2, 16 + 4), (2, 4))
-        assert _scaled_rows(Instance.from_rows([[], [], []])) == ((), (), ())
+        scaled = tie_broken(Instance.from_rows([["1/3", "1/6"], [1, 2], [0, 0]]))
+        assert scaled == [[2 * 8 + 2, 1 * 8 + 4], [8 + 2, 16 + 4], [2, 4]]
+        assert tie_broken(Instance.from_rows([[], [], []])) == [[], [], []]
 
     def test_sign_agrees_with_perturbation(self):
         rng = random.Random(15)
@@ -110,7 +122,7 @@ class TestScaledRows:
             m = rng.randint(0, 12)
             inst = mixed_instance(rng, m)
             pert, _ = perturb_nondegenerate(inst)
-            scaled = _scaled_rows(inst)
+            scaled = tie_broken(inst)
             for _ in range(25):
                 s = [c for c in range(m) if rng.random() < 0.5]
                 t = [c for c in range(m) if rng.random() < 0.5]
@@ -125,7 +137,7 @@ class TestScaledRows:
             m = rng.randint(0, 9)
             inst = mixed_instance(rng, m)
             pert = perturb_nondegenerate(inst)[0].disutility
-            scaled = _scaled_rows(inst)
+            scaled = tie_broken(inst)
             partition = random_partition(rng, m)
             for agent in range(3):
                 for k in range(3):
@@ -139,9 +151,14 @@ class TestScaledRows:
         fast = [solve_three(inst) for inst in instances]
         branches = {event["branch"] for result in fast for event in result.trace}
         assert branches == {"terminal", "move", "transfer", "proportional"}
-        monkeypatch.setattr(three_agent, "_scaled_rows",
-                            lambda inst: perturb_nondegenerate(inst)[0].disutility)
+        monkeypatch.setattr(three_agent, "_tie_broken_rows", perturbed_rows)
         assert [solve_three(inst) for inst in instances] == fast
+
+    def test_stand_in_rows_are_the_perturbation(self):
+        rng = random.Random(18)
+        for _ in range(30):
+            inst = mixed_instance(rng, rng.randint(0, 9))
+            assert perturbed_rows(row_scales(inst)) == perturb_nondegenerate(inst)[0].disutility
 
 
 class TestGreedyIdentical:
@@ -277,3 +294,67 @@ class TestSolveThree:
             cover = {u.chore for b in result.alloc.bundles for u in b}
             assert cover == set(range(m))
         assert "tEFX" in seen
+
+    def test_carried_totals_are_fresh_sums_at_every_iteration(self, monkeypatch):
+        # The loop carries T[agent][bundle] through swaps, moves and
+        # transfers; every iteration's invariant check sees them next to the
+        # bundles, where they must equal sums taken afresh.
+        checked = []
+        original = three_agent._check_invariants
+
+        def fresh(rows, bundles, totals):
+            assert totals == [[sum(row[c] for c in bundle) for bundle in bundles]
+                              for row in rows]
+            checked.append(bundles)
+            return original(rows, bundles, totals)
+
+        monkeypatch.setattr(three_agent, "_check_invariants", fresh)
+        rng = random.Random(23)
+        instances = [mixed_instance(rng, rng.randint(0, 30)) for _ in range(150)]
+        results = [solve_three(inst) for inst in instances]
+        assert len(checked) == sum(result.iterations for result in results)
+        assert {event["branch"] for result in results for event in result.trace} == {
+            "terminal", "move", "transfer", "proportional"}
+        # The proportional exit reads agent 1's totals after the last transfer,
+        # which no later check sees: its favourite is her cheapest bundle.
+        exits = [(inst, result) for inst, result in zip(instances, results)
+                 if result.kind == "Proportional"]
+        assert exits
+        for inst, result in exits:
+            row = tie_broken(inst)[1]
+            balanced = [None] * 3
+            for agent, label in enumerate(result.assignment):
+                balanced[label] = [unit.chore for unit in result.alloc.bundles[agent]]
+            costs = [sum(row[c] for c in bundle) for bundle in balanced]
+            assert result.trace[-1]["favorite"] == costs.index(min(costs))
+
+
+def pinned_draws():
+    """300 instances, m 0..40: integer rows, rows with many zeros, and rows of
+    ``p/q`` entries, in turn."""
+    rng = random.Random(30)
+    draws = []
+    for index in range(300):
+        m = rng.randint(0, 40)
+        kind = index % 3
+        if kind == 0:
+            rows = [[rng.randint(1, 20) for _ in range(m)] for _ in range(3)]
+        elif kind == 1:
+            rows = [[rng.choice([0, 0, rng.randint(0, 20)]) for _ in range(m)]
+                    for _ in range(3)]
+        else:
+            rows = [[f"{rng.randint(0, 20)}/{rng.randint(1, 12)}" for _ in range(m)]
+                    for _ in range(3)]
+        draws.append(Instance.from_rows(rows))
+    return draws
+
+
+def test_outputs_match_the_pinned_digest():
+    # sha256 of the results' reprs, one per line, as the solver that re-summed
+    # every bundle on every query computed them. A repr prints each bundle's
+    # units in set order, so this also pins how the bundles are built.
+    results = [solve_three(inst) for inst in pinned_draws()]
+    assert {event["branch"] for result in results for event in result.trace} == {
+        "terminal", "move", "transfer", "proportional"}
+    digest = hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
+    assert digest == "03d063ab44f84007db51fbac281d72a6fde4aa8f797ec1b48cb4baf36971f23a"
