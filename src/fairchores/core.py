@@ -319,6 +319,8 @@ def scaled(values, scale: int) -> list[int]:
 def over_common_denominator(values) -> tuple[list[int], int]:
     """Rationals as integers ``P`` over their least common denominator ``L``."""
     L = math.lcm(*(value.denominator for value in values))
+    if L == 1:  # integral rationals, as in most instances: no divisions
+        return [value.numerator for value in values], 1
     return scaled(values, L), L
 
 
@@ -328,9 +330,9 @@ def integer_rows(inst: Instance) -> list[list[int]]:
     Every comparison the solvers and certificates make reads one agent's
     costs at a time, or a ratio of two entries of one row (best-ratio sets,
     price-rise factors, tree prices, set costs, cap rows), and a positive
-    factor on a row changes none of them. Sums across rows, such as initial
-    prices or a total disutility, need one scale for every row instead: the
-    rationals themselves, or the lcm of every entry's denominator.
+    factor on a row changes none of them. Sums across rows, such as a total
+    disutility, need one scale for every row instead: the rationals
+    themselves, or the lcm of every entry's denominator.
     """
     return [ints for ints, _ in row_scales(inst)]
 

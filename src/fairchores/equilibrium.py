@@ -459,22 +459,31 @@ def _carry_plain_network(network, n, m, P, L, mpb_sets, hi):
     return net, supply, income, edges, U
 
 
-def _route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
+def _floor_network(n, m, P, L, mpb_sets, lo):
+    """``_plain_network`` with the caps at ``lo``, and its maximum flow from
+    zero: the network and whether that flow fills every income to ``lo``."""
+    network = _plain_network(n, m, P, L, mpb_sets, lo)
+    return network, network[0].max_flow(n + m, n + m + 1) == n * int(lo * L)
+
+
+def _route_within_bounds(n, m, L, lo, hi, floor):
     """Earnings routing with every chore saturated and incomes in [lo, hi].
 
-    ``P[c]`` is price ``c`` times ``L``, an integer, and so are ``lo * L``
-    and ``hi * L``. On ``_plain_network``, a maximum flow from zero fills
-    every income up to ``lo``, then a second one with the caps raised to
-    ``hi``. Returns each MPB edge's earning as ``Fraction(flow, L)``, or None
-    when no such routing exists (the lower-bound argument of Ford and
-    Fulkerson, *Flows in Networks*, 1962): a bounded routing trimmed to ``lo``
-    per agent is a first flow of ``n * lo``, and the second flow lowers no
-    income and ends at a maximum flow, which pays every chore in full if any
-    routing does. Which routing is returned is fixed by the two flows.
+    ``floor`` is ``_floor_network``'s result for the round: the cap-only
+    network with its caps at ``lo`` and a maximum flow from zero, and
+    whether that flow fills every income to ``lo``. Prices, ``lo * L`` and
+    ``hi * L`` are integers over ``L``. A second maximum flow, with the caps
+    raised to ``hi``, continues from the first. Returns each MPB edge's
+    earning as ``Fraction(flow, L)``, or None when no such routing exists
+    (the lower-bound argument of Ford and Fulkerson, *Flows in Networks*,
+    1962): a bounded routing trimmed to ``lo`` per agent is a first flow of
+    ``n * lo``, and the second flow lowers no income and ends at a maximum
+    flow, which pays every chore in full if any routing does. Which routing
+    is returned is fixed by the two flows.
     """
     low, high = int(lo * L), int(hi * L)
-    net, supply, income, edges, _ = _plain_network(n, m, P, L, mpb_sets, lo)
-    if net.max_flow(n + m, n + m + 1) != n * low:
+    (net, supply, income, edges, _), filled = floor
+    if not filled:
         return None
     for index in income:
         net.residual[index] += high - low
@@ -529,12 +538,14 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     ``eps`` lies in [0, 1); at 0 every income is exactly 1 and the outcome
     is an exact equilibrium. The price loop follows the combinatorial
     algorithm for chore competitive equilibria of Chaudhury, Garg,
-    McGlaughlin and Mehta (EC 2022). Every round first routes chore payments
-    to agents along current best-ratio edges with only the income caps
-    (``_route_plain``). Only when every chore routes is the same network
-    routed again from zero, every income filled to its floor first and then
-    up to its cap (``_route_within_bounds``), and that routing decides
-    acceptance.
+    McGlaughlin and Mehta (EC 2022). It starts with each chore priced at its
+    least disutility over the agents, the prices scaled to total ``n``, so
+    that every chore lies in the best-ratio set of each agent who dislikes
+    it least. Every round first routes chore payments to agents along
+    current best-ratio edges with only the income caps (``_route_plain``).
+    Only when every chore routes is the same network routed again from
+    zero, every income filled to its floor first and then up to its cap
+    (``_route_within_bounds``), and that routing decides acceptance.
 
     A failing round reads one minimum cut, the set ``reach`` of nodes
     reachable from the source in the residual network, the same for every
@@ -587,12 +598,12 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
       carried nothing (flow on it would make its chore reachable). The
       update checks both. The next round reads only the cut when a chore
       stays unrouted, and the cut is the same after every maximum flow.
-      When every chore routes, the bounded routing and, if it fails, the
-      floor cut come from flows from zero on fresh networks
-      (``_route_within_bounds``, ``_plain_network`` at ``lo``). A routed
-      round's flow may sit on dropped edges, and a normalisation or a
-      uniform rescale moves the caps under the flow, so the round after one
-      of these builds a fresh network too.
+      When every chore routes, the bounded routing starts from one flow
+      from zero on a fresh floor network (``_floor_network``), and when
+      that flow leaves an income short of its floor, the round reads its
+      cut off that same network. A routed round's flow may sit on dropped
+      edges, and a normalisation or a uniform rescale moves the caps under
+      the flow, so the round after one of these builds a fresh network too.
     """
     if inst.m == 0:
         raise InputError(_NO_CHORES)
@@ -605,15 +616,13 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     n, m = inst.n, inst.m
     lo, hi = 1 - eps, 1 + eps
     D = integer_rows(inst)
-    # Each chore starts at n times its share of the total disutility. The
-    # sums add entries of different rows, so they are taken over the lcm of
-    # every entry's denominator. Prices have one form Q / R with
-    # gcd(R, *Q) == 1, so reducing n * S / sum(S) finds the (Q, R) of the
-    # rational sums.
-    K = lcm(*(value.denominator for row in inst.disutility for value in row))
-    S = [sum(value.numerator * (K // value.denominator) for value in column)
-         for column in zip(*inst.disutility)]
-    Q, R = _reduced([n * value for value in S], sum(S))
+    # Each chore starts at its least disutility over the agents, the prices
+    # scaled to total n, so it lies in the MPB set of every agent who
+    # dislikes it least. The m minima M are taken over the lcm of their own
+    # denominators. Prices have one form Q / R with gcd(R, *Q) == 1, so
+    # reducing n * M / sum(M) finds the (Q, R) of the rational start.
+    M, _ = over_common_denominator([min(column) for column in zip(*inst.disutility)])
+    Q, R = _reduced([n * value for value in M], sum(M))
     # The sets do not depend on the price scale.
     mpb_sets = _mpb_structure(D, Q)
     carried = None
@@ -638,7 +647,8 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
         # there proves the bounded routing infeasible without solving it.
         net, unrouted, network = _route_plain(n, m, P, L, mpb_sets, hi, carried)
         if not unrouted:
-            earnings = _route_within_bounds(n, m, P, L, mpb_sets, lo, hi)
+            floor = _floor_network(n, m, P, L, mpb_sets, lo)
+            earnings = _route_within_bounds(n, m, L, lo, hi, floor)
             if earnings is not None:
                 outcome = _outcome_from_earnings(
                     inst, [Fraction(value, R) for value in Q], earnings, eps)
@@ -648,8 +658,8 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
                     "approx_ceei: routed outcome failed verification; this is a bug")
             # Every chore routes under the caps, so the floors failed: the
             # cut is read off the floor network instead.
-            net = _plain_network(n, m, P, L, mpb_sets, lo)[0]
-            if net.max_flow(n + m, n + m + 1) == n * int(lo * L):
+            (net, *_), filled = floor
+            if filled:
                 # Every income at its floor, then raised to a maximum flow
                 # under the caps, would route every chore within the bounds.
                 raise AlgorithmBugError(

@@ -231,8 +231,9 @@ class TestSolveSurplus:
         # Each entry is v + 1/q over a random 495-digit q. Phase 1 splits an
         # earning whose text runs past the interpreter's 4300-digit int-to-str
         # limit; the trace event used to end the run in a ValueError traceback.
+        # The share has about 8,900 digits.
         rng = random.Random(600)
-        base = [[12, 15, 5, 20, 4, 13, 13, 15], [14, 2, 3, 18, 1, 13, 12, 11]]
+        base = [[19, 16, 6, 16, 10, 12, 12, 9], [2, 4, 10, 6, 19, 18, 7, 20]]
         rows = [[f"{v * q + 1}/{q}" for v in row
                  for q in [rng.randint(10**494, 10**495 - 1)]] for row in base]
         inst = tmp_path / "i.json"

@@ -473,6 +473,52 @@ class TestApproxCeei:
             approx_ceei(Instance.from_rows([[0, 1]]), F(1, 10))
 
 
+def test_price_loop_starts_at_each_chores_least_disutility(monkeypatch):
+    # Round 0 prices chore c at n * min_k d_k(c) / sum of the minima, so c
+    # lies in the MPB set of every agent who dislikes it least, and such an
+    # agent's set is exactly its chores of least disutility. The start's
+    # denominator comes from the minima alone: it divides their sum over
+    # the lcm of their own denominators.
+    starts = []
+    real = equilibrium._route_plain
+
+    def recording(n, m, P, L, mpb_sets, hi, carried=None):
+        if not starts:
+            starts.append((P, L, list(mpb_sets)))
+        return real(n, m, P, L, mpb_sets, hi, carried)
+
+    monkeypatch.setattr(equilibrium, "_route_plain", recording)
+    rng = random.Random(31)
+    tied = outside = 0
+    for k in range(200):
+        n = rng.randint(1, 6)
+        m = rng.randint(max(n, 1), 10)
+        # Values 1..3 over denominators 1..3 tie often. Every third draw
+        # adds 1/97 to about half the entries and scales the rest by
+        # 10^6/89, which keeps most entries over 89 out of the minima.
+        rows = [[F(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(m)] for _ in range(n)]
+        if k % 3 == 0:
+            rows = [[F(v * 97 + 1, 97) if rng.random() < 0.5 else F(v * 10**6, 89)
+                     for v in row] for row in rows]
+        inst = Instance.from_rows(rows)
+        least = [min(column) for column in zip(*inst.disutility)]
+        total = sum(least)
+        starts.clear()
+        out = approx_ceei(inst, 0)
+        assert verify_fisher_equilibrium(inst, out).holds
+        P, L, sets = starts[0]  # at epsilon 0, (P, L) is the start's (Q, R)
+        assert [F(value, L) for value in P] == [n * value / total for value in least]
+        K = lcm(*(value.denominator for value in least))
+        assert (K * total) % L == 0
+        for i in range(n):
+            chores = {c for c in range(m) if inst.d(i, c) == least[c]}
+            if chores:
+                assert sets[i] == chores
+        tied += any(sum(inst.d(i, c) == least[c] for i in range(n)) > 1 for c in range(m))
+        outside += any(v.denominator % 89 == 0 for row in rows for v in row) and L % 89 != 0
+    assert tied >= 100 and outside >= 30
+
+
 def price_loop_draws():
     """Instances and slacks for the per-round checks of ``approx_ceei``: 300
     random strictly positive draws (n 2..8, m n..20, values 1..20, every

@@ -13,6 +13,7 @@ from fairchores import equilibrium
 from fairchores._flow import FlowNetwork
 from fairchores.core import ZERO, Instance, PriceVector, integer_rows, mpb
 from fairchores.equilibrium import (
+    _floor_network,
     _mpb_structure,
     _outcome_from_earnings,
     _plain_network,
@@ -28,8 +29,9 @@ from test_integer_rows import common_scale_rows
 
 F = Fraction
 
-# 7 x 15 with values 1..20, at its default slack 1/525: one round routes
-# every chore yet fails the income floors. Reading the underpaid side off
+# 7 x 15 with values 1..20, at its default slack 1/525: from the old start,
+# n times each chore's share of the total disutility, one round routed
+# every chore yet failed the income floors. Reading the underpaid side off
 # the "poor" agents of one flow cycled here for 100,000 rounds.
 UNDERPAID_ROWS = [[17, 1, 13, 5, 5, 13, 20, 15, 5, 14, 15, 4, 15, 9, 15],
                   [16, 13, 20, 20, 11, 16, 11, 15, 3, 19, 15, 13, 12, 4, 17],
@@ -38,6 +40,10 @@ UNDERPAID_ROWS = [[17, 1, 13, 5, 5, 13, 20, 15, 5, 14, 15, 4, 15, 9, 15],
                   [8, 9, 17, 9, 2, 3, 6, 8, 11, 18, 16, 7, 20, 11, 13],
                   [3, 5, 17, 14, 4, 16, 7, 10, 9, 12, 11, 5, 8, 7, 3],
                   [18, 15, 13, 8, 10, 17, 11, 7, 1, 12, 20, 17, 17, 19, 12]]
+
+# 3 x 3 with values 1..9, at its default slack 1/45: from the
+# least-disutility start, one round routes every chore yet fails the floors.
+UNDERPAID_START_ROWS = [[6, 6, 9], [9, 5, 7], [2, 7, 4]]
 
 
 def random_network(rng, top=9):
@@ -225,8 +231,8 @@ def scaled(prices, eps):
     return [p.numerator * (L // p.denominator) for p in prices], L
 
 
-def random_instance(rng, n, m):
-    return Instance.from_rows([[rng.randint(1, 9) for _ in range(m)] for _ in range(n)])
+def random_instance(rng, n, m, top=9):
+    return Instance.from_rows([[rng.randint(1, top) for _ in range(m)] for _ in range(n)])
 
 
 def test_mpb_structure_matches_rational_ratios():
@@ -280,6 +286,12 @@ def circulation_routing(n, m, P, L, mpb_sets, lo, hi):
     return {edge: Fraction(net.flow_value(idx), L) for edge, idx in edge_index.items()}
 
 
+def route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
+    """One round's bounded routing as the price loop runs it: the floor flow
+    on a fresh network, then the caps raised to ``hi``."""
+    return _route_within_bounds(n, m, L, lo, hi, _floor_network(n, m, P, L, mpb_sets, lo))
+
+
 def test_route_within_bounds_saturates_chores_and_bounds_incomes():
     rng = random.Random(9)
     routed = 0
@@ -296,7 +308,7 @@ def test_route_within_bounds_saturates_chores_and_bounds_incomes():
             prices = [p * n / sum(raw) for p in raw]
         P, L = scaled(prices, eps)
         sets = _mpb_structure(integer_rows(inst), P)
-        earnings = _route_within_bounds(n, m, P, L, sets, 1 - eps, 1 + eps)
+        earnings = route_within_bounds(n, m, P, L, sets, 1 - eps, 1 + eps)
         if trial % 2:
             assert earnings is not None
         if earnings is None:
@@ -333,7 +345,7 @@ def test_route_within_bounds_agrees_with_the_circulation():
         lo, hi = 1 - eps, 1 + eps
         P, L = scaled(prices, eps)
         sets = _mpb_structure(integer_rows(inst), P)
-        earnings = _route_within_bounds(n, m, P, L, sets, lo, hi)
+        earnings = route_within_bounds(n, m, P, L, sets, lo, hi)
         oracle = circulation_routing(n, m, P, L, sets, lo, hi)
         assert (earnings is None) == (oracle is None)
         if earnings is None:
@@ -351,9 +363,11 @@ def test_route_within_bounds_agrees_with_the_circulation():
 
 def plain_routing_cases(monkeypatch, check=None):
     """Cap-only routing inputs ``(n, m, P, L, sets, eps, warm)`` as two
-    lists: 150 on random prices from zero flow, and every round of 12
+    lists: 150 on random prices from zero flow, and every round of 24
     ``approx_ceei`` runs, ``warm`` telling whether it carried the last
-    round's network. ``check`` sees each loop round as it runs, through
+    round's network. The first 12 runs draw values 1..9, the last 12
+    values 1..10^6, which take more rounds from the least-disutility start.
+    ``check`` sees each loop round as it runs, through
     ``watch_price_rounds``."""
     rng = random.Random(10)
     cases = []
@@ -376,10 +390,11 @@ def plain_routing_cases(monkeypatch, check=None):
             check(args, result, carried, moved)
 
     watch_price_rounds(monkeypatch, recording)
-    for _ in range(12):
+    for run in range(24):
         n = rng.randint(2, 6)
         m = rng.randint(n, 12)
-        approx_ceei(random_instance(rng, n, m), default_epsilon(n, m))
+        inst = random_instance(rng, n, m, 9 if run < 12 else 10**6)
+        approx_ceei(inst, default_epsilon(n, m))
     monkeypatch.undo()
     return cases, visited
 
@@ -395,7 +410,7 @@ def test_unrouted_chore_means_bounded_routing_is_infeasible(monkeypatch):
         _, unrouted, _ = _route_plain(n, m, P, L, sets, 1 + eps)
         if unrouted:
             blocked += 1
-            assert _route_within_bounds(n, m, P, L, sets, 1 - eps, 1 + eps) is None
+            assert route_within_bounds(n, m, P, L, sets, 1 - eps, 1 + eps) is None
     assert len(visited) >= 100 and blocked >= 100
 
 
@@ -541,9 +556,10 @@ def two_flow_approx_ceei(inst, eps, log, max_rounds=100_000):
     n, m = inst.n, inst.m
     lo, hi = 1 - eps, 1 + eps
     D = common_scale_rows(inst)
-    mean = [sum((inst.d(i, c) for i in range(n)), ZERO) / n for c in range(m)]
-    mean_total = sum(mean, ZERO)
-    prices = [n * mean[c] / mean_total for c in range(m)]
+    # Each chore at its least disutility, the prices scaled to total n.
+    least = [min(inst.d(i, c) for i in range(n)) for c in range(m)]
+    least_total = sum(least, ZERO)
+    prices = [n * least[c] / least_total for c in range(m)]
     for _ in range(max_rounds):
         total = sum(prices, ZERO)
         if total > 2 * n or total < F(n, 2):
@@ -626,8 +642,8 @@ def test_approx_ceei_matches_the_two_flow_loop(monkeypatch):
 def test_price_loop_flows_are_the_edmonds_karp_flows(monkeypatch):
     # Every network that the price loop builds, at the default slack and at
     # epsilon 0, gets the paths of the Edmonds-Karp oracle in its order, and
-    # so its flow edge by edge: the cap-only one, the bounded one and, in an
-    # underpaid round, the floor network that approx_ceei reads itself.
+    # so its flow edge by edge: the cap-only one and the bounded one, whose
+    # first flow, on the floor network, an underpaid round reads its cut off.
     callers = Counter()
 
     def checked(net, source, sink):
@@ -644,10 +660,13 @@ def test_price_loop_flows_are_the_edmonds_karp_flows(monkeypatch):
     rng = random.Random(13)
     draws = [[[rng.randint(1, 20) for _ in range(m)] for _ in range(n)]
              for n, m in [(21, 30), (4, 7), (4, 7), (3, 10), (3, 10), (3, 6), (3, 6)]]
-    for rows in draws + [UNDERPAID_ROWS]:
+    for rows in draws + [UNDERPAID_ROWS, UNDERPAID_START_ROWS]:
         inst = Instance.from_rows(rows)
         for eps in (default_epsilon(inst.n, inst.m), 0):
             assert verify_fisher_equilibrium(inst, approx_ceei(inst, eps)).holds
     assert callers["_route_plain"] >= 100
-    assert callers["_route_within_bounds"] >= 14 and callers["approx_ceei"] >= 1
-    assert set(callers) == {"_route_plain", "_route_within_bounds", "approx_ceei"}
+    # Every routed round runs a floor flow, and the second flow only when
+    # the floors fill, so the floor flows in excess are the underpaid rounds.
+    assert callers["_route_within_bounds"] >= 14
+    assert callers["_floor_network"] - callers["_route_within_bounds"] >= 1
+    assert set(callers) == {"_route_plain", "_floor_network", "_route_within_bounds"}

@@ -40,6 +40,19 @@ def test_integer_rows_scale_each_row_by_its_own_lcm():
     assert common_scale_pairs(inst) == [(row, 84) for row in common_scale_rows(inst)]
 
 
+def test_over_common_denominator_reads_integral_rows_without_dividing():
+    # An integral row is its own numerators over 1, which is what scaling by
+    # the lcm, 1, gives; a row with fractions still takes their lcm.
+    rng = random.Random(7)
+    for k in range(300):
+        values = [F(rng.randint(0, 10**12), rng.choice((1, 1, 1, 2, 3, 10**9)) if k % 2 else 1)
+                  for _ in range(rng.randint(0, 9))]
+        L = lcm(*(value.denominator for value in values))
+        assert core.over_common_denominator(values) == (core.scaled(values, L), L)
+    assert core.over_common_denominator([F(4), F(6)]) == ([4, 6], 1)
+    assert core.over_common_denominator([F(1, 2), F(2, 3)]) == ([3, 4], 6)
+
+
 def mixed_draw(rng, kind):
     """Rows whose denominators differ from row to row: small fractions, about
     10^6 denominators, or three rows with zero entries."""

@@ -244,9 +244,11 @@ class TestPipeline:
 
     def test_wide_spread_family_on_both_routes(self, monkeypatch):
         # Entries 1..9 times 1 or 10^6. Rounding the approximate equilibrium
-        # missed on 5 of these 400 draws. Every draw now certifies on both
-        # routes, the exact one at epsilon 0, and the underpaid rounds, each
-        # read off the floor network's cut, are counted to show they ran.
+        # missed on 5 of the first 400 draws. Every draw now certifies on
+        # both routes, the exact one at epsilon 0, and the underpaid rounds,
+        # each read off the floor network's cut, are counted to show they
+        # ran. From the least-disutility start few rounds are underpaid, so
+        # 400 more draws take entries 1..999 times 1 or 10^6.
         real = equilibrium._route_within_bounds
         underpaid = []
 
@@ -257,10 +259,11 @@ class TestPipeline:
 
         monkeypatch.setattr(equilibrium, "_route_within_bounds", counted)
         rng = random.Random(3)
-        for _ in range(400):
+        for draw in range(800):
             n = rng.randint(2, 4)
             m = rng.randint(n, 8)
-            inst = Instance.from_rows([[rng.randint(1, 9) * rng.choice((1, 10**6))
+            top = 9 if draw < 400 else 999
+            inst = Instance.from_rows([[rng.randint(1, top) * rng.choice((1, 10**6))
                                         for _ in range(m)] for _ in range(n)])
             for opts, eps in ((SolveOptions(), default_epsilon(n, m)),
                               (SolveOptions(exact=True), 0)):
