@@ -2,9 +2,10 @@
 
 All numeric quantities are exact rationals (`fractions.Fraction`) at the
 boundary; nothing in the algorithmic pipeline ever rounds. Inside, solvers and
-certificates compare costs in integers: ``row_scales`` and its integers alone,
-``integer_rows``, are the one place a row of disutilities is scaled. Values
-are immutable and safe to share across threads.
+certificates compare costs in integers, which each value makes once, on
+first use, and keeps: an ``Instance`` its rows over their own lcms
+(``row_scales``), a ``PriceVector`` its prices over their lcm
+(``price_scale``). Values are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -111,6 +113,10 @@ class Instance:
     def has_zero_entry(self) -> bool:
         return any(v == 0 for row in self.disutility for v in row)
 
+    @cached_property
+    def _row_scales(self) -> list[tuple[list[int], int]]:
+        return [over_common_denominator(row) for row in self.disutility]
+
 
 @dataclass(frozen=True)
 class FractionalAllocation:
@@ -169,6 +175,10 @@ class PriceVector:
 
     def total(self) -> Fraction:
         return sum(self.p, ZERO)
+
+    @cached_property
+    def _scale(self) -> tuple[list[int], int]:
+        return over_common_denominator(self.p)
 
 
 @dataclass(frozen=True)
@@ -340,8 +350,15 @@ def integer_rows(inst: Instance) -> list[list[int]]:
 def row_scales(inst: Instance) -> list[tuple[list[int], int]]:
     """``integer_rows`` with each row's scale: ``(ints, K_i)`` per agent, as
     ``over_common_denominator`` gives them, so that a certificate can state
-    its costs as rationals again, ``Fraction(cost, K_i)``."""
-    return [over_common_denominator(row) for row in inst.disutility]
+    its costs as rationals again, ``Fraction(cost, K_i)``. Callers share
+    them and never change them."""
+    return inst._row_scales
+
+
+def price_scale(prices: PriceVector) -> tuple[list[int], int]:
+    """The prices as integers ``P`` over their lcm ``L``; shared, like
+    ``row_scales``."""
+    return prices._scale
 
 
 def bundle_disutility(inst: Instance, agent: int, units: Iterable[ChoreCopy]) -> Fraction:

@@ -28,6 +28,7 @@ from .core import (
     integer_rows,
     over_common_denominator,
     payment_graph,
+    price_scale,
     rat,
 )
 from .errors import (
@@ -89,8 +90,7 @@ def _best_ratio_sets(inst: Instance, prices: PriceVector) -> list[frozenset[int]
     Needs at least one chore. The sets are ``core.mpb``'s, which divides in
     ``Fraction``s and stays as the test oracle.
     """
-    P, _ = over_common_denominator([prices[c] for c in range(inst.m)])
-    return _mpb_structure(integer_rows(inst), P)
+    return _mpb_structure(integer_rows(inst), price_scale(prices)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def load_json(path) -> dict:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except ValueError as exc:
-        # Undecodable bytes, or an integer literal past the interpreter's
-        # digit limit.
+    except (ValueError, RecursionError) as exc:
+        # Undecodable bytes, an integer literal past the interpreter's digit
+        # limit, or nesting past its recursion limit.
         raise InputError(f"{path}: {exc}") from exc

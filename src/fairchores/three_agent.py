@@ -4,13 +4,13 @@ The solver breaks every tie between distinct chore sets, seeds the partition
 with a greedy split that is EFX under the first agent's costs, and then walks
 through partitions maintaining three loop invariants until either a consistent
 assignment exists (transfer-EFX) or the walk exits through the proportional
-branch. The final certificate is always re-verified from the instance's own
-integer rows, not the tie-broken ones.
+branch. The final certificate is always re-verified by ``check_tefx`` or
+``check_proportional`` on the instance itself, not on the tie-broken rows.
 
-Each call scales every row once (``row_scales``), derives the tie-broken rows
-from those integers, and carries every agent's cost of every bundle,
-``T[agent][bundle]``, through the walk: each swap, move and transfer updates
-the nine totals by the chores it shifts, so no step re-sums a bundle.
+Both read the rows the instance scaled once (``row_scales``), and the walk
+carries every agent's cost of every bundle, ``T[agent][bundle]``: each swap,
+move and transfer updates the nine totals by the chores it shifts, so no
+step re-sums a bundle.
 
 Ties are broken in integers, the simplest form of Edelsbrunner & Mücke's
 "Simulation of Simplicity" (ACM TOG 1990): every comparison in the walk is
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .core import Certificate, ChoreCopy, Instance, SurplusAllocation, rat, row_scales
 from .errors import AlgorithmBugError, InputError
-from .verifiers import _split_certificate
+from .verifiers import check_proportional, check_tefx
 
 Partition3 = tuple[frozenset[int], frozenset[int], frozenset[int]]
 
@@ -182,11 +182,11 @@ def _check_invariants(rows, bundles, totals) -> list:
     return cheapest
 
 
-def _result(scaled, m: int, bundles_by_agent, assignment, kind, trace,
+def _result(inst: Instance, bundles_by_agent, assignment, kind, trace,
             iterations) -> ThreeResult:
     alloc = SurplusAllocation(
-        tuple(frozenset(ChoreCopy(c, 0) for c in bundle) for bundle in bundles_by_agent), m)
-    certificate = _split_certificate(kind, scaled, alloc)
+        tuple(frozenset(ChoreCopy(c, 0) for c in bundle) for bundle in bundles_by_agent), inst.m)
+    certificate = (check_tefx if kind == "tEFX" else check_proportional)(inst, alloc)
     if not certificate.holds:
         raise AlgorithmBugError(
             f"certificate: {kind} claim failed on the original instance: {certificate.witness}")
@@ -199,8 +199,7 @@ def solve_three(inst: Instance) -> ThreeResult:
     if inst.n != 3:
         raise InputError(f"expected 3 agents, got {inst.n}")
     m = inst.m
-    scaled = row_scales(inst)
-    rows = _tie_broken_rows(scaled)
+    rows = _tie_broken_rows(row_scales(inst))
 
     greedy = efx_identical(rows[0], 3)
     totals = _totals(rows, greedy)
@@ -232,7 +231,7 @@ def solve_three(inst: Instance) -> ThreeResult:
                           "swapped": swapped})
             by_agent = [bundles[assignment[a]] for a in range(3)]
             labels = [assignment[a] for a in range(3)]
-            return _result(scaled, m, by_agent, labels, "tEFX", trace, iteration + 1)
+            return _result(inst, by_agent, labels, "tEFX", trace, iteration + 1)
 
         # Only bundle 2 fits agent 2 now; move her least-cost chore over.
         # Every row's entries are distinct, so the least cost names one chore.
@@ -294,6 +293,6 @@ def solve_three(inst: Instance) -> ThreeResult:
         trace.append({"iteration": iteration, "phi": phi, "branch": "proportional",
                       "favorite": favorite, "swapped": swapped})
         by_agent = [balanced[labels[a]] for a in range(3)]
-        return _result(scaled, m, by_agent, labels, "Proportional", trace, iteration + 1)
+        return _result(inst, by_agent, labels, "Proportional", trace, iteration + 1)
 
     raise AlgorithmBugError(f"three-agent loop: exceeded {m} iterations")

@@ -20,12 +20,11 @@ from .core import (
     PriceVector,
     SurplusAllocation,
     bundle_disutility,
-    integer_rows,
-    over_common_denominator,
+    price_scale,
     row_scales,
 )
 from .equilibrium import _best_ratio_sets
-from .errors import InstanceTooLargeError
+from .errors import InputError, InstanceTooLargeError
 from .serialize import rat_text
 from .simplex import solve_lp
 
@@ -46,14 +45,9 @@ MAX_LP_VARIABLES = 600  # n*k variables of the fPO linear program
 MAX_SUBSET_CHORES = 12  # chores whose 2^m subset sums check_nondegenerate compares
 
 
-def _costs(row, bundles) -> tuple[list[int], int, list[int]]:
-    """``row`` as integers over its own lcm ``K``, as ``integer_rows`` scales
-    a row; ``K``; and each bundle's cost in those units."""
-    return _view(*over_common_denominator(row), bundles)
-
-
 def _view(ints, K, bundles) -> tuple[list[int], int, list[int]]:
-    """``_costs`` of a row already over its own lcm."""
+    """A row already over its own lcm, as ``row_scales`` gives it: its
+    integers, ``K``, and each bundle's cost in those units."""
     return ints, K, [sum(ints[u.chore] for u in bundle) for bundle in bundles]
 
 
@@ -61,7 +55,7 @@ def _envy(views, bundles, pick, transfer: bool = False):
     """The first agent ``i``, then bundle ``j``, in index order, such that
     ``i``'s bundle less the unit ``pick`` chooses by (cost, unit) still costs
     ``i`` more than bundle ``j`` (plus that unit when ``transfer``). ``views``
-    yields ``_costs`` of each agent's row in turn. Returns None, or ``(i, j,
+    yields ``_view`` of each agent's row in turn. Returns None, or ``(i, j,
     unit, own, kept, other)`` with the costs as rationals."""
     for i, (mine, (ints, K, cost)) in enumerate(zip(bundles, views)):
         if not mine:
@@ -76,7 +70,7 @@ def _envy(views, bundles, pick, transfer: bool = False):
 
 
 def _agent_views(inst: Instance, alloc: SurplusAllocation):
-    return (_costs(inst.disutility[i], alloc.bundles) for i in range(alloc.n))
+    return (_view(ints, K, alloc.bundles) for ints, K in row_scales(inst))
 
 
 def check_ef1(inst: Instance, alloc: SurplusAllocation) -> Certificate:
@@ -103,29 +97,18 @@ def check_efx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
 
 def check_tefx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """No strong envy: transferring any single chore kills the envy."""
-    return _split_certificate(TEFX, row_scales(inst), alloc)
+    found = _envy(_agent_views(inst, alloc), alloc.bundles, min, transfer=True)
+    if found is None:
+        return Certificate(TEFX, True)
+    i, j, unit, _, kept, other = found
+    return Certificate(TEFX, False, {
+        "agent": i, "envied": j, "chore": unit.chore, "copy": unit.copy,
+        "after_transfer": rat_text(kept), "other_with_chore": rat_text(other)})
 
 
 def check_proportional(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """Every bundle costs its holder at most a 1/n share of all original chores."""
-    return _split_certificate(PROPORTIONAL, row_scales(inst), alloc)
-
-
-def _split_certificate(prop: str, scaled, alloc: SurplusAllocation) -> Certificate:
-    """``check_tefx`` (``prop`` TEFX) or ``check_proportional`` (PROPORTIONAL)
-    from rows already over their own lcm: ``scaled[i]`` is agent ``i``'s
-    ``(ints, K)``, as ``row_scales`` gives them. ``solve_three`` passes the
-    rows it scaled itself, so no row is scaled twice."""
-    if prop == TEFX:
-        views = (_view(ints, K, alloc.bundles) for ints, K in scaled)
-        found = _envy(views, alloc.bundles, min, transfer=True)
-        if found is None:
-            return Certificate(TEFX, True)
-        i, j, unit, _, kept, other = found
-        return Certificate(TEFX, False, {
-            "agent": i, "envied": j, "chore": unit.chore, "copy": unit.copy,
-            "after_transfer": rat_text(kept), "other_with_chore": rat_text(other)})
-    for i, ((ints, K), bundle) in enumerate(zip(scaled, alloc.bundles)):
+    for i, ((ints, K), bundle) in enumerate(zip(row_scales(inst), alloc.bundles)):
         own = sum(ints[u.chore] for u in bundle)
         if alloc.n * own > sum(ints):
             return Certificate(PROPORTIONAL, False, {
@@ -136,7 +119,7 @@ def _split_certificate(prop: str, scaled, alloc: SurplusAllocation) -> Certifica
 
 def check_pef1(prices: PriceVector, alloc: SurplusAllocation) -> Certificate:
     """Payment envy-freeness up to one chore."""
-    found = _envy([_costs(prices.p, alloc.bundles)] * alloc.n, alloc.bundles, max)
+    found = _envy([_view(*price_scale(prices), alloc.bundles)] * alloc.n, alloc.bundles, max)
     if found is None:
         return Certificate(PEF1, True)
     i, j, _, _, kept, other = found
@@ -153,6 +136,8 @@ def check_fisher_integral(inst: Instance, alloc: SurplusAllocation,
     construction; the substance is that every allocated unit is a best-ratio
     chore for its holder.
     """
+    if len(prices) != inst.m:
+        raise InputError(f"{len(prices)} prices for {inst.m} chores")
     if not any(alloc.bundles):
         return Certificate(FISHER_EQ, True)
     sets = _best_ratio_sets(inst, prices)
@@ -237,20 +222,19 @@ def check_fpo(inst: Instance, alloc: SurplusAllocation) -> Certificate:
         for i in range(n):
             row[i * k + t] = 1
         a_eq.append(row)
-    # Agent i's cap row is its row of integer_rows, K_i times its costs, and
+    # Agent i's cap row is its row of row_scales, K_i times its costs, and
     # its bound is its current load in the same units: the inequality
     # d_i(y_i) <= d_i(x_i) times the positive integer K_i, so the program is
     # the same. Loads and the objective stay in the original units.
     costs = [[inst.d(i, u.chore) for u in items] for i in range(n)]
-    caps = [bundle_disutility(inst, i, alloc.bundles[i]) for i in range(n)]
-    D = integer_rows(inst)
-    a_ub, b_ub = [], []
-    for i in range(n):
+    a_ub, b_ub, caps = [], [], []
+    for i, (ints, K) in enumerate(row_scales(inst)):
         row = [0] * (n * k)
         for t, unit in enumerate(items):
-            row[i * k + t] = D[i][unit.chore]
+            row[i * k + t] = ints[unit.chore]
         a_ub.append(row)
-        b_ub.append(sum(D[i][u.chore] for u in alloc.bundles[i]))
+        b_ub.append(sum(ints[u.chore] for u in alloc.bundles[i]))
+        caps.append(Fraction(b_ub[i], K))
     # Total disutility: each variable belongs to exactly one agent.
     cost = [d for row in costs for d in row]
     owner = {unit: i for i, bundle in enumerate(alloc.bundles) for unit in bundle}

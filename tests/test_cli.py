@@ -334,6 +334,29 @@ class TestVerify:
         assert done.returncode == code
         assert done.stderr == ""
 
+    @pytest.mark.parametrize("deep", ["-i", "--alloc", "--prices"])
+    def test_deeply_nested_json_exits_two(self, tmp_path, deep):
+        # Nesting past the interpreter's recursion limit ended the JSON
+        # decoder in a RecursionError traceback and exit 1.
+        files = {"-i": tmp_path / "i.json", "--alloc": tmp_path / "a.json",
+                 "--prices": tmp_path / "p.json"}
+        files["-i"].write_text(json.dumps({"disutility": [[1, 2], [2, 1]]}))
+        files["--alloc"].write_text(json.dumps({
+            "chores": 2, "bundles": [[{"chore": 0}], [{"chore": 1}]]}))
+        files["--prices"].write_text(json.dumps({"prices": [1, 1]}))
+        files[deep].write_text("[" * 200_000 + "]" * 200_000)
+        if deep == "-i":
+            argv = ["verify", "-i", str(files["-i"]), "--property", "nondeg"]
+        else:
+            argv = ["verify", "--property", "pef1"]
+            argv += [str(part) for flag, path in files.items() for part in (flag, path)]
+        done = subprocess.run([sys.executable, "-m", "fairchores.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("input error:")
+        assert "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("bundles, chores", [
         ([[0], [1], []], 2),   # more bundles than agents
         ([[0, 1]], 2),         # fewer bundles than agents

@@ -5,12 +5,26 @@ import sys
 from fractions import Fraction
 from math import lcm
 
-from fairchores import core
-from fairchores.core import ChoreCopy, Instance, SurplusAllocation, integer_rows
-from fairchores.equilibrium import approx_ceei, default_epsilon, exact_ceei
+from fairchores import core, verifiers
+from fairchores.core import (
+    ChoreCopy,
+    Instance,
+    PriceVector,
+    SurplusAllocation,
+    integer_rows,
+    price_scale,
+    row_scales,
+)
+from fairchores.equilibrium import (
+    approx_ceei,
+    default_epsilon,
+    exact_ceei,
+    verify_fisher_equilibrium,
+)
 from fairchores.rounding import SolveOptions, fair_and_efficient
 from fairchores.three_agent import solve_three
 from fairchores.verifiers import check_fpo
+from test_rounding import patch_every_binding
 
 F = Fraction
 
@@ -109,8 +123,7 @@ def test_per_row_scales_agree_with_one_common_scale(monkeypatch):
                if getattr(module, "integer_rows", None) is integer_rows]
     pair_readers = [module for module in modules
                     if getattr(module, "row_scales", None) is core.row_scales]
-    assert {module.__name__ for module in readers} >= {
-        "fairchores.equilibrium", "fairchores.verifiers"}
+    assert {module.__name__ for module in readers} >= {"fairchores.equilibrium"}
     assert {module.__name__ for module in pair_readers} >= {
         "fairchores.three_agent", "fairchores.verifiers"}
     rng = random.Random(19)
@@ -130,3 +143,53 @@ def test_per_row_scales_agree_with_one_common_scale(monkeypatch):
     assert min(kinds.count(key) for key in (
         "three", "approx", "surplus", "exact-route", "exact")) >= 20
     assert sum(not found["fpo-random"].holds for found in per_row) >= 20
+
+
+def test_each_value_is_scaled_once(monkeypatch):
+    # Every solver and certificate reads the integer form a value keeps:
+    # each disutility row is scaled once per instance and each price vector
+    # once, however many of them read it, and none changes the shared lists.
+    real = core.over_common_denominator
+    calls = []
+    patch_every_binding(monkeypatch, real, calls)
+    rng = random.Random(23)
+    draws = [mixed_draw(rng, kind) for kind in ("small", "wide", "zeros") for _ in range(12)]
+    solved = {"surplus": 0, "three": 0}
+    for inst in draws:
+        del calls[:]
+        alloc = random_allocation(rng, inst)
+        price_vectors = [PriceVector.from_values(
+            [F(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(inst.m)])]
+        if not inst.has_zero_entry():
+            outcome = approx_ceei(inst, default_epsilon(inst.n, inst.m))
+            assert verify_fisher_equilibrium(inst, outcome).holds
+            price_vectors.append(outcome.prices)
+            for opts in (SolveOptions(), SolveOptions(exact=True)):
+                result = fair_and_efficient(inst, opts)
+                assert verifiers.check_fisher_integral(inst, result.alloc, result.prices).holds
+                assert verifiers.check_pef1(result.prices, result.alloc).holds
+                price_vectors.append(result.prices)
+                solved["surplus"] += 1
+        if inst.n == 3:
+            solve_three(inst)
+            solved["three"] += 1
+        for check in (verifiers.check_ef1, verifiers.check_efx, verifiers.check_tefx,
+                      verifiers.check_proportional, verifiers.check_fpo):
+            check(inst, alloc)
+        verifiers.check_fisher_integral(inst, alloc, price_vectors[0])
+        verifiers.check_pef1(price_vectors[0], alloc)
+
+        # Rows are told apart by identity, since a row may equal a price
+        # vector; equal price vectors are each scaled once.
+        scaled = [args[0] for args in calls]
+        rows = [values for values in scaled if any(values is row for row in inst.disutility)]
+        assert sorted(map(id, rows)) == sorted(map(id, inst.disutility))
+        distinct = list({id(prices): prices for prices in price_vectors}.values())
+        for prices in distinct:
+            equal = sum(other.p == prices.p for other in distinct)
+            assert sum(tuple(values) == prices.p for values in scaled
+                       if not any(values is row for row in rows)) == equal
+        assert row_scales(inst) == [real(row) for row in inst.disutility]
+        for prices in price_vectors:
+            assert price_scale(prices) == real(prices.p)
+    assert solved["surplus"] >= 30 and solved["three"] >= 15

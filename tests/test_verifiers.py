@@ -20,7 +20,7 @@ from fairchores.equilibrium import (
     approx_ceei,
     verify_fisher_equilibrium,
 )
-from fairchores.errors import InstanceTooLargeError
+from fairchores.errors import InputError, InstanceTooLargeError
 from fairchores.serialize import fmt_rat
 from fairchores.simplex import solve_lp
 from fairchores.three_agent import perturb_nondegenerate
@@ -432,6 +432,14 @@ class TestFisherIntegral:
         assert check_fisher_integral(inst, alloc_of(2, {0}, {1}), p).holds
         bad = check_fisher_integral(inst, alloc_of(2, {1}, {0}), p)
         assert not bad.holds and bad.witness["agent"] == 0
+
+    @pytest.mark.parametrize("prices", [[1, 1, 5], [1]])
+    def test_one_price_per_chore(self, prices):
+        # The best-ratio sets range over the price vector's chores, so a
+        # vector of another length is bad input, not a verdict.
+        inst = Instance.from_rows([[1, 1], [1, 1]])
+        with pytest.raises(InputError):
+            check_fisher_integral(inst, alloc_of(2, {0}, {1}), PriceVector.from_values(prices))
 
 
 def fraction_fisher_report(inst, out):
