@@ -33,6 +33,7 @@ from .three_agent import solve_three
 from .verifiers import (
     check_ef1,
     check_efx,
+    check_fisher_integral,
     check_fpo,
     check_nondegenerate,
     check_pef1,
@@ -81,12 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check one property of an allocation")
     verify.add_argument("-i", "--input", required=True)
     verify.add_argument("--alloc", default=None,
-                        help="allocation or market-outcome file (not needed for nondeg)")
+                        help="allocation file, or for fisher a market-outcome file "
+                             "(not needed for nondeg)")
     verify.add_argument("--property", required=True,
                         choices=["ef1", "efx", "tefx", "prop", "pef1",
                                  "po", "fpo", "fisher", "nondeg"])
     verify.add_argument("--prices", default=None,
-                        help="prices file for pef1 (defaults to prices embedded in --alloc)")
+                        help="prices file for pef1, and for fisher on an allocation "
+                             "(defaults to prices embedded in --alloc)")
     verify.add_argument("-o", "--output", default=None)
 
     oracle = sub.add_parser("oracle", help="run one oracle for external cross-checking")
@@ -153,15 +156,22 @@ def _cmd_solve_three(args) -> tuple[int, Optional[str]]:
     return EXIT_OK, None
 
 
-def _load_allocation(path, inst: Instance):
-    """Read an allocation file and check its shape against the instance."""
-    data = load_json(path)
+def _allocation(data, inst: Instance):
+    """An allocation file's bundles, checked against the instance's shape."""
     alloc = allocation_from_dict(data)
     if alloc.n != inst.n or alloc.num_chores != inst.m:
         raise InputError(
             f"allocation has {alloc.n} bundles over {alloc.num_chores} chores, "
             f"instance has {inst.n} agents and {inst.m} chores")
-    return alloc, data
+    return alloc
+
+
+def _prices(args, alloc_data, inst: Instance):
+    """Prices from ``--prices``, else from the allocation file itself."""
+    prices = prices_from_dict(load_json(args.prices) if args.prices else alloc_data)
+    if len(prices) != inst.m:
+        raise InputError(f"{len(prices)} prices for {inst.m} chores")
+    return prices
 
 
 def _cmd_verify(args) -> tuple[int, Optional[str]]:
@@ -169,25 +179,24 @@ def _cmd_verify(args) -> tuple[int, Optional[str]]:
     prop = args.property
     if prop == "nondeg":
         certificate = check_nondegenerate(inst)
-    elif prop == "fisher":
-        if args.alloc is None:
-            raise InputError("--alloc (a market outcome file) is required for fisher")
-        outcome = outcome_from_dict(load_json(args.alloc))
-        certificate = verify_fisher_equilibrium(inst, outcome)
+    elif args.alloc is None:
+        raise InputError(f"--alloc is required for {prop}")
     else:
-        if args.alloc is None:
-            raise InputError("--alloc is required for this property")
-        alloc, alloc_data = _load_allocation(args.alloc, inst)
+        data = load_json(args.alloc)
         checks = {"ef1": check_ef1, "efx": check_efx, "tefx": check_tefx,
                   "prop": check_proportional, "po": check_po_brute, "fpo": check_fpo}
-        if prop in checks:
-            certificate = checks[prop](inst, alloc)
-        else:  # pef1
-            prices_data = load_json(args.prices) if args.prices else alloc_data
-            prices = prices_from_dict(prices_data)
-            if len(prices) != inst.m:
-                raise InputError(f"{len(prices)} prices for {inst.m} chores")
-            certificate = check_pef1(prices, alloc)
+        if prop == "fisher" and not (isinstance(data, dict) and "bundles" in data):
+            certificate = verify_fisher_equilibrium(inst, outcome_from_dict(data))
+        else:
+            alloc = _allocation(data, inst)
+            if prop in checks:
+                certificate = checks[prop](inst, alloc)
+            elif prop == "pef1":
+                certificate = check_pef1(_prices(args, data, inst), alloc)
+            else:
+                # The allocation's own Fisher claim, as solve-surplus
+                # certifies it: every unit is a best-ratio chore of its holder.
+                certificate = check_fisher_integral(inst, alloc, _prices(args, data, inst))
     payload = certificate.to_dict()
     text = dumps(payload)
     if args.output:

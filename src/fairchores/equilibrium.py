@@ -7,7 +7,9 @@ condition, ``exact_ceei`` / ``approx_ceei`` produce verified outcomes, and
 forest without touching prices. ``approx_ceei`` at epsilon 0 returns an exact
 equilibrium; ``exact_ceei``, exhaustive, is its oracle at every epsilon.
 Every solver re-verifies what it returns, and an outcome that fails its own
-check raises ``AlgorithmBugError`` naming the solver.
+check raises ``AlgorithmBugError`` naming the solver. The surplus pipeline
+runs ``approx_ceei``'s loop, ``_price_loop``, directly and verifies its
+integers with ``_routing_holds``, the same conditions without ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .serialize import rat_text
 
 DEFAULT_ROUNDS = 100_000
 _NO_CHORES = "no chores: equal unit incomes are unattainable"
+# Raised when the price loop's accepted round fails its verification.
+_UNVERIFIED = "approx_ceei: routed outcome failed verification; this is a bug"
 
 
 def default_epsilon(n: int, m: int) -> Fraction:
@@ -82,6 +86,26 @@ def verify_fisher_equilibrium(inst: Instance, out: MarketOutcome) -> Certificate
                 return Certificate(FISHER_EQ, False, {
                     "condition": "min-pain-per-buck", "agent": i, "chore": c})
     return Certificate(FISHER_EQ, True)
+
+
+def _routing_holds(inst: Instance, eps: Fraction, P: list[int], L: int, flows) -> bool:
+    """``verify_fisher_equilibrium``, with ``FractionalAllocation``'s clearing
+    check, in integers: prices ``P`` and each edge's flow are over ``L``, a
+    multiple of the denominator of ``eps``, as ``_price_loop`` leaves them.
+
+    The MPB sets are computed afresh. Every flow is non-negative, and a
+    positive one lies on an MPB edge; every chore is paid exactly its price;
+    every income lies in ``[(1-eps)·L, (1+eps)·L]``.
+    """
+    sets = _mpb_structure(integer_rows(inst), P)
+    paid, incomes = [0] * inst.m, [0] * inst.n
+    for (i, c), flow in flows.items():
+        if flow < 0 or flow and c not in sets[i]:
+            return False
+        paid[c] += flow
+        incomes[i] += flow
+    slack = eps.numerator * (L // eps.denominator)
+    return paid == P and all(L - slack <= income <= L + slack for income in incomes)
 
 
 def _best_ratio_sets(inst: Instance, prices: PriceVector) -> list[frozenset[int]]:
@@ -474,7 +498,7 @@ def _route_within_bounds(n, m, L, lo, hi, floor):
     whether that flow fills every income to ``lo``. Prices, ``lo * L`` and
     ``hi * L`` are integers over ``L``. A second maximum flow, with the caps
     raised to ``hi``, continues from the first. Returns each MPB edge's
-    earning as ``Fraction(flow, L)``, or None when no such routing exists
+    flow, its earning over ``L``, or None when no such routing exists
     (the lower-bound argument of Ford and Fulkerson, *Flows in Networks*,
     1962): a bounded routing trimmed to ``lo`` per agent is a first flow of
     ``n * lo``, and the second flow lowers no income and ends at a maximum
@@ -490,7 +514,7 @@ def _route_within_bounds(n, m, L, lo, hi, floor):
     net.max_flow(n + m, n + m + 1)
     if any(net.residual[index] for index in supply):
         return None
-    return {edge: Fraction(net.flow_value(index), L) for edge, index in edges.items()}
+    return {edge: net.flow_value(index) for edge, index in edges.items()}
 
 
 def _route_plain(n, m, P, L, mpb_sets, hi, carried=None):
@@ -573,8 +597,10 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
     and the denominator of the income bounds, and each agent's row by its
     own lcm (``integer_rows``), so the best-ratio sets, every flow and the
     factor are computed in integers; each integer comparison is the rational
-    one multiplied through by a positive integer. Only the returned outcome
-    holds ``Fraction`` prices.
+    one multiplied through by a positive integer. The loop is
+    ``_price_loop``, which returns those integers; only the outcome built
+    from them here holds ``Fraction``s. The surplus pipeline takes the
+    integers as they are and checks them with ``_routing_holds`` instead.
 
     Each round carries its state into the next, and no round decides
     differently for it:
@@ -604,6 +630,22 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
       cut off that same network. A routed round's flow may sit on dropped
       edges, and a normalisation or a uniform rescale moves the caps under
       the flow, so the round after one of these builds a fresh network too.
+    """
+    eps, Q, R, L, flows = _price_loop(inst, epsilon)
+    outcome = _outcome_from_earnings(
+        inst, [Fraction(value, R) for value in Q],
+        {edge: Fraction(flow, L) for edge, flow in flows.items()}, eps)
+    if verify_fisher_equilibrium(inst, outcome).holds:
+        return outcome
+    raise AlgorithmBugError(_UNVERIFIED)
+
+
+def _price_loop(inst: Instance, epsilon):
+    """``approx_ceei``'s price loop, unverified and in integers.
+
+    Returns ``(eps, Q, R, L, flows)``: the slack as a ``Fraction``, the
+    prices ``Q / R``, the unit ``L`` of the accepted round and its bounded
+    routing, each MPB edge's flow, an earning over ``L``.
     """
     if inst.m == 0:
         raise InputError(_NO_CHORES)
@@ -648,14 +690,9 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
         net, unrouted, network = _route_plain(n, m, P, L, mpb_sets, hi, carried)
         if not unrouted:
             floor = _floor_network(n, m, P, L, mpb_sets, lo)
-            earnings = _route_within_bounds(n, m, L, lo, hi, floor)
-            if earnings is not None:
-                outcome = _outcome_from_earnings(
-                    inst, [Fraction(value, R) for value in Q], earnings, eps)
-                if verify_fisher_equilibrium(inst, outcome).holds:
-                    return outcome
-                raise AlgorithmBugError(
-                    "approx_ceei: routed outcome failed verification; this is a bug")
+            flows = _route_within_bounds(n, m, L, lo, hi, floor)
+            if flows is not None:
+                return eps, Q, R, L, flows
             # Every chore routes under the caps, so the floors failed: the
             # cut is read off the floor network instead.
             (net, *_), filled = floor

@@ -5,8 +5,9 @@ first cancels the cycles of its payment graph. Phase 1 hands out fully-earned
 chores and prunes payment edges whose removal keeps every single-removal
 payment above the income floor. Phase 2 walks each remaining tree top-down,
 topping bundles up with child chores and duplicating the parent chore as a
-last resort. The pipeline re-verifies every claimed property before
-returning and hard-fails otherwise.
+last resort. Prices and earnings are integers over one unit throughout. The
+pipeline takes the price loop's integers as they are, and re-verifies every
+claimed property before returning and hard-fails otherwise.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .core import (
@@ -27,9 +29,14 @@ from .core import (
     bundle_payment,
     payment_graph,
     rat,
+    scaled,
 )
-from .equilibrium import (
+# approx_ceei is not called here; perfbench's tests read rounding.approx_ceei.
+from .equilibrium import (  # noqa: F401
+    _UNVERIFIED,
     _cancel_cycles,
+    _price_loop,
+    _routing_holds,
     approx_ceei,
     default_epsilon,
     verify_fisher_equilibrium,
@@ -51,12 +58,19 @@ from .verifiers import (
 
 @dataclass
 class RoundingState:
-    """Mutable working state threaded through the two rounding phases."""
+    """Mutable working state threaded through the two rounding phases.
+
+    ``prices`` and ``weights``, the earnings on the payment forest's edges,
+    are integers over ``unit``, a multiple of the denominator of ``epsilon``,
+    so every income bound is an integer too. Phase 1 multiplies the unit
+    whenever a share it hands out would not divide (``_refine``).
+    """
 
     inst: Instance
-    prices: PriceVector
     epsilon: Fraction
-    weights: dict[tuple[int, int], Fraction]
+    unit: int
+    prices: list[int]
+    weights: dict[tuple[int, int], int]
     agent_adj: list[set[int]]
     chore_adj: list[set[int]]
     bundles: list[set[int]]
@@ -68,37 +82,60 @@ class RoundingState:
     def from_outcome(cls, inst: Instance, out: MarketOutcome) -> "RoundingState":
         """State for a verified equilibrium with slack at most ``default_epsilon``,
         the bound phase 1 is proved for, its payment graph's cycles cancelled
-        as ``make_acyclic`` would: a forest, same prices and incomes."""
+        as ``make_acyclic`` would: a forest, same prices and incomes. Prices
+        and earnings are converted once, over the lcm of their denominators
+        and that of ``epsilon``."""
         if not verify_fisher_equilibrium(inst, out).holds:
             raise InputError("rounding requires a verified equilibrium")
         if out.epsilon > (bound := default_epsilon(inst.n, inst.m)):
             raise InputError(f"epsilon must lie in [0, {bound}] for {inst.n} agents "
                              f"and {inst.m} chores, got {out.epsilon}")
-        return cls._from_verified(inst, out)
+        earnings = payment_graph(out.x, out.prices).edge_dict()
+        unit = lcm(out.epsilon.denominator,
+                   *(value.denominator for value in (*out.prices, *earnings.values())))
+        return cls._over_unit(inst, out.epsilon, unit, scaled(out.prices, unit),
+                              dict(zip(earnings, scaled(earnings.values(), unit))))
 
     @classmethod
-    def _from_verified(cls, inst: Instance, out: MarketOutcome) -> "RoundingState":
-        """``from_outcome`` without its checks, for an outcome that ``approx_ceei``
-        verified as it returned it, at any epsilon the pipeline allows."""
-        weights = payment_graph(out.x, out.prices).edge_dict()
+    def _over_unit(cls, inst: Instance, epsilon: Fraction, unit: int, prices: list[int],
+                   weights: dict[tuple[int, int], int]) -> "RoundingState":
+        """State for a verified equilibrium given as integers over ``unit``:
+        the prices, and the positive earnings in (agent, chore) order, whose
+        cycles are cancelled here, in place."""
         adj = _cancel_cycles(inst.n, inst.m, weights)
         agent_adj = [{v - inst.n for v in chores} for chores in adj[:inst.n]]
-        return cls(inst, out.prices, out.epsilon, weights, agent_adj, adj[inst.n:],
+        return cls(inst, epsilon, unit, prices, weights, agent_adj, adj[inst.n:],
                    [set() for _ in range(inst.n)], set())
 
-    def income(self, agent: int) -> Fraction:
-        return sum((self.weights[(agent, c)] for c in self.agent_adj[agent]), ZERO)
+    def income(self, agent: int) -> int:
+        return sum(self.weights[(agent, c)] for c in self.agent_adj[agent])
+
+    def window(self) -> tuple[int, int]:
+        """The income window [1-eps, 1+(2n-1)eps] over the unit."""
+        slack = self.epsilon.numerator * (self.unit // self.epsilon.denominator)
+        return self.unit - slack, self.unit + (2 * self.inst.n - 1) * slack
 
     def checkpoint(self) -> None:
         """Income window every rounding proof leans on; violations are bugs."""
-        floor = 1 - self.epsilon
-        ceiling = 1 + (2 * self.inst.n - 1) * self.epsilon
+        floor, ceiling = self.window()
         for i in range(self.inst.n):
             income = self.income(i)
             if not floor <= income <= ceiling:
+                unit = self.unit
                 raise AlgorithmBugError(
-                    f"rounding checkpoint: agent {i} income {income} left [{floor}, {ceiling}]")
+                    f"rounding checkpoint: agent {i} income {Fraction(income, unit)} left "
+                    f"[{Fraction(floor, unit)}, {Fraction(ceiling, unit)}]")
         self.checkpoints += 1
+
+    def _refine(self, factor: int, *totals: list[int]) -> None:
+        """Multiply the unit by ``factor``, and with it every price, every
+        weight and each list of ``totals``, in place."""
+        self.unit *= factor
+        for values in (self.prices, *totals):
+            values[:] = [value * factor for value in values]
+        weights = self.weights
+        for edge in weights:
+            weights[edge] *= factor
 
 
 def phase1(state: RoundingState) -> RoundingState:
@@ -109,11 +146,11 @@ def phase1(state: RoundingState) -> RoundingState:
     agent keeps all single-removal payments above the income floor, handing
     the deleted earning to the chore's other neighbors in equal shares.
     """
-    inst, prices, eps = state.inst, state.prices, state.epsilon
-    floor = 1 - eps
+    inst, prices = state.inst, state.prices
+    floor = state.window()[0]
     # Bundles only grow here, so each one's total and priciest chore run along.
-    held = [sum((prices[c] for c in bundle), ZERO) for bundle in state.bundles]
-    top = [max((prices[c] for c in bundle), default=ZERO) for bundle in state.bundles]
+    held = [sum(prices[c] for c in bundle) for bundle in state.bundles]
+    top = [max((prices[c] for c in bundle), default=0) for bundle in state.bundles]
     state.checkpoint()
     while True:
         singles = sorted(
@@ -145,7 +182,14 @@ def phase1(state: RoundingState) -> RoundingState:
                         f"phase 1: deletion picked the lone edge of allocated chore {c}")
                 raise AlgorithmBugError(
                     f"phase 1: deletion would isolate unallocated chore {c}")
-            share = state.weights[(i, c)] / (degree - 1)
+            weight, k = state.weights[(i, c)], degree - 1
+            if weight % k:
+                # A finer unit, by the least factor that makes the share whole.
+                factor = k // gcd(weight, k)
+                state._refine(factor, held, top)
+                floor *= factor
+                weight *= factor
+            share = weight // k
             others = sorted(state.chore_adj[c] - {i})
             for j in others:
                 state.weights[(j, c)] += share
@@ -153,8 +197,8 @@ def phase1(state: RoundingState) -> RoundingState:
             state.agent_adj[i].discard(c)
             state.chore_adj[c].discard(i)
             state.trace.append({"event": "delete-edge", "agent": i, "chore": c})
-            state.trace.append({"event": "redistribute", "chore": c,
-                                "to": others, "share": rat_text(share)})
+            state.trace.append({"event": "redistribute", "chore": c, "to": others,
+                                "share": rat_text(Fraction(share, state.unit))})
             state.checkpoint()
 
     for c in range(inst.m):
@@ -167,7 +211,7 @@ def phase2(state: RoundingState) -> SurplusAllocation:
     """Top-down tree walk that completes the allocation with at most one copy
     per non-root agent."""
     inst, prices = state.inst, state.prices
-    floor = 1 - state.epsilon
+    floor = state.window()[0]
     copies: list[list[ChoreCopy]] = [[] for _ in range(inst.n)]
     copy_counter = [0] * inst.m
 
@@ -200,7 +244,7 @@ def phase2(state: RoundingState) -> SurplusAllocation:
                 state.bundles[i].add(above)
                 state.allocated.add(above)
                 state.trace.append({"event": "assign", "phase": 2, "agent": i, "chore": above})
-            held = sum((prices[c] for c in state.bundles[i]), ZERO)
+            held = sum(prices[c] for c in state.bundles[i])
             for c in sorted(state.agent_adj[i]):
                 if c in state.bundles[i] or c == above:
                     continue
@@ -263,10 +307,12 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     before being returned. ``opts.epsilon`` defaults to 1/(5nm) and may be set
     anywhere in (0, 1/(5nm)]; anything else raises ``InputError``.
 
-    Both routes are one ``approx_ceei`` call, verified once as it returns:
-    at that slack on the approximate route, at 0 on the exact one
-    (``opts.exact``), which takes no ``opts.epsilon``. Its
-    ``BudgetExhaustedError`` propagates, at every instance size.
+    Both routes run ``approx_ceei``'s price loop once: at that slack on the
+    approximate route, at 0 on the exact one (``opts.exact``), which takes no
+    ``opts.epsilon``. Its ``BudgetExhaustedError`` propagates, at every
+    instance size. Its integer prices and flows are verified once, in
+    integers (``_routing_holds``), and rounded as they are; only the
+    result's prices are ``Fraction``s.
     """
     if inst.has_zero_entry():
         raise InputError("the surplus pipeline needs strictly positive disutilities")
@@ -290,27 +336,32 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
                              f"and {inst.m} chores, got {requested}")
         eps = requested
 
-    outcome = approx_ceei(inst, ZERO if opts.exact else eps)
+    eps, Q, R, L, flows = _price_loop(inst, ZERO if opts.exact else eps)
+    step = L // R
+    P = [value * step for value in Q]
+    if not _routing_holds(inst, eps, P, L, flows):
+        raise AlgorithmBugError(_UNVERIFIED)
 
-    state = RoundingState._from_verified(inst, outcome)
+    state = RoundingState._over_unit(
+        inst, eps, L, P, {edge: flow for edge, flow in sorted(flows.items()) if flow})
     phase1(state)
     alloc = phase2(state)
-    eps = outcome.epsilon
+    prices = PriceVector(tuple(Fraction(value, R) for value in Q))
 
     if alloc.surplus_count > inst.n - 1:
         raise AlgorithmBugError(
             f"certificate: surplus {alloc.surplus_count} exceeds {inst.n - 1}")
     for i in range(inst.n):
-        held = bundle_payment(outcome.prices, alloc.bundles[i])
+        held = bundle_payment(prices, alloc.bundles[i])
         if held < 1 - eps:
             raise AlgorithmBugError(f"certificate: agent {i} bundle pays {held} < 1-eps")
-        slimmest = min(held - outcome.prices[u.chore] for u in alloc.bundles[i])
+        slimmest = min(held - prices[u.chore] for u in alloc.bundles[i])
         if slimmest > 1 - eps:
             raise AlgorithmBugError(
                 f"certificate: agent {i} keeps more than 1-eps after every removal")
 
-    fisher = check_fisher_integral(inst, alloc, outcome.prices)
-    pef1 = check_pef1(outcome.prices, alloc)
+    fisher = check_fisher_integral(inst, alloc, prices)
+    pef1 = check_pef1(prices, alloc)
     ef1 = check_ef1(inst, alloc)
     try:
         fpo = check_fpo(inst, alloc)
@@ -324,5 +375,5 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
         if not certificate.holds:
             raise AlgorithmBugError(
                 f"certificate: {certificate.property} failed: {certificate.witness}")
-    return SurplusResult(alloc, outcome.prices, eps, certificates,
+    return SurplusResult(alloc, prices, eps, certificates,
                          tuple(state.trace), state.checkpoints)

@@ -10,7 +10,7 @@ import pytest
 
 from fairchores import cli, equilibrium, errors, rounding
 from fairchores.cli import main
-from fairchores.core import FractionalAllocation, MarketOutcome, PaymentGraph, PriceVector
+from fairchores.core import FractionalAllocation, MarketOutcome, PriceVector, mpb
 from fairchores.errors import InputError
 from fairchores.serialize import instance_from_dict, load_json
 from test_flow import UNDERPAID_ROWS
@@ -334,6 +334,50 @@ class TestVerify:
         assert done.returncode == code
         assert done.stderr == ""
 
+    def test_fisher_rechecks_a_solve_surplus_output(self, tmp_path):
+        # solve-surplus certifies FisherEq of its bundles at its prices, the
+        # claim its fPO certificate rests on above the LP cap. verify reads
+        # that output, prices and all, in a child process as a user runs it.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+        def run_cli(*argv):
+            return subprocess.run([sys.executable, "-m", "fairchores.cli", *map(str, argv)],
+                                  capture_output=True, text=True, timeout=60, env=env)
+
+        inst, out = tmp_path / "i.json", tmp_path / "o.json"
+        assert run_cli("gen", "--agents", 3, "--chores", 7, "--seed", 7,
+                       "-o", inst).returncode == 0
+        assert run_cli("solve-surplus", "-i", inst, "-o", out).returncode == 0
+        done = run_cli("verify", "-i", inst, "--alloc", out, "--property", "fisher")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"property": "FisherEq", "holds": True,
+                                           "witness": None}
+
+        # One unit moved to an agent for whom it is not min-pain-per-buck.
+        data = load_json(out)
+        instance = instance_from_dict(load_json(inst))
+        prices = PriceVector.from_values(data["prices"])
+        best = [mpb(instance, prices, i)[1] for i in range(instance.n)]
+        i, unit, j = next((i, unit, j) for i, bundle in enumerate(data["bundles"])
+                          for unit in bundle for j in range(instance.n)
+                          if unit["chore"] not in best[j])
+        data["bundles"][i].remove(unit)
+        data["bundles"][j].append(unit)
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(data))
+        done = run_cli("verify", "-i", inst, "--alloc", moved, "--property", "fisher")
+        assert done.returncode == 1, done.stderr
+        assert json.loads(done.stdout)["witness"] == {
+            "condition": "min-pain-per-buck", "agent": j, **unit}
+
+        # A price list of the wrong length is bad input.
+        short = tmp_path / "p.json"
+        short.write_text(json.dumps({"prices": data["prices"][:-1]}))
+        done = run_cli("verify", "-i", inst, "--alloc", out, "--property", "fisher",
+                   "--prices", short)
+        assert done.returncode == 2
+        assert done.stderr == f"input error: {instance.m - 1} prices for {instance.m} chores\n"
+
     @pytest.mark.parametrize("deep", ["-i", "--alloc", "--prices"])
     def test_deeply_nested_json_exits_two(self, tmp_path, deep):
         # Nesting past the interpreter's recursion limit ended the JSON
@@ -505,10 +549,11 @@ class TestOracle:
 
     def test_exact_oracle_never_calls_approx_ceei(self, tmp_path):
         # The exact oracle must stay independent of the price-adjustment
-        # solver it checks, so a child process replaces approx_ceei in every
-        # module that holds it with a function that raises, then runs the
-        # oracle and exact_ceei. The pipeline's exact route, which is
-        # approx_ceei at epsilon 0, shows that the replacement is reached.
+        # solver it checks, so a child process replaces approx_ceei and its
+        # price loop in every module that holds them with a function that
+        # raises, then runs the oracle and exact_ceei. The pipeline's exact
+        # route, which runs the price loop at epsilon 0, shows that the
+        # replacement is reached.
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"disutility": [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]]}))
         eq = tmp_path / "eq.json"
@@ -518,20 +563,21 @@ class TestOracle:
             from fairchores.core import Instance
 
             def refuse(*args, **kwargs):
-                raise RuntimeError("approx_ceei was called")
+                raise RuntimeError("the price loop was called")
 
-            real = equilibrium.approx_ceei
-            for module in list(sys.modules.values()):
-                if getattr(module, "approx_ceei", None) is real:
-                    module.approx_ceei = refuse
+            for name in ("approx_ceei", "_price_loop"):
+                real = getattr(equilibrium, name)
+                for module in list(sys.modules.values()):
+                    if getattr(module, name, None) is real:
+                        setattr(module, name, refuse)
             inst = Instance.from_rows([[1, 2, 3], [3, 1, 2], [2, 3, 1]])
             equilibrium.exact_ceei(inst)
             try:
                 fair_and_efficient(inst, SolveOptions(exact=True))
             except RuntimeError as error:
-                assert str(error) == "approx_ceei was called"
+                assert str(error) == "the price loop was called"
             else:
-                sys.exit("the exact route did not reach approx_ceei")
+                sys.exit("the exact route did not reach the price loop")
             sys.exit(cli.main(sys.argv[1:]))
         """)
         done = subprocess.run(
@@ -616,14 +662,24 @@ class TestInternalBugsExitThree:
 
     @staticmethod
     def corrupt_outcomes(monkeypatch, only_exact=False):
-        real = equilibrium._outcome_from_earnings
+        # Both seams that hand earnings on: the price loop's flows, which the
+        # pipeline checks in integers, and the support solver's outcome.
+        real_loop, real_outcome = equilibrium._price_loop, equilibrium._outcome_from_earnings
 
-        def corrupted(inst, prices, earnings, epsilon, *rest):
+        def corrupted_loop(inst, epsilon):
+            eps, Q, R, L, flows = real_loop(inst, epsilon)
+            if only_exact and eps != 0:
+                return eps, Q, R, L, flows
+            return eps, Q, R, L, _one_agent_takes_all(flows)
+
+        def corrupted_outcome(inst, prices, earnings, epsilon, *rest):
             if only_exact and epsilon != 0:
-                return real(inst, prices, earnings, epsilon, *rest)
-            return real(inst, prices, _one_agent_takes_all(earnings), epsilon, *rest)
+                return real_outcome(inst, prices, earnings, epsilon, *rest)
+            return real_outcome(inst, prices, _one_agent_takes_all(earnings), epsilon, *rest)
 
-        monkeypatch.setattr(equilibrium, "_outcome_from_earnings", corrupted)
+        monkeypatch.setattr(equilibrium, "_price_loop", corrupted_loop)
+        monkeypatch.setattr(rounding, "_price_loop", corrupted_loop)
+        monkeypatch.setattr(equilibrium, "_outcome_from_earnings", corrupted_outcome)
 
     @staticmethod
     def solve(inst, tmp_path, capsys):
@@ -661,16 +717,17 @@ class TestInternalBugsExitThree:
 
     def test_cycle_cancellation_breaking_the_equilibrium(self, small, tmp_path,
                                                          capsys, monkeypatch):
-        # The rounding cancels cycles on the earnings it reads off the
-        # outcome; a corrupted hand-off fails the phase-1 income window.
-        real = rounding.payment_graph
+        # The rounding cancels cycles on the earnings the price loop hands
+        # it; a corrupted hand-off fails the phase-1 income window.
+        real = rounding._cancel_cycles
 
-        def corrupted(x, prices):
-            graph = real(x, prices)
-            return PaymentGraph.from_edges(
-                graph.n, graph.m, _one_agent_takes_all(graph.edge_dict()))
+        def corrupted(n, m, weights):
+            merged = _one_agent_takes_all(weights)
+            weights.clear()
+            weights.update(merged)
+            return real(n, m, weights)
 
-        monkeypatch.setattr(rounding, "payment_graph", corrupted)
+        monkeypatch.setattr(rounding, "_cancel_cycles", corrupted)
         assert "agent 0 income 2 left" in self.solve(small, tmp_path, capsys)
 
 

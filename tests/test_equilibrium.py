@@ -25,6 +25,7 @@ from fairchores.equilibrium import (
     _outcome_from_earnings,
     _carry_plain_network,
     _plain_network,
+    _routing_holds,
     approx_ceei,
     default_epsilon,
     exact_ceei,
@@ -471,6 +472,77 @@ class TestApproxCeei:
                 approx_ceei(inst, bad)
         with pytest.raises(InputError):
             approx_ceei(Instance.from_rows([[0, 1]]), F(1, 10))
+
+
+def fraction_verdict(inst, eps, Q, R, L, flows):
+    """The failing condition of the ``Fraction`` outcome built from the price
+    loop's integers, "allocation" when ``FractionalAllocation`` rejects the
+    matrix (an entry outside [0, 1], or a chore not allotted exactly once),
+    or None when it verifies."""
+    earnings = {edge: F(flow, L) for edge, flow in flows.items()}
+    try:
+        out = _outcome_from_earnings(inst, [F(value, R) for value in Q], earnings, eps)
+    except InputError:
+        return "allocation"
+    certificate = verify_fisher_equilibrium(inst, out)
+    return None if certificate.holds else certificate.witness["condition"]
+
+
+def test_integer_check_rejects_what_the_verifier_rejects():
+    # The pipeline checks the price loop's integers with _routing_holds in
+    # place of verify_fisher_equilibrium on the Fraction outcome. Each
+    # corruption of the flows fails both: every payment moved to agent 0;
+    # one chore underpaid by one unit; and, with incomes and payments
+    # unchanged, earnings moved around a 4-cycle onto an edge off the MPB
+    # set, or around a 4-cycle of MPB edges until one flow is negative.
+    rng = random.Random(33)
+    seen = Counter()
+    for trial in range(60):
+        n = rng.randint(2, 5)
+        m = rng.randint(n, 9)
+        inst = Instance.from_rows([[rng.randint(1, 9) for _ in range(m)] for _ in range(n)])
+        eps, Q, R, L, flows = equilibrium._price_loop(
+            inst, default_epsilon(n, m) if trial % 2 else 0)
+        P = [value * (L // R) for value in Q]
+        assert _routing_holds(inst, eps, P, L, flows)
+        assert fraction_verdict(inst, eps, Q, R, L, flows) is None
+
+        def moved(i, c, j, d, delta):
+            """Flows with ``delta`` moved from (i, c) and (j, d) to (j, c) and (i, d)."""
+            result = Counter(flows)
+            result[(i, c)] -= delta
+            result[(j, d)] -= delta
+            result[(j, c)] += delta
+            result[(i, d)] += delta
+            return dict(result)
+
+        merged = Counter()
+        for (_, c), flow in flows.items():
+            merged[(0, c)] += flow
+        positive = sorted(edge for edge, flow in flows.items() if flow)
+        underpaid = dict(flows)
+        underpaid[positive[0]] -= 1
+        corrupted = {"one agent": (dict(merged), "incomes"),
+                     "underpaid": (underpaid, "allocation")}
+        sets = _mpb_structure(integer_rows(inst), P)
+        off = next(((i, c, j, d) for i, c in positive for j, d in positive
+                    if i != j and c != d and c not in sets[j]), None)
+        if off is not None:
+            i, c, j, d = off
+            corrupted["off MPB"] = (moved(i, c, j, d, min(flows[(i, c)], flows[(j, d)])),
+                                    "min-pain-per-buck")
+        cycle = next(((i, j, c, d) for i in range(n) for j in range(i + 1, n)
+                      for c in sorted(sets[i] & sets[j]) for d in sorted(sets[i] & sets[j])
+                      if c < d), None)
+        if cycle is not None:
+            i, j, c, d = cycle
+            corrupted["negative"] = (moved(i, c, j, d, flows[(i, c)] + 1), "allocation")
+        for name, (bad, condition) in corrupted.items():
+            assert not _routing_holds(inst, eps, P, L, bad), (trial, name)
+            assert fraction_verdict(inst, eps, Q, R, L, bad) == condition, (trial, name)
+            seen[name] += 1
+    assert seen["one agent"] == seen["underpaid"] == 60
+    assert seen["off MPB"] >= 20 and seen["negative"] >= 10
 
 
 def test_price_loop_starts_at_each_chores_least_disutility(monkeypatch):

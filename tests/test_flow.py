@@ -288,8 +288,13 @@ def circulation_routing(n, m, P, L, mpb_sets, lo, hi):
 
 def route_within_bounds(n, m, P, L, mpb_sets, lo, hi):
     """One round's bounded routing as the price loop runs it: the floor flow
-    on a fresh network, then the caps raised to ``hi``."""
-    return _route_within_bounds(n, m, L, lo, hi, _floor_network(n, m, P, L, mpb_sets, lo))
+    on a fresh network, then the caps raised to ``hi``. Its integer flows
+    come back as earnings, ``Fraction(flow, L)``, as the oracle gives them."""
+    flows = _route_within_bounds(n, m, L, lo, hi, _floor_network(n, m, P, L, mpb_sets, lo))
+    if flows is None:
+        return None
+    assert all(type(flow) is int for flow in flows.values())
+    return {edge: F(flow, L) for edge, flow in flows.items()}
 
 
 def test_route_within_bounds_saturates_chores_and_bounds_incomes():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairchores import equilibrium
+from fairchores import core, equilibrium
 from fairchores.core import (
     ChoreCopy,
     FractionalAllocation,
@@ -31,6 +32,7 @@ from fairchores.rounding import (
     phase1,
     phase2,
 )
+from fairchores.serialize import bundles_to_list, dumps, fmt_rat
 from fairchores.verifiers import (
     FPO,
     Certificate,
@@ -54,6 +56,11 @@ def patch_every_binding(monkeypatch, real, calls, body=None):
             for attr, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, attr, counted)
+
+
+def earnings(state):
+    """The state's weights as rationals, over its unit."""
+    return {edge: F(weight, state.unit) for edge, weight in state.weights.items()}
 
 
 def shared_path_state(eps=F(1, 30)):
@@ -91,9 +98,10 @@ class TestPhase1:
         assert state.allocated == {0, 2}
         # no edge was deleted: allocated chores keep theirs, c1 stays shared
         assert sorted(state.weights) == [(0, 0), (0, 1), (1, 1), (1, 2)]
-        assert state.weights[(0, 1)] == state.weights[(1, 1)] == F(1, 3)
+        shared = [F(state.weights[(i, 1)], state.unit) for i in (0, 1)]
+        assert shared == [F(1, 3), F(1, 3)]
 
-    def test_price_reads_linear_in_edges(self, monkeypatch):
+    def test_price_reads_linear_in_edges(self):
         # Bundles only grow, so each payment edge costs a few price reads
         # however large its agent's bundle: one agent, 601 chores.
         m = 601
@@ -103,19 +111,24 @@ class TestPhase1:
         prices = PriceVector.from_values([F(d, sum(row)) for d in row])
         state = RoundingState.from_outcome(inst, MarketOutcome(x, prices, F(0)))
         reads = []
-        real = PriceVector.__getitem__
-        monkeypatch.setattr(PriceVector, "__getitem__",
-                            lambda self, chore: reads.append(chore) or real(self, chore))
+
+        class CountedPrices(list):
+            def __getitem__(self, chore):
+                reads.append(chore)
+                return super().__getitem__(chore)
+
+        state.prices = CountedPrices(state.prices)
         phase1(state)
         assert state.bundles == [set(range(m))]
-        assert len(reads) <= 4 * m
+        # Every chore's price is read as it is assigned, and a few times more.
+        assert m <= len(reads) <= 4 * m
 
     def test_income_window_checkpoints(self):
         inst, state = shared_path_state()
         phase1(state)
         eps = state.epsilon
         for i in range(inst.n):
-            assert 1 - eps <= state.income(i) <= 1 + (2 * inst.n - 1) * eps
+            assert 1 - eps <= F(state.income(i), state.unit) <= 1 + (2 * inst.n - 1) * eps
         assert state.checkpoints >= 2
 
     def test_cancels_cycles_of_any_verified_outcome(self):
@@ -132,7 +145,7 @@ class TestPhase1:
             out = MarketOutcome(x, prices, F(0))
             direct = RoundingState.from_outcome(inst, out)
             forest = RoundingState.from_outcome(inst, make_acyclic(inst, out))
-            assert direct.weights == forest.weights
+            assert earnings(direct) == earnings(forest)
             assert direct.agent_adj == forest.agent_adj
             assert direct.chore_adj == forest.chore_adj
             assert len(direct.weights) <= n + m - 1
@@ -222,25 +235,27 @@ class TestPipeline:
     @pytest.mark.parametrize("miss", ["price-loop", "round-budget"])
     def test_exhaustion_propagates_inside_the_search_caps(self, monkeypatch, miss):
         # 2 x 3 lies inside exact_ceei's 4 x 7 caps, yet no exhaustive
-        # search answers an exhausted price loop, on either route.
+        # search answers an exhausted price loop, on either route, and the
+        # integer check never runs.
         def exhausted(*args):
             raise BudgetExhaustedError("out of rounds")
 
-        approximated, searched = [], []
+        looped, searched, checked = [], [], []
         patch_every_binding(monkeypatch, exact_ceei, searched)
+        patch_every_binding(monkeypatch, equilibrium._routing_holds, checked)
         inst = Instance.from_rows([[1, 3, 2], [2, 1, 3]])
         if miss == "price-loop":
-            patch_every_binding(monkeypatch, approx_ceei, approximated, exhausted)
+            patch_every_binding(monkeypatch, equilibrium._price_loop, looped, exhausted)
             message = "out of rounds"
         else:
-            patch_every_binding(monkeypatch, approx_ceei, approximated)
+            patch_every_binding(monkeypatch, equilibrium._price_loop, looped)
             monkeypatch.setattr(equilibrium, "DEFAULT_ROUNDS", 0)
             message = "within 0 price-adjustment rounds"
         for opts in (SolveOptions(), SolveOptions(exact=True)):
             with pytest.raises(BudgetExhaustedError, match=message):
                 fair_and_efficient(inst, opts)
-        assert [args[1] for args in approximated] == [default_epsilon(2, 3), 0]
-        assert searched == []
+        assert [args[1] for args in looped] == [default_epsilon(2, 3), 0]
+        assert searched == checked == []
 
     def test_wide_spread_family_on_both_routes(self, monkeypatch):
         # Entries 1..9 times 1 or 10^6. Rounding the approximate equilibrium
@@ -342,20 +357,65 @@ class TestPipeline:
             assert all(k <= 1 for k in per_agent_copies)
 
     def test_each_route_verifies_the_equilibrium_once_per_step(self, monkeypatch):
-        # Each route is one approx_ceei call, at epsilon 0 on the exact one,
-        # which verifies its equilibrium once. The rounding takes the
-        # verified outcome without a second check.
-        verified, approximated = [], []
-        patch_every_binding(monkeypatch, verify_fisher_equilibrium, verified)
-        patch_every_binding(monkeypatch, approx_ceei, approximated)
+        # Each route runs the price loop once, at epsilon 0 on the exact one,
+        # and checks its integers once. The rounding takes them as they are:
+        # no Fraction outcome is built, checked or read back into earnings.
+        # Public approx_ceei still verifies its outcome once.
+        counts = {name: [] for name in ("_price_loop", "_routing_holds", "approx_ceei",
+                                        "_outcome_from_earnings", "verify_fisher_equilibrium")}
+        for name, calls in counts.items():
+            patch_every_binding(monkeypatch, getattr(equilibrium, name), calls)
+        graphs, matrices = [], []
+        patch_every_binding(monkeypatch, core.payment_graph, graphs)
+        real_init = FractionalAllocation.__post_init__
+        monkeypatch.setattr(FractionalAllocation, "__post_init__",
+                            lambda self: matrices.append(self) or real_init(self))
         for rows in ([[1, 2, 3], [3, 1, 2]], [[1, 1], [1, 1]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]):
             inst = Instance.from_rows(rows)
             for opts in (SolveOptions(), SolveOptions(exact=True)):
-                verified.clear()
-                approximated.clear()
+                for calls in (*counts.values(), graphs, matrices):
+                    calls.clear()
                 fair_and_efficient(inst, opts)
-                assert len(verified) == 1, (rows, opts)
-                assert len(approximated) == 1, (rows, opts)
+                found = {name: len(calls) for name, calls in counts.items()}
+                assert found == {"_price_loop": 1, "_routing_holds": 1, "approx_ceei": 0,
+                                 "_outcome_from_earnings": 0,
+                                 "verify_fisher_equilibrium": 0}, (rows, opts)
+                assert graphs == matrices == [], (rows, opts)
+            for calls in (*counts.values(), graphs, matrices):
+                calls.clear()
+            approx_ceei(inst, default_epsilon(inst.n, inst.m))
+            assert len(counts["verify_fisher_equilibrium"]) == len(matrices) == 1
+
+    def test_outputs_match_the_pinned_digest(self, monkeypatch):
+        # sha256 over every output of fair_and_efficient, written as the CLI
+        # writes it, one result per line, on both routes: as the pipeline
+        # that built, verified and re-read a Fraction outcome computed them.
+        # Phase 1 makes its unit finer on 7 of these runs, all on the
+        # approximate route (even run numbers), where a share would not
+        # divide.
+        real = RoundingState._refine
+        refined = []
+
+        def counted(state, factor, *totals):
+            refined.append(run)
+            real(state, factor, *totals)
+
+        monkeypatch.setattr(RoundingState, "_refine", counted)
+        runs = [(inst, opts) for inst in pinned_draws()
+                for opts in (SolveOptions(), SolveOptions(exact=True))]
+        texts = []
+        for run, (inst, opts) in enumerate(runs):
+            result = fair_and_efficient(inst, opts)
+            texts.append(dumps({
+                "epsilon": fmt_rat(result.epsilon),
+                "prices": [fmt_rat(p) for p in result.prices],
+                "bundles": bundles_to_list(result.alloc),
+                "certificates": [c.to_dict() for c in result.certificates],
+                "trace": list(result.trace), "checkpoints": result.checkpoints}))
+        assert refined == [2 * draw for draw in (22, 49, 112, 122, 232, 233, 336)]
+        assert sum('"redistribute"' in text for text in texts) == 55
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == "170a9fed414e81a2c1577e23967f485b6a90dd3dec5f5f9edf10695c2701119f"
 
     def test_fpo_certified_by_the_equilibrium_above_the_lp_cap(self):
         small = fair_and_efficient(Instance.from_rows([[1, 3, 2], [2, 1, 3]]))
@@ -371,6 +431,24 @@ class TestPipeline:
         result = fair_and_efficient(inst)
         text = json.dumps(list(result.trace))
         assert json.loads(text) == list(result.trace)
+
+
+def pinned_draws():
+    """400 tie-heavy draws, n 2..6, m n..12 and entries 1..3, then the 2 x 8
+    instance whose phase-1 share has more than 4300 digits: entries v + 1/q
+    over random 495-digit q."""
+    rng = random.Random(11)
+    draws = []
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        m = rng.randint(n, 12)
+        draws.append(Instance.from_rows([[rng.randint(1, 3) for _ in range(m)]
+                                         for _ in range(n)]))
+    rng = random.Random(600)
+    draws.append(Instance.from_rows(
+        [[f"{v * q + 1}/{q}" for v in row for q in [rng.randint(10**494, 10**495 - 1)]]
+         for row in [[19, 16, 6, 16, 10, 12, 12, 9], [2, 4, 10, 6, 19, 18, 7, 20]]]))
+    return draws
 
 
 def test_solving_never_imports_networkx():
