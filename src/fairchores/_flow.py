@@ -9,19 +9,31 @@ minimum cut, the same set for every maximum flow.
 Callers also read per-edge flows, which differ between maximum flows. From
 zero flow, ``max_flow`` pushes the same paths in the same order as
 Edmonds-Karp (breadth-first search in adjacency order), so both leave the same
-residual on every edge. In a phase with the sink at distance d, order paths
-by the adjacency positions of their edges:
+residual on every edge. Each phase labels nodes by their residual distance
+*to the sink*, by a backward breadth-first search that stops once it labels
+the source, at distance d. An edge is admissible when it has residual left and
+leads from a node at distance k to one at k - 1. Order paths by the adjacency
+positions of their edges:
 
+- A residual path of length d from the source is a shortest one, and its
+  k-th node lies at distance exactly d - k, so it is made of admissible
+  edges; an admissible path is one of length d. So the admissible paths from
+  the source are the shortest residual paths, the same set as in the level
+  graph of distances from the source, searched in the same order. Every
+  admissible edge leads toward the sink: at the phase's start the search
+  meets no dead end.
 - Edmonds-Karp's search returns the first shortest residual path in that
   order, since it labels each level's nodes in that order.
-- Against the levels at the phase's start, a residual edge leads at most one
-  level up and the reverse of a pushed edge one level down. So every residual
-  path of length d lies in the level graph, and no new reverse edge is on one.
-- The current-arc depth-first search returns the first level-graph path with
+- Against the labels at the phase's start, a residual edge leads at most one
+  step closer to the sink and the reverse of a pushed edge one step away. So
+  every residual path of length d is admissible, and no new reverse edge is
+  on one.
+- The current-arc depth-first search returns the first admissible path with
   residual left on every edge. An arc it skips is saturated or leads to a
-  dead end, and stays so: residuals on level edges only fall in a phase.
-  After a push it resumes at the tail of the first saturated edge, with the
-  path's prefix, where the next path in that order begins.
+  node whose admissible edges are all saturated, and stays so: residuals on
+  admissible edges only fall in a phase. After a push it resumes at the tail
+  of the first saturated edge, with the path's prefix, where the next path in
+  that order begins.
 
 Both push the bottleneck of the same path through ``_augment``, and the phase
 ends when Edmonds-Karp's next path would be longer. Nothing here uses the
@@ -104,21 +116,27 @@ class FlowNetwork:
         adj, head, residual = self.adj, self.head, self.residual
         total = 0
         while True:
-            level = [-1] * len(adj)
-            level[source] = 0
-            queue = deque([source])
-            while queue and level[sink] < 0:
+            # Distances to the sink over residual edges: the edge into
+            # ``node`` from ``head[index]`` is ``index ^ 1``.
+            dist = [-1] * len(adj)
+            dist[sink] = 0
+            queue = deque([sink])
+            while queue and dist[source] < 0:
                 node = queue.popleft()
+                step = dist[node] + 1
                 for index in adj[node]:
-                    v = head[index]
-                    if level[v] < 0 and residual[index] != 0:
-                        level[v] = level[node] + 1
-                        queue.append(v)
-            if level[sink] < 0:
+                    u = head[index]
+                    if dist[u] < 0 and residual[index ^ 1] != 0:
+                        dist[u] = step
+                        queue.append(u)
+                        if u == source:
+                            break
+            if dist[source] < 0:
                 return total
-            # Depth-first search of the level graph. ``arc[u]`` is the first
-            # edge of ``u`` not yet known to lead nowhere; ``path`` holds the
-            # edges from the source to ``node``.
+            # Depth-first search along admissible edges. ``arc[u]`` is the
+            # first edge of ``u`` not yet known to be saturated or to lead to
+            # a node with no admissible edge left; ``path`` holds the edges
+            # from the source to ``node``.
             arc = [0] * len(adj)
             path: list[int] = []
             node = source
@@ -130,10 +148,10 @@ class FlowNetwork:
                     node = head[path[cut] ^ 1]
                     del path[cut:]
                     continue
-                edges, k, want = adj[node], arc[node], level[node] + 1
+                edges, k, want = adj[node], arc[node], dist[node] - 1
                 while k < len(edges):
                     index = edges[k]
-                    if residual[index] != 0 and level[head[index]] == want:
+                    if residual[index] != 0 and dist[head[index]] == want:
                         break
                     k += 1
                 arc[node] = k

@@ -28,10 +28,10 @@ from .core import (
     MarketOutcome,
     PriceVector,
     integer_rows,
-    over_common_denominator,
     payment_graph,
     price_scale,
     rat,
+    row_scales,
 )
 from .errors import (
     AlgorithmBugError,
@@ -437,33 +437,38 @@ def _plain_network(n, m, P, L, mpb_sets, hi):
     return net, supply, income, edges, L
 
 
-def _carry_plain_network(network, n, m, P, L, mpb_sets, hi):
+def _carry_plain_network(network, n, m, P, L, dropped, joined, hi):
     """An overpriced round's cap-only network, with its maximum flow, moved
-    in place to the next round's prices ``P`` over ``L`` and ``mpb_sets``.
+    in place to the next round's prices ``P`` over ``L``, given the MPB
+    edges the rise between them moved: ``dropped`` and ``joined``, each a
+    list of (agent, chore) pairs.
 
-    - The MPB edges that left are unlinked. Each must carry no flow.
+    - The dropped edges are unlinked. Each must carry no flow.
     - Every flow is divided by ``g``, the gcd of the MPB flows and the unit
       ``U``, then scaled to the new unit ``lcm(U/g, L)``, which holds the
       flow and this round's caps exactly.
     - The supply and income caps are reset from ``P`` and ``hi``. Each must
       still hold its flow.
-    - The MPB edges that joined are added without flow.
+    - The joined edges are added without flow.
 
     The caps and flows are then those of a fresh ``_plain_network`` with the
     carried flow loaded onto it; only the adjacency order differs, which
     changes the maximum flow found but not its cut. ``approx_ceei`` argues
-    why the flow fits, and a flow that does not raises ``AlgorithmBugError``.
+    why the flow fits. A flow that does not fit raises ``AlgorithmBugError``,
+    and so does a dropped pair without an edge or a joined pair with one.
     Returns the network in ``_plain_network``'s form, with its new unit.
     """
     net, supply, income, edges, unit = network
     residual = net.residual
-    for (i, c), index in list(edges.items()):
-        if c not in mpb_sets[i]:
-            if residual[index ^ 1]:
-                raise AlgorithmBugError(
-                    f"approx_ceei: dropped MPB edge ({i}, {c}) carries flow; this is a bug")
-            net.unlink(index)
-            del edges[(i, c)]
+    for pair in dropped:
+        index = edges.pop(pair, None)
+        if index is None:
+            raise AlgorithmBugError(
+                f"approx_ceei: dropped MPB edge {pair} is not in the network; this is a bug")
+        if residual[index ^ 1]:
+            raise AlgorithmBugError(
+                f"approx_ceei: dropped MPB edge {pair} carries flow; this is a bug")
+        net.unlink(index)
     g = gcd(unit, *(residual[index ^ 1] for index in edges.values()))
     U = lcm(unit // g, L)
     scale, up = U // (unit // g), U // L
@@ -476,10 +481,12 @@ def _carry_plain_network(network, n, m, P, L, mpb_sets, hi):
         if residual[index] < 0:
             raise AlgorithmBugError(
                 "approx_ceei: a carried flow exceeds its rescaled cap; this is a bug")
-    for i, chores in enumerate(mpb_sets):
-        for c in chores:
-            if (i, c) not in edges:
-                edges[(i, c)] = net.add_edge(c, m + i, None)
+    for pair in joined:
+        if pair in edges:
+            raise AlgorithmBugError(
+                f"approx_ceei: joined MPB edge {pair} is already in the network; this is a bug")
+        i, c = pair
+        edges[pair] = net.add_edge(c, m + i, None)
     return net, supply, income, edges, U
 
 
@@ -520,8 +527,9 @@ def _route_within_bounds(n, m, L, lo, hi, floor):
 def _route_plain(n, m, P, L, mpb_sets, hi, carried=None):
     """Cap-only routing, the first flow of every price round.
 
-    Builds ``_plain_network`` from zero flow or, given the last overpriced
-    round's network as ``carried``, moves that one to this round in place
+    Builds ``_plain_network`` from zero flow or, given ``carried``, the last
+    overpriced round's network with the MPB edges its rise dropped and
+    joined, moves that network to this round in place
     (``_carry_plain_network``). Then augments it to a maximum flow. Returns
     the network, the chores whose payment is not fully routed, and the
     network in ``_plain_network``'s form, for the next round to carry.
@@ -533,10 +541,36 @@ def _route_plain(n, m, P, L, mpb_sets, hi, carried=None):
     if carried is None:
         network = _plain_network(n, m, P, L, mpb_sets, hi)
     else:
-        network = _carry_plain_network(carried, n, m, P, L, mpb_sets, hi)
+        network, dropped, joined = carried
+        network = _carry_plain_network(network, n, m, P, L, dropped, joined, hi)
     net, supply = network[0], network[1]
     net.max_flow(n + m, n + m + 1)
     return net, [c for c in range(m) if net.residual[supply[c]]], network
+
+
+def _start_prices(scales, n: int) -> tuple[list[int], int]:
+    """``n * M`` and ``sum(M)`` for ``M``, each chore's least disutility,
+    over one common scale. ``scales`` holds each row as ``row_scales`` gives
+    it, ``(ints, K_i)``: entry ``c`` of row ``i`` is ``ints[c] / K_i``.
+
+    When every row shares its ``K``, the least integers are the minima over
+    ``K``. Otherwise two entries compare by one cross-multiplication, and
+    the minima are put over the lcm of the scales of the rows that hold them.
+    """
+    first = scales[0][1]
+    if all(K == first for _, K in scales):
+        M = [min(column) for column in zip(*(ints for ints, _ in scales))]
+    else:
+        least = []
+        for c in range(len(scales[0][0])):
+            a, K = scales[0][0][c], first
+            for ints, k in scales[1:]:
+                if ints[c] * K < a * k:
+                    a, K = ints[c], k
+            least.append((a, K))
+        common = lcm(*(K for _, K in least))
+        M = [a * (common // K) for a, K in least]
+    return [n * value for value in M], sum(M)
 
 
 def _reduced(Q: list[int], R: int) -> tuple[list[int], int]:
@@ -617,8 +651,10 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
       The sets equal ``_mpb_structure``'s every round.
     - *Flow.* After an overpriced round, its cap-only network, maximum flow
       and all, becomes the next round's: ``_carry_plain_network`` unlinks
-      the dropped MPB edges, rescales the flow to the new unit, resets the
-      caps and adds the joined edges, in place. The flow still fits:
+      the MPB edges the rise dropped, rescales the flow to the new unit,
+      resets the caps and adds the edges the rise joined, in place; the
+      loop collects both where it updates the sets, so no other MPB edge is
+      visited for them. The flow still fits:
       blocked prices only rise, income caps are fixed in money, and a
       dropped edge runs from an unblocked chore to a reachable agent, so it
       carried nothing (flow on it would make its chore reachable). The
@@ -649,7 +685,8 @@ def _price_loop(inst: Instance, epsilon):
     """
     if inst.m == 0:
         raise InputError(_NO_CHORES)
-    if inst.has_zero_entry():
+    D = integer_rows(inst)
+    if any(0 in row for row in D):
         raise InputError("price adjustment requires strictly positive disutilities")
     eps = rat(epsilon)
     if not 0 <= eps < 1:
@@ -657,14 +694,12 @@ def _price_loop(inst: Instance, epsilon):
 
     n, m = inst.n, inst.m
     lo, hi = 1 - eps, 1 + eps
-    D = integer_rows(inst)
     # Each chore starts at its least disutility over the agents, the prices
     # scaled to total n, so it lies in the MPB set of every agent who
-    # dislikes it least. The m minima M are taken over the lcm of their own
-    # denominators. Prices have one form Q / R with gcd(R, *Q) == 1, so
-    # reducing n * M / sum(M) finds the (Q, R) of the rational start.
-    M, _ = over_common_denominator([min(column) for column in zip(*inst.disutility)])
-    Q, R = _reduced([n * value for value in M], sum(M))
+    # dislikes it least. Prices have one form Q / R with gcd(R, *Q) == 1, so
+    # reducing n * M / sum(M) finds the (Q, R) of the rational start from
+    # the minima M over any common scale.
+    Q, R = _reduced(*_start_prices(row_scales(inst), n))
     # The sets do not depend on the price scale.
     mpb_sets = _mpb_structure(D, Q)
     carried = None
@@ -746,16 +781,18 @@ def _price_loop(inst: Instance, epsilon):
         rise = frozenset(blocked)
         Q, R = _reduced([value * (top if c in rise else bottom) for c, value in enumerate(Q)],
                         R * bottom)
+        dropped = []
         for i, chores in enumerate(mpb_sets):
             keep = chores & rise
             if keep and keep != chores:
                 mpb_sets[i] = keep
+                dropped += ((i, c) for c in chores - keep)
         for i, c in ties:
             mpb_sets[i] = mpb_sets[i] | {c}
         # An overpriced round's network holds no flow on the edges the rise
-        # drops, so the next round updates it in place; a routed round's
-        # flow need not fit.
-        carried = network if unrouted else None
+        # drops, so the next round moves it by these pairs in place; a
+        # routed round's flow need not fit.
+        carried = (network, dropped, ties) if unrouted else None
 
     raise BudgetExhaustedError(
         f"no verified outcome within {DEFAULT_ROUNDS} price-adjustment rounds")

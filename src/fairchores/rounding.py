@@ -29,6 +29,7 @@ from .core import (
     bundle_payment,
     payment_graph,
     rat,
+    row_scales,
     scaled,
 )
 # approx_ceei is not called here; perfbench's tests read rounding.approx_ceei.
@@ -314,7 +315,9 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     integers (``_routing_holds``), and rounded as they are; only the
     result's prices are ``Fraction``s.
     """
-    if inst.has_zero_entry():
+    # The rows the price loop scales anyway: an entry is 0 in its integer row
+    # exactly when it is 0.
+    if any(0 in ints for ints, _ in row_scales(inst)):
         raise InputError("the surplus pipeline needs strictly positive disutilities")
     if inst.m == 0:
         alloc = SurplusAllocation(tuple(frozenset() for _ in range(inst.n)), 0)

@@ -699,17 +699,32 @@ def test_carrying_a_flow_that_does_not_fit_is_a_bug():
         return network
 
     # Agent 0 drops the edge that carries chore 0's payment.
-    with pytest.raises(AlgorithmBugError, match="^approx_ceei: dropped MPB edge"):
-        _carry_plain_network(routed(), n, m, P, L, [frozenset({1}), sets[1]], hi)
+    with pytest.raises(AlgorithmBugError,
+                       match=r"^approx_ceei: dropped MPB edge \(0, 0\) carries flow"):
+        _carry_plain_network(routed(), n, m, P, L, [(0, 0)], [], hi)
     # Chore 0's price halves under the payment it already routes.
     with pytest.raises(AlgorithmBugError, match="^approx_ceei: a carried flow exceeds"):
-        _carry_plain_network(routed(), n, m, [1, 2], L, sets, hi)
+        _carry_plain_network(routed(), n, m, [1, 2], L, [], [], hi)
+    # A rise that drops an edge the network never had, or joins one it has,
+    # is a bug in the loop's bookkeeping, named as such.
+    with pytest.raises(AlgorithmBugError,
+                       match=r"^approx_ceei: dropped MPB edge \(0, 1\) is not in the network"):
+        _carry_plain_network(routed(), n, m, P, L, [(0, 1)], [], hi)
+    with pytest.raises(AlgorithmBugError,
+                       match=r"^approx_ceei: joined MPB edge \(1, 1\) is already in the network"):
+        _carry_plain_network(routed(), n, m, P, L, [], [(1, 1)], hi)
     # Agent 0 gains chore 1 instead: the flow fits, as in a fresh build.
     network = routed()
     carried, joined = carried_flow(network), [frozenset({0, 1}), sets[1]]
-    moved = _carry_plain_network(network, n, m, P, L, joined, hi)
+    moved = _carry_plain_network(network, n, m, P, L, [], [(0, 1)], hi)
     assert plain_state(moved) == plain_state(
         preloaded_plain_network(n, m, P, L, joined, hi, carried))
+    # Agent 1 trades chore 1 for chore 0 with nothing routed: both edges move.
+    network = _plain_network(n, m, P, L, sets, hi)
+    carried, moved_sets = carried_flow(network), [sets[0], frozenset({0})]
+    moved = _carry_plain_network(network, n, m, P, L, [(1, 1)], [(1, 0)], hi)
+    assert plain_state(moved) == plain_state(
+        preloaded_plain_network(n, m, P, L, moved_sets, hi, carried))
 
 
 class TestMakeAcyclic:

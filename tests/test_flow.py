@@ -217,6 +217,83 @@ def test_blocking_flow_agrees_with_edmonds_karp(top):
     assert bounded >= 200
 
 
+def load_random_flow(net, rng, source, sink, top):
+    """Push random amounts along random residual paths from ``source`` to
+    ``sink`` and around random residual cycles, so the network carries a
+    random feasible flow; returns how many cycles it pushed around. An
+    amount is at most its path's least finite residual, or at most ``top``
+    when every residual on it is unbounded."""
+    adj, head, residual = net.adj, net.head, net.residual
+
+    def walk(start, goal):
+        path, seen = [], {start}
+
+        def search(node):
+            for index in rng.sample(adj[node], len(adj[node])):
+                v = head[index]
+                if residual[index] == 0 or (v in seen and v != goal):
+                    continue
+                path.append(index)
+                if v == goal:
+                    return True
+                seen.add(v)
+                if search(v):
+                    return True
+                path.pop()
+            return False
+
+        return path if search(start) else None
+
+    cycles = 0
+    for _ in range(rng.randint(1, 4)):
+        start = rng.randrange(len(adj))
+        path = walk(source, sink) if rng.random() < 0.5 else walk(start, start)
+        if path is None:
+            continue
+        finite = [residual[index] for index in path if residual[index] is not None]
+        amount = rng.randint(1, min(finite) if finite else top)
+        for index in path:
+            if residual[index] is not None:
+                residual[index] -= amount
+            if residual[index ^ 1] is not None:
+                residual[index ^ 1] += amount
+        cycles += head[path[-1]] != sink
+    return cycles
+
+
+@pytest.mark.parametrize("top", [9, 10**40], ids=["top9", "top1e40"])
+def test_max_flow_from_any_feasible_flow_ends_at_the_same_cut(top):
+    # Started from a feasible flow, flow around cycles and on uncapped edges
+    # included, max_flow adds up to a maximum flow, and the residual source
+    # side is the cut that Edmonds-Karp leaves from zero.
+    rng = random.Random(15)
+    warm = cycled = 0
+    for _ in range(400):
+        nodes, edges = random_network(rng, top)
+        source, sink = 0, nodes - 1
+        best = brute_min_cut(nodes, edges)
+        if best is None:
+            continue
+        net, index = build(nodes, edges)
+        cycled += load_random_flow(net, rng, source, sink, top) > 0
+        start = [net.flow_value(k) for k in index]
+        warm += any(start)
+        value = sum(f for (u, _, _), f in zip(edges, start) if u == source) - sum(
+            f for (_, v, _), f in zip(edges, start) if v == source)
+        assert value + net.max_flow(source, sink) == best
+        flows = [net.flow_value(k) for k in index]
+        for (u, v, capacity), flow in zip(edges, flows):
+            assert 0 <= flow and (capacity is None or flow <= capacity)
+        for node in range(nodes):
+            net_out = (sum(f for (u, _, _), f in zip(edges, flows) if u == node)
+                       - sum(f for (_, v, _), f in zip(edges, flows) if v == node))
+            assert net_out == {source: best, sink: -best}.get(node, 0)
+        oracle, _ = build(nodes, edges)
+        edmonds_karp(oracle, source, sink)
+        assert net.reachable(source) == oracle.reachable(source)
+    assert warm >= 140 and cycled >= 60
+
+
 def test_uncapped_edges_carry_any_amount():
     net = FlowNetwork(4)
     first = net.add_edge(0, 1, 10**40)
