@@ -4,6 +4,10 @@ Exact-rational solvers for chore markets: equal-income equilibria, rounding
 into integral bundles with at most n-1 duplicated chores (envy-free up to one
 chore and fractionally Pareto optimal), a tEFX-or-proportional split for three
 agents, and verifiers that certify every claimed property with witnesses.
+
+``__all__`` is the public contract. Everything else, the submodules' other
+names included, is internal and may move; the error classes live in
+``fairchores.errors``.
 """
 
 from .core import (
@@ -12,13 +16,8 @@ from .core import (
     FractionalAllocation,
     Instance,
     MarketOutcome,
-    PaymentGraph,
     PriceVector,
     SurplusAllocation,
-    bundle_disutility,
-    bundle_payment,
-    mpb,
-    payment_graph,
     rat,
 )
 from .equilibrium import (
@@ -28,22 +27,8 @@ from .equilibrium import (
     make_acyclic,
     verify_fisher_equilibrium,
 )
-from .rounding import (
-    RoundingState,
-    SolveOptions,
-    SurplusResult,
-    fair_and_efficient,
-    phase1,
-    phase2,
-)
-from .three_agent import (
-    ThreeResult,
-    efx_identical,
-    perturb_nondegenerate,
-    solve_three,
-    tefx_feasible,
-    terminal_assignment,
-)
+from .rounding import SolveOptions, SurplusResult, fair_and_efficient
+from .three_agent import ThreeResult, solve_three
 from .verifiers import (
     check_ef1,
     check_efx,
@@ -57,5 +42,12 @@ from .verifiers import (
     implication_suite,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Certificate", "ChoreCopy", "FractionalAllocation", "Instance", "MarketOutcome",
+    "PriceVector", "SolveOptions", "SurplusAllocation", "SurplusResult", "ThreeResult",
+    "approx_ceei", "check_ef1", "check_efx", "check_fisher_integral", "check_fpo",
+    "check_nondegenerate", "check_pef1", "check_po_brute", "check_proportional",
+    "check_tefx", "default_epsilon", "exact_ceei", "fair_and_efficient",
+    "implication_suite", "make_acyclic", "rat", "solve_three", "verify_fisher_equilibrium",
+]
 __version__ = "0.1.0"

@@ -40,6 +40,7 @@ from .verifiers import (
     check_po_brute,
     check_proportional,
     check_tefx,
+    require_shape,
 )
 
 EXIT_OK = 0
@@ -156,22 +157,10 @@ def _cmd_solve_three(args) -> tuple[int, Optional[str]]:
     return EXIT_OK, None
 
 
-def _allocation(data, inst: Instance):
-    """An allocation file's bundles, checked against the instance's shape."""
-    alloc = allocation_from_dict(data)
-    if alloc.n != inst.n or alloc.num_chores != inst.m:
-        raise InputError(
-            f"allocation has {alloc.n} bundles over {alloc.num_chores} chores, "
-            f"instance has {inst.n} agents and {inst.m} chores")
-    return alloc
-
-
-def _prices(args, alloc_data, inst: Instance):
-    """Prices from ``--prices``, else from the allocation file itself."""
-    prices = prices_from_dict(load_json(args.prices) if args.prices else alloc_data)
-    if len(prices) != inst.m:
-        raise InputError(f"{len(prices)} prices for {inst.m} chores")
-    return prices
+def _prices(args, alloc_data):
+    """Prices from ``--prices``, else from the allocation file itself; the
+    check that reads them rejects a vector of the wrong length."""
+    return prices_from_dict(load_json(args.prices) if args.prices else alloc_data)
 
 
 def _cmd_verify(args) -> tuple[int, Optional[str]]:
@@ -188,15 +177,18 @@ def _cmd_verify(args) -> tuple[int, Optional[str]]:
         if prop == "fisher" and not (isinstance(data, dict) and "bundles" in data):
             certificate = verify_fisher_equilibrium(inst, outcome_from_dict(data))
         else:
-            alloc = _allocation(data, inst)
+            alloc = allocation_from_dict(data)
+            # Checked here, ahead of any prices, for the pEF1 check too,
+            # which reads no instance.
+            require_shape(inst, alloc)
             if prop in checks:
                 certificate = checks[prop](inst, alloc)
             elif prop == "pef1":
-                certificate = check_pef1(_prices(args, data, inst), alloc)
+                certificate = check_pef1(_prices(args, data), alloc)
             else:
                 # The allocation's own Fisher claim, as solve-surplus
                 # certifies it: every unit is a best-ratio chore of its holder.
-                certificate = check_fisher_integral(inst, alloc, _prices(args, data, inst))
+                certificate = check_fisher_integral(inst, alloc, _prices(args, data))
     payload = certificate.to_dict()
     text = dumps(payload)
     if args.output:

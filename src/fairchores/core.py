@@ -20,7 +20,6 @@ from typing import Iterable, NamedTuple, Optional
 from .errors import InputError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Most decimal digits a rational given as text may expand to: every digit
 # written, numerator and denominator together, plus the exponent's magnitude.
@@ -65,11 +64,6 @@ class ChoreCopy(NamedTuple):
 
     chore: int
     copy: int = 0
-
-
-def originals(chores: Iterable[int]) -> frozenset[ChoreCopy]:
-    """Wrap plain chore ids as copy-0 units."""
-    return frozenset(ChoreCopy(c, 0) for c in chores)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,16 @@ MAX_LP_VARIABLES = 600  # n*k variables of the fPO linear program
 MAX_SUBSET_CHORES = 12  # chores whose 2^m subset sums check_nondegenerate compares
 
 
+def require_shape(inst: Instance, alloc: SurplusAllocation) -> None:
+    """Raise ``InputError`` unless the allocation has one bundle per agent of
+    ``inst`` over exactly its chores; every check of an allocation against an
+    instance calls this first."""
+    if alloc.n != inst.n or alloc.num_chores != inst.m:
+        raise InputError(
+            f"allocation has {alloc.n} bundles over {alloc.num_chores} chores, "
+            f"instance has {inst.n} agents and {inst.m} chores")
+
+
 def _view(ints, K, bundles) -> tuple[list[int], int, list[int]]:
     """A row already over its own lcm, as ``row_scales`` gives it: its
     integers, ``K``, and each bundle's cost in those units."""
@@ -70,6 +80,7 @@ def _envy(views, bundles, pick, transfer: bool = False):
 
 
 def _agent_views(inst: Instance, alloc: SurplusAllocation):
+    require_shape(inst, alloc)
     return (_view(ints, K, alloc.bundles) for ints, K in row_scales(inst))
 
 
@@ -108,6 +119,7 @@ def check_tefx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
 
 def check_proportional(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """Every bundle costs its holder at most a 1/n share of all original chores."""
+    require_shape(inst, alloc)
     for i, ((ints, K), bundle) in enumerate(zip(row_scales(inst), alloc.bundles)):
         own = sum(ints[u.chore] for u in bundle)
         if alloc.n * own > sum(ints):
@@ -119,6 +131,8 @@ def check_proportional(inst: Instance, alloc: SurplusAllocation) -> Certificate:
 
 def check_pef1(prices: PriceVector, alloc: SurplusAllocation) -> Certificate:
     """Payment envy-freeness up to one chore."""
+    if len(prices) != alloc.num_chores:
+        raise InputError(f"{len(prices)} prices for {alloc.num_chores} chores")
     found = _envy([_view(*price_scale(prices), alloc.bundles)] * alloc.n, alloc.bundles, max)
     if found is None:
         return Certificate(PEF1, True)
@@ -136,6 +150,7 @@ def check_fisher_integral(inst: Instance, alloc: SurplusAllocation,
     construction; the substance is that every allocated unit is a best-ratio
     chore for its holder.
     """
+    require_shape(inst, alloc)
     if len(prices) != inst.m:
         raise InputError(f"{len(prices)} prices for {inst.m} chores")
     if not any(alloc.bundles):
@@ -157,6 +172,7 @@ def check_po_brute(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     (copies included); a counter-witness is an integral reassignment that is
     weakly better for everyone and strictly better for someone.
     """
+    require_shape(inst, alloc)
     items = alloc.items()
     n = len(alloc.bundles)
     if n == 1:  # the only reassignment is the allocation itself
@@ -208,6 +224,7 @@ def check_fpo(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     under the optimal ``dominating`` matrix; ``objective`` is that agent's
     disutility there.
     """
+    require_shape(inst, alloc)
     items = alloc.items()
     n, k = inst.n, len(items)
     if n * k > MAX_LP_VARIABLES:

@@ -12,7 +12,6 @@ from fairchores.core import (
     bundle_disutility,
     bundle_payment,
     mpb,
-    originals,
     payment_graph,
     rat,
 )
@@ -54,7 +53,7 @@ def test_instance_validation():
 
 def test_bundle_disutility_examples():
     inst = Instance.from_rows([[1, 2]])
-    assert bundle_disutility(inst, 0, originals([0, 1])) == 3
+    assert bundle_disutility(inst, 0, {ChoreCopy(0), ChoreCopy(1)}) == 3
     assert bundle_disutility(inst, 0, set()) == 0
     triple = Instance.from_rows([[1, 1, 1]])
     with_copy = {ChoreCopy(0, 0), ChoreCopy(0, 1)}
@@ -63,7 +62,7 @@ def test_bundle_disutility_examples():
 
 def test_bundle_payment_examples():
     p = PriceVector.from_values([1, 1])
-    assert bundle_payment(p, originals([0, 1])) == 2
+    assert bundle_payment(p, {ChoreCopy(0), ChoreCopy(1)}) == 2
     assert bundle_payment(p, set()) == 0
     p3 = PriceVector.from_values([3])
     assert bundle_payment(p3, {ChoreCopy(0, 0), ChoreCopy(0, 1)}) == 6

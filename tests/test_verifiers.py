@@ -14,7 +14,6 @@ from fairchores.core import (
     bundle_disutility,
     bundle_payment,
     mpb,
-    originals,
 )
 from fairchores.equilibrium import (
     approx_ceei,
@@ -42,7 +41,7 @@ F = Fraction
 
 
 def alloc_of(m, *bundles):
-    return SurplusAllocation(tuple(frozenset(originals(b)) for b in bundles), m)
+    return SurplusAllocation(tuple(frozenset(map(ChoreCopy, b)) for b in bundles), m)
 
 
 def random_partition(rng, n, m):
@@ -435,11 +434,42 @@ class TestFisherIntegral:
 
     @pytest.mark.parametrize("prices", [[1, 1, 5], [1]])
     def test_one_price_per_chore(self, prices):
-        # The best-ratio sets range over the price vector's chores, so a
-        # vector of another length is bad input, not a verdict.
+        # The best-ratio sets and the payment scan range over the price
+        # vector's chores, so a vector of another length is bad input, not a
+        # verdict, for the Fisher check and for pEF1 alike.
         inst = Instance.from_rows([[1, 1], [1, 1]])
-        with pytest.raises(InputError):
-            check_fisher_integral(inst, alloc_of(2, {0}, {1}), PriceVector.from_values(prices))
+        alloc, vector = alloc_of(2, {0}, {1}), PriceVector.from_values(prices)
+        message = f"^{len(prices)} prices for 2 chores$"
+        with pytest.raises(InputError, match=message):
+            check_fisher_integral(inst, alloc, vector)
+        with pytest.raises(InputError, match=message):
+            check_pef1(vector, alloc)
+
+
+# Every exported check of an allocation against an instance, and whether it
+# also takes prices.
+SHAPED_CHECKS = {
+    "ef1": (check_ef1, False), "efx": (check_efx, False), "tefx": (check_tefx, False),
+    "prop": (check_proportional, False), "po": (check_po_brute, False),
+    "fpo": (check_fpo, False), "fisher": (check_fisher_integral, True),
+    "implications": (implication_suite, True),
+}
+
+
+@pytest.mark.parametrize("bundles, m", [
+    (({0}, {1}), 2),  # one bundle too few
+    (({0}, {1}, set(), set()), 2),  # one bundle too many
+    (({0}, {1}, {2}), 3),  # a chore past the instance's last
+], ids=["too_few", "too_many", "chore_past_m"])
+@pytest.mark.parametrize("name", sorted(SHAPED_CHECKS))
+def test_allocation_of_another_shape_is_bad_input(name, bundles, m):
+    check, takes_prices = SHAPED_CHECKS[name]
+    inst = Instance.from_rows([[1, 2], [2, 1], [9, 9]])
+    prices = (PriceVector.from_values([1, 1]),) if takes_prices else ()
+    with pytest.raises(InputError, match=(
+            rf"^allocation has {len(bundles)} bundles over {m} chores, "
+            r"instance has 3 agents and 2 chores$")):
+        check(inst, alloc_of(m, *bundles), *prices)
 
 
 def fraction_fisher_report(inst, out):
