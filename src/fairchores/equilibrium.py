@@ -14,6 +14,7 @@ integers with ``_routing_holds``, the same conditions without ``Fraction``s.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
@@ -490,6 +491,25 @@ def _carry_plain_network(network, n, m, P, L, dropped, joined, hi):
     return net, supply, income, edges, U
 
 
+def _preload(network, pairs):
+    """Push what each (agent, chore) MPB edge of ``pairs`` can take, in
+    order, along source, chore, agent, sink: the least of the chore's supply
+    residual and the agent's income residual, written into ``residual`` in
+    place. ``network`` is in ``_plain_network``'s form and holds a feasible
+    flow; each push keeps it feasible, since it stays within both capped
+    edges' residuals, the MPB edge is uncapped, and it adds as much into the
+    chore and the agent as out of them."""
+    net, supply, income, edges, _ = network
+    residual = net.residual
+    for i, c in pairs:
+        amount = min(residual[supply[c]], residual[income[i]])
+        if amount:
+            for index in (supply[c], edges[(i, c)], income[i]):
+                if residual[index] is not None:
+                    residual[index] -= amount
+                residual[index ^ 1] += amount
+
+
 def _floor_network(n, m, P, L, mpb_sets, lo):
     """``_plain_network`` with the caps at ``lo``, and its maximum flow from
     zero: the network and whether that flow fills every income to ``lo``."""
@@ -530,19 +550,27 @@ def _route_plain(n, m, P, L, mpb_sets, hi, carried=None):
     Builds ``_plain_network`` from zero flow or, given ``carried``, the last
     overpriced round's network with the MPB edges its rise dropped and
     joined, moves that network to this round in place
-    (``_carry_plain_network``). Then augments it to a maximum flow. Returns
-    the network, the chores whose payment is not fully routed, and the
-    network in ``_plain_network``'s form, for the next round to carry.
+    (``_carry_plain_network``). Then preloads a greedy flow (``_preload``)
+    and augments it to a maximum flow. A fresh network is preloaded on
+    every MPB edge, those of chores with fewer MPB agents first, since such
+    a chore has fewer ways to be paid; a carried one on the joined edges
+    only, the new exits from the last round's cut. Returns the network, the
+    chores whose payment is not fully routed, and the network in
+    ``_plain_network``'s form, for the next round to carry.
 
     The caller reads only ``reachable`` off the network, the same set after
-    every maximum flow from any starting flow, so carrying leaves the
-    round's decision as it was.
+    every maximum flow from any starting flow, and whether any chore is
+    unrouted, so carrying and preloading leave the round's decision as it
+    was.
     """
     if carried is None:
         network = _plain_network(n, m, P, L, mpb_sets, hi)
+        degree = Counter(c for chores in mpb_sets for c in chores)
+        pairs = sorted(network[3], key=lambda pair: degree[pair[1]])
     else:
-        network, dropped, joined = carried
-        network = _carry_plain_network(network, n, m, P, L, dropped, joined, hi)
+        network, dropped, pairs = carried
+        network = _carry_plain_network(network, n, m, P, L, dropped, pairs, hi)
+    _preload(network, pairs)
     net, supply = network[0], network[1]
     net.max_flow(n + m, n + m + 1)
     return net, [c for c in range(m) if net.residual[supply[c]]], network
@@ -555,7 +583,9 @@ def _start_prices(scales, n: int) -> tuple[list[int], int]:
 
     When every row shares its ``K``, the least integers are the minima over
     ``K``. Otherwise two entries compare by one cross-multiplication, and
-    the minima are put over the lcm of the scales of the rows that hold them.
+    the minima are put over the lcm of their own denominators: each minimum
+    ``a / K`` is reduced first, since a row's ``K`` is the lcm of the whole
+    row's denominators and can be far larger than the minimum's own.
     """
     first = scales[0][1]
     if all(K == first for _, K in scales):
@@ -567,7 +597,8 @@ def _start_prices(scales, n: int) -> tuple[list[int], int]:
             for ints, k in scales[1:]:
                 if ints[c] * K < a * k:
                     a, K = ints[c], k
-            least.append((a, K))
+            g = gcd(a, K)
+            least.append((a // g, K // g))
         common = lcm(*(K for _, K in least))
         M = [a * (common // K) for a, K in least]
     return [n * value for value in M], sum(M)
@@ -666,6 +697,12 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
       cut off that same network. A routed round's flow may sit on dropped
       edges, and a normalisation or a uniform rescale moves the caps under
       the flow, so the round after one of these builds a fresh network too.
+      Before its maximum flow, every cap-only network takes a greedy flow
+      (``_preload``): a fresh one on all its MPB edges, a carried one on
+      the joined edges. The round reads only its cut and whether a chore
+      stays unrouted, both the same after every maximum flow, so the greedy
+      start changes no decision and leaves few paths to augment. The floor
+      network, whose flows become the earnings, still starts from zero.
     """
     eps, Q, R, L, flows = _price_loop(inst, epsilon)
     outcome = _outcome_from_earnings(
@@ -824,11 +861,24 @@ def _cancel_cycles(n: int, m: int, weights: dict) -> list[set[int]]:
     edge order: an edge closing a cycle with the forest path between its ends
     shifts earnings alternately around it by the least weight (first in path
     order, the new edge last), keeping incomes and payments; edges at zero
-    leave. Returns the forest's adjacency, chore ``c`` at node ``n + c``."""
+    leave. Returns the forest's adjacency, chore ``c`` at node ``n + c``.
+
+    A union-find over every edge added so far holds each forest component
+    inside one of its sets, since deleting an edge only splits a component;
+    the path search runs only when both ends share a set."""
     adj: list[set[int]] = [set() for _ in range(n + m)]  # chore c is node n + c
+    parent = list(range(n + m))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
     for i, c in list(weights):
         # A chore without forest edges yet cannot close a cycle.
-        path = _forest_path(adj, i, n + c) if adj[n + c] else None
+        root_i, root_c = find(i), find(n + c)
+        path = _forest_path(adj, i, n + c) if adj[n + c] and root_i == root_c else None
         if path is not None:
             cycle = [(u, v - n) if u < n else (v, u - n) for u, v in zip(path, path[1:])]
             cycle.append((i, c))
@@ -843,6 +893,7 @@ def _cancel_cycles(n: int, m: int, weights: dict) -> list[set[int]]:
         if (i, c) in weights:
             adj[i].add(n + c)
             adj[n + c].add(i)
+            parent[root_i] = root_c
     return adj
 
 

@@ -17,6 +17,7 @@ from fairchores.core import (
     PriceVector,
     integer_rows,
     payment_graph,
+    row_scales,
 )
 from fairchores.equilibrium import (
     _enumerate_supports,
@@ -38,6 +39,9 @@ from fairchores.errors import (
     InstanceTooLargeError,
 )
 from test_flow import (
+    UNDERPAID_ROWS,
+    UNDERPAID_START_ROWS,
+    assert_feasible,
     carried_flow,
     check_plain_round,
     plain_state,
@@ -550,7 +554,9 @@ def test_price_loop_starts_at_each_chores_least_disutility(monkeypatch):
     # lies in the MPB set of every agent who dislikes it least, and such an
     # agent's set is exactly its chores of least disutility. The start's
     # denominator comes from the minima alone: it divides their sum over
-    # the lcm of their own denominators.
+    # the lcm of their own denominators. Unreduced, the start sits over that
+    # lcm too, or over the scale all rows share, never over the lcm of the
+    # scales of the rows that hold the minima.
     starts = []
     real = equilibrium._route_plain
 
@@ -561,7 +567,7 @@ def test_price_loop_starts_at_each_chores_least_disutility(monkeypatch):
 
     monkeypatch.setattr(equilibrium, "_route_plain", recording)
     rng = random.Random(31)
-    tied = outside = 0
+    tied = outside = mixed = 0
     for k in range(200):
         n = rng.randint(1, 6)
         m = rng.randint(max(n, 1), 10)
@@ -582,13 +588,18 @@ def test_price_loop_starts_at_each_chores_least_disutility(monkeypatch):
         assert [F(value, L) for value in P] == [n * value / total for value in least]
         K = lcm(*(value.denominator for value in least))
         assert (K * total) % L == 0
+        scales = row_scales(inst)
+        shared = {scale for _, scale in scales}
+        _, S = equilibrium._start_prices(scales, n)
+        assert S == (K if len(shared) > 1 else scales[0][1]) * total
+        mixed += len(shared) > 1
         for i in range(n):
             chores = {c for c in range(m) if inst.d(i, c) == least[c]}
             if chores:
                 assert sets[i] == chores
         tied += any(sum(inst.d(i, c) == least[c] for i in range(n)) > 1 for c in range(m))
         outside += any(v.denominator % 89 == 0 for row in rows for v in row) and L % 89 != 0
-    assert tied >= 100 and outside >= 30
+    assert tied >= 100 and outside >= 30 and mixed >= 60
 
 
 def price_loop_draws():
@@ -675,16 +686,47 @@ def test_carried_flow_fits_the_next_round(monkeypatch):
             return
         flows, _ = carried
         assert all(c in mpb_sets[i] for i, c in flows)
-        edges, supply, income, _ = moved
-        pairs = [*edges.values(), *supply, *income]
-        assert all(left is None or left >= 0 for left, _ in pairs)
-        assert all(flow >= 0 for _, flow in pairs)
-        for c in range(m):
-            assert supply[c][1] == sum(flow for (_, h), (_, flow) in edges.items() if h == c)
-        for i in range(n):
-            assert income[i][1] == sum(flow for (a, _), (_, flow) in edges.items() if a == i)
+        assert_feasible(moved, n, m)
 
     assert run_price_loops(monkeypatch, check)["warm"] >= 1000
+
+
+def test_preload_changes_no_price_loop_output(monkeypatch):
+    # A cap-only round reads only its cut and whether a chore is unrouted,
+    # both the same after every maximum flow, so the greedy start changes
+    # no price, unit or bounded routing: checked against the loop with
+    # _preload as a no-op, at the default slack and at epsilon 0, on values
+    # 1..20, on values 1..3, on values 1..9 times 1 or 10^6, and on the
+    # underpaid draws.
+    rng = random.Random(36)
+    draws = [UNDERPAID_ROWS, UNDERPAID_START_ROWS]
+    for k in range(90):
+        n = rng.randint(2, 7)
+        m = rng.randint(n, 14)
+        if k % 3 == 0:
+            rows = [[rng.randint(1, 20) for _ in range(m)] for _ in range(n)]
+        elif k % 3 == 1:
+            rows = [[rng.randint(1, 3) for _ in range(m)] for _ in range(n)]
+        else:
+            rows = [[rng.randint(1, 9) * rng.choice((1, 10**6)) for _ in range(m)]
+                    for _ in range(n)]
+        draws.append(rows)
+    rounds = Counter()
+    real = equilibrium._route_plain
+
+    def counted(*args):
+        rounds["cut only"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(equilibrium, "_route_plain", counted)
+    for rows in draws:
+        inst = Instance.from_rows(rows)
+        for eps in (default_epsilon(inst.n, inst.m), 0):
+            preloaded = equilibrium._price_loop(inst, eps)
+            with monkeypatch.context() as patch:
+                patch.setattr(equilibrium, "_preload", lambda network, pairs: None)
+                assert equilibrium._price_loop(inst, eps) == preloaded
+    assert rounds["cut only"] >= 1500
 
 
 def test_carrying_a_flow_that_does_not_fit_is_a_bug():
@@ -725,6 +767,29 @@ def test_carrying_a_flow_that_does_not_fit_is_a_bug():
     moved = _carry_plain_network(network, n, m, P, L, [(1, 1)], [(1, 0)], hi)
     assert plain_state(moved) == plain_state(
         preloaded_plain_network(n, m, P, L, moved_sets, hi, carried))
+
+
+def unguarded_cancel_cycles(n, m, weights):
+    """``_cancel_cycles`` without its union-find guard: a path search for
+    every edge whose chore has a forest edge."""
+    adj = [set() for _ in range(n + m)]
+    for i, c in list(weights):
+        path = equilibrium._forest_path(adj, i, n + c) if adj[n + c] else None
+        if path is not None:
+            cycle = [(u, v - n) if u < n else (v, u - n) for u, v in zip(path, path[1:])]
+            cycle.append((i, c))
+            k = min(range(len(cycle)), key=lambda j: weights[cycle[j]])
+            shift = weights[cycle[k]]
+            for j, (a, h) in enumerate(cycle):
+                weights[(a, h)] += shift if (j - k) % 2 else -shift
+                if not weights[(a, h)]:
+                    del weights[(a, h)]
+                    adj[a].discard(n + h)
+                    adj[n + h].discard(a)
+        if (i, c) in weights:
+            adj[i].add(n + c)
+            adj[n + c].add(i)
+    return adj
 
 
 class TestMakeAcyclic:
@@ -794,6 +859,32 @@ class TestMakeAcyclic:
         adj = equilibrium._cancel_cycles(1, 601, dict(weights))
         assert calls == []
         assert adj[0] == set(range(1, 602))
+
+    def test_path_search_runs_only_within_a_union_find_set(self, monkeypatch):
+        # The pipeline's earnings on gen --agents 50 --chores 200 --seed 7.
+        # Without the union-find guard, 51 of the 76 path searches find the
+        # ends apart. The guard skips 49 of them, each search it runs finds
+        # the same path as before, and the cancellation ends with the same
+        # earnings and forest.
+        rng = random.Random(7)
+        inst = Instance.from_rows([[rng.randint(1, 20) for _ in range(200)] for _ in range(50)])
+        *_, flows = equilibrium._price_loop(inst, default_epsilon(50, 200))
+        weights = {edge: flow for edge, flow in flows.items() if flow}
+        real = equilibrium._forest_path
+
+        def run(cancel):
+            found = []
+            monkeypatch.setattr(equilibrium, "_forest_path",
+                                lambda *args: found.append(real(*args)) or found[-1])
+            cancelled = dict(weights)
+            return cancel(50, 200, cancelled), cancelled, found
+
+        adj, left, unguarded = run(unguarded_cancel_cycles)
+        guarded_adj, guarded_left, guarded = run(equilibrium._cancel_cycles)
+        assert (guarded_adj, guarded_left) == (adj, left)
+        assert (len(unguarded), unguarded.count(None)) == (76, 51)
+        assert (len(guarded), guarded.count(None)) == (27, 2)
+        assert [path for path in guarded if path] == [path for path in unguarded if path]
 
     def test_rejects_non_equilibrium(self):
         inst = Instance.from_rows([[1, 2], [2, 1]])

@@ -17,6 +17,7 @@ from fairchores.equilibrium import (
     _mpb_structure,
     _outcome_from_earnings,
     _plain_network,
+    _preload,
     _route_plain,
     _route_within_bounds,
     approx_ceei,
@@ -538,6 +539,82 @@ def test_route_plain_reads_the_edmonds_karp_flow_or_the_cut(monkeypatch):
     assert routed[True] >= 30
 
 
+def test_preload_leaves_a_feasible_flow(monkeypatch):
+    # _preload pushes along source, chore, agent, sink what both capped
+    # edges can still take, so every supply and income flow stays within its
+    # cap and every chore and agent passes on what it receives: on random
+    # prices, from zero and again from the flow the first preload left, and
+    # in every round of the price loop, fresh or carried.
+    rng = random.Random(36)
+    pushed = Counter()
+    for _ in range(150):
+        n, m = rng.randint(1, 5), rng.randint(1, 8)
+        eps = F(1, rng.randint(2, 40))
+        raw = [F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(m)]
+        P, L = scaled([p * n / sum(raw) for p in raw], eps)
+        sets = _mpb_structure(integer_rows(random_instance(rng, n, m)), P)
+        network = _plain_network(n, m, P, L, sets, 1 + eps)
+        for _ in range(2):
+            pairs = rng.sample(list(network[3]), rng.randint(0, len(network[3])))
+            before = plain_state(network)
+            _preload(network, pairs)
+            assert_feasible(plain_state(network), n, m)
+            pushed["random"] += plain_state(network) != before
+
+    real = equilibrium._preload
+
+    def checked(network, pairs):
+        n, m = len(network[2]), len(network[1])
+        before = plain_state(network)
+        real(network, pairs)
+        assert_feasible(plain_state(network), n, m)
+        if plain_state(network) != before:
+            pushed["carried" if any(flow for _, flow in before[1]) else "fresh"] += 1
+
+    monkeypatch.setattr(equilibrium, "_preload", checked)
+    for run in range(24):
+        n = rng.randint(2, 7)
+        m = rng.randint(n, 14)
+        approx_ceei(random_instance(rng, n, m, 9 if run < 12 else 10**6), default_epsilon(n, m))
+    assert pushed["random"] >= 100 and pushed["fresh"] >= 50 and pushed["carried"] >= 50
+
+
+def cut_only_augmentations(monkeypatch, inst, eps):
+    """How many paths ``max_flow`` augments inside ``_route_plain`` over one
+    ``_price_loop`` run."""
+    count = Counter()
+    real_route, real_augment = equilibrium._route_plain, FlowNetwork._augment
+
+    def route(*args):
+        count["inside"] += 1
+        try:
+            return real_route(*args)
+        finally:
+            count["inside"] -= 1
+
+    def augment(net, path):
+        count["paths"] += count["inside"]
+        return real_augment(net, path)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(equilibrium, "_route_plain", route)
+        patch.setattr(FlowNetwork, "_augment", augment)
+        equilibrium._price_loop(inst, eps)
+    return count["paths"]
+
+
+def test_preload_halves_the_paths_of_cut_only_rounds(monkeypatch):
+    # CI's 21 x 30 draw (gen --seed 7) at its default slack runs 22 price
+    # rounds. Started from the greedy flow, their cap-only networks augment
+    # at most half as many paths as with _preload a no-op (76 against 333).
+    rng = random.Random(7)
+    inst = Instance.from_rows([[rng.randint(1, 20) for _ in range(30)] for _ in range(21)])
+    eps = default_epsilon(21, 30)
+    preloaded = cut_only_augmentations(monkeypatch, inst, eps)
+    monkeypatch.setattr(equilibrium, "_preload", lambda network, pairs: None)
+    assert 2 * preloaded <= cut_only_augmentations(monkeypatch, inst, eps)
+
+
 def edmonds_karp_plain(n, m, P, L, mpb_sets, hi):
     """``_plain_network`` with the income caps at ``hi`` and one
     Edmonds-Karp flow from zero: the network, the chores it leaves unrouted
@@ -598,6 +675,20 @@ def plain_state(network):
 
     return ({key: edge(index) for key, index in edges.items()},
             [edge(index) for index in supply], [edge(index) for index in income], unit)
+
+
+def assert_feasible(state, n, m):
+    """A cap-only network's flow, given as its ``plain_state``, is feasible:
+    no capped residual is negative, no flow is, and every chore and every
+    agent passes on exactly what it receives."""
+    edges, supply, income, _ = state
+    pairs = [*edges.values(), *supply, *income]
+    assert all(left is None or left >= 0 for left, _ in pairs)
+    assert all(flow >= 0 for _, flow in pairs)
+    for c in range(m):
+        assert supply[c][1] == sum(flow for (_, h), (_, flow) in edges.items() if h == c)
+    for i in range(n):
+        assert income[i][1] == sum(flow for (a, _), (_, flow) in edges.items() if a == i)
 
 
 def watch_price_rounds(monkeypatch, check):
