@@ -60,7 +60,6 @@ one rather than loop.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 
@@ -114,15 +113,16 @@ class FlowNetwork:
         """Augment by blocking flows until the sink is cut off; returns the
         amount added to the flow the network started with."""
         adj, head, residual = self.adj, self.head, self.residual
+        size = len(adj)
         total = 0
         while True:
             # Distances to the sink over residual edges: the edge into
             # ``node`` from ``head[index]`` is ``index ^ 1``.
-            dist = [-1] * len(adj)
+            # The queue is a list read in order as it grows.
+            dist = [-1] * size
             dist[sink] = 0
-            queue = deque([sink])
-            while queue and dist[source] < 0:
-                node = queue.popleft()
+            queue = [sink]
+            for node in queue:
                 step = dist[node] + 1
                 for index in adj[node]:
                     u = head[index]
@@ -131,13 +131,16 @@ class FlowNetwork:
                         queue.append(u)
                         if u == source:
                             break
+                else:
+                    continue
+                break
             if dist[source] < 0:
                 return total
             # Depth-first search along admissible edges. ``arc[u]`` is the
             # first edge of ``u`` not yet known to be saturated or to lead to
             # a node with no admissible edge left; ``path`` holds the edges
             # from the source to ``node``.
-            arc = [0] * len(adj)
+            arc = [0] * size
             path: list[int] = []
             node = source
             while True:
@@ -148,30 +151,28 @@ class FlowNetwork:
                     node = head[path[cut] ^ 1]
                     del path[cut:]
                     continue
-                edges, k, want = adj[node], arc[node], dist[node] - 1
-                while k < len(edges):
+                edges, want = adj[node], dist[node] - 1
+                for k in range(arc[node], len(edges)):
                     index = edges[k]
                     if residual[index] != 0 and dist[head[index]] == want:
+                        arc[node] = k
+                        path.append(index)
+                        node = head[index]
                         break
-                    k += 1
-                arc[node] = k
-                if k < len(edges):
-                    path.append(edges[k])
-                    node = head[edges[k]]
-                elif path:
+                else:
+                    arc[node] = len(edges)
+                    if not path:
+                        break
                     # Dead end: retreat and skip the edge that led here.
                     node = head[path.pop() ^ 1]
                     arc[node] += 1
-                else:
-                    break
 
     def reachable(self, source: int) -> set[int]:
         """Nodes reachable from ``source`` in the residual graph."""
         adj, head, residual = self.adj, self.head, self.residual
         seen = {source}
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
+        queue = [source]
+        for node in queue:
             for index in adj[node]:
                 v = head[index]
                 if v not in seen and residual[index] != 0:

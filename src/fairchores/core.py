@@ -91,7 +91,19 @@ class Instance:
 
     @classmethod
     def from_rows(cls, rows) -> "Instance":
-        return cls(tuple(tuple(rat(v) for v in row) for row in rows))
+        """Coerce each entry with ``rat``; a row of plain ints maps each of
+        its distinct values to one ``Fraction``, shared within the call."""
+        shared: dict[int, Fraction] = {}
+
+        def coerce(row) -> tuple[Fraction, ...]:
+            row = tuple(row)
+            if set(map(type, row)) <= {int}:
+                for value in set(row).difference(shared):
+                    shared[value] = Fraction(value)
+                return tuple(map(shared.__getitem__, row))
+            return tuple(rat(v) for v in row)
+
+        return cls(tuple(map(coerce, rows)))
 
     @property
     def n(self) -> int:

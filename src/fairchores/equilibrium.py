@@ -400,17 +400,19 @@ def _mpb_structure(D, P):
     """Each agent's min-pain-per-buck set, whose least chore gives its best ratio.
 
     ``d_i(c)/p_c <= d_i(b)/p_b`` is decided as ``D[i][c]*P[b] <= D[i][b]*P[c]``:
-    the rational comparison multiplied through by positive integers.
+    the rational comparison multiplied through by positive integers. One
+    pass per agent collects the chores that tie with its best ratio so far.
     """
-    m = len(P)
     sets: list[frozenset[int]] = []
     for row in D:
-        b = 0
-        for c in range(1, m):
-            if row[c] * P[b] < row[b] * P[c]:
-                b = c
-        num, den = row[b], P[b]
-        sets.append(frozenset(c for c in range(m) if row[c] * den == num * P[c]))
+        num, den, best = row[0], P[0], [0]
+        for c in range(1, len(P)):
+            left, right = row[c] * den, num * P[c]
+            if left < right:
+                num, den, best = row[c], P[c], [c]
+            elif left == right:
+                best.append(c)
+        sets.append(frozenset(best))
     return sets
 
 
@@ -491,6 +493,24 @@ def _carry_plain_network(network, n, m, P, L, dropped, joined, hi):
     return net, supply, income, edges, U
 
 
+def _reset_plain_network(network, P, L, hi):
+    """A cap-only network moved in place to prices ``P`` over ``L`` with
+    zero flow, for a round whose MPB sets are the network's own: supply caps
+    from ``P``, income caps ``hi * L``, every flow 0. Only the adjacency
+    order may differ from a fresh ``_plain_network``'s. Returns the network
+    in that form."""
+    net, supply, income, edges, _ = network
+    residual = net.residual
+    high = int(hi * L)
+    for index, cap in zip(supply, P):
+        residual[index], residual[index ^ 1] = cap, 0
+    for index in income:
+        residual[index], residual[index ^ 1] = high, 0
+    for index in edges.values():
+        residual[index ^ 1] = 0
+    return net, supply, income, edges, L
+
+
 def _preload(network, pairs):
     """Push what each (agent, chore) MPB edge of ``pairs`` can take, in
     order, along source, chore, agent, sink: the least of the chore's supply
@@ -501,13 +521,16 @@ def _preload(network, pairs):
     chore and the agent as out of them."""
     net, supply, income, edges, _ = network
     residual = net.residual
-    for i, c in pairs:
-        amount = min(residual[supply[c]], residual[income[i]])
+    for pair in pairs:
+        i, c = pair
+        source_side, sink_side = supply[c], income[i]
+        amount = min(residual[source_side], residual[sink_side])
         if amount:
-            for index in (supply[c], edges[(i, c)], income[i]):
-                if residual[index] is not None:
-                    residual[index] -= amount
-                residual[index ^ 1] += amount
+            residual[source_side] -= amount
+            residual[source_side ^ 1] += amount
+            residual[edges[pair] ^ 1] += amount
+            residual[sink_side] -= amount
+            residual[sink_side ^ 1] += amount
 
 
 def _floor_network(n, m, P, L, mpb_sets, lo):
@@ -547,33 +570,92 @@ def _route_within_bounds(n, m, L, lo, hi, floor):
 def _route_plain(n, m, P, L, mpb_sets, hi, carried=None):
     """Cap-only routing, the first flow of every price round.
 
-    Builds ``_plain_network`` from zero flow or, given ``carried``, the last
-    overpriced round's network with the MPB edges its rise dropped and
-    joined, moves that network to this round in place
-    (``_carry_plain_network``). Then preloads a greedy flow (``_preload``)
-    and augments it to a maximum flow. A fresh network is preloaded on
-    every MPB edge, those of chores with fewer MPB agents first, since such
-    a chore has fewer ways to be paid; a carried one on the joined edges
-    only, the new exits from the last round's cut. Returns the network, the
-    chores whose payment is not fully routed, and the network in
-    ``_plain_network``'s form, for the next round to carry.
+    Builds ``_plain_network`` from zero flow, or takes the last round's
+    network from ``carried``, ``(network, dropped, joined)``:
+
+    - after an overpriced round's rise, with the MPB edges it dropped and
+      joined, the network moves to this round in place, flow and all
+      (``_carry_plain_network``);
+    - after a normalisation, with ``dropped`` and ``joined`` None, the MPB
+      sets are unchanged, and the network is reset in place to this round's
+      caps and zero flow (``_reset_plain_network``).
+
+    Then preloads a greedy flow (``_preload``) and augments it to a maximum
+    flow. A fresh or reset network is preloaded on every MPB edge, those of
+    chores with fewer MPB agents first, since such a chore has fewer ways to
+    be paid; a carried one on the joined edges only, the new exits from the
+    last round's cut. Returns the network, the chores whose payment is not
+    fully routed, and the network in ``_plain_network``'s form, for the next
+    round to carry or reset.
 
     The caller reads only ``reachable`` off the network, the same set after
-    every maximum flow from any starting flow, and whether any chore is
-    unrouted, so carrying and preloading leave the round's decision as it
-    was.
+    every maximum flow from any starting flow and in any adjacency order,
+    and whether any chore is unrouted, so carrying, resetting and preloading
+    leave the round's decision as it was.
     """
-    if carried is None:
-        network = _plain_network(n, m, P, L, mpb_sets, hi)
-        degree = Counter(c for chores in mpb_sets for c in chores)
-        pairs = sorted(network[3], key=lambda pair: degree[pair[1]])
-    else:
+    if carried is not None and carried[1] is not None:
         network, dropped, pairs = carried
         network = _carry_plain_network(network, n, m, P, L, dropped, pairs, hi)
+    else:
+        if carried is None:
+            network = _plain_network(n, m, P, L, mpb_sets, hi)
+        else:
+            network = _reset_plain_network(carried[0], P, L, hi)
+        degree = Counter(c for chores in mpb_sets for c in chores)
+        pairs = sorted(network[3], key=lambda pair: degree[pair[1]])
     _preload(network, pairs)
     net, supply = network[0], network[1]
     net.max_flow(n + m, n + m + 1)
     return net, [c for c in range(m) if net.residual[supply[c]]], network
+
+
+def _least_factor(D, P, mpb_sets, candidates, blocked, memo):
+    """``(lam, ties, memo)``: the least factor ``(top, bottom)`` by which
+    the blocked prices rise before a candidate ties with a blocked chore
+    (None without a blocked chore or a candidate), the (agent, chore) pairs
+    that tie at it, and the memo for the next round.
+
+    The factor that brings chore ``c`` into agent ``i``'s MPB set is
+    ``(D[i][c]/P[c]) / (D[i][b]/P[b])``, ``b`` the least chore of the set.
+    ``memo`` holds the last round's blocked chores and each of its
+    candidates' least blocked chores. Every price that round blocked has
+    since been multiplied by one factor, so a candidate whose least chores
+    are still blocked keeps them and scans only the newly blocked chores.
+    """
+    last, nearest = memo
+    rise = frozenset(blocked)
+    fresh = [c for c in blocked if c not in last]
+    lam = None
+    ties = []
+    found = {}
+    for i in candidates if blocked else ():
+        row = D[i]
+        near = [c for c in nearest.get(i, ()) if c in rise]
+        if near:
+            scan = fresh
+        else:
+            scan, near = blocked[1:], [blocked[0]]
+        best, price = row[near[0]], P[near[0]]
+        for c in scan:
+            left, right = row[c] * price, best * P[c]
+            if left < right:
+                best, price, near = row[c], P[c], [c]
+            elif left == right:
+                near.append(c)
+        if scan is fresh:
+            near.sort()
+        found[i] = near
+        b = min(mpb_sets[i])
+        top, bottom = row[near[0]] * P[b], P[near[0]] * row[b]
+        if lam is not None:
+            left, right = top * lam[1], lam[0] * bottom
+            if left > right:
+                continue
+            if left == right:
+                ties += ((i, c) for c in near)
+                continue
+        lam, ties = (top, bottom), [(i, c) for c in near]
+    return lam, ties, (rise, found)
 
 
 def _start_prices(scales, n: int) -> tuple[list[int], int]:
@@ -695,14 +777,22 @@ def approx_ceei(inst: Instance, epsilon) -> MarketOutcome:
       from zero on a fresh floor network (``_floor_network``), and when
       that flow leaves an income short of its floor, the round reads its
       cut off that same network. A routed round's flow may sit on dropped
-      edges, and a normalisation or a uniform rescale moves the caps under
-      the flow, so the round after one of these builds a fresh network too.
-      Before its maximum flow, every cap-only network takes a greedy flow
-      (``_preload``): a fresh one on all its MPB edges, a carried one on
-      the joined edges. The round reads only its cut and whether a chore
-      stays unrouted, both the same after every maximum flow, so the greedy
-      start changes no decision and leaves few paths to augment. The floor
-      network, whose flows become the earnings, still starts from zero.
+      edges, and a range rescale (a price total outside [n/2, 2n]) moves
+      the caps under the flow, so the round after one of these builds a
+      fresh network too. A round without a factor rescales the total to n
+      and changes no MPB set, so the next round resets its network in
+      place (``_reset_plain_network``): caps from the new prices, every
+      flow zero. Before its maximum flow, every cap-only network takes a
+      greedy flow (``_preload``): a fresh or reset one on all its MPB
+      edges, a carried one on the joined edges. The round reads only its
+      cut and whether a chore stays unrouted, both the same after every
+      maximum flow and in any adjacency order, so the greedy start and the
+      reused network change no decision. The floor network, whose flows
+      become the earnings, still starts from zero.
+    - *Factor search.* ``_least_factor`` keeps each candidate's least
+      blocked chores for the next round. A rise multiplies every blocked
+      price by one factor, so where those chores are still blocked, only
+      the newly blocked chores are scanned.
     """
     eps, Q, R, L, flows = _price_loop(inst, epsilon)
     outcome = _outcome_from_earnings(
@@ -740,6 +830,7 @@ def _price_loop(inst: Instance, epsilon):
     # The sets do not depend on the price scale.
     mpb_sets = _mpb_structure(D, Q)
     carried = None
+    memo = (frozenset(), {})
 
     for _ in range(DEFAULT_ROUNDS):
         total = sum(Q)
@@ -755,7 +846,6 @@ def _price_loop(inst: Instance, epsilon):
         step = eps.denominator // gcd(eps.denominator, R)
         L = R * step
         P = [value * step for value in Q]
-        mpb_values = [(D[i][b], P[b]) for i, b in enumerate(map(min, mpb_sets))]
         # A routing that pays every chore in full with incomes in [lo, hi]
         # is also a routing of the cap-only network, so a chore left unrouted
         # there proves the bounded routing infeasible without solving it.
@@ -778,44 +868,19 @@ def _price_loop(inst: Instance, epsilon):
         reach = net.reachable(n + m)
         blocked = [c for c in range(m) if c in reach]
         candidates = [i for i in range(n) if m + i not in reach]
-
-        # The factor that brings chore c into agent i's MPB set is
-        # (D[i][c]/P[c]) / (num/den) with (num, den) = mpb_values[i]. Each
-        # candidate's least factor comes from its least blocked ratio
-        # D[i][c]/P[c], with the chores that tie at it; take the least of
-        # the candidates' factors, with every candidate that ties at it.
-        # Without a blocked chore there is no factor, and lam stays None.
-        lam = None
-        ties = []
-        for i in candidates if blocked else ():
-            row = D[i]
-            best, price, near = row[blocked[0]], P[blocked[0]], [blocked[0]]
-            for c in blocked[1:]:
-                left, right = row[c] * price, best * P[c]
-                if left < right:
-                    best, price, near = row[c], P[c], [c]
-                elif left == right:
-                    near.append(c)
-            num, den = mpb_values[i]
-            top, bottom = best * den, price * num
-            if lam is not None:
-                left, right = top * lam[1], lam[0] * bottom
-                if left > right:
-                    continue
-                if left == right:
-                    ties += ((i, c) for c in near)
-                    continue
-            lam, ties = (top, bottom), [(i, c) for c in near]
+        lam, ties, memo = _least_factor(D, P, mpb_sets, candidates, blocked, memo)
         if lam is None:
             Q, R = _reduced([n * value for value in Q], sum(Q))
-            carried = None
+            # A uniform rescale changes no MPB set, so the next round resets
+            # this round's network in place.
+            carried = (network, None, None)
             continue
         # Blocked prices times top/bottom, over the denominator R * bottom.
         # The factor is reduced first, so the products stay small; _reduced
         # still strips what the rise leaves in common.
         g = gcd(*lam)
         top, bottom = lam[0] // g, lam[1] // g
-        rise = frozenset(blocked)
+        rise = memo[0]  # the blocked chores, as a set
         Q, R = _reduced([value * (top if c in rise else bottom) for c, value in enumerate(Q)],
                         R * bottom)
         dropped = []

@@ -26,7 +26,6 @@ from .core import (
     MarketOutcome,
     PriceVector,
     SurplusAllocation,
-    bundle_payment,
     payment_graph,
     rat,
     row_scales,
@@ -354,12 +353,18 @@ def fair_and_efficient(inst: Instance, opts: SolveOptions = SolveOptions()) -> S
     if alloc.surplus_count > inst.n - 1:
         raise AlgorithmBugError(
             f"certificate: surplus {alloc.surplus_count} exceeds {inst.n - 1}")
+    # With eps = e/d, a payment H / R lies below 1 - eps exactly when
+    # H * d < (d - e) * R. The prices are Q / R: P belongs to the rounding
+    # state, which phase 1 may rescale.
+    e, d = eps.numerator, eps.denominator
+    floor = (d - e) * R
     for i in range(inst.n):
-        held = bundle_payment(prices, alloc.bundles[i])
-        if held < 1 - eps:
-            raise AlgorithmBugError(f"certificate: agent {i} bundle pays {held} < 1-eps")
-        slimmest = min(held - prices[u.chore] for u in alloc.bundles[i])
-        if slimmest > 1 - eps:
+        units = [Q[u.chore] for u in alloc.bundles[i]]
+        held = sum(units)
+        if held * d < floor:
+            raise AlgorithmBugError(
+                f"certificate: agent {i} bundle pays {Fraction(held, R)} < 1-eps")
+        if (held - max(units)) * d > floor:
             raise AlgorithmBugError(
                 f"certificate: agent {i} keeps more than 1-eps after every removal")
 

@@ -51,6 +51,39 @@ def test_instance_validation():
     assert (inst.n, inst.m) == (2, 2)
 
 
+def per_entry_instance(rows):
+    """The instance built the plain way: one ``rat`` call per entry."""
+    return Instance(tuple(tuple(rat(v) for v in row) for row in rows))
+
+
+def test_from_rows_matches_the_per_entry_build():
+    # Rows of plain ints share one Fraction per distinct value; every other
+    # row goes through rat. Both give the per-entry instance, on int rows,
+    # mixed rows and 500-digit rows.
+    rng = random.Random(8)
+    big = [rng.randint(10**499, 10**500 - 1) for _ in range(3)]
+    matrices = [
+        [[rng.randint(0, 20) for _ in range(9)] for _ in range(4)],
+        [[3, "2/3", F(5, 7), 0.25], [1, 1, 2, 3], ["7", 2, 2, F(4)]],
+        [big, [str(v) for v in big], [f"1/{v}" for v in big]],
+        [[v * k for v in big] for k in (1, 2, 3)],
+    ]
+    for rows in matrices:
+        inst = Instance.from_rows(rows)
+        assert inst == per_entry_instance(rows)
+        assert all(type(v) is Fraction for row in inst.disutility for v in row)
+    inst = Instance.from_rows([[1, 2, 2], [2, 1, 1]])
+    assert len({id(v) for row in inst.disutility for v in row}) == 2
+    # Bad entries raise what the per-entry build raises, word for word.
+    for rows in ([[1, True]], [[False, 1]], [[1, -2]], [[-1, "1/2"]], [[1, "nonsense"]],
+                 [[1, "1/0"]], [[1, 2.5, None]], [[1, 2], [3]]):
+        with pytest.raises(InputError) as fast:
+            Instance.from_rows(rows)
+        with pytest.raises(InputError) as plain:
+            per_entry_instance(rows)
+        assert str(fast.value) == str(plain.value)
+
+
 def test_bundle_disutility_examples():
     inst = Instance.from_rows([[1, 2]])
     assert bundle_disutility(inst, 0, {ChoreCopy(0), ChoreCopy(1)}) == 3

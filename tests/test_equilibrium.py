@@ -691,13 +691,9 @@ def test_carried_flow_fits_the_next_round(monkeypatch):
     assert run_price_loops(monkeypatch, check)["warm"] >= 1000
 
 
-def test_preload_changes_no_price_loop_output(monkeypatch):
-    # A cap-only round reads only its cut and whether a chore is unrouted,
-    # both the same after every maximum flow, so the greedy start changes
-    # no price, unit or bounded routing: checked against the loop with
-    # _preload as a no-op, at the default slack and at epsilon 0, on values
-    # 1..20, on values 1..3, on values 1..9 times 1 or 10^6, and on the
-    # underpaid draws.
+def preload_draws():
+    """92 price-loop draws: the two underpaid ones, then values 1..20,
+    values 1..3 and values 1..9 times 1 or 10^6, in turn (n 2..7, m n..14)."""
     rng = random.Random(36)
     draws = [UNDERPAID_ROWS, UNDERPAID_START_ROWS]
     for k in range(90):
@@ -711,6 +707,16 @@ def test_preload_changes_no_price_loop_output(monkeypatch):
             rows = [[rng.randint(1, 9) * rng.choice((1, 10**6)) for _ in range(m)]
                     for _ in range(n)]
         draws.append(rows)
+    return draws
+
+
+def test_preload_changes_no_price_loop_output(monkeypatch):
+    # A cap-only round reads only its cut and whether a chore is unrouted,
+    # both the same after every maximum flow, so the greedy start changes
+    # no price, unit or bounded routing: checked against the loop with
+    # _preload as a no-op, at the default slack and at epsilon 0, on values
+    # 1..20, on values 1..3, on values 1..9 times 1 or 10^6, and on the
+    # underpaid draws.
     rounds = Counter()
     real = equilibrium._route_plain
 
@@ -719,7 +725,7 @@ def test_preload_changes_no_price_loop_output(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(equilibrium, "_route_plain", counted)
-    for rows in draws:
+    for rows in preload_draws():
         inst = Instance.from_rows(rows)
         for eps in (default_epsilon(inst.n, inst.m), 0):
             preloaded = equilibrium._price_loop(inst, eps)
@@ -727,6 +733,121 @@ def test_preload_changes_no_price_loop_output(monkeypatch):
                 patch.setattr(equilibrium, "_preload", lambda network, pairs: None)
                 assert equilibrium._price_loop(inst, eps) == preloaded
     assert rounds["cut only"] >= 1500
+
+
+def test_reset_network_changes_no_price_loop_output(monkeypatch):
+    # After a normalisation the MPB sets are unchanged, so the next round
+    # resets the last network in place. Its caps and flows are those of a
+    # fresh _plain_network on the same sets, and the loop that builds that
+    # fresh network instead returns the same prices, unit and routing.
+    real = equilibrium._reset_plain_network
+    resets = Counter()
+
+    def fresh(network, P, L, hi):
+        _, supply, income, edges, _ = network
+        n, m = len(income), len(supply)
+        sets = [frozenset(c for agent, c in edges if agent == i) for i in range(n)]
+        built = _plain_network(n, m, P, L, sets, hi)
+        assert plain_state(real(network, P, L, hi)) == plain_state(built)
+        resets["rounds"] += 1
+        return built
+
+    for rows in preload_draws():
+        inst = Instance.from_rows(rows)
+        for eps in (default_epsilon(inst.n, inst.m), 0):
+            reset = equilibrium._price_loop(inst, eps)
+            with monkeypatch.context() as patch:
+                patch.setattr(equilibrium, "_reset_plain_network", fresh)
+                assert equilibrium._price_loop(inst, eps) == reset
+    assert resets["rounds"] >= 150
+
+
+def least_chores(row, P, blocked):
+    """The blocked chores of least ratio ``row[c] / P[c]``, in order."""
+    best, price, near = row[blocked[0]], P[blocked[0]], [blocked[0]]
+    for c in blocked[1:]:
+        left, right = row[c] * price, best * P[c]
+        if left < right:
+            best, price, near = row[c], P[c], [c]
+        elif left == right:
+            near.append(c)
+    return near
+
+
+def full_scan_factor(D, P, mpb_sets, candidates, blocked):
+    """The factor search over every (candidate, blocked) pair, each round
+    from scratch: ``(lam, ties)`` as ``_least_factor`` returns them."""
+    lam, ties = None, []
+    for i in candidates if blocked else ():
+        near, b = least_chores(D[i], P, blocked), min(mpb_sets[i])
+        top, bottom = D[i][near[0]] * P[b], P[near[0]] * D[i][b]
+        if lam is None or top * lam[1] < lam[0] * bottom:
+            lam, ties = (top, bottom), [(i, c) for c in near]
+        elif top * lam[1] == lam[0] * bottom:
+            ties += ((i, c) for c in near)
+    return lam, ties
+
+
+def test_least_factor_matches_a_full_scan(monkeypatch):
+    # A candidate of the last round keeps its least chores among that
+    # round's blocked ones, since the rise multiplied all of them by one
+    # factor, and scans only the newly blocked chores. Its factor and ties
+    # are the full scan's in every round of the draws, at their slack and at
+    # epsilon 0, also where a newly blocked chore ties with a kept one and
+    # comes before it.
+    real = equilibrium._least_factor
+    scans = Counter()
+
+    def checked(D, P, mpb_sets, candidates, blocked, memo):
+        lam, ties, kept = real(D, P, mpb_sets, candidates, blocked, memo)
+        assert (lam, ties) == full_scan_factor(D, P, mpb_sets, candidates, blocked)
+        last, nearest = memo
+        for i in candidates if blocked else ():
+            still = [c for c in nearest.get(i, ()) if c in blocked]
+            scans["short" if still else "full"] += 1
+            near = least_chores(D[i], P, blocked)
+            scans["merged"] += bool(still) and near[0] not in last and not last.isdisjoint(near)
+        return lam, ties, kept
+
+    monkeypatch.setattr(equilibrium, "_least_factor", checked)
+    draws = [(Instance.from_rows(rows), None) for rows in preload_draws()]
+    for inst, eps in draws + price_loop_draws():
+        for slack in {eps or default_epsilon(inst.n, inst.m), 0}:
+            equilibrium._price_loop(inst, slack)
+    assert scans["short"] >= 2000 and scans["full"] >= 2000 and scans["merged"] >= 5
+
+
+def two_pass_mpb_structure(D, P):
+    """Each agent's MPB set by two passes: one for its best ratio, then one
+    for the chores that tie with it."""
+    m = len(P)
+    sets = []
+    for row in D:
+        b = 0
+        for c in range(1, m):
+            if row[c] * P[b] < row[b] * P[c]:
+                b = c
+        sets.append(frozenset(c for c in range(m) if row[c] * P[b] == row[b] * P[c]))
+    return sets
+
+
+def test_one_pass_mpb_structure_matches_two_passes():
+    # Values 1..3 tie often; values 1..9 times 1 or 10^6 spread the ratios.
+    rng = random.Random(37)
+    tied = 0
+    for k in range(600):
+        n, m = rng.randint(1, 6), rng.randint(1, 12)
+        if k % 2:
+            D = [[rng.randint(1, 3) for _ in range(m)] for _ in range(n)]
+            P = [rng.randint(1, 3) for _ in range(m)]
+        else:
+            D = [[rng.randint(1, 9) * rng.choice((1, 10**6)) for _ in range(m)]
+                 for _ in range(n)]
+            P = [rng.randint(1, 9) * rng.choice((1, 10**6)) for _ in range(m)]
+        sets = _mpb_structure(D, P)
+        assert sets == two_pass_mpb_structure(D, P)
+        tied += any(len(chores) > 1 for chores in sets)
+    assert tied >= 150
 
 
 def test_carrying_a_flow_that_does_not_fit_is_a_bug():

@@ -24,7 +24,7 @@ from fairchores.equilibrium import (
     make_acyclic,
     verify_fisher_equilibrium,
 )
-from fairchores.errors import BudgetExhaustedError, InputError
+from fairchores.errors import AlgorithmBugError, BudgetExhaustedError, InputError
 from fairchores.rounding import (
     RoundingState,
     SolveOptions,
@@ -344,6 +344,21 @@ class TestPipeline:
                 assert held >= 1 - eps
                 assert min(held - result.prices[u.chore]
                            for u in result.alloc.bundles[i]) <= 1 - eps
+
+    def test_payment_window_failures_are_named(self, monkeypatch):
+        # Prices 2/3 each and eps 1/30: the window checks, made on the
+        # loop's integers, name the agent and its payment as a Fraction.
+        inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
+        for bundles, message in (
+                ([{0}, {1, 2}], "certificate: agent 0 bundle pays 2/3 < 1-eps"),
+                ([{0, 1, 2}, set()],
+                 "certificate: agent 0 keeps more than 1-eps after every removal")):
+            alloc = core.SurplusAllocation(
+                tuple(frozenset(ChoreCopy(c) for c in bundle) for bundle in bundles), 3)
+            monkeypatch.setattr("fairchores.rounding.phase2", lambda state: alloc)
+            with pytest.raises(AlgorithmBugError) as failure:
+                fair_and_efficient(inst)
+            assert str(failure.value) == message
 
     def test_copies_only_duplicate_shared_chores(self):
         rng = random.Random(99)
