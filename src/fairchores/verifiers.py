@@ -10,6 +10,7 @@ leans on.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .core import (
@@ -22,6 +23,7 @@ from .core import (
     bundle_disutility,
     price_scale,
     row_scales,
+    scaled,
 )
 from .equilibrium import _best_ratio_sets
 from .errors import InputError, InstanceTooLargeError
@@ -223,6 +225,13 @@ def check_fpo(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     that total. The witness names the lowest-index agent strictly better off
     under the optimal ``dominating`` matrix; ``objective`` is that agent's
     disutility there.
+
+    The program is in integers. Agent ``i``'s cap row is its row of
+    ``row_scales``, ``K_i`` times its costs, and its bound is its current load
+    in the same units. The objective is the total disutility times
+    ``L = lcm(K_i)``, which is what putting every cost over one common
+    denominator gives: a positive factor that changes no verdict, pivot or
+    witness.
     """
     require_shape(inst, alloc)
     items = alloc.items()
@@ -231,43 +240,44 @@ def check_fpo(inst: Instance, alloc: SurplusAllocation) -> Certificate:
         raise InstanceTooLargeError(f"{n * k} LP variables exceed the cap of {MAX_LP_VARIABLES}")
     if k == 0:
         return Certificate(FPO, True)
+    scales = row_scales(inst)
+    L = lcm(*(K for _, K in scales))
     # Variables y[i][t] laid out row-major; one clearing equality per item and
     # one disutility cap per agent.
     a_eq = []
     for t in range(k):
         row = [0] * (n * k)
-        for i in range(n):
-            row[i * k + t] = 1
+        row[t::k] = [1] * n
         a_eq.append(row)
-    # Agent i's cap row is its row of row_scales, K_i times its costs, and
-    # its bound is its current load in the same units: the inequality
-    # d_i(y_i) <= d_i(x_i) times the positive integer K_i, so the program is
-    # the same. Loads and the objective stay in the original units.
-    costs = [[inst.d(i, u.chore) for u in items] for i in range(n)]
-    a_ub, b_ub, caps = [], [], []
-    for i, (ints, K) in enumerate(row_scales(inst)):
+    a_ub, b_ub = [], []
+    for i, (ints, _) in enumerate(scales):
         row = [0] * (n * k)
-        for t, unit in enumerate(items):
-            row[i * k + t] = ints[unit.chore]
+        row[i * k:(i + 1) * k] = [ints[u.chore] for u in items]
         a_ub.append(row)
         b_ub.append(sum(ints[u.chore] for u in alloc.bundles[i]))
-        caps.append(Fraction(b_ub[i], K))
-    # Total disutility: each variable belongs to exactly one agent.
-    cost = [d for row in costs for d in row]
+    # The disutilities times L, which is K_i's integers times L // K_i, built
+    # from the rationals: when the rows carry long denominators, a short
+    # numerator times L over its short denominator costs far less than a
+    # long integer times a long L // K_i.
+    cost = scaled([inst.disutility[i][u.chore] for i in range(n) for u in items], L)
     owner = {unit: i for i, bundle in enumerate(alloc.bundles) for unit in bundle}
     start = [owner[u] * k + t for t, u in enumerate(items)]
     result = solve_lp(cost, a_eq, [1] * k, a_ub, b_ub, start)
-    if result.objective == sum(caps, ZERO):
+    # The allocation's own total in the program's units is its start
+    # columns' costs, the sum of b_i * L/K_i.
+    if result.objective == sum(cost[col] for col in start):
         return Certificate(FPO, True)
-    # Nobody is above their cap, so a smaller total leaves someone strictly below.
+    # Nobody is above their cap, so a smaller total leaves someone strictly
+    # below; each load is over its agent's own K_i, as its cap is.
     y = result.solution
-    loads = [sum((d * y[i * k + t] for t, d in enumerate(row)), ZERO)
-             for i, row in enumerate(costs)]
-    j = next(i for i in range(n) if loads[i] < caps[i])
+    for j, ((ints, K), cap) in enumerate(zip(scales, b_ub)):
+        load = sum((ints[u.chore] * y[j * k + t] for t, u in enumerate(items)), ZERO)
+        if load < cap:
+            break
     return Certificate(FPO, False, {
         "improving_agent": j,
-        "objective": rat_text(loads[j]),
-        "current": rat_text(caps[j]),
+        "objective": rat_text(load / K),
+        "current": rat_text(Fraction(cap, K)),
         "items": [{"chore": u.chore, "copy": u.copy} for u in items],
         "dominating": [[rat_text(y[i * k + t]) for t in range(k)] for i in range(n)]})
 

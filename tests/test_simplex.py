@@ -337,3 +337,87 @@ def test_integer_pivots_match_the_fraction_tableau_on_fpo_programs(monkeypatch):
     seen = check_programs(fpo_programs(random.Random(43), 200, monkeypatch))
     assert seen["unbounded"] == 0
     assert seen["optimal"] >= 200 and seen["tied"] >= 30, seen
+
+
+def block_fpo_lp(rng):
+    """An fPO-shaped program over ``k >= 12`` items: one clearing row per item,
+    one cap row per agent over its own block of variables, rational costs
+    (about 10% zeros) and the start at a random allocation. Each agent's
+    costs are weighted in the objective, so the optimum need not be the
+    least total. A pivot has a zero in every clearing row but its item's and
+    in every cap row but its agent's."""
+    n, k = rng.randint(2, 4), rng.randint(12, 16)
+    costs = [[F(0) if rng.random() < 0.1 else F(rng.randint(1, 20), rng.choice((1, 2, 3, 7)))
+              for _ in range(k)] for _ in range(n)]
+    owner = [rng.randrange(n) for _ in range(k)]
+    a_eq = [[F(int(v % k == t)) for v in range(n * k)] for t in range(k)]
+    a_ub = [[costs[i][v % k] if v // k == i else F(0) for v in range(n * k)] for i in range(n)]
+    b_ub = [sum((costs[i][t] for t in range(k) if owner[t] == i), F(0)) for i in range(n)]
+    weights = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)]
+    cost = [weights[v // k] * costs[v // k][v % k] for v in range(n * k)]
+    return cost, a_eq, [1] * k, a_ub, b_ub, [owner[t] * k + t for t in range(k)]
+
+
+def block_vertex_lp(rng, blocks):
+    """``vertex_lp`` draws side by side over disjoint variables: a pivot in one
+    block has a zero in every row of the others."""
+    programs = [vertex_lp(rng) for _ in range(blocks)]
+    width = sum(len(cost) for cost, *_ in programs)
+    joined = [], [], [], [], [], []
+    offset = 0
+    for cost, a_eq, b_eq, a_ub, b_ub, start in programs:
+        def pad(row):
+            return [F(0)] * offset + row + [F(0)] * (width - offset - len(cost))
+        for whole, part in zip(joined, (cost, [pad(row) for row in a_eq], b_eq,
+                                        [pad(row) for row in a_ub], b_ub,
+                                        [offset + col for col in start])):
+            whole.extend(part)
+        offset += len(cost)
+    return joined
+
+
+def test_integer_pivots_match_the_fraction_tableau_when_most_rows_sit_out(monkeypatch):
+    # Rows with a zero in the pivot column keep their stored values and
+    # their own denominators, and are lifted only when read; the answers,
+    # and the raised errors, must still be the Fraction tableau's.
+    sat_out = rewritten = 0
+    pivot = fraction_pivot
+
+    def counted(tableau, basis, row, col):
+        nonlocal sat_out, rewritten
+        zeros = sum(not line[col] for line in tableau)
+        sat_out += zeros
+        rewritten += len(tableau) - 1 - zeros
+        pivot(tableau, basis, row, col)
+
+    programs = [block_fpo_lp(random.Random(f"block-fpo:{k}")) for k in range(30)]
+    programs += [block_vertex_lp(random.Random(f"block-vertex:{k}"), 3) for k in range(120)]
+    monkeypatch.setitem(globals(), "fraction_pivot", counted)
+    seen = check_programs(programs)
+    assert seen["optimal"] >= 70 and seen["unbounded"] >= 50 and seen["tied"] >= 15, seen
+    # The oracles' pivots meet more than three rows with a zero in the
+    # pivot column for each row they rewrite.
+    assert sat_out > 3 * rewritten, (sat_out, rewritten)
+
+
+def test_scaling_the_cost_scales_only_the_objective():
+    # check_fpo's integer cost is the total disutility times L = lcm(K_i):
+    # a positive integer factor on the cost must leave the pivot path, and
+    # so the solution, as they are.
+    rng = random.Random(11)
+    programs = [vertex_lp(random.Random(f"scale:{k}")) for k in range(150)]
+    programs += [block_fpo_lp(random.Random(f"scale-fpo:{k}")) for k in range(20)]
+    optima = unbounded = 0
+    for cost, *constraints in programs:
+        factor = rng.choice((2, 3, 7, 10**6, 2**61 - 1))
+        try:
+            result = solve_lp(cost, *constraints)
+        except AlgorithmBugError:
+            with pytest.raises(AlgorithmBugError, match="unbounded"):
+                solve_lp([factor * c for c in cost], *constraints)
+            unbounded += 1
+            continue
+        assert solve_lp([factor * c for c in cost], *constraints) == LpResult(
+            factor * result.objective, result.solution)
+        optima += 1
+    assert optima >= 100 and unbounded >= 10, (optima, unbounded)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -349,6 +351,30 @@ class TestParetoChecks:
                           {"chore": 2, "copy": 0}, {"chore": 2, "copy": 1}],
                 "dominating": [["1", "0", "0", "1/4"], ["0", "0", "1/4", "3/4"],
                                ["0", "1", "3/4", "0"]]}}
+
+    def test_fpo_certificates_match_the_pinned_digest(self):
+        # sha256 over 300 certificates, one JSON line each, as a tableau over
+        # one common denominator, with the total disutility in rationals,
+        # gave them: a change to any witness field (``dominating``,
+        # ``objective``, ``current``, ``improving_agent``) shows here.
+        rng = random.Random(38)
+        texts = []
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            m = rng.randint(n, 8)
+            inst = Instance.from_rows(
+                [[F(0) if rng.random() < 0.1 else F(rng.randint(1, 20), rng.choice((1, 2, 3, 7)))
+                  for _ in range(m)] for _ in range(n)])
+            bundles = [set() for _ in range(n)]
+            for c in range(m):
+                bundles[rng.randrange(n)].add(ChoreCopy(c))
+            for copy in range(1, rng.randint(1, n)):  # up to n-1 copies
+                bundles[rng.randrange(n)].add(ChoreCopy(rng.randrange(m), copy))
+            alloc = SurplusAllocation(tuple(frozenset(b) for b in bundles), m)
+            texts.append(json.dumps(check_fpo(inst, alloc).to_dict()))
+        assert sum('"holds": false' in text for text in texts) == 270
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == "6df83a5d60ee6e8103845718107b0e378272c591a68dbe2b8eba7773554454b6"
 
     @staticmethod
     def improvable_agents(inst, alloc):
