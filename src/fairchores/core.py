@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InputError
@@ -64,6 +65,9 @@ class ChoreCopy(NamedTuple):
 
     chore: int
     copy: int = 0
+
+
+_CHORE, _COPY = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -233,6 +237,18 @@ class SurplusAllocation:
     num_chores: int
 
     def __post_init__(self):
+        # Valid allocations pass by set operations: no unit is shared when the
+        # union is as long as the bundles together, and the chore ids then
+        # cover exactly range(num_chores) when there are num_chores of them
+        # between its ends. Anything else falls through to the unit scan,
+        # which raises on the first fault in bundle order.
+        bundles, m = self.bundles, self.num_chores
+        units = set().union(*bundles)
+        chores = set(map(_CHORE, units))
+        if len(units) == sum(map(len, bundles)) and len(chores) == m and (
+                not m or (min(chores) >= 0 and max(chores) < m
+                          and min(map(_COPY, units)) >= 0)):
+            return
         seen: set[ChoreCopy] = set()
         covered: set[int] = set()
         for bundle in self.bundles:

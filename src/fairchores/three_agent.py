@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Optional, Sequence
 
@@ -80,16 +81,32 @@ def efx_identical(costs: Sequence, n: int) -> tuple[frozenset[int], ...]:
 
     Chores are placed in non-increasing cost order (ties by ascending id),
     each going to the currently cheapest bundle (ties by ascending bundle
-    index).
+    index). Each bundle is a set filled in that order, so its iteration
+    order, which a result's ``repr`` prints, depends on nothing else.
     """
     costs = [v if type(v) is int else rat(v) for v in costs]
+    # A reversed sort is still stable: equal costs keep ascending ids.
+    order = sorted(range(len(costs)), key=costs.__getitem__, reverse=True)
+    if n == 3:  # the solver's split: three running totals, compared directly
+        first, second, third = set(), set(), set()
+        a = b = c = 0
+        for chore in order:
+            if a <= b and a <= c:
+                first.add(chore)
+                a += costs[chore]
+            elif b <= c:
+                second.add(chore)
+                b += costs[chore]
+            else:
+                third.add(chore)
+                c += costs[chore]
+        return frozenset(first), frozenset(second), frozenset(third)
     bundles: list[set[int]] = [set() for _ in range(n)]
     totals = [0] * n
-    # A reversed sort is still stable: equal costs keep ascending ids.
-    for c in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+    for chore in order:
         target = totals.index(min(totals))
-        bundles[target].add(c)
-        totals[target] += costs[c]
+        bundles[target].add(chore)
+        totals[target] += costs[chore]
     return tuple(frozenset(b) for b in bundles)
 
 
@@ -110,11 +127,11 @@ def _cheapest(row, partition) -> list:
 def _fits(totals, k: int, drop) -> bool:
     """Whether bundle ``k``, with the agent's bundle ``totals`` and its
     cheapest chore costing ``drop`` (None when empty), stays unenvied after
-    any single transfer."""
+    any single transfer: the least other total decides."""
     if drop is None:
         return True
-    kept = totals[k] - drop
-    return all(kept <= total + drop for j, total in enumerate(totals) if j != k)
+    others = totals[:k] + totals[k + 1:]
+    return not others or totals[k] - drop <= min(others) + drop
 
 
 def tefx_feasible(rows, agent: int, k: int, partition) -> bool:
@@ -184,8 +201,12 @@ def _check_invariants(rows, bundles, totals) -> list:
 
 def _result(inst: Instance, bundles_by_agent, assignment, kind, trace,
             iterations) -> ThreeResult:
+    # One unit per chore, made without the named tuple's Python-level
+    # constructor; each bundle maps its chores to them in its own set order.
+    m = inst.m
+    units = list(map(tuple.__new__, repeat(ChoreCopy, m), zip(range(m), repeat(0))))
     alloc = SurplusAllocation(
-        tuple(frozenset(ChoreCopy(c, 0) for c in bundle) for bundle in bundles_by_agent), inst.m)
+        tuple(frozenset(map(units.__getitem__, bundle)) for bundle in bundles_by_agent), m)
     certificate = (check_tefx if kind == "tEFX" else check_proportional)(inst, alloc)
     if not certificate.holds:
         raise AlgorithmBugError(

@@ -14,6 +14,7 @@ from math import lcm
 from typing import Optional
 
 from .core import (
+    _CHORE,
     FISHER_EQ,
     ZERO,
     Certificate,
@@ -57,38 +58,52 @@ def require_shape(inst: Instance, alloc: SurplusAllocation) -> None:
             f"instance has {inst.n} agents and {inst.m} chores")
 
 
-def _view(ints, K, bundles) -> tuple[list[int], int, list[int]]:
+def _chore_ids(bundles) -> list[list[int]]:
+    """Each bundle's chore ids, one per unit, in the bundle's set order."""
+    return [list(map(_CHORE, bundle)) for bundle in bundles]
+
+
+def _view(ints, K, ids) -> tuple[list[int], int, list[int]]:
     """A row already over its own lcm, as ``row_scales`` gives it: its
-    integers, ``K``, and each bundle's cost in those units."""
-    return ints, K, [sum(ints[u.chore] for u in bundle) for bundle in bundles]
+    integers, ``K``, and each bundle's cost in those units, from the
+    bundles' ``_chore_ids``."""
+    return ints, K, [sum(map(ints.__getitem__, chores)) for chores in ids]
 
 
-def _envy(views, bundles, pick, transfer: bool = False):
+def _envy(views, ids, bundles, pick, transfer: bool = False):
     """The first agent ``i``, then bundle ``j``, in index order, such that
     ``i``'s bundle less the unit ``pick`` chooses by (cost, unit) still costs
     ``i`` more than bundle ``j`` (plus that unit when ``transfer``). ``views``
-    yields ``_view`` of each agent's row in turn. Returns None, or ``(i, j,
-    unit, own, kept, other)`` with the costs as rationals."""
-    for i, (mine, (ints, K, cost)) in enumerate(zip(bundles, views)):
+    yields ``_view`` of each agent's row in turn, over the bundles' chore
+    ``ids``. Returns None, or ``(i, j, unit, own, kept, other)`` with the
+    costs as rationals.
+
+    Only the unit's cost decides, so the unit itself is found only for a
+    witness."""
+    for i, (mine, (ints, K, cost)) in enumerate(zip(ids, views)):
         if not mine:
             continue
-        unit = pick(mine, key=lambda u: (ints[u.chore], u))
-        kept = cost[i] - ints[unit.chore]
-        moved = ints[unit.chore] if transfer else 0
+        drop = pick(map(ints.__getitem__, mine))
+        kept = cost[i] - drop
+        moved = drop if transfer else 0
         for j, other in enumerate(cost):
             if i != j and kept > other + moved:
+                unit = pick(bundles[i], key=lambda u: (ints[u.chore], u))
                 return i, j, unit, *(Fraction(v, K) for v in (cost[i], kept, other + moved))
     return None
 
 
 def _agent_views(inst: Instance, alloc: SurplusAllocation):
+    """``_envy``'s views and chore ids: the ids are read once, and each
+    agent's view is made when ``_envy`` reaches it."""
     require_shape(inst, alloc)
-    return (_view(ints, K, alloc.bundles) for ints, K in row_scales(inst))
+    ids = _chore_ids(alloc.bundles)
+    return (_view(ints, K, ids) for ints, K in row_scales(inst)), ids, alloc.bundles
 
 
 def check_ef1(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """Envy-freeness up to removing one chore from the envious bundle."""
-    found = _envy(_agent_views(inst, alloc), alloc.bundles, max)
+    found = _envy(*_agent_views(inst, alloc), max)
     if found is None:
         return Certificate(EF1, True)
     i, j, _, own, kept, other = found
@@ -99,7 +114,7 @@ def check_ef1(inst: Instance, alloc: SurplusAllocation) -> Certificate:
 
 def check_efx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """Envy-freeness up to removing any chore from the envious bundle."""
-    found = _envy(_agent_views(inst, alloc), alloc.bundles, min)
+    found = _envy(*_agent_views(inst, alloc), min)
     if found is None:
         return Certificate(EFX, True)
     i, j, unit, _, kept, other = found
@@ -110,7 +125,7 @@ def check_efx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
 
 def check_tefx(inst: Instance, alloc: SurplusAllocation) -> Certificate:
     """No strong envy: transferring any single chore kills the envy."""
-    found = _envy(_agent_views(inst, alloc), alloc.bundles, min, transfer=True)
+    found = _envy(*_agent_views(inst, alloc), min, transfer=True)
     if found is None:
         return Certificate(TEFX, True)
     i, j, unit, _, kept, other = found
@@ -135,7 +150,8 @@ def check_pef1(prices: PriceVector, alloc: SurplusAllocation) -> Certificate:
     """Payment envy-freeness up to one chore."""
     if len(prices) != alloc.num_chores:
         raise InputError(f"{len(prices)} prices for {alloc.num_chores} chores")
-    found = _envy([_view(*price_scale(prices), alloc.bundles)] * alloc.n, alloc.bundles, max)
+    ids = _chore_ids(alloc.bundles)
+    found = _envy([_view(*price_scale(prices), ids)] * alloc.n, ids, alloc.bundles, max)
     if found is None:
         return Certificate(PEF1, True)
     i, j, _, _, kept, other = found
@@ -159,6 +175,8 @@ def check_fisher_integral(inst: Instance, alloc: SurplusAllocation,
         return Certificate(FISHER_EQ, True)
     sets = _best_ratio_sets(inst, prices)
     for i, bundle in enumerate(alloc.bundles):
+        if sets[i].issuperset(map(_CHORE, bundle)):
+            continue
         for unit in sorted(bundle):
             if unit.chore not in sets[i]:
                 return Certificate(FISHER_EQ, False, {

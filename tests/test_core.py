@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -241,3 +242,99 @@ def test_surplus_allocation_invariants():
     with pytest.raises(InputError):  # same unit twice
         SurplusAllocation((frozenset({ChoreCopy(0, 0)}),
                            frozenset({ChoreCopy(0, 0)})), 1)
+
+
+def first_fault(bundles, num_chores):
+    """The text of the first fault a per-unit scan in bundle order finds, or
+    None: the validation ``SurplusAllocation`` ran before it decided validity
+    by set operations, kept as the oracle for its messages."""
+    seen, covered = set(), set()
+    for bundle in bundles:
+        for unit in bundle:
+            if unit in seen:
+                return f"chore copy {unit} appears in two bundles"
+            seen.add(unit)
+            if not 0 <= unit.chore < num_chores:
+                return f"chore id {unit.chore} out of range"
+            if unit.copy < 0:
+                return f"chore copy {unit} has a negative copy index"
+            covered.add(unit.chore)
+    if len(covered) != num_chores:
+        first = min(set(range(len(covered) + 1)) - covered)
+        return f"chores never allocated, the first is chore {first}"
+    return None
+
+
+def assert_validates_like_the_scan(bundles, num_chores):
+    from fairchores.core import SurplusAllocation
+
+    expected = first_fault(bundles, num_chores)
+    if expected is None:
+        assert SurplusAllocation(bundles, num_chores).bundles == bundles
+    else:
+        with pytest.raises(InputError) as caught:
+            SurplusAllocation(bundles, num_chores)
+        assert str(caught.value) == expected
+    return expected
+
+
+def test_surplus_allocation_faults_are_named_as_by_the_unit_scan():
+    U = ChoreCopy
+    cases = [
+        ((), 0),
+        ((frozenset(),), 0),
+        ((frozenset(), frozenset(), frozenset()), 0),
+        ((frozenset(), frozenset()), 2),
+        ((frozenset({U(0)}), frozenset({U(0)})), 1),  # one unit in two bundles
+        ((frozenset({U(0), U(1)}), frozenset({U(-1)})), 2),
+        ((frozenset({U(0), U(1)}), frozenset({U(2)})), 2),
+        ((frozenset({U(0), U(0, -1)}),), 1),
+        ((frozenset({U(0), U(2)}),), 3),  # chore 1 missing
+        ((frozenset({U(1), U(2)}),), 3),  # chore 0 missing
+        ((frozenset({U(0, 1)}), frozenset({U(0, 2)})), 1),
+        ((frozenset({U(1, 1)}),), 1),  # only a copy of an unknown chore
+        ((frozenset({U(0), U(0, 1)}), frozenset({U(0, 1), U(-1)})), 1),
+        ((frozenset({U(-1)}), frozenset({U(0), U(0, 1)}), frozenset({U(0, 1)})), 1),
+        ((frozenset({U(0, -2), U(3)}), frozenset({U(1), U(1)})), 3),
+        ((frozenset({U(5)}), frozenset({U(0, -1)})), 0),
+        ((frozenset({U(0, -1)}), frozenset({U(5)})), 0),
+    ]
+    for bundles, num_chores in cases:
+        assert_validates_like_the_scan(bundles, num_chores)
+    # Several faults at once, with the bundles in every order.
+    faulty = (frozenset({U(0), U(1)}), frozenset({U(0)}), frozenset({U(2, -1)}),
+              frozenset({U(-1)}), frozenset({U(5)}), frozenset())
+    messages = {assert_validates_like_the_scan(order, 3)
+                for order in itertools.permutations(faulty)}
+    assert len(messages) == 4 and f"chore copy {U(0)} appears in two bundles" in messages
+
+
+def test_surplus_allocation_validates_random_bundles_like_the_unit_scan():
+    rng = random.Random(39)
+    valid = faults = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        m = rng.randint(0, 8)
+        bundles = [set() for _ in range(n)]
+        for c in range(m):
+            if rng.random() > 0.05:  # now and then a chore goes missing
+                bundles[rng.randrange(n)].add(ChoreCopy(c))
+        for copy in range(1, rng.randint(1, n + 1)):
+            if m:
+                bundles[rng.randrange(n)].add(ChoreCopy(rng.randrange(m), copy))
+        for _ in range(rng.choice((0, 0, 0, 1, 2, 3))):
+            kind = rng.randrange(4)
+            target = bundles[rng.randrange(n)]
+            if kind == 0 and any(bundles):  # a unit that another bundle holds
+                target.add(rng.choice([u for b in bundles for u in b]))
+            elif kind == 1:
+                target.add(ChoreCopy(rng.choice((-1, m, m + 3))))
+            elif kind == 2:
+                target.add(ChoreCopy(rng.randrange(max(m, 1)), -rng.randint(1, 2)))
+            elif kind == 3 and target:
+                target.discard(rng.choice(sorted(target)))
+        if assert_validates_like_the_scan(tuple(map(frozenset, bundles)), m) is None:
+            valid += 1
+        else:
+            faults += 1
+    assert valid >= 1000 and faults >= 1000, (valid, faults)

@@ -172,6 +172,34 @@ class TestGreedyIdentical:
         assert efx_identical([1, 1, 1], 3) == (
             frozenset({0}), frozenset({1}), frozenset({2}))
 
+    @staticmethod
+    def scan_split(costs, n):
+        """``efx_identical`` as a scan of the running totals for each chore,
+        kept as the oracle for its bundles and their set order."""
+        costs = [v if type(v) is int else Fraction(v) for v in costs]
+        bundles = [set() for _ in range(n)]
+        totals = [0] * n
+        for c in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+            target = totals.index(min(totals))
+            bundles[target].add(c)
+            totals[target] += costs[c]
+        return tuple(frozenset(b) for b in bundles)
+
+    def test_split_and_set_order_match_the_scan(self):
+        rng = random.Random(39)
+        for m in range(41):
+            for n in range(1, 6):
+                draws = [
+                    [rng.randint(0, 4) for _ in range(m)],  # ints with many ties
+                    [F(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(m)],
+                    _tie_broken_rows([([rng.randint(0, 20) for _ in range(m)], 1)])[0],
+                ]
+                for costs in draws:
+                    split = efx_identical(costs, n)
+                    expected = self.scan_split(costs, n)
+                    assert split == expected
+                    assert [list(b) for b in split] == [list(b) for b in expected]
+
     def test_output_is_efx_for_identical_costs(self):
         from fairchores.core import ChoreCopy, SurplusAllocation
 

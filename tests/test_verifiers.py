@@ -416,6 +416,61 @@ class TestParetoChecks:
         assert certificate.witness["improving_agent"] == 1
 
 
+def test_envy_family_certificates_match_the_pinned_digest():
+    # sha256 over 400 draws' certificates from the six checks that scan
+    # bundles unit by unit, one JSON line each, as checks that read every
+    # unit's cost through its ChoreCopy gave them. Copies of one chore tie on
+    # cost, so the witness's "chore" and "copy" pin the (cost, unit) order.
+    rng = random.Random(39)
+    checks = {
+        EF1: lambda inst, alloc, prices: check_ef1(inst, alloc),
+        EFX: lambda inst, alloc, prices: check_efx(inst, alloc),
+        TEFX: lambda inst, alloc, prices: check_tefx(inst, alloc),
+        PEF1: lambda inst, alloc, prices: check_pef1(prices, alloc),
+        PROPORTIONAL: lambda inst, alloc, prices: check_proportional(inst, alloc),
+        FISHER_EQ: check_fisher_integral,
+    }
+    texts = []
+    failed = dict.fromkeys(checks, 0)
+    for index in range(400):
+        n, m = rng.randint(2, 4), rng.randint(1, 8)
+        zeros = index % 4 == 1
+
+        def row():
+            return [F(0) if zeros and rng.random() < 0.3
+                    else F(rng.randint(1, 12), rng.choice((1, 1, 2, 3))) for _ in range(m)]
+
+        rows = [row()] * n if index % 5 == 4 else [row() for _ in range(n)]
+        inst = Instance.from_rows(rows)
+        if index % 3:  # chores dealt at random, else round robin by agent 0's costs
+            owner = [rng.randrange(n) for _ in range(m)]
+        else:
+            owner = [0] * m
+            for turn, c in enumerate(sorted(range(m), key=rows[0].__getitem__)):
+                owner[c] = turn % n
+        bundles = [set() for _ in range(n)]
+        for c in range(m):
+            bundles[owner[c]].add(ChoreCopy(c))
+        tied = rng.randrange(m)  # copies of one chore, often beside the original
+        for copy in range(1, rng.randint(1, n)):
+            holder = owner[tied] if rng.random() < 0.6 else rng.randrange(n)
+            bundles[holder].add(ChoreCopy(tied, copy))
+        alloc = SurplusAllocation(tuple(frozenset(b) for b in bundles), m)
+        if index % 2:  # each chore priced at its holder's cost, else at random
+            prices = PriceVector(tuple(rows[owner[c]][c] or F(1) for c in range(m)))
+        else:
+            prices = PriceVector(tuple(F(rng.randint(1, 9), rng.choice((1, 2)))
+                                       for _ in range(m)))
+        for name, check in checks.items():
+            certificate = check(inst, alloc, prices)
+            failed[name] += not certificate.holds
+            texts.append(json.dumps(certificate.to_dict()))
+    # Every property fails often, which covers its witness, and holds now and then.
+    assert all(200 <= count <= 380 for count in failed.values()), failed
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "bed8f2d5583c821ad68c3667cab0882cfcaa12bf690a288e7c5f7f03968074d7"
+
+
 class TestNonDegenerate:
     def test_binary_weights(self):
         assert check_nondegenerate(Instance.from_rows([[1, 2, 4]])).holds
